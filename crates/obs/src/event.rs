@@ -6,7 +6,7 @@
 //! `"event"` key) is documented on [`TrainEvent::to_json`] and pinned by
 //! the round-trip test in the workspace root.
 
-use crate::json;
+use crate::json::{obj, Value};
 
 /// Per-sweep routing tallies of the sub-linear sparse bucket kernel
 /// (`Backend::SparseKernel`): which bucket resolved each token's draw.
@@ -149,7 +149,10 @@ impl TrainEvent {
         }
     }
 
-    /// Render the event as one JSON object (no trailing newline).
+    /// Render the event as one JSON object (no trailing newline), through
+    /// the workspace codec ([`crate::json`]) the daemon also serves with.
+    /// Counts travel as JSON numbers, exact below 2^53 — far above any
+    /// count a run produces.
     ///
     /// Schema — every line carries `"event"` plus its variant's fields:
     ///
@@ -171,9 +174,17 @@ impl TrainEvent {
     ///  "zero_mass_draws":0}
     /// ```
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"event\":");
-        json::push_str(&mut out, self.kind());
+        let num = Value::Num;
+        let int = Value::from;
+        let buckets = |b: &SparseBucketCounts| {
+            [
+                ("q_hits", int(b.q_hits)),
+                ("r_hits", int(b.r_hits)),
+                ("s_hits", int(b.s_hits)),
+                ("dense_fallbacks", int(b.dense_fallbacks)),
+            ]
+        };
+        let mut members = vec![("event", Value::from(self.kind()))];
         match self {
             TrainEvent::Sweep {
                 sweep,
@@ -182,90 +193,71 @@ impl TrainEvent {
                 tokens_per_sec,
                 loglik,
                 loglik_clamped_tokens,
-            } => {
-                out.push_str(&format!(",\"sweep\":{sweep},\"duration_secs\":"));
-                json::push_f64(&mut out, *duration_secs);
-                out.push_str(&format!(",\"tokens\":{tokens},\"tokens_per_sec\":"));
-                json::push_f64(&mut out, *tokens_per_sec);
-                out.push_str(",\"loglik\":");
-                json::push_opt_f64(&mut out, *loglik);
-                out.push_str(&format!(
-                    ",\"loglik_clamped_tokens\":{loglik_clamped_tokens}"
-                ));
-            }
+            } => members.extend([
+                ("sweep", int(*sweep)),
+                ("duration_secs", num(*duration_secs)),
+                ("tokens", int(*tokens)),
+                ("tokens_per_sec", num(*tokens_per_sec)),
+                ("loglik", loglik.map_or(Value::Null, num)),
+                ("loglik_clamped_tokens", int(*loglik_clamped_tokens)),
+            ]),
             TrainEvent::SparseBuckets { sweep, counts } => {
-                out.push_str(&format!(
-                    ",\"sweep\":{sweep},\"q_hits\":{},\"r_hits\":{},\"s_hits\":{},\
-                     \"dense_fallbacks\":{}",
-                    counts.q_hits, counts.r_hits, counts.s_hits, counts.dense_fallbacks
-                ));
+                members.push(("sweep", int(*sweep)));
+                members.extend(buckets(counts));
             }
             TrainEvent::ShardSweep { sweep, timings } => {
-                out.push_str(&format!(",\"sweep\":{sweep},\"merge_secs\":"));
-                json::push_f64(&mut out, timings.merge_secs);
-                out.push_str(",\"shard_secs\":[");
-                for (i, s) in timings.shard_secs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::push_f64(&mut out, *s);
-                }
-                out.push(']');
+                members.extend([
+                    ("sweep", int(*sweep)),
+                    ("merge_secs", num(timings.merge_secs)),
+                    (
+                        "shard_secs",
+                        Value::Arr(timings.shard_secs.iter().copied().map(num).collect()),
+                    ),
+                ]);
                 if let Some(b) = &timings.buckets {
-                    out.push_str(&format!(
-                        ",\"q_hits\":{},\"r_hits\":{},\"s_hits\":{},\
-                         \"dense_fallbacks\":{}",
-                        b.q_hits, b.r_hits, b.s_hits, b.dense_fallbacks
-                    ));
+                    members.extend(buckets(b));
                 }
             }
             TrainEvent::Adapt {
                 sweep,
                 duration_secs,
                 threads,
-            } => {
-                out.push_str(&format!(",\"sweep\":{sweep},\"duration_secs\":"));
-                json::push_f64(&mut out, *duration_secs);
-                out.push_str(&format!(",\"threads\":{threads}"));
-            }
+            } => members.extend([
+                ("sweep", int(*sweep)),
+                ("duration_secs", num(*duration_secs)),
+                ("threads", int(*threads)),
+            ]),
             TrainEvent::Checkpoint {
                 sweep,
                 bytes,
                 duration_secs,
-            } => {
-                out.push_str(&format!(
-                    ",\"sweep\":{sweep},\"bytes\":{bytes},\"duration_secs\":"
-                ));
-                json::push_f64(&mut out, *duration_secs);
-            }
+            } => members.extend([
+                ("sweep", int(*sweep)),
+                ("bytes", int(*bytes)),
+                ("duration_secs", num(*duration_secs)),
+            ]),
             TrainEvent::FitComplete {
                 sweeps,
                 duration_secs,
                 tokens_per_sec,
                 loglik_clamped_tokens,
-            } => {
-                out.push_str(&format!(",\"sweeps\":{sweeps},\"duration_secs\":"));
-                json::push_f64(&mut out, *duration_secs);
-                out.push_str(",\"tokens_per_sec\":");
-                json::push_f64(&mut out, *tokens_per_sec);
-                out.push_str(&format!(
-                    ",\"loglik_clamped_tokens\":{loglik_clamped_tokens}"
-                ));
-            }
+            } => members.extend([
+                ("sweeps", int(*sweeps)),
+                ("duration_secs", num(*duration_secs)),
+                ("tokens_per_sec", num(*tokens_per_sec)),
+                ("loglik_clamped_tokens", int(*loglik_clamped_tokens)),
+            ]),
             TrainEvent::Perplexity {
                 perplexity,
                 rescued_draws,
                 zero_mass_draws,
-            } => {
-                out.push_str(",\"perplexity\":");
-                json::push_f64(&mut out, *perplexity);
-                out.push_str(&format!(
-                    ",\"rescued_draws\":{rescued_draws},\"zero_mass_draws\":{zero_mass_draws}"
-                ));
-            }
+            } => members.extend([
+                ("perplexity", num(*perplexity)),
+                ("rescued_draws", int(*rescued_draws)),
+                ("zero_mass_draws", int(*zero_mass_draws)),
+            ]),
         }
-        out.push('}');
-        out
+        obj(members).render()
     }
 }
 

@@ -1,7 +1,7 @@
 //! The [`TrainObserver`] trait, the no-op default, fan-out, and the
 //! registry-aggregating observer.
 
-use crate::event::TrainEvent;
+use crate::event::{SparseBucketCounts, TrainEvent};
 use crate::registry::{Counter, Gauge, Registry};
 use std::sync::Arc;
 
@@ -210,6 +210,13 @@ impl RegistryObserver {
         &self.registry
     }
 
+    fn add_buckets(&self, counts: &SparseBucketCounts) {
+        self.bucket_q.add(counts.q_hits);
+        self.bucket_r.add(counts.r_hits);
+        self.bucket_s.add(counts.s_hits);
+        self.bucket_fallback.add(counts.dense_fallbacks);
+    }
+
     fn shard_counter(&mut self, shard: usize) -> &Counter {
         while self.shard_nanos.len() <= shard {
             let label = self.shard_nanos.len().to_string();
@@ -252,17 +259,17 @@ impl TrainObserver for RegistryObserver {
                 }
                 self.loglik_clamped.add(*loglik_clamped_tokens);
             }
-            TrainEvent::SparseBuckets { counts, .. } => {
-                self.bucket_q.add(counts.q_hits);
-                self.bucket_r.add(counts.r_hits);
-                self.bucket_s.add(counts.s_hits);
-                self.bucket_fallback.add(counts.dense_fallbacks);
-            }
+            TrainEvent::SparseBuckets { counts, .. } => self.add_buckets(counts),
             TrainEvent::ShardSweep { timings, .. } => {
                 for (shard, &secs) in timings.shard_secs.iter().enumerate() {
                     self.shard_counter(shard).add(nanos(secs));
                 }
                 self.merge_nanos.add(nanos(timings.merge_secs));
+                // Sharded sparse sweeps carry their bucket tallies inline
+                // instead of as separate `SparseBuckets` events.
+                if let Some(counts) = &timings.buckets {
+                    self.add_buckets(counts);
+                }
             }
             TrainEvent::Adapt { duration_secs, .. } => {
                 self.adapts.inc();
@@ -294,7 +301,7 @@ impl TrainObserver for RegistryObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ShardTimings, SparseBucketCounts};
+    use crate::event::ShardTimings;
 
     #[test]
     fn noop_is_disabled() {
@@ -351,6 +358,21 @@ mod tests {
                 buckets: None,
             },
         });
+        // A sharded sparse sweep's inline tallies land in the same
+        // bucket families as standalone `SparseBuckets` events.
+        obs.on_event(&TrainEvent::ShardSweep {
+            sweep: 4,
+            timings: ShardTimings {
+                shard_secs: Vec::new(),
+                merge_secs: 0.0,
+                buckets: Some(SparseBucketCounts {
+                    q_hits: 10,
+                    r_hits: 2,
+                    s_hits: 1,
+                    dense_fallbacks: 2,
+                }),
+            },
+        });
         obs.on_event(&TrainEvent::Adapt {
             sweep: 3,
             duration_secs: 1.0,
@@ -373,10 +395,10 @@ mod tests {
         assert!(text.contains("srclda_train_tokens_per_sec 200\n"));
         assert!(text.contains("srclda_train_loglik -53\n"));
         assert!(text.contains("srclda_train_loglik_clamped_tokens_total 3\n"));
-        assert!(text.contains("srclda_train_sparse_bucket_hits_total{bucket=\"word\"} 90\n"));
-        assert!(text.contains("srclda_train_sparse_bucket_hits_total{bucket=\"doc\"} 8\n"));
-        assert!(text.contains("srclda_train_sparse_bucket_hits_total{bucket=\"smoothing\"} 2\n"));
-        assert!(text.contains("srclda_train_sparse_dense_fallbacks_total 1\n"));
+        assert!(text.contains("srclda_train_sparse_bucket_hits_total{bucket=\"word\"} 100\n"));
+        assert!(text.contains("srclda_train_sparse_bucket_hits_total{bucket=\"doc\"} 10\n"));
+        assert!(text.contains("srclda_train_sparse_bucket_hits_total{bucket=\"smoothing\"} 3\n"));
+        assert!(text.contains("srclda_train_sparse_dense_fallbacks_total 3\n"));
         assert!(text.contains("srclda_train_shard_sweep_seconds_total{shard=\"0\"} 0.25\n"));
         assert!(text.contains("srclda_train_shard_sweep_seconds_total{shard=\"1\"} 0.5\n"));
         assert!(text.contains("srclda_train_shard_merge_seconds_total 0.125\n"));

@@ -1,12 +1,13 @@
 //! Prometheus text-exposition encoding (`text/plain; version=0.0.4`).
 //!
-//! [`PromText`] is a low-level writer used both by [`crate::Registry`]
-//! and by external metric structs (the serving daemon's lock-free
-//! counters) so trainer and serving families are encoded by exactly one
-//! implementation. It handles HELP/label escaping, Prometheus float
-//! forms (`+Inf`, `NaN`), and the cumulative-bucket shape of histogram
-//! families.
+//! [`PromText`] is a low-level writer used by [`crate::Registry`] and by
+//! the few families a caller reads live at scrape time (the serving
+//! daemon's per-model-entry families), so every family is encoded by
+//! exactly one implementation. It handles HELP/label escaping, Prometheus
+//! float forms (`+Inf`, `NaN`), and the cumulative-bucket shape of
+//! histogram families.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// The content type the exposition must be served under.
@@ -71,20 +72,19 @@ impl<'a> PromText<'a> {
         let _ = writeln!(self.out, " {}", format_value(value));
     }
 
-    /// Emit a full histogram family: `buckets` are `(upper_edge_secs,
+    /// Emit one histogram sample's lines (after the family's
+    /// [`PromText::header`]): `buckets` are `(upper_edge_secs,
     /// cumulative_count)` pairs in increasing edge order (the terminal
     /// `+Inf` bucket is appended automatically from `count`), followed by
     /// `_sum` and `_count`. `labels` are attached to every line.
     pub fn histogram(
         &mut self,
         name: &str,
-        help: &str,
         labels: &[(&str, &str)],
         buckets: &[(f64, u64)],
         sum: f64,
         count: u64,
     ) {
-        self.header(name, help, "histogram");
         let bucket_name = format!("{name}_bucket");
         let edges: Vec<String> = buckets
             .iter()
@@ -114,16 +114,29 @@ impl<'a> PromText<'a> {
 }
 
 /// Structural validation of an exposition body: every line must be a
-/// comment, blank, or a `name{labels} value` sample whose value parses.
-/// Returns the number of sample lines, or the first offending line.
+/// comment, blank, or a `name{labels} value` sample whose value parses,
+/// and no family may be typed twice. Returns the number of sample lines,
+/// or the first offending line.
 ///
 /// This is the check CI and the loopback tests run against the daemon's
 /// `GET /metrics` text output — not a full client, but enough to catch
-/// unescaped labels, missing values, and malformed floats.
+/// unescaped labels, missing values, malformed floats, and a family
+/// rendered twice (two registries sharing one scrape), which
+/// Prometheus's parser rejects.
 pub fn validate_exposition(body: &str) -> Result<usize, String> {
     let mut samples = 0usize;
+    let mut typed = HashSet::new();
     for (lineno, line) in body.lines().enumerate() {
         let line = line.trim_end();
+        if let Some(typed_line) = line.strip_prefix("# TYPE ") {
+            let family = typed_line.split(' ').next().unwrap_or_default();
+            if !typed.insert(family) {
+                return Err(format!(
+                    "line {}: second # TYPE line for family {family:?}",
+                    lineno + 1
+                ));
+            }
+        }
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -182,9 +195,9 @@ mod tests {
     fn histogram_shape() {
         let mut out = String::new();
         let mut p = PromText::wrap(&mut out);
+        p.header("lat_seconds", "Latency.", "histogram");
         p.histogram(
             "lat_seconds",
-            "Latency.",
             &[("model", "wiki")],
             &[(0.001, 2), (0.01, 5)],
             0.025,
@@ -215,5 +228,9 @@ mod tests {
         assert!(validate_exposition("name notanumber\n").is_err());
         assert_eq!(validate_exposition("# only comments\n\n"), Ok(0));
         assert_eq!(validate_exposition("ok_total 1\nok_gauge -2.5e3\n"), Ok(2));
+        // One family rendered twice, as two registries in one scrape would.
+        let once = "# HELP a_total A.\n# TYPE a_total counter\na_total 1\n";
+        assert_eq!(validate_exposition(once), Ok(1));
+        assert!(validate_exposition(&once.repeat(2)).is_err());
     }
 }

@@ -1,11 +1,13 @@
-//! Relaxed-atomic counters, gauges, and the metric registry.
+//! Relaxed-atomic counters, gauges, histograms, and the metric registry.
 //!
-//! Everything here is lock-free on the hot path: a [`Counter`] add or
-//! [`Gauge`] set is one relaxed atomic store, so instrumented code never
-//! contends with itself. The [`Registry`] owns the family metadata
+//! Everything here is lock-free on the hot path: a [`Counter`] add, a
+//! [`Gauge`] update, or a [`LatencyHistogram`] record is a relaxed atomic
+//! operation on a handle resolved at registration, so instrumented code
+//! never contends with itself. The [`Registry`] owns the family metadata
 //! (name, help, kind, labels) behind a mutex that is only taken at
 //! registration and render time — never per observation.
 
+use crate::histogram::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -45,6 +47,26 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
+
+    /// Atomically add `delta` (negative to lower the gauge).
+    pub fn add(&self, delta: f64) {
+        self.update(|v| Some(v + delta));
+    }
+
+    /// Atomically add one unless the gauge already holds `cap` or more;
+    /// returns whether it did. `f64::INFINITY` never refuses. One CAS
+    /// loop, so the cap holds exactly with every caller racing.
+    pub fn try_inc(&self, cap: f64) -> bool {
+        self.update(|v| (v < cap).then_some(v + 1.0))
+    }
+
+    fn update(&self, f: impl Fn(f64) -> Option<f64>) -> bool {
+        self.0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                f(f64::from_bits(bits)).map(f64::to_bits)
+            })
+            .is_ok()
+    }
 }
 
 /// A wall-clock span: start it, read elapsed seconds (or nanos) when the
@@ -69,29 +91,25 @@ impl SpanTimer {
     }
 }
 
-/// Prometheus metric kinds the registry can render.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-}
-
-impl Kind {
-    fn name(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-        }
-    }
-}
-
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Metric {
     /// A counter rendered as `get() * scale` — scale `1.0` for plain
     /// counts, `1e-9` for counters accumulating nanoseconds but exposed
     /// as `_seconds_total`.
     Counter(Arc<Counter>, f64),
     Gauge(Arc<Gauge>),
+    Histogram(Arc<LatencyHistogram>),
+}
+
+impl Metric {
+    /// The Prometheus `# TYPE` of the metric's family.
+    fn kind(&self) -> &'static str {
+        match self {
+            Metric::Counter(..) => "counter",
+            Metric::Gauge(_) => "gauge",
+            Metric::Histogram(_) => "histogram",
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -104,7 +122,7 @@ struct Sample {
 struct Family {
     name: String,
     help: String,
-    kind: Kind,
+    kind: &'static str,
     samples: Vec<Sample>,
 }
 
@@ -126,36 +144,46 @@ impl Registry {
         self.families.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn family<'a>(
-        families: &'a mut Vec<Family>,
-        name: &str,
-        help: &str,
-        kind: Kind,
-    ) -> &'a mut Family {
-        if let Some(i) = families.iter().position(|f| f.name == name) {
-            assert_eq!(
-                families[i].kind, kind,
-                "metric {name:?} registered with two kinds"
-            );
-            return &mut families[i];
-        }
-        families.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            kind,
-            samples: Vec::new(),
-        });
-        families.last_mut().expect("just pushed")
-    }
-
-    fn find_sample(family: &Family, labels: &[(&str, &str)]) -> Option<usize> {
-        family.samples.iter().position(|s| {
+    /// Return the metric registered under `(name, labels)`, registering
+    /// `fresh` there first if there is none.
+    fn register(&self, name: &str, help: &str, labels: &[(&str, &str)], fresh: Metric) -> Metric {
+        let mut families = self.lock();
+        let index = match families.iter().position(|f| f.name == name) {
+            Some(i) => i,
+            None => {
+                families.push(Family {
+                    name: name.to_string(),
+                    help: help.to_string(),
+                    kind: fresh.kind(),
+                    samples: Vec::new(),
+                });
+                families.len() - 1
+            }
+        };
+        let family = &mut families[index];
+        assert_eq!(
+            family.kind,
+            fresh.kind(),
+            "metric {name:?} registered with two kinds"
+        );
+        let same_labels = |s: &&Sample| {
             s.labels.len() == labels.len()
                 && s.labels
                     .iter()
                     .zip(labels)
                     .all(|((k, v), (lk, lv))| k == lk && v == lv)
-        })
+        };
+        if let Some(existing) = family.samples.iter().find(same_labels) {
+            return existing.metric.clone();
+        }
+        family.samples.push(Sample {
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            metric: fresh.clone(),
+        });
+        fresh
     }
 
     /// Register (or fetch) a counter sample.
@@ -173,44 +201,32 @@ impl Registry {
         labels: &[(&str, &str)],
         scale: f64,
     ) -> Arc<Counter> {
-        let mut families = self.lock();
-        let family = Self::family(&mut families, name, help, Kind::Counter);
-        if let Some(i) = Self::find_sample(family, labels) {
-            if let Metric::Counter(c, _) = &family.samples[i].metric {
-                return c.clone();
-            }
-            unreachable!("counter family holds only counters");
+        match self.register(name, help, labels, Metric::Counter(Arc::default(), scale)) {
+            Metric::Counter(c, _) => c,
+            _ => unreachable!("a counter family holds only counters"),
         }
-        let counter = Arc::new(Counter::default());
-        family.samples.push(Sample {
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            metric: Metric::Counter(counter.clone(), scale),
-        });
-        counter
     }
 
     /// Register (or fetch) a gauge sample.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut families = self.lock();
-        let family = Self::family(&mut families, name, help, Kind::Gauge);
-        if let Some(i) = Self::find_sample(family, labels) {
-            if let Metric::Gauge(g) = &family.samples[i].metric {
-                return g.clone();
-            }
-            unreachable!("gauge family holds only gauges");
+        match self.register(name, help, labels, Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
+            _ => unreachable!("a gauge family holds only gauges"),
         }
-        let gauge = Arc::new(Gauge::default());
-        family.samples.push(Sample {
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            metric: Metric::Gauge(gauge.clone()),
-        });
-        gauge
+    }
+
+    /// Register (or fetch) a latency histogram sample, rendered in
+    /// seconds as `_bucket{le=…}`, `_sum`, and `_count` lines.
+    pub fn histogram(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+    ) -> Arc<LatencyHistogram> {
+        match self.register(name, help, labels, Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
+            _ => unreachable!("a histogram family holds only histograms"),
+        }
     }
 
     /// True when nothing has been registered.
@@ -227,22 +243,30 @@ impl Registry {
     }
 
     /// [`Registry::render`] appending into an existing buffer (so a
-    /// caller can unify several registries in one exposition).
+    /// caller can follow it with families it reads live at scrape time).
     pub fn render_into(&self, out: &mut String) {
         let mut text = crate::prom::PromText::wrap(out);
         for family in self.lock().iter() {
-            text.header(&family.name, &family.help, family.kind.name());
+            text.header(&family.name, &family.help, family.kind);
             for sample in &family.samples {
                 let labels: Vec<(&str, &str)> = sample
                     .labels
                     .iter()
                     .map(|(k, v)| (k.as_str(), v.as_str()))
                     .collect();
-                let value = match &sample.metric {
-                    Metric::Counter(c, scale) => c.get() as f64 * scale,
-                    Metric::Gauge(g) => g.get(),
-                };
-                text.sample(&family.name, &labels, value);
+                match &sample.metric {
+                    Metric::Counter(c, scale) => {
+                        text.sample(&family.name, &labels, c.get() as f64 * scale)
+                    }
+                    Metric::Gauge(g) => text.sample(&family.name, &labels, g.get()),
+                    Metric::Histogram(h) => text.histogram(
+                        &family.name,
+                        &labels,
+                        &h.prometheus_buckets(),
+                        h.sum_secs(),
+                        h.count(),
+                    ),
+                }
             }
         }
     }
@@ -265,6 +289,13 @@ mod tests {
         g.set(-2.5);
         let secs = r.counter_scaled("srclda_test_seconds_total", "Seconds.", &[], 1e-9);
         secs.add(1_500_000_000);
+        let held = r.gauge("srclda_test_held", "A capped gauge.", &[]);
+        assert!(held.try_inc(2.0) && held.try_inc(2.0));
+        assert!(!held.try_inc(2.0), "the cap refuses a third increment");
+        held.add(-1.0);
+        assert!(held.try_inc(f64::INFINITY));
+        let h = r.histogram("srclda_test_seconds", "A histogram.", &[]);
+        h.record(std::time::Duration::from_millis(3));
         let text = r.render();
         assert!(text.contains("# HELP srclda_test_total A test counter.\n"));
         assert!(text.contains("# TYPE srclda_test_total counter\n"));
@@ -274,6 +305,11 @@ mod tests {
         assert!(text.contains("srclda_labeled_total{bucket=\"word\"} 7\n"));
         assert!(text.contains("srclda_test_gauge -2.5\n"));
         assert!(text.contains("srclda_test_seconds_total 1.5\n"));
+        assert!(text.contains("srclda_test_held 2\n"));
+        assert!(text.contains("# TYPE srclda_test_seconds histogram\n"));
+        assert!(text.contains("srclda_test_seconds_bucket{le=\"+Inf\"} 1\n"));
+        assert!(text.contains("srclda_test_seconds_count 1\n"));
+        assert_eq!(crate::validate_exposition(&text).map(|n| n > 16), Ok(true));
     }
 
     #[test]

@@ -9,8 +9,8 @@ use std::path::Path;
 
 /// Writes one JSON object per event, one event per line, to any
 /// [`Write`] target. Lines follow the schema documented in the README's
-/// Observability section and round-trip through the serving layer's
-/// vendored JSON parser.
+/// Observability section and round-trip through [`crate::json::parse`],
+/// the parser the serving daemon reads requests with.
 pub struct JsonlSink<W: Write> {
     /// `None` only after [`JsonlSink::finish`] takes the writer.
     writer: Option<W>,

@@ -1,477 +1,10 @@
-//! A minimal JSON value codec for the serving daemon.
-//!
-//! The workspace is offline and vendors no serialization crate, so the
-//! daemon speaks JSON through this hand-rolled parser/printer. It supports
-//! the full JSON grammar the endpoints need — objects, arrays, strings
-//! (with escapes), numbers, booleans, null — and nothing exotic (no
-//! comments, no trailing commas, no duplicate-key semantics beyond
-//! last-wins).
-//!
-//! Float round-tripping is load-bearing: `Value::Num` prints through
-//! `f64`'s `Display`, which emits the shortest decimal string that parses
-//! back to the identical bits. That is what lets the loopback integration
-//! test assert θ from an HTTP response is *bit-identical* to the engine
-//! API — the wire format loses nothing.
+//! The daemon's JSON codec, which lives in [`srclda_obs::json`] so the
+//! training JSONL stream and the HTTP bodies share one parser and writer.
+//! This path stays for the daemon's callers (load generators, the
+//! benchmark harness, the root tests); the tests below pin the codec as
+//! they import it.
 
-use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (always carried as `f64`).
-    Num(f64),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object; insertion-ordered key/value pairs.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Member lookup on an object (first match); `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer, if it is one exactly.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            // lint:allow(float-eq): fract()==0.0 is an exact integer-valuedness test, not a tolerance check
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
-                Some(*n as usize)
-            }
-            _ => None,
-        }
-    }
-
-    /// The array payload, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Render as compact JSON text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => write_f64(out, *n),
-            Value::Str(s) => write_escaped(out, s),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(s: String) -> Self {
-        Value::Str(s)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(n: f64) -> Self {
-        Value::Num(n)
-    }
-}
-
-impl From<usize> for Value {
-    fn from(n: usize) -> Self {
-        Value::Num(n as f64)
-    }
-}
-
-impl From<u64> for Value {
-    fn from(n: u64) -> Self {
-        Value::Num(n as f64)
-    }
-}
-
-/// Shorthand for building an object value.
-pub fn obj(members: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// `f64` → shortest round-trip decimal (JSON has no NaN/∞; map them to
-/// `null` rather than emit invalid JSON).
-fn write_f64(out: &mut String, n: f64) {
-    if n.is_finite() {
-        // Display for f64 is shortest-round-trip since Rust 1.0; integral
-        // values print without a decimal point, which JSON permits.
-        out.push_str(&format!("{n}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Why a parse failed (offset + message; offsets are byte positions).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: &'static str,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid json at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
-pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
-    Ok(value)
-}
-
-/// Nesting guard: request bodies are attacker-controlled, and a few KB of
-/// `[[[[…` must not overflow the worker's stack.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &'static str) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// Unconsumed input (empty once `pos` runs past the end).
-    fn rest(&self) -> &'a [u8] {
-        self.bytes.get(self.pos..).unwrap_or(&[])
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8, message: &'static str) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(message))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.rest().starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, JsonError> {
-        if self.depth >= MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect_byte(b'{', "expected '{'")?;
-        self.depth += 1;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':', "expected ':' after object key")?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect_byte(b'[', "expected '['")?;
-        self.depth += 1;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect_byte(b'"', "expected '\"'")?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let unit = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xd800..0xdc00).contains(&unit) {
-                                if self.rest().starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&low) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let combined =
-                                        0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
-                                    char::from_u32(combined)
-                                } else {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                            } else if (0xdc00..0xe000).contains(&unit) {
-                                return Err(self.err("lone low surrogate"));
-                            } else {
-                                char::from_u32(unit)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            continue; // hex4 already advanced past the digits
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(first) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid by construction).
-                    let rest = self.rest();
-                    let len = utf8_len(first).min(rest.len());
-                    let s = std::str::from_utf8(rest.get(..len).unwrap_or(&[]))
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                    self.pos += s.len();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut value = 0u32;
-        for _ in 0..4 {
-            let d = match self.peek() {
-                Some(b @ b'0'..=b'9') => (b - b'0') as u32,
-                Some(b @ b'a'..=b'f') => (b - b'a' + 10) as u32,
-                Some(b @ b'A'..=b'F') => (b - b'A' + 10) as u32,
-                _ => return Err(self.err("expected four hex digits")),
-            };
-            value = value * 16 + d;
-            self.pos += 1;
-        }
-        Ok(value)
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits = |p: &mut Self| {
-            let from = p.pos;
-            while matches!(p.peek(), Some(b'0'..=b'9')) {
-                p.pos += 1;
-            }
-            p.pos > from
-        };
-        if !digits(self) {
-            return Err(self.err("expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !digits(self) {
-                return Err(self.err("expected digits after decimal point"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !digits(self) {
-                return Err(self.err("expected digits in exponent"));
-            }
-        }
-        let text = std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or(&[]))
-            .map_err(|_| self.err("non-ascii bytes in number"))?;
-        text.parse()
-            .map(Value::Num)
-            .map_err(|_| self.err("number out of range"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
+pub use srclda_obs::json::*;
 
 #[cfg(test)]
 mod tests {

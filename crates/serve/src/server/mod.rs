@@ -33,7 +33,7 @@ use http::{read_request, write_response, ReadError, Request};
 use json::{obj, Value};
 use metrics::Metrics;
 use registry::{ModelEntry, ModelRegistry};
-use srclda_obs::PromText;
+use srclda_obs::{Counter, PromText, Registry};
 use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,11 +55,6 @@ pub struct ServerConfig {
     /// Poll granularity for accept and idle-read loops; bounds how long
     /// shutdown can lag behind the handle flip.
     pub poll_interval: Duration,
-    /// Additional metric families appended to the Prometheus shape of
-    /// `GET /metrics` after the serving families — the mount point for a
-    /// trainer's [`srclda_obs::RegistryObserver`] registry, so one scrape
-    /// covers training and serving. Empty (and skipped) by default.
-    pub extra_metrics: Arc<srclda_obs::Registry>,
     /// Admission cap on concurrent `/infer` handlers: `None` is
     /// unlimited, `Some(n)` sheds request n+1 with 503 + `Retry-After`
     /// (`Some(0)` sheds every `/infer` — useful to pin the shed path in
@@ -85,7 +80,6 @@ impl Default for ServerConfig {
             batch_workers: 1,
             idle_timeout: Duration::from_secs(10),
             poll_interval: Duration::from_millis(25),
-            extra_metrics: Arc::new(srclda_obs::Registry::new()),
             max_inflight: None,
             shed_p99: None,
             retry_after_secs: 1,
@@ -94,7 +88,8 @@ impl Default for ServerConfig {
 }
 
 /// A remote control for a running server: flip it to begin graceful
-/// shutdown, and read the shared metrics. Cloneable and thread-safe.
+/// shutdown, and read the shared metrics or mount more families into
+/// them. Cloneable and thread-safe.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
@@ -117,6 +112,14 @@ impl ServerHandle {
     /// The server's shared metrics.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The server's metric registry, rendered by the Prometheus shape of
+    /// `GET /metrics`. A trainer in the same process mounts into it by
+    /// building its [`srclda_obs::RegistryObserver`] on this registry, so
+    /// one scrape covers training and serving.
+    pub fn registry(&self) -> &Arc<Registry> {
+        self.metrics.registry()
     }
 
     /// The bound socket address (useful with port 0).
@@ -152,7 +155,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(Metrics::default());
+        let metrics = Arc::new(Metrics::new(Arc::new(Registry::new())));
         Ok(Self {
             listener,
             registry,
@@ -284,7 +287,7 @@ fn handle_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
         let deadline = Instant::now() + request_budget;
         match read_request(&mut reader, deadline) {
             Ok(request) => {
-                ctx.metrics.requests.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.requests.inc();
                 let response = route(&request, ctx);
                 ctx.metrics.record_status(response.status);
                 let close = request.wants_close || ctx.shutdown.load(Ordering::SeqCst);
@@ -309,17 +312,17 @@ fn handle_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
             }
             Err(ReadError::Closed) => return Ok(()),
             Err(ReadError::Malformed(msg)) => {
-                ctx.metrics.requests.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.requests.inc();
                 ctx.metrics.record_status(400);
                 return write_response(&mut writer, 400, &error_body(msg), true);
             }
             Err(ReadError::TooLarge(msg)) => {
-                ctx.metrics.requests.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.requests.inc();
                 ctx.metrics.record_status(413);
                 return write_response(&mut writer, 413, &error_body(msg), true);
             }
             Err(ReadError::DeadlineExceeded) => {
-                ctx.metrics.requests.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.requests.inc();
                 ctx.metrics.record_status(408);
                 return write_response(&mut writer, 408, &error_body("request timed out"), true);
             }
@@ -396,7 +399,7 @@ fn route(request: &Request, ctx: &WorkerCtx) -> Response {
 /// carries the `Retry-After` seconds for the shed response. Two checks,
 /// cheapest last-resort first: the configured p99 threshold against the
 /// served latency histogram, then the CAS-bounded in-flight cap.
-fn admit_infer(ctx: &WorkerCtx) -> Result<metrics::InflightGuard<'_>, u64> {
+fn admit_infer(ctx: &WorkerCtx) -> Result<metrics::GaugeGuard<'_>, u64> {
     if let Some(threshold) = ctx.config.shed_p99 {
         if let Some(p99_secs) = ctx.metrics.infer_latency.quantile(0.99) {
             if p99_secs > threshold.as_secs_f64() {
@@ -451,118 +454,100 @@ fn handle_metrics(request: &Request, ctx: &WorkerCtx) -> (u16, &'static str, Str
     (200, JSON_TYPE, render_json_metrics(ctx))
 }
 
-/// The Prometheus shape of `/metrics`: serving counter families, the
-/// model-registry families, then any mounted trainer registry — one
-/// scrape covering the whole process.
+/// Families read live from the model registry's entries at scrape time:
+/// name, help, type, and the per-entry value.
+type EntryFamily = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&ModelEntry) -> f64,
+);
+
+const ENTRY_FAMILIES: [EntryFamily; 5] = [
+    (
+        "srclda_serve_model_generation",
+        "Reload generation of the live artifact, by model.",
+        "gauge",
+        |entry| entry.generation as f64,
+    ),
+    (
+        "srclda_serve_model_topics",
+        "Topic count of the live artifact, by model.",
+        "gauge",
+        |entry| entry.engine.num_topics() as f64,
+    ),
+    (
+        "srclda_serve_model_cache_hits_total",
+        "Fold-in cache hits, by model.",
+        "counter",
+        |entry| entry.engine.cache_stats().hits as f64,
+    ),
+    (
+        "srclda_serve_model_cache_misses_total",
+        "Fold-in cache misses, by model.",
+        "counter",
+        |entry| entry.engine.cache_stats().misses as f64,
+    ),
+    (
+        "srclda_serve_model_cache_entries",
+        "Resident fold-in cache entries, by model.",
+        "gauge",
+        |entry| entry.engine.cache_stats().entries as f64,
+    ),
+];
+
+/// The Prometheus shape of `/metrics`: the server's registry (serving
+/// families plus anything mounted into it, such as a trainer's), then the
+/// families read live from the model entries — one scrape covering the
+/// whole process.
 fn render_prometheus_metrics(ctx: &WorkerCtx) -> String {
     let mut out = String::new();
-    ctx.metrics.render_prometheus(&mut out);
-    let entries: Vec<Arc<ModelEntry>> = ctx
-        .registry
-        .names()
-        .iter()
-        .filter_map(|name| ctx.registry.get(name))
-        .collect();
+    ctx.metrics.registry().render_into(&mut out);
+    let entries = live_entries(ctx);
     if !entries.is_empty() {
         let mut text = PromText::wrap(&mut out);
-        text.header(
-            "srclda_serve_model_generation",
-            "Reload generation of the live artifact, by model.",
-            "gauge",
-        );
-        for entry in &entries {
-            text.sample(
-                "srclda_serve_model_generation",
-                &[("model", &entry.name)],
-                entry.generation as f64,
-            );
-        }
-        text.header(
-            "srclda_serve_model_topics",
-            "Topic count of the live artifact, by model.",
-            "gauge",
-        );
-        for entry in &entries {
-            text.sample(
-                "srclda_serve_model_topics",
-                &[("model", &entry.name)],
-                entry.engine.num_topics() as f64,
-            );
-        }
-        text.header(
-            "srclda_serve_model_cache_hits_total",
-            "Fold-in cache hits, by model.",
-            "counter",
-        );
-        for entry in &entries {
-            text.sample(
-                "srclda_serve_model_cache_hits_total",
-                &[("model", &entry.name)],
-                entry.engine.cache_stats().hits as f64,
-            );
-        }
-        text.header(
-            "srclda_serve_model_cache_misses_total",
-            "Fold-in cache misses, by model.",
-            "counter",
-        );
-        for entry in &entries {
-            text.sample(
-                "srclda_serve_model_cache_misses_total",
-                &[("model", &entry.name)],
-                entry.engine.cache_stats().misses as f64,
-            );
-        }
-        text.header(
-            "srclda_serve_model_cache_entries",
-            "Resident fold-in cache entries, by model.",
-            "gauge",
-        );
-        for entry in &entries {
-            text.sample(
-                "srclda_serve_model_cache_entries",
-                &[("model", &entry.name)],
-                entry.engine.cache_stats().entries as f64,
-            );
+        for (name, help, kind, value) in ENTRY_FAMILIES {
+            text.header(name, help, kind);
+            for entry in &entries {
+                text.sample(name, &[("model", &entry.name)], value(entry));
+            }
         }
     }
-    ctx.config.extra_metrics.render_into(&mut out);
     out
 }
 
+fn live_entries(ctx: &WorkerCtx) -> Vec<Arc<ModelEntry>> {
+    ctx.registry
+        .names()
+        .iter()
+        .filter_map(|name| ctx.registry.get(name))
+        .collect()
+}
+
 /// The JSON shape of `/metrics` (the daemon's original format, kept as
-/// the default for existing consumers).
+/// the default for existing consumers), read from the same handles the
+/// Prometheus shape renders.
 fn render_json_metrics(ctx: &WorkerCtx) -> String {
     let m = &ctx.metrics;
+    let count = |c: &Counter| Value::from(c.get());
     let quantile_ms = |q: f64| {
         m.infer_latency
             .quantile(q)
             .map_or(Value::Null, |secs| Value::Num(secs * 1e3))
     };
-    let per_model = m.model_snapshot();
-    let models: Vec<Value> = ctx
-        .registry
-        .names()
+    let models: Vec<Value> = live_entries(ctx)
         .iter()
-        .filter_map(|name| ctx.registry.get(name))
         .map(|entry| {
             let cache = entry.engine.cache_stats();
-            let stats = per_model
-                .iter()
-                .find(|(name, _)| *name == entry.name)
-                .map(|(_, stats)| stats.clone());
-            let stat = |f: fn(&metrics::ModelStats) -> u64| {
-                Value::from(stats.as_ref().map_or(0, |s| f(s)))
-            };
+            let stats = m.seen_model(&entry.name);
+            let stat =
+                |f: fn(&metrics::ModelStats) -> f64| Value::Num(stats.as_deref().map_or(0.0, f));
             obj(vec![
                 ("name", Value::from(entry.name.clone())),
                 ("generation", Value::from(entry.generation)),
                 ("topics", Value::from(entry.engine.num_topics())),
-                ("requests", stat(|s| s.requests.load(Ordering::Relaxed))),
-                (
-                    "active_requests",
-                    stat(|s| s.active.load(Ordering::Relaxed)),
-                ),
+                ("requests", stat(|s| s.requests.get() as f64)),
+                ("active_requests", stat(|s| s.active.get())),
                 (
                     "cache",
                     obj(vec![
@@ -575,55 +560,31 @@ fn render_json_metrics(ctx: &WorkerCtx) -> String {
         })
         .collect();
     let body = obj(vec![
-        ("requests", Value::from(m.requests.load(Ordering::Relaxed))),
-        (
-            "active_connections",
-            Value::from(m.active_connections.load(Ordering::Relaxed)),
-        ),
+        ("requests", count(&m.requests)),
+        ("active_connections", Value::Num(m.active_connections.get())),
         (
             "responses",
             obj(vec![
-                ("ok", Value::from(m.responses_ok.load(Ordering::Relaxed))),
-                (
-                    "client_error",
-                    Value::from(m.responses_client_error.load(Ordering::Relaxed)),
-                ),
-                (
-                    "server_error",
-                    Value::from(m.responses_server_error.load(Ordering::Relaxed)),
-                ),
+                ("ok", count(&m.responses_ok)),
+                ("client_error", count(&m.responses_client_error)),
+                ("server_error", count(&m.responses_server_error)),
             ]),
         ),
-        (
-            "shed_total",
-            Value::from(m.shed_total.load(Ordering::Relaxed)),
-        ),
+        ("shed_total", count(&m.shed_total)),
         (
             "reload",
             obj(vec![
-                ("count", Value::from(m.reloads.load(Ordering::Relaxed))),
-                (
-                    "failures",
-                    Value::from(m.reload_failures.load(Ordering::Relaxed)),
-                ),
-                (
-                    "last_unix",
-                    Value::from(m.last_reload_unix.load(Ordering::Relaxed)),
-                ),
+                ("count", count(&m.reloads)),
+                ("failures", count(&m.reload_failures)),
+                ("last_unix", Value::Num(m.last_reload_unix.get())),
             ]),
         ),
         (
             "infer",
             obj(vec![
-                ("docs", Value::from(m.infer_docs.load(Ordering::Relaxed))),
-                (
-                    "tokens",
-                    Value::from(m.infer_tokens.load(Ordering::Relaxed)),
-                ),
-                (
-                    "inflight",
-                    Value::from(m.infer_inflight.load(Ordering::Relaxed)),
-                ),
+                ("docs", count(&m.infer_docs)),
+                ("tokens", count(&m.infer_tokens)),
+                ("inflight", Value::Num(m.infer_inflight.get())),
                 ("tokens_per_sec", Value::Num(m.tokens_per_sec())),
                 ("latency_p50_ms", quantile_ms(0.50)),
                 ("latency_p99_ms", quantile_ms(0.99)),
@@ -673,7 +634,8 @@ fn handle_infer(request: &Request, ctx: &WorkerCtx) -> (u16, String) {
     };
     // Counts the request and holds the model's active gauge up for the
     // rest of the handler, including every error return below.
-    let _active = ctx.metrics.begin_model_request(&entry.name);
+    let model_stats = ctx.metrics.model(&entry.name);
+    let _active = model_stats.begin();
 
     let top = match body.get("top") {
         None => 3,
@@ -721,7 +683,7 @@ fn handle_infer(request: &Request, ctx: &WorkerCtx) -> (u16, String) {
     let elapsed = started.elapsed();
     ctx.metrics
         .record_infer(scores.len() as u64, tokens, elapsed);
-    ctx.metrics.record_model_infer(&entry.name, elapsed);
+    model_stats.record_infer(elapsed);
 
     let mut members: Vec<(String, Value)> = vec![
         ("model".to_string(), Value::from(entry.name.clone())),

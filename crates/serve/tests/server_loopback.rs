@@ -405,23 +405,23 @@ fn metrics_prometheus_shape_unifies_serving_and_trainer_families() {
 
     let path = temp_path("prom");
     artifact(11).save(&path).unwrap();
-    // Boot with a trainer registry mounted into /metrics, as a daemon
-    // colocated with training would.
     let registry = Arc::new(ModelRegistry::new(EngineOptions::default()));
     registry.load("m", &path).unwrap();
-    let trainer = Arc::new(srclda_obs::Registry::new());
-    trainer
-        .counter("srclda_train_sweeps_total", "Completed sweeps.", &[])
-        .add(42);
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         batch_workers: 2,
-        extra_metrics: trainer,
         ..ServerConfig::default()
     };
     let server = Server::bind(config, registry).unwrap();
     let handle = server.handle().unwrap();
+    // Mount a trainer family into the server's registry, as a
+    // RegistryObserver built on `handle.registry()` in a daemon colocated
+    // with training would.
+    handle
+        .registry()
+        .counter("srclda_train_sweeps_total", "Completed sweeps.", &[])
+        .add(42);
     let join = std::thread::spawn(move || server.run().unwrap());
     let addr = handle.addr();
 
