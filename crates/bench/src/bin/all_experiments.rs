@@ -33,10 +33,6 @@ fn main() {
         ("fig8_wikipedia", experiments::fig8::run),
         ("fig8f_scaling", experiments::fig8f::run),
         ("ablations", experiments::ablation::run),
-        ("throughput_serving", experiments::throughput::run),
-        ("throughput_http", experiments::throughput_http::run),
-        ("sweep_throughput", experiments::sweep_throughput::run),
-        ("train_throughput", experiments::train_throughput::run),
     ];
     for (name, f) in runs {
         let start = Instant::now();

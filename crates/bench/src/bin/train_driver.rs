@@ -1,57 +1,48 @@
-//! Document-sharded training: the throughput benchmark **and** the
-//! checkpoint/resume driver.
-//!
-//! Without `--train`, runs the `train_throughput` experiment (tokens/sec,
-//! serial kernel vs `Backend::ShardedDocs` at S ∈ {1, 2, 4}; emits
-//! `BENCH_train.json`).
-//!
-//! With `--train`, runs a fully deterministic training job on the pinned
-//! golden-fixture corpus (the §I case-study world) and exercises the
-//! checkpoint lifecycle end to end:
+//! Deterministic document-sharded training on the pinned golden-fixture
+//! corpus (the §I case-study world), exercising the checkpoint lifecycle
+//! end to end. Two runs print the same `final digest` iff they produced
+//! bit-identical models:
 //!
 //! ```sh
 //! # train, writing rotating resumable v2 .slda generations
 //! # (ck.g000006.slda, ck.g000012.slda, …) every 6 sweeps, and simulate
 //! # a kill right after the sweep-12 checkpoint:
-//! train_throughput --train --sweeps 24 --shards 2 \
+//! train_driver --sweeps 24 --shards 2 \
 //!     --checkpoint-every 6 --checkpoint-path ck.slda --stop-after 12
 //! # scan, checksum-validate, and resume from the newest good generation:
-//! train_throughput --train --sweeps 24 --shards 2 \
+//! train_driver --sweeps 24 --shards 2 \
 //!     --checkpoint-every 6 --checkpoint-path ck.slda --resume auto
 //! # the printed "final digest" is bit-identical to an uninterrupted run:
-//! train_throughput --train --sweeps 24 --shards 2
+//! train_driver --sweeps 24 --shards 2
 //! # crash *during* the sweep-12 checkpoint write instead (exit 9); the
 //! # torn file fails its checksum and --resume auto falls back to the
 //! # sweep-6 generation:
-//! train_throughput --train --sweeps 24 --shards 2 --checkpoint-every 6 \
+//! train_driver --sweeps 24 --shards 2 --checkpoint-every 6 \
 //!     --checkpoint-path ck.slda --fault torn@12 --fault-seed 42
 //! ```
+//!
+//! `--validate-telemetry <P>` checks a `--telemetry` JSONL file against
+//! the event schema instead of training.
 
-use srclda_bench::cli::{flag_present, flag_value, handle_help};
+use srclda_bench::cli::{flag_present, flag_usage, flag_value, help_requested};
 use srclda_core::prelude::gibbs_perplexity_counted;
 use srclda_core::{Backend, GibbsModel, KernelKind, SourceLda, TrainCheckpoint, Variant};
 use srclda_corpus::{Corpus, CorpusBuilder, Tokenizer};
 use srclda_knowledge::KnowledgeSourceBuilder;
-use srclda_obs::{JsonlSink, ProgressSink, TrainEvent, TrainObserver};
+use srclda_obs::{Fanout, JsonlSink, ProgressSink, TrainEvent, TrainObserver};
 use srclda_serve::codec::fnv1a64;
 use srclda_serve::server::json;
 use srclda_serve::{CheckpointStore, FaultKind, FaultPlan, ModelArtifact};
 
-const EXTRA_FLAGS: &[(&str, &str)] = &[
-    (
-        "--train",
-        "run the deterministic training demo instead of the benchmark",
-    ),
-    (
-        "--shards <S>",
-        "document shard count for --train (default 2)",
-    ),
+/// Every flag the driver accepts; a spec with a space takes a value.
+const FLAGS: &[(&str, &str)] = &[
+    ("--shards <S>", "document shard count (default 2)"),
     (
         "--kernel <K>",
-        "shard sweep kernel for --train: flat, sparse, or dense (default flat)",
+        "shard sweep kernel: flat, sparse, or dense (default flat)",
     ),
-    ("--sweeps <N>", "Gibbs sweeps for --train (default 24)"),
-    ("--seed <N>", "run seed for --train (default 7)"),
+    ("--sweeps <N>", "Gibbs sweeps (default 24)"),
+    ("--seed <N>", "run seed (default 7)"),
     (
         "--checkpoint-every <N>",
         "write a resumable .slda generation every N sweeps",
@@ -80,14 +71,8 @@ const EXTRA_FLAGS: &[(&str, &str)] = &[
         "--fault-seed <N>",
         "seed deriving the injected fault's byte offset (default 42)",
     ),
-    (
-        "--telemetry <P>",
-        "stream JSONL telemetry events to P during --train",
-    ),
-    (
-        "--progress",
-        "print per-sweep progress lines to stderr during --train",
-    ),
+    ("--telemetry <P>", "stream JSONL telemetry events to P"),
+    ("--progress", "print per-sweep progress lines to stderr"),
     (
         "--validate-telemetry <P>",
         "validate a telemetry JSONL file against the event schema and exit",
@@ -97,23 +82,6 @@ const EXTRA_FLAGS: &[(&str, &str)] = &[
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
-}
-
-/// Fans events out to the requested sinks by mutable reference (unlike
-/// `srclda_obs::Fanout`, which takes ownership), so the JSONL sink can
-/// still be `finish()`ed for its deferred I/O error after the fit.
-struct Tee<'a>(Vec<&'a mut dyn TrainObserver>);
-
-impl TrainObserver for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.0.iter().any(|o| o.enabled())
-    }
-
-    fn on_event(&mut self, event: &TrainEvent) {
-        for sink in &mut self.0 {
-            sink.on_event(event);
-        }
-    }
 }
 
 fn parse_usize(args: &[String], flag: &str) -> Option<usize> {
@@ -207,6 +175,22 @@ fn parse_fault_spec(spec: &str) -> (FaultKind, usize) {
     (kind, sweep)
 }
 
+/// Exit 2 unless a checkpoint fires at `sweep`: at least 1, a multiple of
+/// `--checkpoint-every`, and at most `sweeps`. A flag naming any other
+/// sweep would never fire, and its simulated kill or fault would
+/// silently degrade into a full run.
+fn require_checkpoint_boundary(flag: &str, sweep: usize, every: Option<usize>, sweeps: usize) {
+    let Some(every) = every else {
+        die(&format!("{flag} only makes sense with --checkpoint-every"));
+    };
+    if sweep == 0 || !sweep.is_multiple_of(every) || sweep > sweeps {
+        die(&format!(
+            "{flag} at sweep {sweep} is never a checkpoint boundary \
+             (checkpoints fire at multiples of {every} up to {sweeps})"
+        ));
+    }
+}
+
 fn train(args: &[String]) {
     let shards = parse_usize(args, "--shards").unwrap_or(2);
     let kernel = if flag_present(args, "--kernel") {
@@ -242,22 +226,11 @@ fn train(args: &[String]) {
     if flag_present(args, "--fault") && fault.is_none() {
         die("--fault requires a <kind>@<sweep> value");
     }
-    if fault.is_some() && checkpoint_every.is_none() {
-        die("--fault only makes sense with --checkpoint-every");
+    if let Some(stop) = stop_after {
+        require_checkpoint_boundary("--stop-after", stop, checkpoint_every, sweeps);
     }
-    match (stop_after, checkpoint_every) {
-        (Some(_), None) => die("--stop-after only makes sense with --checkpoint-every"),
-        (Some(stop), Some(every)) => {
-            // An unreachable stop sweep would silently never fire and the
-            // "simulated kill" would degrade into a full run.
-            if stop == 0 || !stop.is_multiple_of(every) || stop > sweeps {
-                die(&format!(
-                    "--stop-after {stop} is never a checkpoint boundary \
-                     (checkpoints fire at multiples of {every} up to {sweeps})"
-                ));
-            }
-        }
-        (None, _) => {}
+    if let Some((_, at)) = fault {
+        require_checkpoint_boundary("--fault", at, checkpoint_every, sweeps);
     }
     let store = CheckpointStore::new(&checkpoint_path, keep);
 
@@ -329,17 +302,16 @@ fn train(args: &[String]) {
         JsonlSink::create(path).unwrap_or_else(|e| die(&format!("creating {path:?}: {e}")))
     });
     let mut progress = flag_present(args, "--progress").then(ProgressSink::stderr);
-    let mut sinks: Vec<&mut dyn TrainObserver> = Vec::new();
+    // With no sinks the fan-out reports `enabled() == false` and the fit
+    // takes the exact no-telemetry fast path; either way the chain is
+    // bit-identical (observers are read-only value-snapshot consumers).
+    let mut sinks = Fanout::new();
     if let Some(sink) = jsonl.as_mut() {
         sinks.push(sink);
     }
     if let Some(sink) = progress.as_mut() {
         sinks.push(sink);
     }
-    // With no sinks the tee reports `enabled() == false` and the fit
-    // takes the exact no-telemetry fast path; either way the chain is
-    // bit-identical (observers are read-only value-snapshot consumers).
-    let mut tee = Tee(sinks);
 
     let labels = model.labels().to_vec();
     let fitted = model
@@ -390,23 +362,22 @@ fn train(args: &[String]) {
                 }
                 Ok(())
             },
-            &mut tee,
+            &mut sinks,
         )
         .unwrap_or_else(|e| die(&e.to_string()));
 
-    if tee.enabled() {
+    if sinks.enabled() {
         // Telemetry runs close the loop with a held-out-style perplexity
         // pass over the training corpus, so the JSONL stream carries the
         // underflow-rescue tallies alongside the sweep records.
         let est = gibbs_perplexity_counted(&fitted, &corpus, 20, seed.wrapping_add(1))
             .unwrap_or_else(|e| die(&format!("perplexity evaluation: {e}")));
-        tee.on_event(&TrainEvent::Perplexity {
+        sinks.on_event(&TrainEvent::Perplexity {
             perplexity: est.perplexity,
             rescued_draws: est.rescued_draws,
             zero_mass_draws: est.zero_mass_draws,
         });
     }
-    drop(tee);
     if let (Some(sink), Some(path)) = (jsonl, telemetry_path.as_ref()) {
         sink.finish()
             .unwrap_or_else(|e| die(&format!("writing {path:?}: {e}")));
@@ -567,51 +538,35 @@ fn validate_telemetry(path: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    handle_help(
-        &args,
-        "train_throughput",
-        "Document-sharded training throughput (serial kernel vs ShardedDocs; \
-         emits BENCH_train.json), plus a deterministic --train mode \
-         exercising checkpoint/resume on the golden fixture corpus.",
-        EXTRA_FLAGS,
-    );
+    if help_requested(&args) {
+        print!(
+            "{}",
+            flag_usage(
+                "train_driver",
+                "Deterministic document-sharded training on the golden fixture \
+                 corpus, exercising checkpoint/resume, fault injection and \
+                 telemetry; prints a final digest of the trained model.",
+                FLAGS,
+            )
+        );
+        return;
+    }
     // Strict flag hygiene: unknown options exit 2 rather than silently
-    // benchmarking with a typo'd configuration.
-    let known_value_flags = [
-        "--scale",
-        "--shards",
-        "--kernel",
-        "--sweeps",
-        "--seed",
-        "--checkpoint-every",
-        "--checkpoint-path",
-        "--keep",
-        "--resume",
-        "--stop-after",
-        "--fault",
-        "--fault-seed",
-        "--telemetry",
-        "--validate-telemetry",
-    ];
-    let known_bare = ["--train", "--smoke", "--full", "--progress"];
+    // training with a typo'd configuration.
     let mut skip_next = false;
-    for (i, arg) in args.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
+    for arg in &args {
+        if std::mem::take(&mut skip_next) {
             continue;
         }
         let name = arg.split('=').next().unwrap_or(arg);
-        if known_bare.contains(&name) {
-            continue;
-        }
-        if known_value_flags.contains(&name) {
-            // `--flag value` form consumes the next argument.
-            if !arg.contains('=') && i + 1 < args.len() {
-                skip_next = true;
-            }
-            continue;
-        }
-        die(&format!("unknown argument {arg:?} (see --help)"));
+        let Some((spec, _)) = FLAGS
+            .iter()
+            .find(|(spec, _)| spec.split(' ').next() == Some(name))
+        else {
+            die(&format!("unknown argument {arg:?} (see --help)"));
+        };
+        // `--flag value` form consumes the next argument.
+        skip_next = spec.contains(' ') && !arg.contains('=');
     }
 
     if flag_present(&args, "--validate-telemetry") {
@@ -621,13 +576,5 @@ fn main() {
         validate_telemetry(path);
         return;
     }
-    if flag_present(&args, "--train") {
-        train(&args);
-        return;
-    }
-    let scale = srclda_bench::Scale::from_args(&args);
-    print!(
-        "{}",
-        srclda_bench::experiments::train_throughput::run(scale)
-    );
+    train(&args);
 }

@@ -84,16 +84,24 @@ pub fn banner(id: &str, title: &str, scale: Scale) -> String {
     format!("=== {id}: {title} [scale: {scale:?}] ===\n",)
 }
 
+/// The scale options every experiment binary accepts.
+const SCALE_FLAGS: &[(&str, &str)] = &[
+    ("--scale <s>", "smoke | default | full (default: default)"),
+    ("--smoke", "shorthand for --scale smoke"),
+    ("--full", "shorthand for --scale full"),
+];
+
 /// Render the standard usage text for an experiment binary: the shared
 /// scale options plus any binary-specific `(flag, description)` extras.
 pub fn usage(bin: &str, title: &str, extra: &[(&str, &str)]) -> String {
-    let mut out = format!(
-        "{title}\n\nusage: {bin} [options]\n\noptions:\n  \
-         --scale <s>   smoke | default | full (default: default)\n  \
-         --smoke       shorthand for --scale smoke\n  \
-         --full        shorthand for --scale full\n"
-    );
-    for (flag, desc) in extra {
+    flag_usage(bin, title, &[SCALE_FLAGS, extra].concat())
+}
+
+/// Render usage text listing exactly `flags` (plus `--help`), for a
+/// binary that takes no scale options.
+pub fn flag_usage(bin: &str, title: &str, flags: &[(&str, &str)]) -> String {
+    let mut out = format!("{title}\n\nusage: {bin} [options]\n\noptions:\n");
+    for (flag, desc) in flags {
         out.push_str(&format!("  {flag:<13} {desc}\n"));
     }
     out.push_str("  --help, -h    print this message and exit\n");

@@ -7,9 +7,5 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig8f;
-pub mod sweep_throughput;
 pub mod table0;
 pub mod table1;
-pub mod throughput;
-pub mod throughput_http;
-pub mod train_throughput;

@@ -17,11 +17,16 @@
 //! | Table I Reuters top-word lists | [`experiments::table1`] | `table1_reuters` |
 //! | Fig. 8 a–e Wikipedia-corpus evaluation | [`experiments::fig8`] | `fig8_wikipedia` |
 //! | Fig. 8 f parallel scaling | [`experiments::fig8f`] | `fig8f_scaling` |
-//! | serving throughput (ROADMAP workload) | [`experiments::throughput`] | `throughput_serving` |
-//! | sharded training throughput + checkpoint/resume | [`experiments::train_throughput`] | `train_throughput` |
 //! | everything | — | `all_experiments` |
 //!
 //! Every binary also accepts `--help` / `-h` (usage text, exit 0).
+//!
+//! One more binary, `train_driver`, is not an experiment: it trains the
+//! pinned golden-fixture world on document shards and drives the
+//! checkpoint → kill → resume, fault-injection and telemetry cycles
+//! end to end, printing a `final digest` that two runs share iff their
+//! models are bit-identical. Speed is measured by the end-to-end
+//! benchmark (`BENCHMARK.json`, `e2ebench/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

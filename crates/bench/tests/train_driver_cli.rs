@@ -1,0 +1,88 @@
+//! Command-line contract of the `train_driver` binary: a flag that could
+//! never take effect exits 2 before any training starts, instead of
+//! degrading into a plain full run.
+
+use std::process::{Command, Output};
+
+fn driver(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_train_driver"))
+        .args(args)
+        .output()
+        .expect("spawn train_driver")
+}
+
+#[test]
+fn fault_at_a_sweep_that_is_never_checkpointed_exits_2() {
+    let dir = std::env::temp_dir().join(format!("train_driver_cli_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("ck.slda");
+    let ck = ck.to_str().unwrap();
+    // Checkpoints fire at sweeps 6 and 12: 7 is off the grid, 18 is past
+    // the end, and 0 is before the first sweep.
+    for spec in ["torn@7", "torn@18", "crash@0"] {
+        let out = driver(&[
+            "--sweeps",
+            "12",
+            "--shards",
+            "2",
+            "--checkpoint-every",
+            "6",
+            "--checkpoint-path",
+            ck,
+            "--fault",
+            spec,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--fault {spec}: {stderr}");
+        assert!(
+            stderr.contains("never a checkpoint boundary"),
+            "--fault {spec}: {stderr}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("final digest"),
+            "--fault {spec} must not train"
+        );
+    }
+    // Without --checkpoint-every no checkpoint fires at all.
+    let out = driver(&["--sweeps", "12", "--fault", "torn@6"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "nothing written"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unknown_flags_exit_2() {
+    // `--train` and the scale flags select modes this binary does not
+    // have: it only trains (or validates a telemetry file).
+    for args in [
+        &["--train"][..],
+        &["--smoke"],
+        &["--scale", "smoke"],
+        &["--full"],
+        &["--sweeps", "4", "--bogus"],
+    ] {
+        let out = driver(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown argument"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn help_lists_only_the_accepted_flags() {
+    let out = driver(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert!(help.contains("usage: train_driver"));
+    for flag in ["--shards", "--checkpoint-every", "--fault", "--telemetry"] {
+        assert!(help.contains(flag), "missing {flag}");
+    }
+    for flag in ["--train", "--scale", "--smoke", "--full"] {
+        assert!(!help.contains(flag), "lists {flag}");
+    }
+}

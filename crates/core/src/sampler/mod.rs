@@ -103,8 +103,7 @@ pub enum Backend {
     /// Single-threaded sampling through the dense reference sweep — the
     /// straightforward per-(token, topic) `word_weight` loop. Walks the
     /// same chain as [`Backend::Serial`] bit for bit; kept as the
-    /// equivalence baseline and the "before" side of the
-    /// `sweep_throughput` benchmark.
+    /// reference the equivalence tests compare every kernel against.
     SerialDense,
     /// Algorithm 2: Blelloch prefix-sums scan over the probability vector,
     /// parallelized over `threads` workers with per-level barriers.

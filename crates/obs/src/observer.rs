@@ -39,12 +39,15 @@ impl TrainObserver for NoopObserver {
 
 /// Fan one event stream out to several observers (e.g. a JSONL file plus
 /// a progress line plus a metric registry). Enabled iff any child is.
+///
+/// The children are borrowed, so each stays with its owner once the
+/// fan-out is dropped (a JSONL sink can still be `finish()`ed).
 #[derive(Default)]
-pub struct Fanout {
-    children: Vec<Box<dyn TrainObserver>>,
+pub struct Fanout<'a> {
+    children: Vec<&'a mut dyn TrainObserver>,
 }
 
-impl Fanout {
+impl<'a> Fanout<'a> {
     /// An empty fan-out (disabled until a child is added).
     pub fn new() -> Self {
         Self::default()
@@ -52,18 +55,18 @@ impl Fanout {
 
     /// Add a child observer (builder style).
     #[must_use]
-    pub fn with(mut self, child: Box<dyn TrainObserver>) -> Self {
+    pub fn with(mut self, child: &'a mut dyn TrainObserver) -> Self {
         self.children.push(child);
         self
     }
 
     /// Add a child observer.
-    pub fn push(&mut self, child: Box<dyn TrainObserver>) {
+    pub fn push(&mut self, child: &'a mut dyn TrainObserver) {
         self.children.push(child);
     }
 }
 
-impl TrainObserver for Fanout {
+impl TrainObserver for Fanout<'_> {
     fn enabled(&self) -> bool {
         self.children.iter().any(|c| c.enabled())
     }
@@ -317,12 +320,11 @@ mod tests {
 
     #[test]
     fn fanout_enabled_iff_any_child_is() {
+        let mut noop = NoopObserver;
+        let mut registry = RegistryObserver::new(Arc::new(Registry::new()));
         assert!(!Fanout::new().enabled());
-        assert!(!Fanout::new().with(Box::new(NoopObserver)).enabled());
-        let registry = Arc::new(Registry::new());
-        let fan = Fanout::new()
-            .with(Box::new(NoopObserver))
-            .with(Box::new(RegistryObserver::new(registry)));
+        assert!(!Fanout::new().with(&mut noop).enabled());
+        let fan = Fanout::new().with(&mut noop).with(&mut registry);
         assert!(fan.enabled());
     }
 

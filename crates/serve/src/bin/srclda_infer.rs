@@ -395,7 +395,7 @@ fn cmd_infer(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let stats = engine.cache_stats();
     // Tokens/sec alongside docs/sec so serving throughput is directly
-    // comparable with the training numbers from `sweep_throughput`.
+    // comparable with training throughput (tokens per second).
     let total_tokens: usize = scores.iter().map(|s| s.num_tokens()).sum();
     let secs = elapsed.as_secs_f64().max(1e-9);
     eprintln!(

@@ -8,8 +8,8 @@
 //! the policy to the daemon's HTTP wire format: it retries connect and
 //! socket errors, honors `Retry-After` on a 503 (capped at the policy's
 //! `max_delay` so test suites stay fast), and counts every attempt into
-//! an optional [`srclda_obs::Registry`]. The loopback suite and the
-//! `throughput_http` load generator share this one implementation.
+//! an optional [`srclda_obs::Registry`]. The loopback suite uses this
+//! one implementation.
 
 use crate::server::http::read_response_with_headers;
 use std::io::{self, BufReader, Write};

@@ -319,8 +319,8 @@ pub fn write_response_with<W: Write>(
 /// Parse one HTTP response — `(status, body)` — from a buffered stream:
 /// the client-side complement of [`write_response`], walking the status
 /// line, a `Content-Length` header, and the body. Shared by the loopback
-/// tests, the CLI lifecycle test, and the `throughput_http` load
-/// generator so the response walk lives in exactly one place.
+/// tests and the CLI lifecycle test so the response walk lives in exactly
+/// one place.
 ///
 /// # Errors
 /// `InvalidData` on an unparseable status line or length; socket errors

@@ -22,11 +22,15 @@
 //! tests live with the kernel (`sampler::sparse`).
 
 use source_lda::core::generative::{DocLength, LambdaMode, SourceLdaGenerator};
+use source_lda::core::prior::TopicPrior;
 use source_lda::prelude::*;
 use source_lda::synth::random_source_topics;
 
-fn fit_source_lda(backend: Backend, variant: Variant, seed: u64) -> FittedModel {
-    let (vocab, knowledge) = random_source_topics(250, 16, 10, 120, 11);
+/// Fit the 16-source-topic world over a `vocab_size`-word vocabulary.
+/// Each source topic has a support of 10 words, so above 4096 words the
+/// λ-integrated priors take the sparse per-word row layout.
+fn fit_source_lda(backend: Backend, variant: Variant, seed: u64, vocab_size: usize) -> FittedModel {
+    let (vocab, knowledge) = random_source_topics(vocab_size, 16, 10, 120, 11);
     let generated = SourceLdaGenerator {
         alpha: 0.5,
         num_docs: 30,
@@ -65,18 +69,40 @@ fn assert_identical(a: &FittedModel, b: &FittedModel, what: &str) {
 
 #[test]
 fn kernel_matches_dense_on_lambda_integrated_model() {
-    // Several seeds, not one pinned seed: the equivalence is structural.
-    for seed in [7u64, 77, 770] {
-        let dense = fit_source_lda(Backend::SerialDense, Variant::Full, seed);
-        let kernel = fit_source_lda(Backend::Serial, Variant::Full, seed);
-        assert_identical(&kernel, &dense, &format!("full variant, seed {seed}"));
+    // Both integration-table layouts: dense at V = 250, and the sparse
+    // per-word row layout the kernel reads at V = 5000. Several seeds,
+    // not one pinned seed: the equivalence is structural.
+    for (vocab_size, sparse_layout) in [(250, false), (5000, true)] {
+        for seed in [7u64, 77, 770] {
+            let dense = fit_source_lda(Backend::SerialDense, Variant::Full, seed, vocab_size);
+            let kernel = fit_source_lda(Backend::Serial, Variant::Full, seed, vocab_size);
+            assert_identical(
+                &kernel,
+                &dense,
+                &format!("full variant, V = {vocab_size}, seed {seed}"),
+            );
+            let integrated: Vec<bool> = kernel
+                .priors()
+                .iter()
+                .filter_map(|p| match p {
+                    TopicPrior::Integrated(table) => Some(table.is_dense()),
+                    _ => None,
+                })
+                .collect();
+            // Guard: the case must not quietly fall back to the other layout.
+            assert!(!integrated.is_empty(), "the full variant integrates λ");
+            assert!(
+                integrated.iter().all(|&dense| dense != sparse_layout),
+                "V = {vocab_size}: expected sparse layout = {sparse_layout}"
+            );
+        }
     }
 }
 
 #[test]
 fn kernel_matches_dense_on_fixed_prior_model() {
-    let dense = fit_source_lda(Backend::SerialDense, Variant::Mixture, 21);
-    let kernel = fit_source_lda(Backend::Serial, Variant::Mixture, 21);
+    let dense = fit_source_lda(Backend::SerialDense, Variant::Mixture, 21, 250);
+    let kernel = fit_source_lda(Backend::Serial, Variant::Mixture, 21, 250);
     assert_identical(&kernel, &dense, "mixture variant");
 }
 
@@ -207,12 +233,12 @@ fn sparse_kernel_perplexity_parity_with_serial() {
 #[test]
 fn sparse_kernel_is_seed_deterministic() {
     for seed in [7u64, 77] {
-        let a = fit_source_lda(Backend::SparseKernel, Variant::Full, seed);
-        let b = fit_source_lda(Backend::SparseKernel, Variant::Full, seed);
+        let a = fit_source_lda(Backend::SparseKernel, Variant::Full, seed, 250);
+        let b = fit_source_lda(Backend::SparseKernel, Variant::Full, seed, 250);
         assert_identical(&a, &b, &format!("sparse replay, seed {seed}"));
     }
-    let a = fit_source_lda(Backend::SparseKernel, Variant::Full, 7);
-    let b = fit_source_lda(Backend::SparseKernel, Variant::Full, 77);
+    let a = fit_source_lda(Backend::SparseKernel, Variant::Full, 7, 250);
+    let b = fit_source_lda(Backend::SparseKernel, Variant::Full, 77, 250);
     assert_ne!(
         a.assignments(),
         b.assignments(),
@@ -225,7 +251,7 @@ fn sparse_kernel_is_seed_deterministic() {
 /// the same case-study structure the dense kernels find.
 #[test]
 fn sparse_kernel_runs_every_prior_family() {
-    let mixture = fit_source_lda(Backend::SparseKernel, Variant::Mixture, 21);
+    let mixture = fit_source_lda(Backend::SparseKernel, Variant::Mixture, 21, 250);
     assert_eq!(
         mixture.assignments().len(),
         30,

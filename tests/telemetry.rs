@@ -91,19 +91,11 @@ fn fit_capturing(
         Ok(())
     };
     if observed {
-        let mut fanout = Fanout::new()
-            .with(Box::new(JsonlSink::new(Vec::<u8>::new())))
-            .with(Box::new(RegistryObserver::new(Arc::new(Registry::new()))));
+        let mut sink = JsonlSink::new(Vec::<u8>::new());
+        let mut registry = RegistryObserver::new(Arc::new(Registry::new()));
+        let mut fanout = Fanout::new().with(&mut sink).with(&mut registry);
         let fitted = model
             .fit_observed(&corpus, None, Some(5), on_checkpoint, &mut fanout)
-            .unwrap();
-        // Fanout owns its children; re-run with a bare sink to recover the
-        // bytes (the chain is deterministic, pinned below, so the streams
-        // are interchangeable).
-        let (model2, corpus2) = model_and_corpus(backend);
-        let mut sink = JsonlSink::new(Vec::<u8>::new());
-        model2
-            .fit_observed(&corpus2, None, Some(5), |_| Ok(()), &mut sink)
             .unwrap();
         let bytes = sink.finish().unwrap();
         (fitted, checkpoints, Some(String::from_utf8(bytes).unwrap()))
