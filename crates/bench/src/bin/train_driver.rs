@@ -175,22 +175,6 @@ fn parse_fault_spec(spec: &str) -> (FaultKind, usize) {
     (kind, sweep)
 }
 
-/// Exit 2 unless a checkpoint fires at `sweep`: at least 1, a multiple of
-/// `--checkpoint-every`, and at most `sweeps`. A flag naming any other
-/// sweep would never fire, and its simulated kill or fault would
-/// silently degrade into a full run.
-fn require_checkpoint_boundary(flag: &str, sweep: usize, every: Option<usize>, sweeps: usize) {
-    let Some(every) = every else {
-        die(&format!("{flag} only makes sense with --checkpoint-every"));
-    };
-    if sweep == 0 || !sweep.is_multiple_of(every) || sweep > sweeps {
-        die(&format!(
-            "{flag} at sweep {sweep} is never a checkpoint boundary \
-             (checkpoints fire at multiples of {every} up to {sweeps})"
-        ));
-    }
-}
-
 fn train(args: &[String]) {
     let shards = parse_usize(args, "--shards").unwrap_or(2);
     let kernel = if flag_present(args, "--kernel") {
@@ -226,12 +210,30 @@ fn train(args: &[String]) {
     if flag_present(args, "--fault") && fault.is_none() {
         die("--fault requires a <kind>@<sweep> value");
     }
-    if let Some(stop) = stop_after {
-        require_checkpoint_boundary("--stop-after", stop, checkpoint_every, sweeps);
-    }
-    if let Some((_, at)) = fault {
-        require_checkpoint_boundary("--fault", at, checkpoint_every, sweeps);
-    }
+    // Exit 2 unless this run writes a checkpoint at the --stop-after and
+    // --fault sweeps: after the sweep it starts from, a multiple of
+    // --checkpoint-every, and at most --sweeps. A flag naming any other
+    // sweep would never fire, and its simulated kill or fault would
+    // silently degrade into a full run.
+    let require_boundaries = |from: usize| {
+        let flagged = [
+            ("--stop-after", stop_after),
+            ("--fault", fault.map(|(_, at)| at)),
+        ];
+        for (flag, sweep) in flagged {
+            let Some(sweep) = sweep else { continue };
+            let Some(every) = checkpoint_every else {
+                die(&format!("{flag} only makes sense with --checkpoint-every"));
+            };
+            if sweep <= from || !sweep.is_multiple_of(every) || sweep > sweeps {
+                die(&format!(
+                    "{flag} at sweep {sweep} is never a checkpoint boundary \
+                     (checkpoints fire at multiples of {every} after sweep {from} up to {sweeps})"
+                ));
+            }
+        }
+    };
+    require_boundaries(0);
     let store = CheckpointStore::new(&checkpoint_path, keep);
 
     let (corpus, tokenizer, knowledge) = golden_world();
@@ -293,6 +295,9 @@ fn train(args: &[String]) {
         println!("resuming from {path:?} at sweep {}", cp.sweep);
         Some(cp)
     });
+    if let Some(cp) = &resume {
+        require_boundaries(cp.sweep as usize);
+    }
 
     let telemetry_path = flag_value(args, "--telemetry").map(str::to_string);
     if flag_present(args, "--telemetry") && telemetry_path.is_none() {

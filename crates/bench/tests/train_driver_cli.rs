@@ -1,5 +1,6 @@
 //! Command-line contract of the `train_driver` binary: a flag that could
-//! never take effect exits 2 before any training starts, instead of
+//! never take effect — including a fault or stop at a sweep a resume has
+//! already passed — exits 2 before any training starts, instead of
 //! degrading into a plain full run.
 
 use std::process::{Command, Output};
@@ -52,6 +53,56 @@ fn fault_at_a_sweep_that_is_never_checkpointed_exits_2() {
         0,
         "nothing written"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fault_or_stop_at_a_sweep_the_resume_already_passed_exits_2() {
+    let dir = std::env::temp_dir().join(format!("train_driver_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("ck.slda");
+    let ck = ck.to_str().unwrap();
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "--sweeps",
+            "24",
+            "--checkpoint-every",
+            "6",
+            "--checkpoint-path",
+            ck,
+        ];
+        args.extend_from_slice(extra);
+        driver(&args)
+    };
+    let generations = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let killed = run(&["--stop-after", "12"]);
+    assert_eq!(killed.status.code(), Some(0));
+    let written = generations();
+    assert_eq!(written, ["ck.g000006.slda", "ck.g000012.slda"]);
+    // The resume starts at sweep 12, so neither a fault at 6 nor a stop
+    // at 12 could ever fire: both must refuse before training.
+    for extra in [&["--fault", "torn@6"][..], &["--stop-after", "12"]] {
+        let out = run(&[&["--resume", "auto"][..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("never a checkpoint boundary"),
+            "{extra:?}: {stderr}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("final digest"),
+            "{extra:?} must not train"
+        );
+        assert_eq!(generations(), written, "{extra:?} wrote a generation");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

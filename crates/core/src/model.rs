@@ -112,7 +112,8 @@ impl GibbsModel {
     /// Everything [`Self::fit`] rejects, plus: a checkpoint that is
     /// structurally corrupt, disagrees with the corpus (dimensions or
     /// counts-vs-assignments), was taken past `iterations`, or whose shard
-    /// layout disagrees with the configured backend.
+    /// layout disagrees with the configured backend (a checkpoint with no
+    /// shard streams also resumes under `S = 1`).
     pub fn fit_resumable<F>(
         &self,
         corpus: &Corpus,
@@ -221,7 +222,7 @@ impl GibbsModel {
                 // Sharded backend: split one stream per shard from the run
                 // RNG — shards 1..S are spawned in shard order, then shard
                 // 0 *continues* the run stream, so S = 1 spawns nothing
-                // and walks Backend::Serial's exact chain.
+                // and walks its kernel's single-thread chain.
                 shard_rngs = Vec::new();
                 if backend.is_sharded() {
                     for _ in 1..backend.shards() {
@@ -238,7 +239,12 @@ impl GibbsModel {
                 } else {
                     0
                 };
-                if cp.shard_count() != expected_shards {
+                // A single-thread checkpoint (shard word 0) resumes under
+                // S = 1: the lone shard continues the run stream, so
+                // seeding it from the main stream continues the chain bit
+                // for bit.
+                let single_thread_into_one_shard = cp.shard_count() == 0 && expected_shards == 1;
+                if cp.shard_count() != expected_shards && !single_thread_into_one_shard {
                     return Err(CoreError::InvalidConfig(format!(
                         "checkpoint was taken with shard layout {} but the backend expects {expected_shards}",
                         cp.shard_count()
@@ -305,7 +311,11 @@ impl GibbsModel {
                     .map(|raw| TopicPrior::from_raw(raw.clone(), self.vocab_size))
                     .collect::<crate::Result<_>>()?;
                 rng = rng_from_state(cp.main_rng);
-                shard_rngs = cp.shard_rngs.iter().map(|&s| rng_from_state(s)).collect();
+                shard_rngs = if single_thread_into_one_shard {
+                    vec![rng.clone()]
+                } else {
+                    cp.shard_rngs.iter().map(|&s| rng_from_state(s)).collect()
+                };
                 completed = cp.sweep as usize;
             }
         }
@@ -439,17 +449,13 @@ impl GibbsModel {
                 let span = observing.then(SpanTimer::start);
                 crate::sampler::adapt::adapt_integrated_priors(&mut priors, &counts, threads);
                 // Adaptation re-weights the integrated priors' quadrature
-                // levels; the sparse kernel's cached reciprocals and
-                // smoothing baselines for exactly those topics are now
+                // levels; the in-place sparse kernel's cached reciprocals
+                // and smoothing baselines for exactly those topics are now
                 // stale. Repatch them in place instead of discarding the
                 // whole cache — everything else in it (deviation lists,
                 // non-zero lists, non-integrated baselines) is untouched
-                // by adaptation. The sharded workspaces need no patching:
-                // they resynchronize their count-dependent caches from the
-                // fresh prior tables at every sweep start.
-                if let Some(sparse) = sweep_cache.sparse.as_mut() {
-                    sparse.repatch_adapted(&priors, &counts);
-                }
+                // by adaptation.
+                sweep_cache.repatch_adapted(&priors, &counts);
                 if let Some(span) = span {
                     observer.on_event(&TrainEvent::Adapt {
                         sweep: completed as u64,

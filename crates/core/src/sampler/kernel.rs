@@ -1,9 +1,14 @@
-//! The optimized serial Gibbs hot path: flat prior tables, cached
-//! denominator reciprocals, direct λ-row loads, sparse document-topic
-//! bookkeeping, and non-atomic count updates.
+//! The optimized serial Gibbs hot path ([`KernelKind::Flat`]): flat prior
+//! tables, cached denominator reciprocals, direct λ-row loads, sparse
+//! document-topic bookkeeping, and non-atomic count updates. One `Kernel`
+//! sweeps either the global counts in place (`Backend::Serial`, any
+//! `S = 1`) or one shard's local copy; its `Combined` table is kept across
+//! sweeps and shared by every shard of a run.
 //!
-//! The dense reference sweep ([`super::serial::sweep`], kept as
-//! [`crate::sampler::Backend::SerialDense`]) evaluates
+//! [`KernelKind::Flat`]: super::KernelKind::Flat
+//!
+//! The dense reference sweep ([`super::serial::sweep`],
+//! [`KernelKind::Dense`](super::KernelKind::Dense)) evaluates
 //! `TopicPrior::word_weight(w, n_wt, n_t) · (n_dt + α)` per (token, topic):
 //! an enum match into heap-scattered prior payloads, a fresh reciprocal per
 //! topic (one per quadrature level for λ-integrated topics), and two atomic
@@ -101,8 +106,8 @@ pub(super) struct IntFlat<'a> {
 
 /// Struct-of-arrays sweep tables: everything about the priors that is
 /// constant across a sweep, flattened for the per-(token, topic) loop.
-/// Built once per [`run_sweeps`](super::run_sweeps) call (priors only
-/// change *between* calls, via λ adaptation).
+/// Built with each [`Kernel`] (priors only change *between* sweep
+/// chunks, via λ adaptation).
 pub(crate) struct SweepTables<'a> {
     pub(super) kinds: Vec<Kind>,
     /// Numerator addend: β for `Symmetric`/`ConceptSet`, 0 otherwise.
@@ -285,7 +290,7 @@ impl RecipCache {
 /// * `ints[(w*n_int + j)*a .. +a]` — the δ row of the `j`-th λ-integrated
 ///   topic (uniform level count `a`), adjacent to topic `j+1`'s row.
 ///
-/// Built once per sweep-chunk from the priors (values copied verbatim, so
+/// Built once per run from the priors (values copied verbatim, so
 /// weights stay bit-identical); skipped — `None` in [`Kernel`] — when the
 /// integrated level counts are not uniform or the copy would exceed
 /// [`MAX_COMBINED_BYTES`].
@@ -304,14 +309,14 @@ pub(crate) struct Combined {
 }
 
 impl Combined {
-    /// Reuse `previous` (from an earlier sweep chunk of the *same* model)
-    /// when its shape matches, else build fresh. Every channel copies
-    /// values that λ adaptation never touches — δ rows, φ rows, masks,
-    /// support membership (adapt re-weights the quadrature only) — so a
-    /// prior chunk's table is verbatim-valid for the next chunk and the
-    /// multi-MB copy need not be repaid per chunk. The table is shared by
-    /// `Arc` so the sharded backend's S kernels read **one** copy instead
-    /// of multiplying a potentially multi-hundred-MB structure by S.
+    /// Reuse `previous` (from an earlier sweep of the *same* model) when
+    /// its shape matches, else build fresh. Every channel copies values
+    /// that λ adaptation never touches — δ rows, φ rows, masks, support
+    /// membership (adapt re-weights the quadrature only) — so the table
+    /// stays verbatim-valid across sweeps and chunks and the multi-MB copy
+    /// is paid once per run. The table is shared by `Arc` so the sharded
+    /// backend's S kernels read **one** copy instead of multiplying a
+    /// potentially multi-hundred-MB structure by S.
     fn build_or_reuse(
         tables: &SweepTables<'_>,
         vocab_size: usize,
@@ -403,9 +408,10 @@ impl Combined {
     }
 }
 
-/// Reusable kernel state for one chunk of sweeps: flat tables, the
-/// reciprocal cache, the per-document factor array, and the prefix-sum
-/// buffer. Build once per [`run_sweeps`](super::run_sweeps) call.
+/// The flat kernel for one sweep: flat tables, the reciprocal cache, the
+/// per-document factor array, and the prefix-sum buffer. Built per sweep
+/// by [`KernelState::sweep`](super::KernelState::sweep), which keeps only
+/// the [`Combined`] table between sweeps.
 pub(crate) struct Kernel<'a> {
     tables: SweepTables<'a>,
     /// Word-major combined prior channels, shared across kernels of the
@@ -430,9 +436,9 @@ pub(crate) struct Kernel<'a> {
 impl<'a> Kernel<'a> {
     /// Build the kernel for the given sweep context (reads the current
     /// counts to seed the reciprocal cache). `reuse` may carry the
-    /// [`Combined`] table of a previous sweep chunk of the same model —
-    /// λ adaptation between chunks never changes the copied values, so
-    /// the table is taken as-is instead of re-copied (see
+    /// [`Combined`] table of a previous sweep of the same model — λ
+    /// adaptation never changes the copied values, so the table is taken
+    /// as-is instead of re-copied (see
     /// [`Combined::build_or_reuse`]); recover it afterwards with
     /// [`Self::into_combined`].
     pub(crate) fn new(ctx: &SweepContext<'a>, reuse: Option<Arc<Combined>>) -> Self {
@@ -452,7 +458,7 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Surrender the combined table for reuse by the next sweep chunk.
+    /// Surrender the combined table for reuse by the next sweep.
     pub(crate) fn into_combined(self) -> Option<Arc<Combined>> {
         self.combined
     }

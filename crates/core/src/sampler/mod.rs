@@ -25,6 +25,7 @@ use crate::counts::CountMatrices;
 use crate::error::CoreError;
 use crate::prior::TopicPrior;
 use srclda_math::SldaRng;
+use std::sync::Arc;
 
 /// Which **sweep kernel** computes the per-token topic distribution and
 /// draws from it — the *arithmetic* axis of the backend matrix, orthogonal
@@ -71,40 +72,41 @@ impl KernelKind {
 /// the **execution strategy** (how tokens are scheduled onto threads).
 /// Every cell of the matrix that exists is reachable:
 ///
-/// | kernel ↓ \ execution → | single-thread      | document shards (`S`, AD-LDA)       | per-token parallel (Algorithms 2/3)  |
-/// |------------------------|--------------------|-------------------------------------|--------------------------------------|
-/// | [`KernelKind::Flat`]   | [`Backend::Serial`]| `ShardedDocs { kernel: Flat, .. }`  | —                                    |
-/// | [`KernelKind::Dense`]  | [`Backend::SerialDense`] | `ShardedDocs { kernel: Dense, .. }` | [`Backend::PrefixSums`], [`Backend::SimpleParallel`] |
-/// | [`KernelKind::Sparse`] | [`Backend::SparseKernel`] | `ShardedDocs { kernel: Sparse, .. }` | —                             |
+/// | kernel ↓ \ execution → | single-thread (in place)            | document shards (`S > 1`, AD-LDA)   | per-token parallel (Algorithms 2/3)  |
+/// |------------------------|-------------------------------------|-------------------------------------|--------------------------------------|
+/// | [`KernelKind::Flat`]   | [`Backend::Serial`], `ShardedDocs { kernel: Flat, shards: 1, .. }` | `ShardedDocs { kernel: Flat, .. }`  | —                                    |
+/// | [`KernelKind::Dense`]  | `ShardedDocs { kernel: Dense, shards: 1, .. }` | `ShardedDocs { kernel: Dense, .. }` | [`Backend::PrefixSums`], [`Backend::SimpleParallel`] |
+/// | [`KernelKind::Sparse`] | `ShardedDocs { kernel: Sparse, shards: 1, .. }` | `ShardedDocs { kernel: Sparse, .. }` | —                             |
+///
+/// Every single-thread cell — `Serial`, any `S = 1`, and a paper
+/// algorithm whose pool clamps to one thread — runs one sweep driver that
+/// sweeps the global counts in place (see [`shard`]).
 ///
 /// Equivalence classes, from one seed:
 ///
-/// * `Serial` ≡ `SerialDense` ≡ `PrefixSums` ≡ `SimpleParallel` —
-///   **bit-identical** chains (the flat tables and the parallel scans
-///   reorganize the same arithmetic without changing the sampled draw).
-///   `PrefixSums`/`SimpleParallel` are the paper's per-token algorithms,
-///   kept for fidelity; they cap out at T and are superseded for corpus
-///   scale by `ShardedDocs` — prefer the shard row for new configs.
-/// * `ShardedDocs { kernel: k, shards: 1, .. }` is **bit-identical** to
-///   kernel `k`'s single-thread backend, for every `k`; at `S > 1` the
-///   chain is the AD-LDA approximation, deterministic in
-///   `(seed, S, kernel)` with `threads` pure scheduling.
-/// * `SparseKernel` (and the `Sparse` shard row) is
-///   **distribution-level** equivalent to the dense family: exact
-///   bucket-mass ≡ dense-mass property tests plus held-out perplexity
-///   parity (`tests/kernel_equivalence.rs`, `tests/shard_equivalence.rs`),
-///   never bit-equal.
+/// * `Serial` ≡ `{ Flat | Dense, shards: 1 }` ≡ `PrefixSums` ≡
+///   `SimpleParallel` — **bit-identical** chains (the flat tables and the
+///   parallel scans reorganize the same arithmetic without changing the
+///   sampled draw). `PrefixSums`/`SimpleParallel` are the paper's
+///   per-token algorithms, kept for fidelity; they cap out at T and are
+///   superseded for corpus scale by `ShardedDocs` — prefer the shard row
+///   for new configs.
+/// * At `S > 1` the chain is the AD-LDA approximation, deterministic in
+///   `(seed, S, kernel)` with `threads` pure scheduling; `Flat` and
+///   `Dense` stay bit-identical to each other at every `S`.
+/// * The `Sparse` row is **distribution-level** equivalent to the dense
+///   family: exact bucket-mass ≡ dense-mass property tests plus held-out
+///   perplexity parity (`tests/kernel_equivalence.rs`,
+///   `tests/shard_equivalence.rs`), never bit-equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Single-threaded sampling (Algorithm 1) through the optimized hot
     /// path: flat prior tables, cached reciprocals, sparse document-topic
-    /// bookkeeping, non-atomic counts (see [`kernel`]).
+    /// bookkeeping, non-atomic counts (see [`kernel`]). The library
+    /// default; the same chain as `ShardedDocs { kernel: Flat, shards: 1,
+    /// .. }`, whose checkpoints differ only in layout (one shard stream
+    /// instead of none).
     Serial,
-    /// Single-threaded sampling through the dense reference sweep — the
-    /// straightforward per-(token, topic) `word_weight` loop. Walks the
-    /// same chain as [`Backend::Serial`] bit for bit; kept as the
-    /// reference the equivalence tests compare every kernel against.
-    SerialDense,
     /// Algorithm 2: Blelloch prefix-sums scan over the probability vector,
     /// parallelized over `threads` workers with per-level barriers.
     PrefixSums {
@@ -116,18 +118,6 @@ pub enum Backend {
         /// Number of worker threads `P`.
         threads: usize,
     },
-    /// Single-threaded **sub-linear** sampling through the SparseLDA-style
-    /// bucket decomposition (see [`sparse`]): the per-token weight splits
-    /// into a cached smoothing bucket, a cached doc bucket, and a
-    /// word-sparse bucket, so each token costs O(k_d + k_w) instead of
-    /// O(T). Wins when T is large and documents/words touch few topics.
-    ///
-    /// The chain is fully deterministic in the seed and chunk-boundary
-    /// invariant, but **not** bit-equal to [`Backend::Serial`] — bucket
-    /// routing consumes the per-token uniform differently. Equivalence is
-    /// distribution-level: exact bucket-mass ≡ dense-mass (property-tested)
-    /// and held-out perplexity parity (`tests/kernel_equivalence.rs`).
-    SparseKernel,
     /// Document-sharded approximate collapsed Gibbs (AD-LDA style, see
     /// [`shard`]): documents are statically partitioned into `shards`
     /// shards; each shard sweeps against a sweep-start snapshot of the
@@ -136,10 +126,8 @@ pub enum Backend {
     ///
     /// The chain is a pure function of `(seed, shards, kernel)` —
     /// `threads` only schedules shard work and never changes a single bit
-    /// of the result — and `shards: 1` walks the exact chain of the
-    /// kernel's single-thread backend ([`Backend::Serial`] for `Flat`,
-    /// [`Backend::SparseKernel`] for `Sparse`, [`Backend::SerialDense`]
-    /// for `Dense`).
+    /// of the result. `shards: 1` is the single-thread backend of
+    /// `kernel`: the lone shard sweeps the global counts in place.
     ShardedDocs {
         /// Sweep kernel each shard runs over its local counts. Defaults
         /// to [`KernelKind::Flat`] ([`Default`]), which reproduces the
@@ -158,7 +146,7 @@ impl Backend {
     /// Number of worker threads this backend uses.
     pub fn threads(&self) -> usize {
         match self {
-            Backend::Serial | Backend::SerialDense | Backend::SparseKernel => 1,
+            Backend::Serial => 1,
             Backend::PrefixSums { threads }
             | Backend::SimpleParallel { threads }
             | Backend::ShardedDocs { threads, .. } => *threads,
@@ -180,17 +168,13 @@ impl Backend {
     }
 
     /// The sweep kernel this backend runs — the backend's position on the
-    /// arithmetic axis of the kernel × execution matrix. The serial
-    /// backends are aliases into the matrix (`Serial` → `Flat`,
-    /// `SerialDense` → `Dense`, `SparseKernel` → `Sparse`); the paper's
-    /// per-token parallel algorithms scan the dense weight vector.
+    /// arithmetic axis of the kernel × execution matrix. `Serial` is the
+    /// flat kernel; the paper's per-token parallel algorithms scan the
+    /// dense weight vector.
     pub fn kernel(&self) -> KernelKind {
         match self {
             Backend::Serial => KernelKind::Flat,
-            Backend::SerialDense | Backend::PrefixSums { .. } | Backend::SimpleParallel { .. } => {
-                KernelKind::Dense
-            }
-            Backend::SparseKernel => KernelKind::Sparse,
+            Backend::PrefixSums { .. } | Backend::SimpleParallel { .. } => KernelKind::Dense,
             Backend::ShardedDocs { kernel, .. } => *kernel,
         }
     }
@@ -302,15 +286,110 @@ pub(crate) struct SamplerRngs<'a> {
 /// chain — it only avoids repaying multi-MB copies per chunk.
 #[derive(Default)]
 pub(crate) struct SweepCache {
-    /// The serial kernel's word-major combined prior table (λ adaptation
-    /// never touches its contents; `Arc` so shards can share one copy).
-    pub combined: Option<std::sync::Arc<kernel::Combined>>,
-    /// The sharded backend's chunk state (partition, local count
-    /// matrices, the shared combined table).
-    pub shard: Option<shard::ShardState>,
-    /// The sparse bucket kernel's per-word deviation and non-zero lists
-    /// (maintained in lock-step with the counts across chunks).
-    pub sparse: Option<sparse::SparseState>,
+    /// The sweep driver's state: the in-place kernel state, or the shard
+    /// partition with its per-shard workspaces.
+    state: Option<shard::ShardState>,
+}
+
+impl SweepCache {
+    /// λ-adaptation boundary hook: the adapter re-weighted the integrated
+    /// priors' quadrature, so an in-place sparse kernel's cached
+    /// reciprocals and baselines for those topics are repatched (see
+    /// [`sparse::SparseState::repatch_adapted`]). Shard workspaces need no
+    /// patching: they resync their count-dependent caches at every sweep.
+    pub(crate) fn repatch_adapted(&mut self, priors: &[TopicPrior], counts: &CountMatrices) {
+        if let Some(shard::ShardState::InPlace(KernelState::Sparse(Some(state)))) = &mut self.state
+        {
+            state.repatch_adapted(priors, counts);
+        }
+    }
+}
+
+/// One sweep kernel's reusable state — the [`KernelKind`] axis as data.
+/// The flat kernel keeps its word-major [`kernel::Combined`] table (an
+/// `Arc`, so shards share one copy), the sparse kernel its
+/// [`sparse::SparseState`] bucket structure, the dense reference nothing.
+/// [`Self::sweep`] runs the kernel over whatever counts the context
+/// holds: the global counts in place, or one shard's local copy.
+pub(crate) enum KernelState {
+    Flat(Option<Arc<kernel::Combined>>),
+    Dense,
+    /// `None` until the first sweep builds it from the counts it sweeps.
+    Sparse(Option<Box<sparse::SparseState>>),
+}
+
+impl KernelState {
+    /// Fresh state for `kind` over `ctx`'s priors. The flat kernel's
+    /// combined table is built here, once, so [`Self::fork`] can share it.
+    pub(crate) fn new(kind: KernelKind, ctx: &SweepContext<'_>) -> Self {
+        match kind {
+            KernelKind::Flat => {
+                let tables = kernel::SweepTables::new(ctx.priors);
+                Self::Flat(kernel::Combined::build(&tables, ctx.counts.vocab_size()).map(Arc::new))
+            }
+            KernelKind::Dense => Self::Dense,
+            KernelKind::Sparse => Self::Sparse(None),
+        }
+    }
+
+    /// State for another shard of the same run: the flat combined table
+    /// is shared (an `Arc` clone, not a data copy); a sparse state is
+    /// built from that shard's own counts at its first sweep.
+    pub(crate) fn fork(&self) -> Self {
+        match self {
+            Self::Flat(combined) => Self::Flat(combined.clone()),
+            Self::Dense => Self::Dense,
+            Self::Sparse(_) => Self::Sparse(None),
+        }
+    }
+
+    pub(crate) fn kind(&self) -> KernelKind {
+        match self {
+            Self::Flat(_) => KernelKind::Flat,
+            Self::Dense => KernelKind::Dense,
+            Self::Sparse(_) => KernelKind::Sparse,
+        }
+    }
+
+    /// One full sweep over `ctx`'s documents and counts, drawing from
+    /// `rng`. Returns the sparse kernel's bucket-routing tallies. The
+    /// transient kernel is rebuilt per sweep from the kept state; its
+    /// reciprocal cache is recomputed from the live counts, which is
+    /// bit-equal to the one the previous sweep maintained.
+    pub(crate) fn sweep(
+        &mut self,
+        ctx: &SweepContext<'_>,
+        z: &mut [Vec<u32>],
+        rng: &mut SldaRng,
+    ) -> Option<srclda_obs::SparseBucketCounts> {
+        match self {
+            Self::Flat(combined) => {
+                let mut k = kernel::Kernel::new(ctx, combined.take());
+                k.sweep(ctx, z, rng);
+                *combined = k.into_combined();
+                None
+            }
+            Self::Dense => {
+                serial::sweep(ctx, z, rng, &mut vec![0.0; ctx.num_topics()]);
+                None
+            }
+            Self::Sparse(state) => {
+                let mut k = sparse::SparseKernel::new(ctx, state.take().map(|s| *s));
+                k.sweep(ctx, z, rng);
+                let buckets = k.take_bucket_counts();
+                *state = Some(Box::new(k.into_state()));
+                Some(buckets)
+            }
+        }
+    }
+
+    /// The counts under `ctx` were replaced wholesale (a shard's snapshot
+    /// reload): re-derive the sparse state's count-dependent caches.
+    pub(crate) fn resync_counts(&mut self, ctx: &SweepContext<'_>) {
+        if let Self::Sparse(Some(state)) = self {
+            state.resync_counts(&kernel::SweepTables::new(ctx.priors), ctx.counts);
+        }
+    }
 }
 
 /// Per-sweep telemetry the backend hands to `on_sweep` alongside the
@@ -320,9 +399,10 @@ pub(crate) struct SweepCache {
 /// the fields `None`.
 #[derive(Default)]
 pub(crate) struct SweepStats {
-    /// Bucket routing tallies from [`Backend::SparseKernel`].
+    /// Bucket routing tallies from the in-place sparse kernel.
     pub buckets: Option<srclda_obs::SparseBucketCounts>,
-    /// Per-shard sweep and merge timings from [`Backend::ShardedDocs`].
+    /// Per-shard sweep and merge timings from [`Backend::ShardedDocs`]
+    /// at `S > 1`.
     pub shards: Option<srclda_obs::ShardTimings>,
 }
 
@@ -342,62 +422,18 @@ pub(crate) fn run_sweeps<F: FnMut(usize, &SweepStats)>(
     cache: &mut SweepCache,
     mut on_sweep: F,
 ) {
-    let rng = rngs.main;
-    let no_stats = SweepStats::default();
-    match backend {
-        Backend::Serial => {
-            let mut k = kernel::Kernel::new(ctx, cache.combined.take());
-            for iter in 1..=iterations {
-                k.sweep(ctx, z, rng);
-                debug_assert_counts(ctx, z, "serial kernel");
-                on_sweep(iter, &no_stats);
-            }
-            cache.combined = k.into_combined();
-        }
-        Backend::SparseKernel => {
-            let mut k = sparse::SparseKernel::new(ctx, cache.sparse.take());
-            for iter in 1..=iterations {
-                k.sweep(ctx, z, rng);
-                debug_assert_counts(ctx, z, "sparse kernel");
-                on_sweep(
-                    iter,
-                    &SweepStats {
-                        buckets: Some(k.take_bucket_counts()),
-                        shards: None,
-                    },
-                );
-            }
-            cache.sparse = Some(k.into_state());
-        }
-        Backend::SerialDense => {
-            let mut buf = vec![0.0; ctx.num_topics()];
-            for iter in 1..=iterations {
-                serial::sweep(ctx, z, rng, &mut buf);
-                debug_assert_counts(ctx, z, "dense reference");
-                on_sweep(iter, &no_stats);
-            }
-        }
-        Backend::SimpleParallel { threads } => {
-            parallel::run(
-                ctx,
-                z,
-                rng,
-                iterations,
-                threads,
-                parallel::Algo::Simple,
-                &mut |iter| on_sweep(iter, &no_stats),
-            );
-        }
-        Backend::PrefixSums { threads } => {
-            parallel::run(
-                ctx,
-                z,
-                rng,
-                iterations,
-                threads,
-                parallel::Algo::PrefixSums,
-                &mut |iter| on_sweep(iter, &no_stats),
-            );
+    let (kernel, threads, shard_rngs) = match backend {
+        Backend::PrefixSums { threads } | Backend::SimpleParallel { threads }
+            if parallel::pool_size(threads, ctx.num_topics()) > 1 =>
+        {
+            let algo = match backend {
+                Backend::PrefixSums { .. } => parallel::Algo::PrefixSums,
+                _ => parallel::Algo::Simple,
+            };
+            let no_stats = SweepStats::default();
+            let mut on_sweep = |iter| on_sweep(iter, &no_stats);
+            parallel::run(ctx, z, rngs.main, iterations, threads, algo, &mut on_sweep);
+            return;
         }
         Backend::ShardedDocs {
             kernel,
@@ -405,27 +441,15 @@ pub(crate) fn run_sweeps<F: FnMut(usize, &SweepStats)>(
             threads,
         } => {
             debug_assert_eq!(rngs.shards.len(), shards, "one RNG stream per shard");
-            shard::run(
-                ctx,
-                z,
-                rngs.shards,
-                &shard::RunPlan {
-                    iterations,
-                    threads,
-                    kernel,
-                },
-                &mut cache.shard,
-                &mut |iter, timings| {
-                    on_sweep(
-                        iter,
-                        &SweepStats {
-                            buckets: None,
-                            shards: Some(timings),
-                        },
-                    )
-                },
-            );
+            (kernel, threads, rngs.shards)
         }
+        // `Serial` and a paper algorithm whose pool clamps to one thread:
+        // the flat kernel in place, on the run stream.
+        _ => (KernelKind::Flat, 1, std::slice::from_mut(rngs.main)),
+    };
+    let state = shard::ShardState::reuse_or_build(&mut cache.state, ctx, shard_rngs.len(), kernel);
+    for iter in 1..=iterations {
+        on_sweep(iter, &state.sweep(ctx, z, shard_rngs, threads));
     }
 }
 
@@ -435,9 +459,14 @@ mod tests {
 
     #[test]
     fn thread_counts() {
+        let one_shard = |kernel| Backend::ShardedDocs {
+            kernel,
+            shards: 1,
+            threads: 1,
+        };
         assert_eq!(Backend::Serial.threads(), 1);
-        assert_eq!(Backend::SerialDense.threads(), 1);
-        assert_eq!(Backend::SparseKernel.threads(), 1);
+        assert_eq!(one_shard(KernelKind::Dense).threads(), 1);
+        assert_eq!(one_shard(KernelKind::Sparse).threads(), 1);
         assert_eq!(Backend::PrefixSums { threads: 4 }.threads(), 4);
         assert_eq!(Backend::SimpleParallel { threads: 6 }.threads(), 6);
         assert_eq!(
@@ -455,8 +484,15 @@ mod tests {
     fn shard_counts() {
         assert_eq!(Backend::Serial.shards(), 1);
         assert!(!Backend::Serial.is_sharded());
-        assert_eq!(Backend::SparseKernel.shards(), 1);
-        assert!(!Backend::SparseKernel.is_sharded());
+        let one_sparse_shard = Backend::ShardedDocs {
+            kernel: KernelKind::Sparse,
+            shards: 1,
+            threads: 1,
+        };
+        assert_eq!(one_sparse_shard.shards(), 1);
+        // `is_sharded` names the variant, whose checkpoints carry shard
+        // streams even at S = 1.
+        assert!(one_sparse_shard.is_sharded());
         let sharded = Backend::ShardedDocs {
             kernel: KernelKind::Flat,
             shards: 8,
@@ -468,13 +504,17 @@ mod tests {
 
     #[test]
     fn kernel_axis_aliases() {
-        // The serial backends are aliases into the kernel × execution
-        // matrix; the default kernel is Flat so pre-refactor configs keep
-        // their chains.
+        // `Serial` is the flat cell of the kernel × execution matrix; the
+        // default kernel is Flat so pre-refactor configs keep their chains.
+        let one_shard = |kernel| Backend::ShardedDocs {
+            kernel,
+            shards: 1,
+            threads: 1,
+        };
         assert_eq!(KernelKind::default(), KernelKind::Flat);
         assert_eq!(Backend::Serial.kernel(), KernelKind::Flat);
-        assert_eq!(Backend::SerialDense.kernel(), KernelKind::Dense);
-        assert_eq!(Backend::SparseKernel.kernel(), KernelKind::Sparse);
+        assert_eq!(one_shard(KernelKind::Dense).kernel(), KernelKind::Dense);
+        assert_eq!(one_shard(KernelKind::Sparse).kernel(), KernelKind::Sparse);
         assert_eq!(
             Backend::PrefixSums { threads: 2 }.kernel(),
             KernelKind::Dense

@@ -112,6 +112,13 @@ impl<'a, 'b> Shared<'a, 'b> {
     }
 }
 
+/// The workers a `threads`-wide pool runs over `t_count` topics: at most
+/// one per topic. A pool of one is the plain serial scan, which the
+/// sampler runs through the in-place flat kernel instead (bit-identical).
+pub(crate) fn pool_size(threads: usize, t_count: usize) -> usize {
+    threads.clamp(1, t_count.max(1))
+}
+
 /// Run `iterations` sweeps with `threads` workers.
 pub(crate) fn run<F: FnMut(usize)>(
     ctx: &SweepContext<'_>,
@@ -122,19 +129,7 @@ pub(crate) fn run<F: FnMut(usize)>(
     algo: Algo,
     on_sweep: &mut F,
 ) {
-    let threads = threads.clamp(1, ctx.num_topics().max(1));
-    if threads == 1 {
-        // Degenerate pool: run the equivalent single-threaded arithmetic
-        // through the optimized kernel (block scans with one block are the
-        // plain serial scan, and the kernel is bit-identical to it).
-        let mut k = super::kernel::Kernel::new(ctx, None);
-        for iter in 1..=iterations {
-            k.sweep(ctx, z, rng);
-            debug_assert_counts(ctx, z, "parallel (degenerate pool)");
-            on_sweep(iter);
-        }
-        return;
-    }
+    let threads = pool_size(threads, ctx.num_topics());
     let shared = Shared::new(ctx, threads, algo, iterations);
     crossbeam::thread::scope(|s| {
         for p in 1..threads {

@@ -1,6 +1,8 @@
 //! The **dense reference** serial collapsed Gibbs sweep (the `Sample`
-//! procedure of the paper's Algorithm 1), exposed as
-//! [`Backend::SerialDense`](crate::sampler::Backend::SerialDense).
+//! procedure of the paper's Algorithm 1): the
+//! [`KernelKind::Dense`](crate::sampler::KernelKind::Dense) kernel, run
+//! in place as `ShardedDocs { kernel: Dense, shards: 1, .. }` or per shard
+//! at `S > 1`.
 //!
 //! Per token: decrement the counts for the current assignment, accumulate
 //! the unnormalized topic probabilities `p_t` (Eq. 2 for symmetric/fixed

@@ -1,5 +1,6 @@
-//! Document-sharded approximate collapsed Gibbs
-//! ([`Backend::ShardedDocs`](super::Backend::ShardedDocs)).
+//! The sweep driver: document-sharded approximate collapsed Gibbs
+//! ([`Backend::ShardedDocs`](super::Backend::ShardedDocs)), whose `S = 1`
+//! case is the single-thread path every non-paper backend runs.
 //!
 //! The paper's own parallel algorithms (§III.C.4, [`super::parallel`])
 //! parallelize the *per-token* topic scan, which caps out at the topic
@@ -11,47 +12,44 @@
 //! sweep boundary. The chain is no longer the exact serial chain for
 //! `S > 1` (each shard is blind to the others' intra-sweep moves — the
 //! usual AD-LDA approximation, which vanishes as sweeps converge), but it
-//! is **deterministic in `(seed, S)` alone**:
+//! is **deterministic in `(seed, S, kernel)` alone**:
 //!
 //! * documents are partitioned into `S` contiguous, token-balanced ranges
 //!   — a pure function of the corpus and `S` ([`partition_docs`]);
 //! * each shard owns a private RNG stream: shards `1..S` are spawned from
 //!   the run RNG in shard order, and shard `0` *continues* the run stream
-//!   itself — so with `S = 1` nothing is spawned and the single shard
-//!   draws the exact uniforms the kernel's single-thread backend would,
-//!   making `S = 1` bit-identical to
-//!   [`Backend::Serial`](super::Backend::Serial) /
-//!   [`Backend::SparseKernel`](super::Backend::SparseKernel) /
-//!   [`Backend::SerialDense`](super::Backend::SerialDense) per kernel
-//!   (pinned by `tests/shard_equivalence.rs`);
+//!   itself — so with `S = 1` nothing is spawned;
 //! * each shard sweeps through **any sweep kernel**
-//!   ([`KernelKind`](super::KernelKind) — the flat serial kernel, the
-//!   dense reference, or the sub-linear sparse bucket kernel) over a
-//!   shard-local [`CountMatrices`]: `n_dt` rows for its own documents
-//!   (documents are disjoint, so these are exact), plus a local copy of
-//!   `n_wt`/`n_t` loaded from the sweep-start snapshot and updated in
-//!   place as the shard moves its own tokens. The kernel is part of the
-//!   determinism key — `(seed, S, kernel)` fixes the chain bits;
+//!   (`KernelState` — the flat serial kernel, the dense reference, or
+//!   the sub-linear sparse bucket kernel) over a shard-local
+//!   [`CountMatrices`]: `n_dt` rows for its own documents (documents are
+//!   disjoint, so these are exact), plus a local copy of `n_wt`/`n_t`
+//!   loaded from the sweep-start snapshot and updated in place as the
+//!   shard moves its own tokens;
 //! * at the sweep boundary the shard deltas are merged into the global
 //!   counts **in shard order** (`global = snapshot + Σ_s (local_s −
 //!   snapshot)`, wrapping arithmetic, so the merged state is exactly the
 //!   counts implied by the post-sweep assignments), and the shard `n_dt`
 //!   rows are copied back.
 //!
+//! With `S = 1` the lone shard's snapshot-plus-own-moves view *is* the
+//! global state, so the driver skips the snapshot and the merge and
+//! sweeps the global counts in place (`ShardState::InPlace`). The same
+//! in-place path serves [`Backend::Serial`](super::Backend::Serial) (the
+//! flat kernel on the run stream) and a paper algorithm whose pool clamps
+//! to one thread; it reports bucket tallies as a plain sweep stat and no
+//! shard timings.
+//!
 //! Worker threads only *schedule* shard sweeps: each shard's sweep is a
 //! pure function of (snapshot, its documents, its RNG state), so the
 //! result is bit-identical whatever `threads` is — including `threads`
 //! larger or smaller than `S`. λ-adaptation (and every trace callback)
-//! runs on the merged global state between sweeps, exactly as in the
-//! serial backends.
+//! runs on the merged global state between sweeps.
 
-use super::kernel::{Combined, Kernel, SweepTables};
-use super::sparse::{SparseKernel, SparseState};
-use super::{debug_assert_counts, idx_u32, serial, KernelKind, SweepContext};
+use super::{debug_assert_counts, idx_u32, KernelKind, KernelState, SweepContext, SweepStats};
 use crate::counts::CountMatrices;
 use srclda_math::SldaRng;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Partition `doc_lens`-shaped documents into `shards` contiguous ranges
 /// with near-equal token mass: the boundary before shard `i` is the first
@@ -93,86 +91,40 @@ pub(crate) fn partition_docs(tokens: &[Vec<u32>], shards: usize) -> Vec<Range<us
     ranges
 }
 
-/// Per-shard reusable state for one `run` call: the shard's local count
-/// matrices plus its kernel's reusable cache state.
-struct ShardWorkspace {
+/// One shard of an `S > 1` run: its documents, its local counts, and its
+/// kernel's reusable state.
+pub(crate) struct ShardWorkspace {
     /// Global document range this shard owns.
     range: Range<usize>,
     /// Local counts: exact `n_dt` rows for the shard's documents, plus the
     /// snapshot-loaded `n_wt`/`n_t` working copy.
     local: CountMatrices,
-    /// The sparse bucket kernel's reusable state for this shard
-    /// (`Some` iff the shard kernel is [`KernelKind::Sparse`]). The
-    /// structural parts (deviation lists, floors, dense demotions) are
-    /// built once per chunk and survive every sweep; the count-dependent
-    /// caches are resynced after each snapshot reload
-    /// ([`SparseState::resync_counts`]).
-    sparse: Option<SparseState>,
-}
-
-/// Read-only inputs every shard's sweep shares within one iteration: the
-/// kernel to run, the flat kernel's one shared combined table, and the
-/// sweep-start snapshot of the global word/topic counts.
-struct SweepShared<'a> {
-    kernel: KernelKind,
-    combined: &'a Option<Arc<Combined>>,
-    snapshot_nw: &'a [u32],
-    snapshot_nt: &'a [u32],
+    /// The shard kernel's state; a sparse state keeps its structural
+    /// parts (deviation lists, floors, dense demotions) across sweeps and
+    /// resyncs its count-dependent caches after each snapshot reload.
+    kernel: KernelState,
 }
 
 /// One shard's sweep: refresh the local word/topic counts from the global
-/// snapshot, then run one sweep of the configured kernel over the shard's
-/// documents with the shard's RNG stream. Returns the sparse kernel's
-/// bucket-routing tallies when the kernel is sparse.
+/// snapshot, then run one sweep of the shard's kernel over its documents
+/// with the shard's RNG stream. Returns the sparse kernel's bucket-routing
+/// tallies when the kernel is sparse.
 fn shard_sweep(
     ctx: &SweepContext<'_>,
-    shared: &SweepShared<'_>,
+    (snapshot_nw, snapshot_nt): (&[u32], &[u32]),
     ws: &mut ShardWorkspace,
     z_shard: &mut [Vec<u32>],
     rng: &mut SldaRng,
 ) -> Option<srclda_obs::SparseBucketCounts> {
-    ws.local.load_nw_nt(shared.snapshot_nw, shared.snapshot_nt);
+    ws.local.load_nw_nt(snapshot_nw, snapshot_nt);
     let local_ctx = SweepContext {
         tokens: &ctx.tokens[ws.range.clone()],
         counts: &ws.local,
         priors: ctx.priors,
         alpha: ctx.alpha,
     };
-    match shared.kernel {
-        KernelKind::Flat => {
-            // The kernel's reciprocal cache is seeded from the *current*
-            // local counts, so it must be rebuilt each sweep (the snapshot
-            // changed); the expensive word-major combined table is the one
-            // shared copy built by [`ShardState::build`] (an `Arc` clone,
-            // not a data copy).
-            let mut k = Kernel::new(&local_ctx, shared.combined.clone());
-            k.sweep(&local_ctx, z_shard, rng);
-            None
-        }
-        KernelKind::Dense => {
-            let mut buf = vec![0.0; local_ctx.num_topics()];
-            serial::sweep(&local_ctx, z_shard, rng, &mut buf);
-            None
-        }
-        KernelKind::Sparse => {
-            // The snapshot reload replaced every local `n_wt`/`n_t`, so
-            // the count-dependent bucket caches (non-zero lists,
-            // reciprocals, baselines) are resynced wholesale; the
-            // structural state survives from the chunk-level build.
-            let tables = SweepTables::new(local_ctx.priors);
-            let mut state = ws.sparse.take().unwrap_or_else(|| {
-                // Self-heal (unreachable in practice): a sparse shard
-                // workspace is always built with its state present.
-                SparseState::build(&tables, &ws.local)
-            });
-            state.resync_counts(&tables, &ws.local);
-            let mut k = SparseKernel::new(&local_ctx, Some(state));
-            k.sweep(&local_ctx, z_shard, rng);
-            let buckets = k.take_bucket_counts();
-            ws.sparse = Some(k.into_state());
-            Some(buckets)
-        }
-    }
+    ws.kernel.resync_counts(&local_ctx);
+    ws.kernel.sweep(&local_ctx, z_shard, rng)
 }
 
 /// One shard's slice of mutable sweep state: its workspace, its documents'
@@ -186,38 +138,33 @@ type ShardJob<'a> = (
     &'a mut (f64, Option<srclda_obs::SparseBucketCounts>),
 );
 
-/// The sharded backend's reusable chunk state: the document partition and
-/// the per-shard workspaces (local counts plus per-shard kernel caches).
-/// Carried across [`run`] calls by the fitting loop (via
-/// [`super::SweepCache`]) because rebuilding it is pure waste: the
-/// partition is a function of the (fixed) corpus and `S`; the local
-/// `n_dt` rows were the *source* of the global rows at the last merge, so
-/// they are already bit-equal; the combined tables' contents are invariant
-/// under λ adaptation; and the sparse states' structural parts are
-/// functions of the priors' shape, which adaptation never changes.
-pub(crate) struct ShardState {
-    ranges: Vec<Range<usize>>,
-    workspaces: Vec<ShardWorkspace>,
-    /// The sweep kernel the workspaces were built for — part of the reuse
-    /// fingerprint, since per-kernel cache state differs.
-    kernel: KernelKind,
-    /// The flat kernel's word-major combined prior table, built **once**
-    /// and shared by every shard's kernel (`None` on the kernel's fallback
-    /// path — over budget or mixed quadrature depths — and for the dense
-    /// and sparse kernels, which don't use it).
-    combined: Option<Arc<Combined>>,
+/// The sweep driver's reusable chunk state, carried across chunk calls
+/// by the fitting loop (via [`super::SweepCache`]) because rebuilding it
+/// is pure waste: the partition is a function of the (fixed) corpus and
+/// `S`; the local `n_dt` rows were the *source* of the global rows at the
+/// last merge, so they are already bit-equal; the combined tables'
+/// contents are invariant under λ adaptation; and the sparse states'
+/// structural parts are functions of the priors' shape, which adaptation
+/// never changes.
+pub(crate) enum ShardState {
+    /// `S = 1`: one kernel state over the global counts.
+    InPlace(KernelState),
+    /// `S > 1`: one workspace per shard, in shard order.
+    Sharded(Vec<ShardWorkspace>),
 }
 
 impl ShardState {
     fn build(ctx: &SweepContext<'_>, shards: usize, kernel: KernelKind) -> Self {
-        let ranges = partition_docs(ctx.tokens, shards);
+        let first = KernelState::new(kernel, ctx);
+        if shards == 1 {
+            return Self::InPlace(first);
+        }
         let v = ctx.counts.vocab_size();
         let t_count = ctx.counts.num_topics();
-        let tables = SweepTables::new(ctx.priors);
         // Local n_dt rows are seeded from the global matrices (which are
         // consistent with `z` at every boundary).
-        let workspaces: Vec<ShardWorkspace> = ranges
-            .iter()
+        let workspaces = partition_docs(ctx.tokens, shards)
+            .into_iter()
             .map(|range| {
                 let doc_lens: Vec<u32> = ctx.tokens[range.clone()]
                     .iter()
@@ -227,32 +174,14 @@ impl ShardState {
                 for (local_d, global_d) in range.clone().enumerate() {
                     local.copy_nd_row_from(local_d, ctx.counts, global_d);
                 }
-                // Per-shard sparse state: the structural parts are
-                // identical across shards (a pure function of the priors);
-                // the count-dependent caches start out stale against the
-                // zeroed local `n_wt`/`n_t` and are resynced at every
-                // sweep start, after the snapshot reload.
-                let sparse = match kernel {
-                    KernelKind::Sparse => Some(SparseState::build(&tables, &local)),
-                    KernelKind::Flat | KernelKind::Dense => None,
-                };
                 ShardWorkspace {
-                    range: range.clone(),
+                    range,
                     local,
-                    sparse,
+                    kernel: first.fork(),
                 }
             })
             .collect();
-        let combined = match kernel {
-            KernelKind::Flat => Combined::build(&tables, v).map(Arc::new),
-            KernelKind::Dense | KernelKind::Sparse => None,
-        };
-        Self {
-            ranges,
-            workspaces,
-            kernel,
-            combined,
-        }
+        Self::Sharded(workspaces)
     }
 
     /// Whether this state matches the given run shape (same kernel, same
@@ -260,165 +189,172 @@ impl ShardState {
     /// one fit these never change, so a cached state from the previous
     /// chunk is valid.
     fn matches(&self, ctx: &SweepContext<'_>, shards: usize, kernel: KernelKind) -> bool {
-        self.kernel == kernel
-            && self.workspaces.len() == shards
-            && self.ranges.last().map_or(0, |r| r.end) == ctx.tokens.len()
-            && self.workspaces.iter().all(|ws| {
-                ws.local.vocab_size() == ctx.counts.vocab_size()
-                    && ws.local.num_topics() == ctx.counts.num_topics()
-            })
+        match self {
+            Self::InPlace(k) => shards == 1 && k.kind() == kernel,
+            Self::Sharded(workspaces) => {
+                workspaces.len() == shards
+                    && workspaces.last().map_or(0, |ws| ws.range.end) == ctx.tokens.len()
+                    && workspaces.iter().all(|ws| {
+                        ws.kernel.kind() == kernel
+                            && ws.local.vocab_size() == ctx.counts.vocab_size()
+                            && ws.local.num_topics() == ctx.counts.num_topics()
+                    })
+            }
+        }
+    }
+
+    /// The cached state if it matches the run shape, else a fresh build
+    /// stored in `cache` (pass `&mut None` to build fresh).
+    pub(crate) fn reuse_or_build<'c>(
+        cache: &'c mut Option<Self>,
+        ctx: &SweepContext<'_>,
+        shards: usize,
+        kernel: KernelKind,
+    ) -> &'c mut Self {
+        if !cache
+            .as_ref()
+            .is_some_and(|state| state.matches(ctx, shards, kernel))
+        {
+            *cache = None;
+        }
+        cache.get_or_insert_with(|| Self::build(ctx, shards, kernel))
+    }
+
+    /// One sweep with one RNG stream per shard (`threads` only schedules
+    /// shard work). Returns its telemetry — the in-place sparse kernel's
+    /// bucket tallies, or at `S > 1` the per-shard sweep and merge
+    /// timings with the merged tallies; reading it touches no sampler
+    /// state.
+    pub(crate) fn sweep(
+        &mut self,
+        ctx: &SweepContext<'_>,
+        z: &mut [Vec<u32>],
+        shard_rngs: &mut [SldaRng],
+        threads: usize,
+    ) -> SweepStats {
+        match self {
+            Self::InPlace(k) => {
+                let buckets = k.sweep(ctx, z, &mut shard_rngs[0]);
+                debug_assert_counts(ctx, z, "in-place sweep");
+                SweepStats {
+                    buckets,
+                    shards: None,
+                }
+            }
+            Self::Sharded(workspaces) => SweepStats {
+                buckets: None,
+                shards: Some(sharded_sweep(ctx, z, shard_rngs, workspaces, threads)),
+            },
+        }
     }
 }
 
-/// What one `run` call should execute: how many sweeps, how wide the
-/// worker pool may go (`threads` has no effect on the result), and which
-/// sweep kernel each shard drives.
-pub(crate) struct RunPlan {
-    pub iterations: usize,
-    pub threads: usize,
-    pub kernel: KernelKind,
-}
-
-/// Run the planned sharded sweeps. `shard_rngs` carries one stream per
-/// shard (sampler state owned by the fitting loop so it can be
-/// checkpointed); `state_cache` carries the [`ShardState`] across chunk
-/// calls (pass `&mut None` to build fresh). `on_sweep` receives per-shard
-/// sweep and merge wall-clock timings, plus the merged sparse bucket
-/// tallies when the shard kernel is sparse — pure observation; the
-/// telemetry reads touch no sampler state.
-pub(crate) fn run<F: FnMut(usize, srclda_obs::ShardTimings)>(
+/// One `S > 1` sweep: every shard sweeps its documents against the
+/// sweep-start snapshot, then the deltas merge into the global counts in
+/// shard order. Returns the sweep's shard timings and merged bucket
+/// tallies.
+fn sharded_sweep(
     ctx: &SweepContext<'_>,
     z: &mut [Vec<u32>],
     shard_rngs: &mut [SldaRng],
-    plan: &RunPlan,
-    state_cache: &mut Option<ShardState>,
-    on_sweep: &mut F,
-) {
-    let RunPlan {
-        iterations,
-        threads,
-        kernel,
-    } = *plan;
-    let shards = shard_rngs.len();
-    assert!(shards > 0, "need at least one shard RNG stream");
-    let mut state = match state_cache.take() {
-        Some(state) if state.matches(ctx, shards, kernel) => state,
-        _ => ShardState::build(ctx, shards, kernel),
-    };
-    let ShardState {
-        ref ranges,
-        ref mut workspaces,
-        kernel: _,
-        ref combined,
-    } = state;
-
+    workspaces: &mut [ShardWorkspace],
+    threads: usize,
+) -> srclda_obs::ShardTimings {
+    let shards = workspaces.len();
     let workers = threads.clamp(1, shards);
-    for iter in 1..=iterations {
-        let snapshot_nw = ctx.counts.snapshot_nw();
-        let snapshot_nt = ctx.counts.snapshot_nt();
-        let shared = SweepShared {
-            kernel,
-            combined,
-            snapshot_nw: &snapshot_nw,
-            snapshot_nt: &snapshot_nt,
-        };
-        // Per-shard telemetry slots: (sweep seconds, sparse bucket tallies).
-        let mut shard_stats: Vec<(f64, Option<srclda_obs::SparseBucketCounts>)> =
-            vec![(0.0, None); shards];
+    let snapshot_nw = ctx.counts.snapshot_nw();
+    let snapshot_nt = ctx.counts.snapshot_nt();
+    let snapshot = (&snapshot_nw[..], &snapshot_nt[..]);
+    // Per-shard telemetry slots: (sweep seconds, sparse bucket tallies).
+    let mut shard_stats: Vec<(f64, Option<srclda_obs::SparseBucketCounts>)> =
+        vec![(0.0, None); shards];
 
-        // Split `z` into per-shard mutable slices (ranges are contiguous
-        // and ordered, so this is a sequence of split_at_mut cuts).
-        let mut jobs: Vec<ShardJob<'_>> = {
-            let mut rest = &mut *z;
-            let mut cut_at = 0usize;
-            let mut parts = Vec::with_capacity(shards);
-            for range in ranges {
-                let (head, tail) = rest.split_at_mut(range.end - cut_at);
-                cut_at = range.end;
-                parts.push(head);
-                rest = tail;
-            }
-            workspaces
-                .iter_mut()
-                .zip(parts)
-                .zip(shard_rngs.iter_mut())
-                .zip(shard_stats.iter_mut())
-                .map(|(((ws, part), rng), stats)| (ws, part, rng, stats))
-                .collect()
-        };
-
-        if workers == 1 {
-            for (ws, z_shard, rng, stats) in jobs.iter_mut() {
-                let span = srclda_obs::SpanTimer::start();
-                let buckets = shard_sweep(ctx, &shared, ws, z_shard, rng);
-                **stats = (span.elapsed_secs(), buckets);
-            }
-        } else {
-            // Strided shard→worker assignment. Scheduling is irrelevant to
-            // the result (each shard sweep is self-contained), so any
-            // deterministic split works; strided keeps token-balanced
-            // shards balanced across workers too.
-            let mut groups: Vec<Vec<ShardJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, job) in jobs.into_iter().enumerate() {
-                groups[i % workers].push(job);
-            }
-            let shared = &shared;
-            crossbeam::thread::scope(|scope| {
-                for group in groups.iter_mut() {
-                    scope.spawn(move |_| {
-                        for (ws, z_shard, rng, stats) in group.iter_mut() {
-                            let span = srclda_obs::SpanTimer::start();
-                            let buckets = shard_sweep(ctx, shared, ws, z_shard, rng);
-                            **stats = (span.elapsed_secs(), buckets);
-                        }
-                    });
-                }
-            })
-            .expect("shard worker panicked");
-        }
-
-        // Merge shard deltas into the global counts, in shard order.
-        let merge_span = srclda_obs::SpanTimer::start();
-        let mut merged_nw = snapshot_nw.clone();
-        let mut merged_nt = snapshot_nt.clone();
+    // Split `z` into per-shard mutable slices (ranges are contiguous
+    // and ordered, so this is a sequence of split_at_mut cuts).
+    let mut jobs: Vec<ShardJob<'_>> = {
+        let mut rest = &mut *z;
+        let mut cut_at = 0usize;
+        let mut parts = Vec::with_capacity(shards);
         for ws in workspaces.iter() {
-            ws.local
-                .add_deltas_into(&snapshot_nw, &snapshot_nt, &mut merged_nw, &mut merged_nt);
+            let (head, tail) = rest.split_at_mut(ws.range.end - cut_at);
+            cut_at = ws.range.end;
+            parts.push(head);
+            rest = tail;
         }
-        ctx.counts.load_nw_nt(&merged_nw, &merged_nt);
-        for ws in workspaces.iter() {
-            for (local_d, global_d) in ws.range.clone().enumerate() {
-                ctx.counts.copy_nd_row_from(global_d, &ws.local, local_d);
+        workspaces
+            .iter_mut()
+            .zip(parts)
+            .zip(shard_rngs.iter_mut())
+            .zip(shard_stats.iter_mut())
+            .map(|(((ws, part), rng), stats)| (ws, part, rng, stats))
+            .collect()
+    };
+
+    let run_jobs = |jobs: &mut Vec<ShardJob<'_>>| {
+        for (ws, z_shard, rng, stats) in jobs.iter_mut() {
+            let span = srclda_obs::SpanTimer::start();
+            let buckets = shard_sweep(ctx, snapshot, ws, z_shard, rng);
+            **stats = (span.elapsed_secs(), buckets);
+        }
+    };
+    if workers == 1 {
+        run_jobs(&mut jobs);
+    } else {
+        // Strided shard→worker assignment. Scheduling is irrelevant to
+        // the result (each shard sweep is self-contained), so any
+        // deterministic split works; strided keeps token-balanced
+        // shards balanced across workers too.
+        let mut groups: Vec<Vec<ShardJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, job) in jobs.into_iter().enumerate() {
+            groups[i % workers].push(job);
+        }
+        crossbeam::thread::scope(|scope| {
+            for group in groups.iter_mut() {
+                scope.spawn(move |_| run_jobs(group));
             }
-        }
-        let merge_secs = merge_span.elapsed_secs();
-        // The merge is the sharded backend's sweep boundary: globals must
-        // again be the exact histogram of z.
-        debug_assert_counts(ctx, z, "sharded merge");
-        // Fold the per-shard bucket tallies into one sweep-level total
-        // (Some iff the shard kernel is sparse).
-        let mut buckets: Option<srclda_obs::SparseBucketCounts> = None;
-        let mut shard_secs = Vec::with_capacity(shards);
-        for (secs, shard_buckets) in shard_stats {
-            shard_secs.push(secs);
-            if let Some(b) = shard_buckets {
-                buckets.get_or_insert_with(Default::default).absorb(b);
-            }
-        }
-        on_sweep(
-            iter,
-            srclda_obs::ShardTimings {
-                shard_secs,
-                merge_secs,
-                buckets,
-            },
-        );
+        })
+        .expect("shard worker panicked");
     }
-    *state_cache = Some(state);
+
+    // Merge shard deltas into the global counts, in shard order.
+    let merge_span = srclda_obs::SpanTimer::start();
+    let mut merged_nw = snapshot_nw.clone();
+    let mut merged_nt = snapshot_nt.clone();
+    for ws in workspaces.iter() {
+        ws.local
+            .add_deltas_into(&snapshot_nw, &snapshot_nt, &mut merged_nw, &mut merged_nt);
+    }
+    ctx.counts.load_nw_nt(&merged_nw, &merged_nt);
+    for ws in workspaces.iter() {
+        for (local_d, global_d) in ws.range.clone().enumerate() {
+            ctx.counts.copy_nd_row_from(global_d, &ws.local, local_d);
+        }
+    }
+    let merge_secs = merge_span.elapsed_secs();
+    // The merge is the sharded backend's sweep boundary: globals must
+    // again be the exact histogram of z.
+    debug_assert_counts(ctx, z, "sharded merge");
+    // Fold the per-shard bucket tallies into one sweep-level total
+    // (Some iff the shard kernel is sparse).
+    let mut buckets: Option<srclda_obs::SparseBucketCounts> = None;
+    let mut shard_secs = Vec::with_capacity(shards);
+    for (secs, shard_buckets) in shard_stats {
+        shard_secs.push(secs);
+        if let Some(b) = shard_buckets {
+            buckets.get_or_insert_with(Default::default).absorb(b);
+        }
+    }
+    srclda_obs::ShardTimings {
+        shard_secs,
+        merge_secs,
+        buckets,
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::kernel::Kernel;
+    use super::super::sparse::SparseKernel;
     use super::*;
     use crate::prior::TopicPrior;
     use rand::Rng;
@@ -504,7 +440,8 @@ mod tests {
             .collect()
     }
 
-    /// Run the sharded sweep loop directly; returns (z, nw, nt).
+    /// Drive the sweep state directly, reusing it across sweeps like the
+    /// fitting loop does; returns (z, nw, nt).
     fn run_sharded(
         kernel: KernelKind,
         shards: usize,
@@ -530,28 +467,29 @@ mod tests {
             priors: &priors,
             alpha: 0.5,
         };
-        let mut seen = Vec::new();
-        run(
-            &ctx,
-            &mut z,
-            &mut shard_rngs,
-            &RunPlan {
-                iterations: sweeps,
-                threads,
-                kernel,
-            },
-            &mut None,
-            &mut |i, timings| {
-                assert_eq!(timings.shard_secs.len(), shards, "one timing per shard");
-                assert_eq!(
-                    timings.buckets.is_some(),
-                    kernel == KernelKind::Sparse,
-                    "bucket tallies iff the shard kernel is sparse"
-                );
-                seen.push(i)
-            },
-        );
-        assert_eq!(seen, (1..=sweeps).collect::<Vec<_>>());
+        let mut cache = None;
+        for _ in 0..sweeps {
+            let state = ShardState::reuse_or_build(&mut cache, &ctx, shards, kernel);
+            let stats = state.sweep(&ctx, &mut z, &mut shard_rngs, threads);
+            // Shard timings iff S > 1; bucket tallies iff the kernel is
+            // sparse, on the timings or (in place) on the stats.
+            let buckets = match &stats.shards {
+                Some(timings) => {
+                    assert_eq!(timings.shard_secs.len(), shards, "one timing per shard");
+                    assert!(stats.buckets.is_none());
+                    timings.buckets
+                }
+                None => {
+                    assert_eq!(shards, 1, "only S = 1 sweeps in place");
+                    stats.buckets
+                }
+            };
+            assert_eq!(
+                buckets.is_some(),
+                kernel == KernelKind::Sparse,
+                "bucket tallies iff the shard kernel is sparse"
+            );
+        }
         assert!(
             counts.check_invariants(),
             "merged counts inconsistent with assignments"
@@ -604,9 +542,8 @@ mod tests {
     #[test]
     fn single_shard_matches_sparse_kernel_chain() {
         // The sparse analogue of the test above: one sparse shard must
-        // continue the run RNG stream and draw the exact uniforms
-        // `Backend::SparseKernel` would, resyncing its bucket caches from
-        // a snapshot that equals the global counts.
+        // continue the run RNG stream and draw the exact uniforms one
+        // long-lived sparse kernel draws.
         let tokens = toy_tokens();
         let priors = priors();
         let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();

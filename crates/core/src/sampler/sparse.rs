@@ -1,5 +1,6 @@
 //! The sub-linear **bucket** Gibbs kernel
-//! ([`Backend::SparseKernel`](crate::sampler::Backend::SparseKernel)):
+//! ([`KernelKind::Sparse`](crate::sampler::KernelKind::Sparse), in place
+//! as `ShardedDocs { kernel: Sparse, shards: 1, .. }` or per shard):
 //! a SparseLDA-style (Yao, Mimno & McCallum, KDD'09) decomposition of the
 //! per-token sampling weight, generalized to every prior kind of the
 //! Source-LDA family.
@@ -85,8 +86,8 @@ use srclda_math::SldaRng;
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
 
-/// Reusable sparse-kernel state carried across sweep chunks (the analogue
-/// of the serial kernel's `Combined` reuse): the per-word deviation lists
+/// Reusable sparse-kernel state carried across sweeps and chunks (the
+/// analogue of the flat kernel's `Combined` reuse): the per-word deviation lists
 /// and baseline structure (functions of the priors' *shape*, which λ
 /// adaptation never changes), the per-word non-zero assignment lists
 /// (maintained in lock-step with the counts, which only the kernel itself
@@ -94,13 +95,13 @@ use std::sync::atomic::Ordering;
 /// reciprocal cache and the per-topic minimum-weight baselines `base0(t)`
 /// — kept valid across chunks through an explicit invalidation API:
 ///
-/// * between plain chunk boundaries (checkpoints) nothing changed, so the
-///   caches are taken as-is;
+/// * between in-place sweeps and at plain chunk boundaries (checkpoints)
+///   nothing else changed, so the caches are taken as-is;
 /// * at a λ-adaptation boundary the fitting loop calls
 ///   [`Self::repatch_adapted`], which re-derives only the *adapted*
 ///   (λ-integrated) topics' reciprocal rows and baselines instead of
 ///   rebuilding every topic;
-/// * the sharded execution path reloads its local counts from the global
+/// * at `S > 1` each shard reloads its local counts from the global
 ///   snapshot every sweep and calls [`Self::resync_counts`] to re-derive
 ///   the count-dependent parts wholesale.
 ///
@@ -302,7 +303,7 @@ impl SparseState {
         }
     }
 
-    /// Invalidation API for the sharded execution path: the shard's local
+    /// Invalidation API for shards at `S > 1`: the shard's local
     /// counts were just reloaded from the sweep-start global snapshot, so
     /// every count-dependent cache — the non-zero lists, the reciprocal
     /// cache, and the baselines — is re-derived wholesale. The structural
@@ -365,10 +366,10 @@ impl SparseState {
     }
 }
 
-/// The bucket kernel for one chunk of sweeps. Mirrors the serial
-/// [`Kernel`](super::kernel::Kernel) lifecycle: build once per
-/// [`run_sweeps`](super::run_sweeps) call, surrender the reusable state
-/// with [`Self::into_state`] afterwards.
+/// The bucket kernel for one sweep. Mirrors the flat
+/// [`Kernel`](super::kernel::Kernel) lifecycle: built per sweep by
+/// [`KernelState::sweep`](super::KernelState::sweep), which takes the
+/// reusable state back with [`Self::into_state`].
 pub(crate) struct SparseKernel<'a> {
     tables: SweepTables<'a>,
     /// Bucket caches — deviation/non-zero lists, reciprocal cache, and
@@ -403,10 +404,10 @@ pub(crate) struct SparseKernel<'a> {
 }
 
 impl<'a> SparseKernel<'a> {
-    /// Build the kernel, reusing a previous chunk's [`SparseState`] when
+    /// Build the kernel, reusing a previous sweep's [`SparseState`] when
     /// its shape matches. The reused state's count-dependent caches
     /// (non-zero lists, reciprocal cache, baselines) are taken **as-is**:
-    /// between chunks they were either maintained in lock-step by the
+    /// between sweeps they were either maintained in lock-step by the
     /// sweep itself or explicitly repaired through the invalidation API
     /// ([`SparseState::repatch_adapted`] at λ-adaptation boundaries,
     /// [`SparseState::resync_counts`] after a sharded snapshot reload) —
@@ -479,7 +480,7 @@ impl<'a> SparseKernel<'a> {
     }
 
     /// Snapshot and reset the bucket-routing tallies accumulated since the
-    /// last call (one sweep's worth under [`run_sweeps`](super::run_sweeps)).
+    /// last call (one sweep's worth).
     pub(crate) fn take_bucket_counts(&mut self) -> srclda_obs::SparseBucketCounts {
         srclda_obs::SparseBucketCounts {
             q_hits: self.tally_q.take(),

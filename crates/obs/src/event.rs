@@ -9,7 +9,7 @@
 use crate::json::{obj, Value};
 
 /// Per-sweep routing tallies of the sub-linear sparse bucket kernel
-/// (`Backend::SparseKernel`): which bucket resolved each token's draw.
+/// (`KernelKind::Sparse`): which bucket resolved each token's draw.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SparseBucketCounts {
     /// Draws resolved by the word-sparse `q` bucket (binary search over
@@ -42,7 +42,7 @@ impl SparseBucketCounts {
     }
 }
 
-/// Per-sweep timings of the document-sharded backend
+/// Per-sweep timings of the document-sharded backend at `S > 1`
 /// (`Backend::ShardedDocs`): each shard's sweep wall-clock and the
 /// sweep-boundary merge, plus — when the shard kernel is the sparse bucket
 /// kernel — the merged bucket-routing tallies across all shards.
@@ -77,14 +77,15 @@ pub enum TrainEvent {
         /// (0 when `loglik` is `None`).
         loglik_clamped_tokens: u64,
     },
-    /// Sparse-kernel bucket routing tallies for one sweep.
+    /// Sparse-kernel bucket routing tallies for one in-place sweep
+    /// (`S = 1`; at `S > 1` they ride on [`TrainEvent::ShardSweep`]).
     SparseBuckets {
         /// Absolute sweep index the tallies cover.
         sweep: u64,
         /// The routing tallies.
         counts: SparseBucketCounts,
     },
-    /// Per-shard sweep and merge timings for one sharded sweep.
+    /// Per-shard sweep and merge timings for one sharded sweep (`S > 1`).
     ShardSweep {
         /// Absolute sweep index the timings cover.
         sweep: u64,

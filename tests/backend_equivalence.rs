@@ -29,7 +29,7 @@
 //! exactness property the paper proves (§III.C.4) and this reproduction
 //! advertises.
 //!
-//! One backend is deliberately absent here: `Backend::SparseKernel`
+//! One kernel is deliberately absent here: `KernelKind::Sparse`
 //! resolves the same per-token uniform through bucket thresholds
 //! (constant/doc/word masses) rather than a full prefix sum, so it walks
 //! a *different* chain by construction and an exact assert is impossible
@@ -72,7 +72,8 @@ fn fit_with(backend: Backend) -> FittedModel {
 #[test]
 fn simple_parallel_matches_serial() {
     let serial = fit_with(Backend::Serial);
-    for threads in [2usize, 3] {
+    // One thread is the in-place flat kernel; two and three run the pool.
+    for threads in [1usize, 2, 3] {
         let par = fit_with(Backend::SimpleParallel { threads });
         assert_eq!(
             serial.assignments(),
@@ -87,12 +88,14 @@ fn simple_parallel_matches_serial() {
 #[test]
 fn prefix_sums_matches_serial() {
     let serial = fit_with(Backend::Serial);
-    let par = fit_with(Backend::PrefixSums { threads: 2 });
-    assert_eq!(
-        serial.assignments(),
-        par.assignments(),
-        "Algorithm 2 diverged from the serial chain"
-    );
+    for threads in [1usize, 2] {
+        let par = fit_with(Backend::PrefixSums { threads });
+        assert_eq!(
+            serial.assignments(),
+            par.assignments(),
+            "Algorithm 2 with {threads} threads diverged from the serial chain"
+        );
+    }
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The optimized serial kernel (`Backend::Serial` — flat prior tables,
 //! cached denominator reciprocals, sparse document-topic bookkeeping,
 //! non-atomic counts) must walk the **identical** chain as the dense
-//! reference sweep (`Backend::SerialDense`), verified through the public
-//! API on models covering every prior kind.
+//! reference sweep (`KernelKind::Dense` on one shard, `DENSE` below),
+//! verified through the public API on models covering every prior kind.
 //!
 //! **Tolerance: exact (zero)** — same rationale as
 //! `backend_equivalence.rs`, but here the bar is even stricter: the kernel
@@ -13,10 +13,10 @@
 //! not just pinned ones. Run this suite in a debug build to also arm the
 //! kernel's `debug_assert` underflow checks (CI does).
 //!
-//! The sub-linear bucket kernel (`Backend::SparseKernel`) is held to a
-//! **distribution-level** contract instead: it consumes the per-token
-//! uniform through bucket thresholds, so it walks a *different* chain over
-//! the same conditional distributions. Its acceptance here is held-out
+//! The sub-linear bucket kernel (`KernelKind::Sparse` on one shard,
+//! `SPARSE` below) is held to a **distribution-level** contract instead:
+//! it consumes the per-token uniform through bucket thresholds, so it
+//! walks a *different* chain over the same conditional distributions. Its acceptance here is held-out
 //! perplexity parity with `Backend::Serial` within a relative band, plus
 //! full seed-determinism; the exact bucket-mass ≡ dense-mass property
 //! tests live with the kernel (`sampler::sparse`).
@@ -25,6 +25,20 @@ use source_lda::core::generative::{DocLength, LambdaMode, SourceLdaGenerator};
 use source_lda::core::prior::TopicPrior;
 use source_lda::prelude::*;
 use source_lda::synth::random_source_topics;
+
+/// The single-thread dense reference: one shard sweeping in place.
+const DENSE: Backend = Backend::ShardedDocs {
+    kernel: KernelKind::Dense,
+    shards: 1,
+    threads: 1,
+};
+
+/// The single-thread sub-linear bucket kernel.
+const SPARSE: Backend = Backend::ShardedDocs {
+    kernel: KernelKind::Sparse,
+    shards: 1,
+    threads: 1,
+};
 
 /// Fit the 16-source-topic world over a `vocab_size`-word vocabulary.
 /// Each source topic has a support of 10 words, so above 4096 words the
@@ -74,7 +88,7 @@ fn kernel_matches_dense_on_lambda_integrated_model() {
     // not one pinned seed: the equivalence is structural.
     for (vocab_size, sparse_layout) in [(250, false), (5000, true)] {
         for seed in [7u64, 77, 770] {
-            let dense = fit_source_lda(Backend::SerialDense, Variant::Full, seed, vocab_size);
+            let dense = fit_source_lda(DENSE, Variant::Full, seed, vocab_size);
             let kernel = fit_source_lda(Backend::Serial, Variant::Full, seed, vocab_size);
             assert_identical(
                 &kernel,
@@ -101,7 +115,7 @@ fn kernel_matches_dense_on_lambda_integrated_model() {
 
 #[test]
 fn kernel_matches_dense_on_fixed_prior_model() {
-    let dense = fit_source_lda(Backend::SerialDense, Variant::Mixture, 21, 250);
+    let dense = fit_source_lda(DENSE, Variant::Mixture, 21, 250);
     let kernel = fit_source_lda(Backend::Serial, Variant::Mixture, 21, 250);
     assert_identical(&kernel, &dense, "mixture variant");
 }
@@ -138,11 +152,7 @@ fn kernel_matches_dense_with_adaptive_lambda() {
             .fit(&generated.corpus)
             .unwrap()
     };
-    assert_identical(
-        &fit(Backend::Serial),
-        &fit(Backend::SerialDense),
-        "adaptive λ",
-    );
+    assert_identical(&fit(Backend::Serial), &fit(DENSE), "adaptive λ");
 }
 
 #[test]
@@ -169,7 +179,7 @@ fn kernel_matches_dense_on_plain_lda() {
             .fit(&corpus)
             .unwrap()
     };
-    assert_identical(&fit(Backend::Serial), &fit(Backend::SerialDense), "LDA");
+    assert_identical(&fit(Backend::Serial), &fit(DENSE), "LDA");
 }
 
 /// Generate a train/held-out pair from the same synthetic world (disjoint
@@ -217,7 +227,7 @@ fn fit_on(corpus: &Corpus, knowledge: &KnowledgeSource, backend: Backend) -> Fit
 fn sparse_kernel_perplexity_parity_with_serial() {
     let (train, heldout, knowledge) = train_and_heldout();
     let serial = fit_on(&train, &knowledge, Backend::Serial);
-    let sparse = fit_on(&train, &knowledge, Backend::SparseKernel);
+    let sparse = fit_on(&train, &knowledge, SPARSE);
     let serial_ppx = gibbs_perplexity(&serial, &heldout, 30, 99).unwrap();
     let sparse_ppx = gibbs_perplexity(&sparse, &heldout, 30, 99).unwrap();
     let rel = (sparse_ppx - serial_ppx).abs() / serial_ppx;
@@ -233,12 +243,12 @@ fn sparse_kernel_perplexity_parity_with_serial() {
 #[test]
 fn sparse_kernel_is_seed_deterministic() {
     for seed in [7u64, 77] {
-        let a = fit_source_lda(Backend::SparseKernel, Variant::Full, seed, 250);
-        let b = fit_source_lda(Backend::SparseKernel, Variant::Full, seed, 250);
+        let a = fit_source_lda(SPARSE, Variant::Full, seed, 250);
+        let b = fit_source_lda(SPARSE, Variant::Full, seed, 250);
         assert_identical(&a, &b, &format!("sparse replay, seed {seed}"));
     }
-    let a = fit_source_lda(Backend::SparseKernel, Variant::Full, 7, 250);
-    let b = fit_source_lda(Backend::SparseKernel, Variant::Full, 77, 250);
+    let a = fit_source_lda(SPARSE, Variant::Full, 7, 250);
+    let b = fit_source_lda(SPARSE, Variant::Full, 77, 250);
     assert_ne!(
         a.assignments(),
         b.assignments(),
@@ -251,7 +261,7 @@ fn sparse_kernel_is_seed_deterministic() {
 /// the same case-study structure the dense kernels find.
 #[test]
 fn sparse_kernel_runs_every_prior_family() {
-    let mixture = fit_source_lda(Backend::SparseKernel, Variant::Mixture, 21, 250);
+    let mixture = fit_source_lda(SPARSE, Variant::Mixture, 21, 250);
     assert_eq!(
         mixture.assignments().len(),
         30,
@@ -273,7 +283,7 @@ fn sparse_kernel_runs_every_prior_family() {
         .knowledge_source(knowledge.clone())
         .alpha(0.4)
         .iterations(25)
-        .backend(Backend::SparseKernel)
+        .backend(SPARSE)
         .seed(31)
         .build()
         .unwrap()
@@ -285,7 +295,7 @@ fn sparse_kernel_runs_every_prior_family() {
         .beta(0.2)
         .alpha(0.4)
         .iterations(25)
-        .backend(Backend::SparseKernel)
+        .backend(SPARSE)
         .seed(31)
         .build()
         .unwrap()
@@ -320,7 +330,7 @@ fn kernel_matches_dense_on_frozen_and_concept_models() {
             .fit(&generated.corpus)
             .unwrap()
     };
-    assert_identical(&eda(Backend::Serial), &eda(Backend::SerialDense), "EDA");
+    assert_identical(&eda(Backend::Serial), &eda(DENSE), "EDA");
 
     let ctm = |backend: Backend| {
         Ctm::builder()
@@ -335,5 +345,5 @@ fn kernel_matches_dense_on_frozen_and_concept_models() {
             .fit(&generated.corpus)
             .unwrap()
     };
-    assert_identical(&ctm(Backend::Serial), &ctm(Backend::SerialDense), "CTM");
+    assert_identical(&ctm(Backend::Serial), &ctm(DENSE), "CTM");
 }

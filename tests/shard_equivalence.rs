@@ -1,20 +1,23 @@
 //! Contracts of the document-sharded training backend
 //! (`Backend::ShardedDocs`) and of training checkpoint/resume:
 //!
-//! * `S = 1` is **bit-identical** to the shard kernel's single-thread
-//!   backend (`Flat` → `Backend::Serial`, `Sparse` →
-//!   `Backend::SparseKernel`) — one shard's local view (snapshot + its own
-//!   in-place updates) *is* the true state, and shard 0 continues the run
-//!   RNG stream, so the sharded machinery degenerates to the single-thread
-//!   kernel exactly;
+//! * `S = 1` sweeps the global counts in place — one shard's view
+//!   (snapshot + its own moves) *is* the true state — and shard 0
+//!   continues the run RNG stream, so `{ Flat, 1 }` is **bit-identical**
+//!   to `Backend::Serial` and every `S = 1` chain is thread-count
+//!   invariant;
+//! * absolute golden digests pin every cell of the backend matrix, so a
+//!   refactor that moved every chain the same way still fails;
 //! * for any `S`, the chain is a pure function of `(seed, S, kernel)` —
 //!   thread count only schedules work and never moves a bit;
 //! * at every sweep boundary the merged global counts are exactly the
 //!   counts implied by the assignments (proptest over shard/thread/kernel
 //!   layouts);
 //! * resume-from-checkpoint replays the remaining sweeps bit-identically
-//!   to the uninterrupted run of the same backend, and the checkpoint
-//!   interval itself never perturbs the chain (chunk-boundary invariance);
+//!   to the uninterrupted run of the same backend, a single-thread
+//!   checkpoint (shard word 0) resumes bit-identically under `S = 1` of
+//!   its kernel family, and the checkpoint interval itself never perturbs
+//!   the chain (chunk-boundary invariance);
 //! * `S > 1` is the standard AD-LDA approximation: a *different* chain,
 //!   but statistically equivalent — pinned here as perplexity parity with
 //!   the serial sampler on the golden fixture corpus.
@@ -98,11 +101,19 @@ fn one_shard_is_bit_identical_to_the_serial_kernel() {
 }
 
 /// The composed axes degenerate the same way the flat kernel does: one
-/// sparse shard *is* the single-thread bucket kernel — same bucket walks,
-/// same uniform-consumption order, shard 0 continuing the run RNG.
+/// sparse shard is the single-thread bucket kernel whatever the thread
+/// count — same bucket walks, same uniform-consumption order, shard 0
+/// continuing the run RNG.
 #[test]
 fn one_shard_sparse_is_bit_identical_to_the_sparse_kernel() {
-    let sparse = fit(Backend::SparseKernel, 18);
+    let sparse = fit(
+        Backend::ShardedDocs {
+            kernel: KernelKind::Sparse,
+            shards: 1,
+            threads: 1,
+        },
+        18,
+    );
     for threads in [1, 3] {
         let sharded = fit(
             Backend::ShardedDocs {
@@ -115,7 +126,7 @@ fn one_shard_sparse_is_bit_identical_to_the_sparse_kernel() {
         assert_identical(
             &sharded,
             &sparse,
-            &format!("S=1 sparse, {threads} threads vs Backend::SparseKernel"),
+            &format!("S=1 sparse, {threads} threads vs 1 thread"),
         );
     }
 }
@@ -156,12 +167,16 @@ fn checkpoint_interval_never_perturbs_the_chain() {
     // The same fit with aggressive checkpointing (chunk boundaries at
     // every 5th sweep, interleaving awkwardly with the λ-adaptation
     // boundaries at 4, 10, 16, …) must walk the identical chain.
-    // `SparseKernel` rides along: its bucket caches (sorted non-zero
-    // lists, per-sweep smoothing rebuild) are chunk-boundary invariant by
-    // construction, and this pins it end to end.
+    // The in-place sparse kernel rides along: its bucket caches (sorted
+    // non-zero lists, per-sweep smoothing rebuild) are chunk-boundary
+    // invariant by construction, and this pins it end to end.
     for backend in [
         Backend::Serial,
-        Backend::SparseKernel,
+        Backend::ShardedDocs {
+            kernel: KernelKind::Sparse,
+            shards: 1,
+            threads: 1,
+        },
         Backend::ShardedDocs {
             kernel: KernelKind::Flat,
             shards: 3,
@@ -191,7 +206,11 @@ fn checkpoint_interval_never_perturbs_the_chain() {
 fn resume_replays_bit_identically() {
     for backend in [
         Backend::Serial,
-        Backend::SparseKernel,
+        Backend::ShardedDocs {
+            kernel: KernelKind::Sparse,
+            shards: 1,
+            threads: 1,
+        },
         Backend::ShardedDocs {
             kernel: KernelKind::Flat,
             shards: 4,
@@ -276,6 +295,55 @@ fn resume_replays_bit_identically() {
             "{backend:?}: resumed checkpoint digest diverged from uninterrupted"
         );
     }
+
+    // A single-thread checkpoint (shard word 0) resumes under S = 1 of its
+    // kernel family: the lone shard continues the run stream, so seeding
+    // it from the main stream replays the uninterrupted chain.
+    let one_shard = |kernel| Backend::ShardedDocs {
+        kernel,
+        shards: 1,
+        threads: 1,
+    };
+    let fit_capturing_sweep_12 = |backend: Backend| -> (FittedModel, TrainCheckpoint) {
+        let (model, corpus) = model_and_corpus(backend, 18);
+        let mut captured = None;
+        let fitted = model
+            .fit_resumable(&corpus, None, Some(6), |cp| {
+                if cp.sweep == 12 {
+                    captured = Some(cp.clone());
+                }
+                Ok(())
+            })
+            .unwrap();
+        (fitted, captured.expect("checkpoint at sweep 12"))
+    };
+    let resume_under = |backend: Backend, checkpoint: &TrainCheckpoint| -> FittedModel {
+        let (model, corpus) = model_and_corpus(backend, 18);
+        model
+            .fit_resumable(&corpus, Some(checkpoint), None, |_| Ok(()))
+            .unwrap()
+    };
+    let (serial, serial_cp) = fit_capturing_sweep_12(Backend::Serial);
+    assert_eq!(serial_cp.shard_count(), 0);
+    for kernel in [KernelKind::Flat, KernelKind::Dense] {
+        assert_identical(
+            &resume_under(one_shard(kernel), &serial_cp),
+            &serial,
+            &format!("Serial's sweep-12 checkpoint resumed under {{{kernel:?}, 1}}"),
+        );
+    }
+    // The (Sparse, 0) layout of a single-thread sparse run: the stream
+    // lives in `main_rng` and no shard streams are stored.
+    let (sparse, mut sparse_cp) = fit_capturing_sweep_12(one_shard(KernelKind::Sparse));
+    sparse_cp.main_rng = sparse_cp.shard_rngs.remove(0);
+    sparse_cp.shards -= sparse_cp.shard_count(); // count 0, kernel tag kept
+    assert_eq!(sparse_cp.shard_count(), 0);
+    assert_eq!(sparse_cp.kernel_kind().unwrap(), KernelKind::Sparse);
+    assert_identical(
+        &resume_under(one_shard(KernelKind::Sparse), &sparse_cp),
+        &sparse,
+        "(Sparse, 0) sweep-12 checkpoint resumed under {Sparse, 1}",
+    );
 }
 
 #[test]
@@ -367,6 +435,34 @@ fn resume_rejects_mismatched_state() {
     assert!(model8
         .fit_resumable(&corpus8, Some(&checkpoint), None, |_| Ok(()))
         .is_ok());
+
+    // A single-thread checkpoint (shard word 0) resumes only under S = 1,
+    // and only of its kernel family.
+    let (serial_model, corpus9) = model_and_corpus(Backend::Serial, 18);
+    let mut serial_cp: Option<TrainCheckpoint> = None;
+    serial_model
+        .fit_resumable(&corpus9, None, Some(6), |cp| {
+            serial_cp.get_or_insert_with(|| cp.clone());
+            Ok(())
+        })
+        .unwrap();
+    let serial_cp = serial_cp.unwrap();
+    for wrong in [
+        backend,
+        Backend::ShardedDocs {
+            kernel: KernelKind::Sparse,
+            shards: 1,
+            threads: 1,
+        },
+    ] {
+        let (model, corpus) = model_and_corpus(wrong, 18);
+        assert!(
+            model
+                .fit_resumable(&corpus, Some(&serial_cp), None, |_| Ok(()))
+                .is_err(),
+            "a Serial checkpoint must not resume under {wrong:?}"
+        );
+    }
 }
 
 proptest! {
@@ -521,7 +617,14 @@ fn lambda_adaptation_is_bit_identical_for_one_vs_n_shards() {
 /// would flake.
 #[test]
 fn adaptive_fit_replays_bit_identically_with_sharded_adaptation() {
-    for backend in [Backend::Serial, Backend::SparseKernel] {
+    for backend in [
+        Backend::Serial,
+        Backend::ShardedDocs {
+            kernel: KernelKind::Sparse,
+            shards: 1,
+            threads: 1,
+        },
+    ] {
         let a = fit(backend, 18);
         let b = fit(backend, 18);
         assert_identical(&a, &b, &format!("{backend:?} adaptive-λ replay"));
@@ -569,5 +672,131 @@ fn sharded_perplexity_parity_with_serial_on_golden_corpus() {
                 .unwrap() as u32;
             assert_eq!(sharded.assignments()[0][0], school, "{kernel:?} S={shards}");
         }
+    }
+}
+
+/// FNV-1a digest of a fitted model: the assignments as `u32` LE, then the
+/// φ bits as `u64` LE — the encoding of `train_driver`'s `final digest`.
+fn model_digest(fitted: &FittedModel) -> u64 {
+    let mut bytes = Vec::new();
+    for doc in fitted.assignments() {
+        for &t in doc {
+            bytes.extend_from_slice(&t.to_le_bytes());
+        }
+    }
+    for &x in fitted.phi().as_slice() {
+        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+    source_lda::serve::codec::fnv1a64(&bytes)
+}
+
+/// Absolute chain pins: the final-model digest ([`model_digest`]) and the
+/// sweep-6/12/18 [`TrainCheckpoint::digest`] of every cell of the backend
+/// matrix. The relative tests above would pass a refactor that moved every
+/// chain the same way; these would not. Flat and Dense share a model digest
+/// at each S (bit-identical arithmetic), and every S = 1 cell shares its
+/// kernel family's single-thread chain; the checkpoint digests differ per
+/// cell because they also hash the kernel tag, shard layout and RNG words.
+#[test]
+fn golden_chain_digests() {
+    let sharded = |kernel, shards| Backend::ShardedDocs {
+        kernel,
+        shards,
+        threads: 2,
+    };
+    const DENSE_S1: u64 = 0x140b_215a_1162_dae1;
+    const SPARSE_S1: u64 = 0xeac8_968c_a518_cf8a;
+    const DENSE_S3: u64 = 0xcaa8_5897_a1ae_8145;
+    const SPARSE_S3: u64 = 0x4649_37bb_4fbc_ed3a;
+    const PAPER_CPS: [u64; 3] = [
+        0xea68_2707_5aec_4d4a,
+        0x190c_75aa_e670_1f30,
+        0x0a4c_33e5_6d1f_993c,
+    ];
+    let cells: [(Backend, u64, [u64; 3]); 9] = [
+        (
+            Backend::Serial,
+            DENSE_S1,
+            [
+                0x1024_0562_c0cb_9a78,
+                0x41cd_2c5c_fc69_3bfe,
+                0x7524_8b86_be57_0ef6,
+            ],
+        ),
+        (Backend::PrefixSums { threads: 2 }, DENSE_S1, PAPER_CPS),
+        (Backend::SimpleParallel { threads: 2 }, DENSE_S1, PAPER_CPS),
+        (
+            sharded(KernelKind::Flat, 1),
+            DENSE_S1,
+            [
+                0x23d3_53f8_6237_eac2,
+                0x07e5_8f8f_2aa9_d4d0,
+                0x1637_ea45_bbc3_4cf4,
+            ],
+        ),
+        (
+            sharded(KernelKind::Dense, 1),
+            DENSE_S1,
+            [
+                0x9052_034c_a480_d944,
+                0xceda_f9df_7a48_9b32,
+                0xbc48_9c93_7638_347a,
+            ],
+        ),
+        (
+            sharded(KernelKind::Sparse, 1),
+            SPARSE_S1,
+            [
+                0x86ef_f7c8_22bf_bd1c,
+                0xd416_57c2_212c_f91b,
+                0x9803_79a3_e198_c1fb,
+            ],
+        ),
+        (
+            sharded(KernelKind::Flat, 3),
+            DENSE_S3,
+            [
+                0x4e6f_37d1_11c7_cfda,
+                0x145a_e4c2_b2f9_2e71,
+                0x8e94_6dd1_ea8e_e799,
+            ],
+        ),
+        (
+            sharded(KernelKind::Dense, 3),
+            DENSE_S3,
+            [
+                0x0d73_cf42_744a_4f44,
+                0x6a49_0ba5_7579_27bf,
+                0xa8bd_4b5c_cad3_1263,
+            ],
+        ),
+        (
+            sharded(KernelKind::Sparse, 3),
+            SPARSE_S3,
+            [
+                0xd42b_5fb8_c990_7256,
+                0x3226_b67b_0fac_dc0d,
+                0xdd36_1451_3112_65de,
+            ],
+        ),
+    ];
+    for (backend, model_pin, checkpoint_pins) in cells {
+        let (model, corpus) = model_and_corpus(backend, 18);
+        let mut checkpoints = Vec::new();
+        let fitted = model
+            .fit_resumable(&corpus, None, Some(6), |cp| {
+                checkpoints.push(cp.digest());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(
+            model_digest(&fitted),
+            model_pin,
+            "{backend:?}: final model digest moved"
+        );
+        assert_eq!(
+            checkpoints, checkpoint_pins,
+            "{backend:?}: sweep-6/12/18 checkpoint digests moved"
+        );
     }
 }

@@ -5,16 +5,17 @@
 //!   JSONL observer attached (plus a registry observer fanned out behind
 //!   it) produces φ/θ/z **bit-identical** to the same fit with no
 //!   observer, and the checkpoints passed to the callback are identical
-//!   too — across the serial, sparse-kernel, and document-sharded
-//!   backends. Observers are value-snapshot consumers; they never draw
+//!   too — across the serial flat kernel, the in-place sparse kernel
+//!   (`S = 1`), and the document-sharded backends (`S > 1`). Observers are value-snapshot consumers; they never draw
 //!   RNG and never touch sampler state.
 //! * **The JSONL stream is well-formed.** Every line round-trips through
 //!   the same vendored JSON codec the serving daemon uses, carries a
 //!   known `"event"` discriminator, and the per-backend event mix is what
-//!   the backend promises (shard timings only from `ShardedDocs`,
-//!   standalone bucket-count events only from `SparseKernel`, bucket
-//!   tallies *inline on the shard_sweep lines* only when the shard kernel
-//!   is sparse, adaptation events exactly at the configured λ boundaries).
+//!   the backend promises (shard timings only from `ShardedDocs` at
+//!   `S > 1`, standalone bucket-count events only from the in-place
+//!   sparse kernel, bucket tallies *inline on the shard_sweep lines* only
+//!   when the shard kernel is sparse, adaptation events exactly at the
+//!   configured λ boundaries).
 //! * **The registry renders valid Prometheus exposition** covering the
 //!   `srclda_train_*` families.
 //!
@@ -64,7 +65,11 @@ fn model_and_corpus(backend: Backend) -> (GibbsModel, Corpus) {
 
 const BACKENDS: [Backend; 4] = [
     Backend::Serial,
-    Backend::SparseKernel,
+    Backend::ShardedDocs {
+        kernel: KernelKind::Sparse,
+        shards: 1,
+        threads: 1,
+    },
     Backend::ShardedDocs {
         kernel: KernelKind::Flat,
         shards: 3,
@@ -169,17 +174,19 @@ fn jsonl_streams_are_well_formed_and_backend_shaped() {
         // 4, 10, 16.
         assert_eq!(count("adapt"), 3, "{backend:?}: λ boundaries at 4/10/16");
 
-        let sharded = matches!(backend, Backend::ShardedDocs { .. });
-        let sparse = matches!(backend, Backend::SparseKernel);
+        // S = 1 sweeps in place: no shard timings, and the sparse
+        // kernel's bucket counts arrive as standalone events.
+        let sharded = backend.shards() > 1;
+        let in_place_sparse = !sharded && backend.kernel() == KernelKind::Sparse;
         assert_eq!(
             count("shard_sweep"),
             if sharded { 18 } else { 0 },
-            "{backend:?}: shard timings iff sharded"
+            "{backend:?}: shard timings iff S > 1"
         );
         assert_eq!(
             count("sparse_buckets"),
-            if sparse { 18 } else { 0 },
-            "{backend:?}: bucket counts iff sparse kernel"
+            if in_place_sparse { 18 } else { 0 },
+            "{backend:?}: bucket counts iff the in-place sparse kernel"
         );
 
         // Spot-check value-level coherence on the sweep events.
@@ -234,7 +241,11 @@ fn jsonl_streams_are_well_formed_and_backend_shaped() {
 
 #[test]
 fn registry_observer_renders_valid_prometheus_exposition() {
-    let (model, corpus) = model_and_corpus(Backend::SparseKernel);
+    let (model, corpus) = model_and_corpus(Backend::ShardedDocs {
+        kernel: KernelKind::Sparse,
+        shards: 1,
+        threads: 1,
+    });
     let registry = Arc::new(Registry::new());
     let mut observer = RegistryObserver::new(Arc::clone(&registry));
     model
