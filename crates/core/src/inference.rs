@@ -9,6 +9,11 @@
 //! holds only what scoring needs (φ, α, labels), so it can be rebuilt from a
 //! deserialized artifact without the training corpus, counts, or priors.
 //!
+//! The engine keeps one copy of φ, word-major (`V × T`): every token of
+//! fold-in and of scoring reads the contiguous row of its word. It is built
+//! from a borrowed topic-major φ, so building an engine from an artifact or
+//! a fitted model writes that one copy and clones nothing.
+//!
 //! The estimator is standard *fold-in* Gibbs sampling: φ is frozen at its
 //! trained value and only the new document's topic assignments are sampled,
 //!
@@ -101,27 +106,23 @@ impl InferredDocument {
 /// bit-identical fold-in results for the same seed.
 #[derive(Debug, Clone)]
 pub struct Inference {
+    /// φ word-major (`V × T`): row `w` holds `φ_tw` for every topic `t`.
+    /// Fold-in and scoring walk all topics of one word per token, so each
+    /// token reads one contiguous row. This is the only copy of φ.
     phi: DenseMatrix<f64>,
-    /// φ transposed to word-major (`phi_t[w*T + t] = φ_tw`): the fold-in
-    /// inner loop walks all topics of one word, which in the topic-major
-    /// `phi` strides by `V` per step. The copy doubles φ's memory but makes
-    /// the per-token scan a contiguous read — the right trade for a
-    /// serving engine that holds one model and scores many documents.
-    phi_t: Vec<f64>,
     alpha: f64,
     labels: Vec<Option<String>>,
 }
 
-/// Word-major copy of a topic-major φ matrix.
-fn transpose_phi(phi: &DenseMatrix<f64>) -> Vec<f64> {
-    let (t_count, v) = (phi.rows(), phi.cols());
-    let mut phi_t = vec![0.0; v * t_count];
-    for t in 0..t_count {
+/// The word-major (`V × T`) layout of a topic-major (`T × V`) φ.
+fn word_major(phi: &DenseMatrix<f64>) -> DenseMatrix<f64> {
+    let mut out = DenseMatrix::zeros(phi.cols(), phi.rows());
+    for t in 0..phi.rows() {
         for (w, &p) in phi.row(t).iter().enumerate() {
-            phi_t[w * t_count + t] = p;
+            out[(w, t)] = p;
         }
     }
-    phi_t
+    out
 }
 
 /// Fill `buf` with the running sums of `phi_row[t] · fact[t]`, added left
@@ -152,13 +153,14 @@ fn cumulative_weights(phi_row: &[f64], fact: &[f64], buf: &mut [f64]) -> f64 {
 }
 
 impl Inference {
-    /// Build from explicit parts.
+    /// Build from explicit parts; `phi` is topic-major (`T × V`) and is
+    /// read once into the engine's word-major copy.
     ///
     /// # Errors
     /// Fails if φ has no topics or no words, `alpha` is not positive and
     /// finite, or the label count does not match φ's topic count.
     pub fn from_parts(
-        phi: DenseMatrix<f64>,
+        phi: &DenseMatrix<f64>,
         alpha: f64,
         labels: Vec<Option<String>>,
     ) -> crate::Result<Self> {
@@ -178,10 +180,8 @@ impl Inference {
                 phi.rows()
             )));
         }
-        let phi_t = transpose_phi(&phi);
         Ok(Self {
-            phi,
-            phi_t,
+            phi: word_major(phi),
             alpha,
             labels,
         })
@@ -189,11 +189,8 @@ impl Inference {
 
     /// Snapshot a fitted model's φ/α/labels for serving.
     pub fn from_fitted(fitted: &FittedModel) -> Self {
-        let phi = fitted.phi().clone();
-        let phi_t = transpose_phi(&phi);
         Self {
-            phi,
-            phi_t,
+            phi: word_major(fitted.phi()),
             alpha: fitted.alpha(),
             labels: fitted.labels().to_vec(),
         }
@@ -201,17 +198,12 @@ impl Inference {
 
     /// Topic count `T`.
     pub fn num_topics(&self) -> usize {
-        self.phi.rows()
+        self.phi.cols()
     }
 
     /// Vocabulary size `V`.
     pub fn vocab_size(&self) -> usize {
-        self.phi.cols()
-    }
-
-    /// The frozen topic–word matrix φ.
-    pub fn phi(&self) -> &DenseMatrix<f64> {
-        &self.phi
+        self.phi.rows()
     }
 
     /// The document–topic prior α.
@@ -280,9 +272,7 @@ impl Inference {
                 let old = z[j] as usize;
                 nd[old] -= 1;
                 fact[old] = nd[old] as f64 + self.alpha;
-                // Word-major φ row: all topics of `w`, contiguous.
-                let phi_row = &self.phi_t[w * t_count..(w + 1) * t_count];
-                let acc = cumulative_weights(phi_row, &fact, &mut buf);
+                let acc = cumulative_weights(self.phi.row(w), &fact, &mut buf);
                 let new = if acc > 0.0 && acc.is_finite() {
                     let u = rng.gen::<f64>() * acc;
                     binary_search_cumulative(&buf, u)
@@ -299,30 +289,31 @@ impl Inference {
             .iter()
             .map(|&n| (n as f64 + self.alpha) / denom)
             .collect();
-        let log_likelihood = token_log_likelihood(&self.phi, &theta, tokens);
+        let log_likelihood = self.token_log_likelihood(&theta, tokens);
         Ok(InferredDocument {
             theta,
             assignments: z,
             log_likelihood,
         })
     }
-}
 
-/// `Σ_j ln p(w_j)` for tokens scored against a fixed φ and a document θ:
-/// `p(w) = Σ_t φ_tw θ_t`, floored at 1e-300 to keep logs finite.
-///
-/// Shared between fold-in and the held-out perplexity estimators
-/// ([`crate::perplexity`]), so every code path scores documents identically.
-pub fn token_log_likelihood(phi: &DenseMatrix<f64>, theta: &[f64], tokens: &[u32]) -> f64 {
-    let t_count = phi.rows();
-    debug_assert_eq!(theta.len(), t_count);
-    let mut log_prob = 0.0;
-    for &word in tokens {
-        let w = word as usize;
-        let p: f64 = (0..t_count).map(|t| phi[(t, w)] * theta[t]).sum();
-        log_prob += p.max(1e-300).ln();
+    /// `Σ_j ln p(w_j)` for `tokens` under the document mixture `theta`:
+    /// `p(w) = Σ_t φ_tw θ_t`, summed left to right over `w`'s row and
+    /// floored at 1e-300 to keep logs finite.
+    ///
+    /// The one scorer: fold-in and both held-out perplexity estimators
+    /// ([`crate::perplexity`]) call it, so every path scores documents
+    /// identically.
+    pub fn token_log_likelihood(&self, theta: &[f64], tokens: &[u32]) -> f64 {
+        debug_assert_eq!(theta.len(), self.num_topics());
+        let mut buf = vec![0.0; theta.len()];
+        let mut log_prob = 0.0;
+        for &w in tokens {
+            let p = cumulative_weights(self.phi.row(w as usize), theta, &mut buf);
+            log_prob += p.max(1e-300).ln();
+        }
+        log_prob
     }
-    log_prob
 }
 
 #[cfg(test)]
@@ -422,12 +413,8 @@ mod tests {
     fn from_parts_matches_from_fitted_bit_exactly() {
         let (corpus, fitted) = train();
         let a = Inference::from_fitted(&fitted);
-        let b = Inference::from_parts(
-            fitted.phi().clone(),
-            fitted.alpha(),
-            fitted.labels().to_vec(),
-        )
-        .unwrap();
+        let b =
+            Inference::from_parts(fitted.phi(), fitted.alpha(), fitted.labels().to_vec()).unwrap();
         let doc = ids(&corpus, &["pet", "fund", "cat", "cat"]);
         let cfg = FoldInConfig {
             iterations: 40,
@@ -464,11 +451,10 @@ mod tests {
 
     #[test]
     fn rejects_bad_construction() {
-        assert!(Inference::from_parts(DenseMatrix::zeros(0, 4), 0.5, vec![]).is_err());
-        assert!(
-            Inference::from_parts(DenseMatrix::filled(2, 2, 0.25), 0.0, vec![None, None]).is_err()
-        );
-        assert!(Inference::from_parts(DenseMatrix::filled(2, 2, 0.25), 0.5, vec![None]).is_err());
+        let phi = DenseMatrix::filled(2, 2, 0.25);
+        assert!(Inference::from_parts(&DenseMatrix::zeros(0, 4), 0.5, vec![]).is_err());
+        assert!(Inference::from_parts(&phi, 0.0, vec![None, None]).is_err());
+        assert!(Inference::from_parts(&phi, 0.5, vec![None]).is_err());
     }
 
     #[test]
@@ -476,8 +462,8 @@ mod tests {
         let (_, fitted) = train();
         let mut inf = Inference::from_fitted(&fitted);
         assert_eq!(inf.labels().len(), 2);
-        inf = Inference::from_parts(inf.phi().clone(), inf.alpha(), vec![Some("A".into()), None])
-            .unwrap();
+        inf =
+            Inference::from_parts(fitted.phi(), inf.alpha(), vec![Some("A".into()), None]).unwrap();
         assert_eq!(inf.label(0), Some("A"));
         assert_eq!(inf.label(1), None);
     }
@@ -486,13 +472,11 @@ mod tests {
     fn transposed_phi_matches_topic_major_phi() {
         let (_, fitted) = train();
         let inf = Inference::from_fitted(&fitted);
-        let (t_count, v) = (inf.num_topics(), inf.vocab_size());
-        for w in 0..v {
-            for t in 0..t_count {
-                assert_eq!(
-                    inf.phi_t[w * t_count + t].to_bits(),
-                    inf.phi()[(t, w)].to_bits()
-                );
+        assert_eq!(inf.phi.rows(), fitted.vocab_size());
+        assert_eq!(inf.phi.cols(), fitted.num_topics());
+        for w in 0..inf.vocab_size() {
+            for t in 0..inf.num_topics() {
+                assert_eq!(inf.phi[(w, t)].to_bits(), fitted.phi()[(t, w)].to_bits());
             }
         }
     }
@@ -500,8 +484,9 @@ mod tests {
     #[test]
     fn token_log_likelihood_matches_manual_sum() {
         let phi = DenseMatrix::from_vec(2, 2, vec![0.9, 0.1, 0.2, 0.8]);
+        let inf = Inference::from_parts(&phi, 0.5, vec![None, None]).unwrap();
         let theta = [0.25, 0.75];
-        let ll = token_log_likelihood(&phi, &theta, &[0, 1, 1]);
+        let ll = inf.token_log_likelihood(&theta, &[0, 1, 1]);
         let p0: f64 = 0.9 * 0.25 + 0.2 * 0.75;
         let p1: f64 = 0.1 * 0.25 + 0.8 * 0.75;
         let manual = p0.ln() + p1.ln() + p1.ln();

@@ -12,6 +12,7 @@ use rand::Rng;
 use srclda_corpus::Corpus;
 use srclda_math::{rng_from_seed, rng_from_state, rng_state, spawn_rng, DenseMatrix, SldaRng};
 use srclda_obs::{NoopObserver, SpanTimer, TrainEvent, TrainObserver};
+use std::borrow::Borrow;
 
 /// A fully-specified topic model: one prior per topic, optional labels, and
 /// the run configuration. Construct via the model builders ([`crate::Lda`],
@@ -398,7 +399,9 @@ impl GibbsModel {
                         }
                     }
                     if trace.phi_snapshots.contains(&iter) {
-                        snapshots.push((iter, compute_phi(&counts, priors_ref)));
+                        let (v, nt) = (counts.vocab_size(), counts.snapshot_nt());
+                        let phi = compute_phi(v, priors_ref, |w, t| counts.nw(w, t), &nt);
+                        snapshots.push((iter, phi));
                     }
                     if let Some(secs) = sweep_secs {
                         let tokens_per_sec = if secs > 0.0 {
@@ -520,7 +523,8 @@ impl GibbsModel {
             });
         }
 
-        let phi = compute_phi(&counts, &priors);
+        let (v, nt) = (counts.vocab_size(), counts.snapshot_nt());
+        let phi = compute_phi(v, &priors, |w, t| counts.nw(w, t), &nt);
         let theta = compute_theta(&counts, self.config.alpha);
         Ok(FittedModel {
             phi,
@@ -537,18 +541,21 @@ impl GibbsModel {
     }
 }
 
-/// Topic–word distributions from the final counts (Eq. 1 for fixed priors,
-/// Eq. 4 for λ-integrated ones — both are exactly the prior's
-/// [`TopicPrior::word_weight`] at the final counts).
-pub(crate) fn compute_phi(counts: &CountMatrices, priors: &[TopicPrior]) -> DenseMatrix<f64> {
-    let t_count = priors.len();
-    let v = counts.vocab_size();
-    let mut phi = DenseMatrix::zeros(t_count, v);
-    for (t, prior) in priors.iter().enumerate() {
-        let nt = counts.nt(t) as f64;
-        let row = phi.row_mut(t);
-        for (w, cell) in row.iter_mut().enumerate() {
-            *cell = prior.word_weight(w, counts.nw(w, t) as f64, nt);
+/// Topic–word distributions at the counts `nw(w, t)` and `nt[t]`: each
+/// prior's [`TopicPrior::word_weight`] (Eq. 1 for fixed priors, Eq. 4 for
+/// λ-integrated ones). The fitted φ and [`crate::TrainCheckpoint::phi`] both
+/// come from here. `priors` yields the topics in order, one at a time.
+pub(crate) fn compute_phi<P: Borrow<TopicPrior>>(
+    v: usize,
+    priors: impl IntoIterator<Item = P>,
+    nw: impl Fn(usize, usize) -> u32,
+    nt: &[u32],
+) -> DenseMatrix<f64> {
+    let mut phi = DenseMatrix::zeros(nt.len(), v);
+    for ((t, prior), &nt) in priors.into_iter().enumerate().zip(nt) {
+        let nt = nt as f64;
+        for (w, cell) in phi.row_mut(t).iter_mut().enumerate() {
+            *cell = prior.borrow().word_weight(w, nw(w, t) as f64, nt);
         }
     }
     // The expressions already normalize analytically; renormalize to absorb

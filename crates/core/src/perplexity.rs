@@ -11,9 +11,11 @@
 //!   likelihoods in log space.
 //!
 //! Perplexity is `exp(−Σ ln p(w̃) / Ñ)` over all held-out tokens; lower is
-//! better.
+//! better. Both estimators score tokens with
+//! [`Inference::token_log_likelihood`], the scorer online fold-in uses.
 
 use crate::error::CoreError;
+use crate::inference::Inference;
 use crate::model::FittedModel;
 use rand::Rng;
 use srclda_corpus::Corpus;
@@ -138,9 +140,8 @@ pub fn gibbs_perplexity_counted(
         }
     }
 
-    // Score with training φ and inferred test θ (the same per-token scorer
-    // the online fold-in path uses — see `inference::token_log_likelihood`).
-    let phi = fitted.phi();
+    // Score with training φ and inferred test θ.
+    let inference = Inference::from_fitted(fitted);
     let mut log_prob = 0.0;
     let mut n_tokens = 0usize;
     for (d, doc) in tokens.iter().enumerate() {
@@ -148,7 +149,7 @@ pub fn gibbs_perplexity_counted(
         let theta: Vec<f64> = (0..t_count)
             .map(|t| (test_nd[d][t] as f64 + alpha) / denom)
             .collect();
-        log_prob += crate::inference::token_log_likelihood(phi, &theta, doc);
+        log_prob += inference.token_log_likelihood(&theta, doc);
         n_tokens += doc.len();
     }
     Ok(PerplexityEstimate {
@@ -237,7 +238,7 @@ pub fn importance_sampling_perplexity(
     let t_count = fitted.num_topics();
     let samples = samples.max(1);
     let prior = Dirichlet::symmetric(fitted.alpha(), t_count)?;
-    let phi = fitted.phi();
+    let inference = Inference::from_fitted(fitted);
     let mut rng = rng_from_seed(seed);
     let mut log_prob = 0.0;
     let mut n_tokens = 0usize;
@@ -247,7 +248,7 @@ pub fn importance_sampling_perplexity(
         let ids: Vec<u32> = doc.tokens().iter().map(|w| w.0).collect();
         for slot in per_sample.iter_mut() {
             prior.sample_into(&mut rng, &mut theta);
-            *slot = crate::inference::token_log_likelihood(phi, &theta, &ids);
+            *slot = inference.token_log_likelihood(&theta, &ids);
         }
         log_prob += log_sum_exp(&per_sample) - (samples as f64).ln();
         n_tokens += doc.len();

@@ -415,10 +415,10 @@ impl TrainCheckpoint {
         h
     }
 
-    /// The topic–word matrix φ at the checkpoint's counts (the same
-    /// expression [`crate::FittedModel::phi`] reports at the end of a
-    /// run), so a checkpoint can be persisted as a *servable* snapshot of
-    /// the partially-trained model.
+    /// The topic–word matrix φ at the checkpoint's counts (the code that
+    /// computes [`crate::FittedModel::phi`] at the end of a run), so a
+    /// checkpoint can be persisted as a *servable* snapshot of the
+    /// partially-trained model.
     ///
     /// # Errors
     /// Fails if the checkpoint's own dimensions disagree (priors vs `nt`,
@@ -444,16 +444,16 @@ impl TrainCheckpoint {
                 self.nw.len()
             )));
         }
-        let mut phi = srclda_math::DenseMatrix::zeros(t_count, v);
-        for (t, raw) in self.priors.iter().enumerate() {
-            let prior = TopicPrior::from_raw(raw.clone(), v)?;
-            let nt = self.nt[t] as f64;
-            for (w, cell) in phi.row_mut(t).iter_mut().enumerate() {
-                *cell = prior.word_weight(w, self.nw[w * t_count + t] as f64, nt);
-            }
-        }
-        phi.normalize_rows();
-        Ok(phi)
+        // One live prior at a time: all of them at once is tens of MB at
+        // T = 2000, on top of the training state, at every checkpoint.
+        let mut failure = None;
+        let priors = self.priors.iter().map_while(|raw| {
+            let prior = TopicPrior::from_raw(raw.clone(), v);
+            prior.map_err(|e| failure = Some(e)).ok()
+        });
+        let nw = |w: usize, t: usize| self.nw[w * t_count + t];
+        let phi = crate::model::compute_phi(v, priors, nw, &self.nt);
+        failure.map_or(Ok(phi), Err)
     }
 
     /// Structural validation: dimensions agree with each other and with

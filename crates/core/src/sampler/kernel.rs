@@ -216,6 +216,7 @@ impl<'a> SweepTables<'a> {
 /// the invariant). Shared with the sparse bucket kernel
 /// ([`super::sparse`]), which derives its per-topic baseline masses from
 /// the same cached values.
+#[derive(Clone)]
 pub(super) struct RecipCache {
     /// `1.0 / (n_t + denom_add[t])` per topic (1.0 for kinds without a
     /// count-dependent denominator).

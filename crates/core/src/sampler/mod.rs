@@ -306,40 +306,37 @@ impl SweepCache {
 }
 
 /// One sweep kernel's reusable state — the [`KernelKind`] axis as data.
-/// The flat kernel keeps its word-major [`kernel::Combined`] table (an
-/// `Arc`, so shards share one copy), the sparse kernel its
-/// [`sparse::SparseState`] bucket structure, the dense reference nothing.
+/// The flat kernel keeps its word-major [`kernel::Combined`] table, the
+/// sparse kernel its [`sparse::SparseState`], the dense reference nothing.
 /// [`Self::sweep`] runs the kernel over whatever counts the context
 /// holds: the global counts in place, or one shard's local copy.
+///
+/// A clone is the state for another shard of the same run. It shares the
+/// tables that depend on the priors alone by `Arc` — the combined table,
+/// the sparse [`sparse::SparseShape`] — and copies only the sparse
+/// count-dependent caches, which the shard resyncs from its own counts
+/// before every sweep.
+#[derive(Clone)]
 pub(crate) enum KernelState {
     Flat(Option<Arc<kernel::Combined>>),
     Dense,
-    /// `None` until the first sweep builds it from the counts it sweeps.
+    /// `None` only while a sweep holds it.
     Sparse(Option<Box<sparse::SparseState>>),
 }
 
 impl KernelState {
-    /// Fresh state for `kind` over `ctx`'s priors. The flat kernel's
-    /// combined table is built here, once, so [`Self::fork`] can share it.
+    /// Fresh state for `kind` over `ctx`'s priors and counts. The tables
+    /// that depend on the priors alone are built here, once per fit.
     pub(crate) fn new(kind: KernelKind, ctx: &SweepContext<'_>) -> Self {
+        let tables = kernel::SweepTables::new(ctx.priors);
         match kind {
             KernelKind::Flat => {
-                let tables = kernel::SweepTables::new(ctx.priors);
                 Self::Flat(kernel::Combined::build(&tables, ctx.counts.vocab_size()).map(Arc::new))
             }
             KernelKind::Dense => Self::Dense,
-            KernelKind::Sparse => Self::Sparse(None),
-        }
-    }
-
-    /// State for another shard of the same run: the flat combined table
-    /// is shared (an `Arc` clone, not a data copy); a sparse state is
-    /// built from that shard's own counts at its first sweep.
-    pub(crate) fn fork(&self) -> Self {
-        match self {
-            Self::Flat(combined) => Self::Flat(combined.clone()),
-            Self::Dense => Self::Dense,
-            Self::Sparse(_) => Self::Sparse(None),
+            KernelKind::Sparse => Self::Sparse(Some(Box::new(sparse::SparseState::build(
+                &tables, ctx.counts,
+            )))),
         }
     }
 

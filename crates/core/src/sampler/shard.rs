@@ -99,9 +99,9 @@ pub(crate) struct ShardWorkspace {
     /// Local counts: exact `n_dt` rows for the shard's documents, plus the
     /// snapshot-loaded `n_wt`/`n_t` working copy.
     local: CountMatrices,
-    /// The shard kernel's state; a sparse state keeps its structural
-    /// parts (deviation lists, floors, dense demotions) across sweeps and
-    /// resyncs its count-dependent caches after each snapshot reload.
+    /// The shard kernel's state; a sparse state shares the run's
+    /// count-free [`super::sparse::SparseShape`] and resyncs its own
+    /// count-dependent caches after each snapshot reload.
     kernel: KernelState,
 }
 
@@ -177,7 +177,7 @@ impl ShardState {
                 ShardWorkspace {
                     range,
                     local,
-                    kernel: first.fork(),
+                    kernel: first.clone(),
                 }
             })
             .collect();

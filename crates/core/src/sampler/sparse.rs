@@ -85,35 +85,18 @@ use srclda_math::categorical::binary_search_cumulative;
 use srclda_math::SldaRng;
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-/// Reusable sparse-kernel state carried across sweeps and chunks (the
-/// analogue of the flat kernel's `Combined` reuse): the per-word deviation lists
-/// and baseline structure (functions of the priors' *shape*, which λ
-/// adaptation never changes), the per-word non-zero assignment lists
-/// (maintained in lock-step with the counts, which only the kernel itself
-/// mutates between chunk boundaries), and the count-dependent caches — the
-/// reciprocal cache and the per-topic minimum-weight baselines `base0(t)`
-/// — kept valid across chunks through an explicit invalidation API:
-///
-/// * between in-place sweeps and at plain chunk boundaries (checkpoints)
-///   nothing else changed, so the caches are taken as-is;
-/// * at a λ-adaptation boundary the fitting loop calls
-///   [`Self::repatch_adapted`], which re-derives only the *adapted*
-///   (λ-integrated) topics' reciprocal rows and baselines instead of
-///   rebuilding every topic;
-/// * at `S > 1` each shard reloads its local counts from the global
-///   snapshot every sweep and calls [`Self::resync_counts`] to re-derive
-///   the count-dependent parts wholesale.
-///
-/// Every path is debug-asserted bit-equal to a from-scratch rebuild in
-/// [`SparseKernel::new`].
-pub(crate) struct SparseState {
+/// The sparse kernel's count-free bucket structure: the per-word
+/// deviation lists, the baselines' parameters and floors, and the dense
+/// demotions. These are functions of the priors alone, and λ-adaptation
+/// leaves them untouched (it re-weights the quadrature, not the δ rows).
+/// [`KernelState::new`](super::KernelState::new) builds it once per fit,
+/// and every shard's [`SparseState`] shares it by `Arc`.
+pub(crate) struct SparseShape {
     /// Per-word topic lists where the word deviates from the topic's
-    /// baseline (sorted ascending; built once from the priors).
+    /// baseline (sorted ascending).
     exc: Vec<Vec<u32>>,
-    /// Per-word sorted topic lists where `n_wt > 0` (incrementally
-    /// maintained; rebuild from counts is bit-identical by sortedness).
-    nz: Vec<Vec<u32>>,
     /// Topics whose full weight must be evaluated per token (λ-integrated
     /// topics without a usable off-support baseline). Sorted.
     dense_topics: Vec<u32>,
@@ -129,34 +112,19 @@ pub(crate) struct SparseState {
     /// Shape fingerprint for reuse validation: per-topic kind tag (with the
     /// dense-demotion bit) — a mismatch means different priors, rebuild.
     tags: Vec<u8>,
-    vocab: usize,
-    /// The serial kernel's reciprocal cache (denominator reciprocals and,
-    /// for λ-integrated topics, the per-level quadrature products) at the
-    /// current counts. Maintained per token by the sweep; re-derived for
-    /// adapted topics by [`Self::repatch_adapted`].
-    recip: RecipCache,
-    /// `base0(t)` — the per-topic minimum word weight the bucket
-    /// decomposition subtracts — at the current counts and quadrature
-    /// weights. Maintained in lock-step with `recip`.
-    base0: Vec<f64>,
 }
 
-impl SparseState {
-    /// Build from the flattened priors and current counts.
-    pub(crate) fn build(tables: &SweepTables<'_>, counts: &CountMatrices) -> Self {
+impl SparseShape {
+    /// Build from the flattened priors over a vocabulary of `v` words.
+    pub(crate) fn build(tables: &SweepTables<'_>, v: usize) -> Self {
         let t_count = tables.num_topics();
-        let v = counts.vocab_size();
-        let mut state = Self {
+        let mut shape = Self {
             exc: vec![Vec::new(); v],
-            nz: vec![Vec::new(); v],
             dense_topics: Vec::new(),
             dense_flag: vec![false; t_count],
             base_param: vec![0.0; t_count],
             int_floor: vec![Vec::new(); tables.ints.len()],
             tags: vec![0; t_count],
-            vocab: v,
-            recip: RecipCache::new(tables, counts),
-            base0: vec![0.0; t_count],
         };
         for t in 0..t_count {
             match tables.kinds[t] {
@@ -164,17 +132,17 @@ impl SparseState {
                 Kind::Fixed(_) | Kind::Frozen(_) => {
                     let row = &tables.rows[t][..v];
                     let min = row.iter().cloned().fold(f64::INFINITY, f64::min);
-                    state.base_param[t] = if min.is_finite() { min } else { 0.0 };
+                    shape.base_param[t] = if min.is_finite() { min } else { 0.0 };
                     for (w, &x) in row.iter().enumerate() {
-                        if x != state.base_param[t] {
-                            state.exc[w].push(idx_u32(t));
+                        if x != shape.base_param[t] {
+                            shape.exc[w].push(idx_u32(t));
                         }
                     }
                 }
                 Kind::ConceptSet(_) => {
                     for (w, &in_set) in tables.masks[t].iter().enumerate().take(v) {
                         if in_set {
-                            state.exc[w].push(idx_u32(t));
+                            shape.exc[w].push(idx_u32(t));
                         }
                     }
                 }
@@ -216,40 +184,98 @@ impl SparseState {
                         })
                         .collect();
                     if deviating.len() * 2 > v {
-                        state.dense_topics.push(idx_u32(t));
-                        state.dense_flag[t] = true;
+                        shape.dense_topics.push(idx_u32(t));
+                        shape.dense_flag[t] = true;
                     } else {
                         for &w in &deviating {
-                            state.exc[w as usize].push(idx_u32(t));
+                            shape.exc[w as usize].push(idx_u32(t));
                         }
-                        state.int_floor[i as usize] = floor;
+                        shape.int_floor[i as usize] = floor;
                     }
                 }
             }
-            state.tags[t] = match tables.kinds[t] {
-                Kind::Symmetric => 1,
-                Kind::Fixed(_) => 2,
-                Kind::Integrated(_) => {
-                    if state.dense_flag[t] {
-                        7
-                    } else {
-                        3
-                    }
-                }
-                Kind::Frozen(_) => 4,
-                Kind::ConceptSet(_) => 5,
-            };
+            shape.tags[t] = shape.tag(tables.kinds[t], t);
         }
-        for w in 0..v {
-            for t in 0..t_count {
-                if counts.nw(w, t) > 0 {
-                    state.nz[w].push(idx_u32(t));
+        shape
+    }
+
+    /// Topic `t`'s kind tag, with the dense-demotion bit.
+    fn tag(&self, kind: Kind, t: usize) -> u8 {
+        match kind {
+            Kind::Symmetric => 1,
+            Kind::Fixed(_) => 2,
+            Kind::Integrated(_) => {
+                if self.dense_flag[t] {
+                    7
+                } else {
+                    3
                 }
             }
+            Kind::Frozen(_) => 4,
+            Kind::ConceptSet(_) => 5,
         }
-        for t in 0..t_count {
-            state.base0[t] = state.compute_base0(tables, t);
-        }
+    }
+
+    /// Whether this structure belongs to the same model shape.
+    fn matches(&self, tables: &SweepTables<'_>, counts: &CountMatrices) -> bool {
+        self.exc.len() == counts.vocab_size()
+            && self.tags.len() == tables.num_topics()
+            && tables
+                .kinds
+                .iter()
+                .enumerate()
+                .all(|(t, &k)| self.tags[t] == self.tag(k, t))
+    }
+}
+
+/// Reusable sparse-kernel state carried across sweeps and chunks (the
+/// analogue of the flat kernel's `Combined` reuse): the shared count-free
+/// [`SparseShape`], the per-word non-zero assignment lists (maintained in
+/// lock-step with the counts, which only the kernel itself mutates between
+/// chunk boundaries), and the count-dependent caches — the reciprocal
+/// cache and the per-topic minimum-weight baselines `base0(t)` — kept
+/// valid across chunks through an explicit invalidation API:
+///
+/// * between in-place sweeps and at plain chunk boundaries (checkpoints)
+///   nothing else changed, so the caches are taken as-is;
+/// * at a λ-adaptation boundary the fitting loop calls
+///   [`Self::repatch_adapted`], which re-derives only the *adapted*
+///   (λ-integrated) topics' reciprocal rows and baselines instead of
+///   rebuilding every topic;
+/// * at `S > 1` each shard reloads its local counts from the global
+///   snapshot every sweep and calls [`Self::resync_counts`] to re-derive
+///   the count-dependent parts wholesale.
+///
+/// Every path is debug-asserted bit-equal to a from-scratch rebuild in
+/// [`SparseKernel::new`]. A clone shares the shape and copies the caches.
+#[derive(Clone)]
+pub(crate) struct SparseState {
+    shape: Arc<SparseShape>,
+    /// Per-word sorted topic lists where `n_wt > 0` (incrementally
+    /// maintained; rebuild from counts is bit-identical by sortedness).
+    nz: Vec<Vec<u32>>,
+    /// The serial kernel's reciprocal cache (denominator reciprocals and,
+    /// for λ-integrated topics, the per-level quadrature products) at the
+    /// current counts. Maintained per token by the sweep; re-derived for
+    /// adapted topics by [`Self::repatch_adapted`].
+    recip: RecipCache,
+    /// `base0(t)` — the per-topic minimum word weight the bucket
+    /// decomposition subtracts — at the current counts and quadrature
+    /// weights. Maintained in lock-step with `recip`.
+    base0: Vec<f64>,
+}
+
+impl SparseState {
+    /// Build the shape from the flattened priors and the caches from the
+    /// current counts.
+    pub(crate) fn build(tables: &SweepTables<'_>, counts: &CountMatrices) -> Self {
+        let mut state = Self {
+            shape: Arc::new(SparseShape::build(tables, counts.vocab_size())),
+            nz: vec![Vec::new(); counts.vocab_size()],
+            recip: RecipCache::new(tables, counts),
+            base0: vec![0.0; tables.num_topics()],
+        };
+        state.resync_counts(tables, counts);
         state
     }
 
@@ -259,9 +285,9 @@ impl SparseState {
     fn compute_base0(&self, tables: &SweepTables<'_>, t: usize) -> f64 {
         match tables.kinds[t] {
             Kind::Symmetric => tables.add[t] * self.recip.recip[t],
-            Kind::Fixed(_) => self.base_param[t] * self.recip.recip[t],
+            Kind::Fixed(_) => self.shape.base_param[t] * self.recip.recip[t],
             Kind::Integrated(i) => {
-                if self.dense_flag[t] {
+                if self.shape.dense_flag[t] {
                     0.0
                 } else {
                     // S2 at the floor row, under the current quadrature
@@ -270,10 +296,10 @@ impl SparseState {
                     // per-topic invalidation path).
                     let f = &tables.ints[i as usize];
                     let qr = &self.recip.qr[f.qr_base..f.qr_base + f.levels];
-                    dot_mod4(&self.int_floor[i as usize], qr)
+                    dot_mod4(&self.shape.int_floor[i as usize], qr)
                 }
             }
-            Kind::Frozen(_) => self.base_param[t],
+            Kind::Frozen(_) => self.shape.base_param[t],
             Kind::ConceptSet(_) => 0.0,
         }
     }
@@ -323,31 +349,6 @@ impl SparseState {
         for t in 0..t_count {
             self.base0[t] = self.compute_base0(tables, t);
         }
-    }
-
-    /// Whether this cached state belongs to the same model shape. The
-    /// non-zero lists are trusted to be in sync with the counts — within
-    /// one fit nothing else mutates them between chunks (verified by a
-    /// debug assertion in [`SparseKernel::new`]).
-    fn matches(&self, tables: &SweepTables<'_>, counts: &CountMatrices) -> bool {
-        self.vocab == counts.vocab_size()
-            && self.tags.len() == tables.num_topics()
-            && tables.kinds.iter().enumerate().all(|(t, k)| {
-                let tag = match k {
-                    Kind::Symmetric => 1,
-                    Kind::Fixed(_) => 2,
-                    Kind::Integrated(_) => {
-                        if self.dense_flag[t] {
-                            7
-                        } else {
-                            3
-                        }
-                    }
-                    Kind::Frozen(_) => 4,
-                    Kind::ConceptSet(_) => 5,
-                };
-                self.tags[t] == tag
-            })
     }
 
     #[inline]
@@ -415,7 +416,7 @@ impl<'a> SparseKernel<'a> {
     pub(crate) fn new(ctx: &SweepContext<'a>, reuse: Option<SparseState>) -> Self {
         let tables = SweepTables::new(ctx.priors);
         let state = match reuse {
-            Some(prev) if prev.matches(&tables, ctx.counts) => {
+            Some(prev) if prev.shape.matches(&tables, ctx.counts) => {
                 #[cfg(debug_assertions)]
                 {
                     let fresh = SparseState::build(&tables, ctx.counts);
@@ -498,7 +499,8 @@ impl<'a> SparseKernel<'a> {
         match self.tables.kinds[t] {
             Kind::Symmetric => 0.0,
             Kind::Fixed(_) => {
-                (self.tables.rows[t][w] - self.state.base_param[t]) * self.state.recip.recip[t]
+                (self.tables.rows[t][w] - self.state.shape.base_param[t])
+                    * self.state.recip.recip[t]
             }
             Kind::Integrated(i) => {
                 let f = &self.tables.ints[i as usize];
@@ -509,7 +511,7 @@ impl<'a> SparseKernel<'a> {
                 // last-ulp cancellation (clamped).
                 (dot_mod4(f.table.delta_row(w), qr) - self.state.base0[t]).max(0.0)
             }
-            Kind::Frozen(_) => self.tables.rows[t][w] - self.state.base_param[t],
+            Kind::Frozen(_) => self.tables.rows[t][w] - self.state.shape.base_param[t],
             Kind::ConceptSet(_) => self.tables.add[t] * self.state.recip.recip[t],
         }
     }
@@ -544,7 +546,7 @@ impl<'a> SparseKernel<'a> {
         self.term_topic.clear();
         self.term_cum.clear();
         let mut q = 0.0;
-        for &t32 in &self.state.exc[w] {
+        for &t32 in &self.state.shape.exc[w] {
             let t = t32 as usize;
             let nw = counts.nw(w, t) as f64;
             let mass = (self.dev_at(t, w)
@@ -562,7 +564,7 @@ impl<'a> SparseKernel<'a> {
                 self.term_cum.push(q);
             }
         }
-        for &t32 in &self.state.dense_topics {
+        for &t32 in &self.state.shape.dense_topics {
             let t = t32 as usize;
             let Kind::Integrated(i) = self.tables.kinds[t] else {
                 continue;
@@ -581,7 +583,7 @@ impl<'a> SparseKernel<'a> {
         }
         // Safe to index `exc[w]` by sorted merge instead of a contains()
         // scan: both lists are sorted ascending.
-        let exc = &self.state.exc[w];
+        let exc = &self.state.shape.exc[w];
         let mut e = 0usize;
         for &t32 in &self.state.nz[w] {
             while e < exc.len() && exc[e] < t32 {
@@ -591,7 +593,7 @@ impl<'a> SparseKernel<'a> {
                 continue; // already counted in the deviation walk
             }
             let t = t32 as usize;
-            if self.state.dense_flag[t] {
+            if self.state.shape.dense_flag[t] {
                 continue; // full weight already in the dense walk
             }
             let coef = self.coef_at(t, w);
@@ -1062,18 +1064,14 @@ mod tests {
     /// `tests/shard_equivalence.rs::resume_replays_bit_identically`).
     #[test]
     fn bucket_structure_survives_prior_round_trip() {
-        let (tokens, priors) = fixture();
+        let (_, priors) = fixture();
         let v = 6;
         let round_tripped: Vec<TopicPrior> = priors
             .iter()
             .map(|p| TopicPrior::from_raw(p.to_raw(), v).unwrap())
             .collect();
-        let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-        let counts = CountMatrices::new(v, priors.len(), &doc_lens);
-        let tables_a = SweepTables::new(&priors);
-        let tables_b = SweepTables::new(&round_tripped);
-        let a = SparseState::build(&tables_a, &counts);
-        let b = SparseState::build(&tables_b, &counts);
+        let a = SparseShape::build(&SweepTables::new(&priors), v);
+        let b = SparseShape::build(&SweepTables::new(&round_tripped), v);
         assert_eq!(a.exc, b.exc, "deviation lists changed across round-trip");
         assert_eq!(a.dense_topics, b.dense_topics);
         assert_eq!(a.base_param, b.base_param);

@@ -335,7 +335,7 @@ impl ModelArtifact {
     /// # Errors
     /// Propagates `srclda_core` validation failures.
     pub fn inference(&self) -> Result<Inference, ServeError> {
-        Inference::from_parts(self.phi.clone(), self.alpha, self.labels.clone()).map_err(Into::into)
+        Inference::from_parts(&self.phi, self.alpha, self.labels.clone()).map_err(Into::into)
     }
 
     /// The `n` most probable words of topic `t`, as vocabulary strings.
@@ -972,7 +972,18 @@ mod tests {
         let (artifact, fitted) = trained();
         let inf = artifact.inference().unwrap();
         assert_eq!(inf.num_topics(), fitted.num_topics());
-        assert_eq!(inf.phi().as_slice(), fitted.phi().as_slice());
+        assert_eq!(inf.vocab_size(), fitted.vocab_size());
+        // A one-hot θ scores one word at exactly φ_tw: the engine's φ is
+        // the fitted one, cell for cell.
+        for t in 0..inf.num_topics() {
+            let mut theta = vec![0.0; inf.num_topics()];
+            theta[t] = 1.0;
+            for w in 0..inf.vocab_size() {
+                let want = fitted.phi()[(t, w)].max(1e-300).ln();
+                let got = inf.token_log_likelihood(&theta, &[w as u32]);
+                assert_eq!(got.to_bits(), want.to_bits(), "φ[{t}][{w}]");
+            }
+        }
     }
 
     #[test]

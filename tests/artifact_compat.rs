@@ -107,6 +107,31 @@ fn golden_artifact_still_loads() {
     assert_eq!(engine.label(sports.top_topics(1)[0]), Some("Baseball"));
 }
 
+/// Absolute pin of what the v1 fixture serves: FNV-1a over the θ bits and
+/// log-likelihood bits of three engine requests, computed with the
+/// topic-major scorer. The other tests compare two decode paths, which a
+/// change to the engine's φ layout that moved both sides would pass.
+#[test]
+fn golden_artifact_serves_pinned_bits() {
+    let artifact = ModelArtifact::load(fixture_path()).unwrap();
+    let engine = InferenceEngine::from_artifact(&artifact, EngineOptions::default()).unwrap();
+    let mut bytes = Vec::new();
+    for text in [
+        "pencil ruler pencil",
+        "umpire baseball umpire",
+        "pencil umpire eraser ruler baseball baseball",
+    ] {
+        let score = engine.infer(text).unwrap();
+        for x in score.theta().iter().chain([&score.log_likelihood()]) {
+            bytes.extend(x.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(
+        source_lda::serve::codec::fnv1a64(&bytes),
+        2472627282661521440
+    );
+}
+
 #[test]
 fn golden_fixture_is_reproducible_from_the_pinned_model() {
     // The committed v2 bytes must equal a fresh encode of the pinned

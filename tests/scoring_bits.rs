@@ -1,0 +1,153 @@
+//! Absolute bit pins for everything that reads a fixed φ: fold-in
+//! ([`Inference::fold_in`]), the two held-out perplexity estimators, and
+//! the φ a checkpoint generation serves.
+//!
+//! The other scoring tests compare two code paths (served vs in-process,
+//! memory vs disk). A change to φ's layout or to the scoring loop that
+//! moved both sides the same way would pass them. These values were
+//! computed once, with the topic-major scorer, and must never move.
+
+use source_lda::prelude::*;
+use source_lda::serve::codec::fnv1a64;
+
+/// Three knowledge-source themes plus noise words.
+const THEMES: [[&str; 5]; 3] = [
+    ["pencil", "ruler", "eraser", "notebook", "glue"],
+    ["baseball", "umpire", "pitcher", "inning", "glove"],
+    ["stock", "bond", "fund", "market", "broker"],
+];
+const NOISE: [&str; 4] = ["today", "people", "report", "city"];
+
+/// A training corpus, a held-out corpus on the same vocabulary, and the
+/// knowledge source. Documents mix one theme with noise.
+fn corpora() -> (Corpus, Corpus, KnowledgeSource) {
+    let mut b = CorpusBuilder::new().tokenizer(Tokenizer::permissive());
+    let docs = 30;
+    for d in 0..docs + 3 {
+        let theme = &THEMES[d % 3];
+        let words: Vec<&str> = (0..8)
+            .map(|j| match (d * 7 + j * 3) % 5 {
+                0 => NOISE[(d + j) % NOISE.len()],
+                k => theme[(k + j) % theme.len()],
+            })
+            .collect();
+        b.add_tokens(format!("d{d}"), &words);
+    }
+    let all = b.build();
+    let train = Corpus::from_parts(all.vocabulary().clone(), all.docs()[..docs].to_vec());
+    let test = Corpus::from_parts(all.vocabulary().clone(), all.docs()[docs..].to_vec());
+    let mut ks = KnowledgeSourceBuilder::new();
+    for (label, theme) in ["School Supplies", "Baseball", "Finance"]
+        .iter()
+        .zip(&THEMES)
+    {
+        ks.add_article(*label, format!("{} ", theme.join(" ")).repeat(20));
+    }
+    let knowledge = ks.build(train.vocabulary());
+    (train, test, knowledge)
+}
+
+/// λ-integrated Source-LDA with three source and four unlabeled topics:
+/// T = 7, so fold-in's 4-topic blocks and its tail both run.
+fn fitted(train: &Corpus, knowledge: KnowledgeSource) -> FittedModel {
+    SourceLda::builder()
+        .knowledge_source(knowledge)
+        .variant(Variant::Full)
+        .unlabeled_topics(4)
+        .alpha(0.3)
+        .iterations(40)
+        .seed(11)
+        .build()
+        .unwrap()
+        .fit(train)
+        .unwrap()
+}
+
+fn f64_bytes(xs: impl IntoIterator<Item = f64>) -> Vec<u8> {
+    xs.into_iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect()
+}
+
+#[test]
+fn fold_in_bits_are_pinned() {
+    let (train, _, knowledge) = corpora();
+    let fitted = fitted(&train, knowledge);
+    assert_eq!(fitted.num_topics(), 7);
+    let inference = Inference::from_fitted(&fitted);
+    let vocab = train.vocabulary();
+    let mut bytes = Vec::new();
+    for (seed, text) in [
+        "pencil ruler eraser pencil glue",
+        "umpire stock pitcher bond today",
+        "fund market broker city people report stock",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let ids: Vec<u32> = text.split(' ').map(|w| vocab.get(w).unwrap().0).collect();
+        let config = FoldInConfig {
+            iterations: 25,
+            seed: seed as u64,
+        };
+        let doc = inference.fold_in(&ids, &config).unwrap();
+        bytes.extend(f64_bytes(doc.theta().iter().copied()));
+        bytes.extend(f64_bytes([doc.log_likelihood()]));
+        for &t in doc.assignments() {
+            bytes.extend(t.to_le_bytes());
+        }
+    }
+    assert_eq!(fnv1a64(&bytes), 13642884300135160171);
+}
+
+#[test]
+fn perplexity_bits_are_pinned() {
+    let (train, test, knowledge) = corpora();
+    let fitted = fitted(&train, knowledge);
+    let gibbs = gibbs_perplexity(&fitted, &test, 20, 5).unwrap();
+    let importance = importance_sampling_perplexity(&fitted, &test, 30, 5).unwrap();
+    assert_eq!(gibbs.to_bits(), 4621022488061368277, "{gibbs}");
+    assert_eq!(importance.to_bits(), 4623905664812667504, "{importance}");
+}
+
+/// A checkpoint taken at the final sweep serves exactly the φ the fit
+/// reports: no λ-adaptation runs at that boundary, so the counts and
+/// priors are the final ones, and both φ's come from one expression.
+#[test]
+fn final_checkpoint_serves_the_fitted_phi() {
+    let (train, _, knowledge) = corpora();
+    for variant in [Variant::Full, Variant::Mixture] {
+        let model = SourceLda::builder()
+            .knowledge_source(knowledge.clone())
+            .variant(variant)
+            .unlabeled_topics(4)
+            .adaptive_lambda(6)
+            .iterations(24)
+            .seed(3)
+            .build()
+            .unwrap()
+            .assemble(train.vocab_size())
+            .unwrap();
+        let mut last = None;
+        let fitted = model
+            .fit_resumable(&train, None, Some(12), |cp| {
+                last = Some(cp.clone());
+                Ok(())
+            })
+            .unwrap();
+        let checkpoint = last.unwrap();
+        assert_eq!(checkpoint.sweep, 24);
+        let artifact = ModelArtifact::from_checkpoint(
+            &checkpoint,
+            fitted.labels().to_vec(),
+            train.vocabulary(),
+            &Tokenizer::permissive(),
+        )
+        .unwrap();
+        assert_eq!(
+            f64_bytes(artifact.phi().as_slice().iter().copied()),
+            f64_bytes(fitted.phi().as_slice().iter().copied()),
+            "{variant:?}"
+        );
+    }
+}
