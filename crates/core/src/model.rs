@@ -7,7 +7,7 @@ use crate::loglik;
 use crate::params::ModelConfig;
 use crate::persist::TrainCheckpoint;
 use crate::prior::TopicPrior;
-use crate::sampler::{run_sweeps, SamplerRngs, SweepCache, SweepContext};
+use crate::sampler::{run_sweeps, SamplerRngs, SweepContext};
 use rand::Rng;
 use srclda_corpus::Corpus;
 use srclda_math::{rng_from_seed, rng_from_state, rng_state, spawn_rng, DenseMatrix, SldaRng};
@@ -347,10 +347,11 @@ impl GibbsModel {
                 Some(every) => (completed / every + 1) * every,
             }
         };
-        // Backend sweep state that survives chunk boundaries (the serial
-        // kernel's combined prior table, the sharded backend's per-shard
-        // workspaces) — λ re-weighting never touches its contents.
-        let mut sweep_cache = SweepCache::default();
+        // The sweep driver's state, built by the first chunk and lent to
+        // every later one (the flat kernel's combined prior table, the
+        // sparse kernel's lists, the per-shard workspaces) — λ
+        // re-weighting never touches its contents.
+        let mut sweep_state = None;
         // Telemetry spans exist only when an enabled observer is attached;
         // the disabled path never reads the clock.
         let observing = observer.enabled();
@@ -380,7 +381,7 @@ impl GibbsModel {
                     shards: &mut shard_rngs,
                 },
                 chunk,
-                &mut sweep_cache,
+                &mut sweep_state,
                 |iter_in_chunk, stats| {
                     let iter = base + iter_in_chunk;
                     // Measure the sweep before the trace work below, so a
@@ -450,15 +451,11 @@ impl GibbsModel {
                     .map(|n| n.get())
                     .unwrap_or(1);
                 let span = observing.then(SpanTimer::start);
-                crate::sampler::adapt::adapt_integrated_priors(&mut priors, &counts, threads);
                 // Adaptation re-weights the integrated priors' quadrature
-                // levels; the in-place sparse kernel's cached reciprocals
-                // and smoothing baselines for exactly those topics are now
-                // stale. Repatch them in place instead of discarding the
-                // whole cache — everything else in it (deviation lists,
-                // non-zero lists, non-integrated baselines) is untouched
-                // by adaptation.
-                sweep_cache.repatch_adapted(&priors, &counts);
+                // levels. The next sweep's kernel derives its reciprocals
+                // and baselines from the adapted priors at its start, so
+                // the sweep state needs no repair.
+                crate::sampler::adapt::adapt_integrated_priors(&mut priors, &counts, threads);
                 if let Some(span) = span {
                     observer.on_event(&TrainEvent::Adapt {
                         sweep: completed as u64,

@@ -342,10 +342,8 @@ impl IntegrationTable {
     /// kernel caches the per-level `wₐrₐ` products **and** the per-topic
     /// `S1` (both depend only on `nt`), pays one multiply-add per level
     /// for `S2`, and must reproduce this exact sum bit for bit.
-    /// (`pub(crate)` so the parallel sampler's flat tables evaluate
-    /// integrated weights through this exact code path.)
     #[inline]
-    pub(crate) fn weight(&self, w: usize, nw: f64, nt: f64) -> f64 {
+    fn weight(&self, w: usize, nw: f64, nt: f64) -> f64 {
         if self.a <= QR_STACK {
             let mut qr = [0.0f64; QR_STACK];
             self.weight_with_scratch(&mut qr[..self.a], w, nw, nt)

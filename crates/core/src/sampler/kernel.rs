@@ -2,8 +2,8 @@
 //! tables, cached denominator reciprocals, direct λ-row loads, sparse
 //! document-topic bookkeeping, and non-atomic count updates. One `Kernel`
 //! sweeps either the global counts in place (`Backend::Serial`, any
-//! `S = 1`) or one shard's local copy; its `Combined` table is kept across
-//! sweeps and shared by every shard of a run.
+//! `S = 1`) or one shard's local copy; its `Combined` table is built once
+//! per fit, shared by every shard of a run, and lent to each sweep.
 //!
 //! [`KernelKind::Flat`]: super::KernelKind::Flat
 //!
@@ -73,7 +73,6 @@ use rand::Rng;
 use srclda_math::categorical::binary_search_cumulative;
 use srclda_math::SldaRng;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Per-topic prior kind tag (the flat replacement for the `TopicPrior`
 /// enum dispatch). Each carries the topic's ordinal within its channel:
@@ -187,29 +186,6 @@ impl<'a> SweepTables<'a> {
     pub(crate) fn num_topics(&self) -> usize {
         self.kinds.len()
     }
-
-    /// The prior weight of word `w` under topic `t` at counts `(nw, nt)`,
-    /// computing reciprocals fresh — bit-identical to
-    /// `TopicPrior::word_weight` (pinned by property test below) and to the
-    /// serial kernel's cached evaluation. This is the flat-table entry
-    /// point for the parallel backends, whose workers cannot share an
-    /// incrementally-maintained cache.
-    #[inline]
-    pub(crate) fn weight_at(&self, t: usize, w: usize, nw: f64, nt: f64) -> f64 {
-        match self.kinds[t] {
-            Kind::Symmetric => (nw + self.add[t]) * (1.0 / (nt + self.denom_add[t])),
-            Kind::Fixed(_) => (nw + self.rows[t][w]) * (1.0 / (nt + self.denom_add[t])),
-            Kind::Integrated(i) => self.ints[i as usize].table.weight(w, nw, nt),
-            Kind::Frozen(_) => self.rows[t][w],
-            Kind::ConceptSet(_) => {
-                if self.masks[t][w] {
-                    (nw + self.add[t]) * (1.0 / (nt + self.denom_add[t]))
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
 }
 
 /// The incrementally-maintained reciprocal cache (see the module docs for
@@ -291,10 +267,13 @@ impl RecipCache {
 /// * `ints[(w*n_int + j)*a .. +a]` — the δ row of the `j`-th λ-integrated
 ///   topic (uniform level count `a`), adjacent to topic `j+1`'s row.
 ///
-/// Built once per run from the priors (values copied verbatim, so
-/// weights stay bit-identical); skipped — `None` in [`Kernel`] — when the
-/// integrated level counts are not uniform or the copy would exceed
-/// [`MAX_COMBINED_BYTES`].
+/// Built once per fit from the priors (values copied verbatim, so
+/// weights stay bit-identical) and shared by `Arc` between the shards of
+/// a run. Every channel copies values that λ adaptation never touches —
+/// δ rows, φ rows, masks, support membership (adapt re-weights the
+/// quadrature only) — so the table stays valid for the whole fit. Skipped
+/// — `None` in [`Kernel`] — when the integrated level counts are not
+/// uniform or the copy would exceed [`MAX_COMBINED_BYTES`].
 pub(crate) struct Combined {
     f64s: Vec<f64>,
     n_f64: usize,
@@ -310,32 +289,6 @@ pub(crate) struct Combined {
 }
 
 impl Combined {
-    /// Reuse `previous` (from an earlier sweep of the *same* model) when
-    /// its shape matches, else build fresh. Every channel copies values
-    /// that λ adaptation never touches — δ rows, φ rows, masks, support
-    /// membership (adapt re-weights the quadrature only) — so the table
-    /// stays verbatim-valid across sweeps and chunks and the multi-MB copy
-    /// is paid once per run. The table is shared by `Arc` so the sharded
-    /// backend's S kernels read **one** copy instead of multiplying a
-    /// potentially multi-hundred-MB structure by S.
-    fn build_or_reuse(
-        tables: &SweepTables<'_>,
-        vocab_size: usize,
-        previous: Option<Arc<Self>>,
-    ) -> Option<Arc<Self>> {
-        if let Some(prev) = previous {
-            let shape_matches = tables.ints.len() == prev.n_int
-                && tables.ints.iter().all(|f| f.levels == prev.a)
-                && prev.ints.len() == vocab_size * prev.n_int * prev.a
-                && prev.f64s.len() == vocab_size * prev.n_f64
-                && prev.masks.len() == vocab_size * prev.n_mask;
-            if shape_matches {
-                return Some(prev);
-            }
-        }
-        Self::build(tables, vocab_size).map(Arc::new)
-    }
-
     pub(crate) fn build(tables: &SweepTables<'_>, vocab_size: usize) -> Option<Self> {
         let n_int = tables.ints.len();
         let a = tables.ints.first().map_or(0, |f| f.levels);
@@ -411,13 +364,13 @@ impl Combined {
 
 /// The flat kernel for one sweep: flat tables, the reciprocal cache, the
 /// per-document factor array, and the prefix-sum buffer. Built per sweep
-/// by [`KernelState::sweep`](super::KernelState::sweep), which keeps only
-/// the [`Combined`] table between sweeps.
+/// by [`KernelState::sweep`](super::KernelState::sweep), which lends it
+/// the fit's [`Combined`] table.
 pub(crate) struct Kernel<'a> {
     tables: SweepTables<'a>,
-    /// Word-major combined prior channels, shared across kernels of the
-    /// same model (`None` on the fallback path — see [`Combined`]).
-    combined: Option<Arc<Combined>>,
+    /// Word-major combined prior channels (`None` on the fallback path —
+    /// see [`Combined`]).
+    combined: Option<&'a Combined>,
     recip: RecipCache,
     /// `n_dt as f64 + α` for the current document's topics; exactly `α`
     /// everywhere else.
@@ -435,16 +388,11 @@ pub(crate) struct Kernel<'a> {
 }
 
 impl<'a> Kernel<'a> {
-    /// Build the kernel for the given sweep context (reads the current
-    /// counts to seed the reciprocal cache). `reuse` may carry the
-    /// [`Combined`] table of a previous sweep of the same model — λ
-    /// adaptation never changes the copied values, so the table is taken
-    /// as-is instead of re-copied (see
-    /// [`Combined::build_or_reuse`]); recover it afterwards with
-    /// [`Self::into_combined`].
-    pub(crate) fn new(ctx: &SweepContext<'a>, reuse: Option<Arc<Combined>>) -> Self {
+    /// Build the kernel for the given sweep context over the fit's
+    /// `combined` table, deriving the reciprocal cache from the current
+    /// counts and priors.
+    pub(crate) fn new(ctx: &SweepContext<'a>, combined: Option<&'a Combined>) -> Self {
         let tables = SweepTables::new(ctx.priors);
-        let combined = Combined::build_or_reuse(&tables, ctx.counts.vocab_size(), reuse);
         let recip = RecipCache::new(&tables, ctx.counts);
         let t_count = tables.num_topics();
         Self {
@@ -457,11 +405,6 @@ impl<'a> Kernel<'a> {
             buf: vec![0.0; t_count],
             alpha: ctx.alpha,
         }
-    }
-
-    /// Surrender the combined table for reuse by the next sweep.
-    pub(crate) fn into_combined(self) -> Option<Arc<Combined>> {
-        self.combined
     }
 
     /// One full sweep over every token of every document. Draws exactly one
@@ -483,7 +426,7 @@ impl<'a> Kernel<'a> {
                     .refresh(&self.tables, old, nt[old].load(Ordering::Relaxed));
 
                 let nw_row = counts.nw_row(w);
-                let acc = match &self.combined {
+                let acc = match self.combined {
                     Some(comb) => weights_combined(
                         comb,
                         &self.tables,
@@ -658,35 +601,42 @@ fn weights_scattered(
     w: usize,
 ) -> f64 {
     let mut acc = 0.0;
-    for (t, &kind) in tables.kinds.iter().enumerate() {
+    for (t, slot) in buf.iter_mut().enumerate() {
         let nw = nw_row[t].load(Ordering::Relaxed) as f64;
-        let weight = match kind {
-            Kind::Symmetric => (nw + tables.add[t]) * recip.recip[t],
-            Kind::Fixed(_) => (nw + tables.rows[t][w]) * recip.recip[t],
-            Kind::Integrated(j) => {
-                let f = &tables.ints[j as usize];
-                let s2 = if f.table.zero_row().is_some() && f.table.is_off_support(w) {
-                    recip.int_s2_zero[j as usize]
-                } else {
-                    let row = f.table.delta_row(w);
-                    let qr = &recip.qr[f.qr_base..f.qr_base + f.levels];
-                    dot_mod4(row, qr)
-                };
-                nw * recip.int_s1[j as usize] + s2
-            }
-            Kind::Frozen(_) => tables.rows[t][w],
-            Kind::ConceptSet(_) => {
-                if tables.masks[t][w] {
-                    (nw + tables.add[t]) * recip.recip[t]
-                } else {
-                    0.0
-                }
-            }
-        } * fact[t];
-        acc += weight;
-        buf[t] = acc;
+        acc += cached_weight(tables, recip, t, w, nw) * fact[t];
+        *slot = acc;
     }
     acc
+}
+
+/// Topic `t`'s prior weight of word `w` at count `nw`, from the flat
+/// tables and the reciprocal cache — bit-identical to
+/// `TopicPrior::word_weight` at the cached topic total.
+#[inline]
+fn cached_weight(tables: &SweepTables<'_>, recip: &RecipCache, t: usize, w: usize, nw: f64) -> f64 {
+    match tables.kinds[t] {
+        Kind::Symmetric => (nw + tables.add[t]) * recip.recip[t],
+        Kind::Fixed(_) => (nw + tables.rows[t][w]) * recip.recip[t],
+        Kind::Integrated(j) => {
+            let f = &tables.ints[j as usize];
+            let s2 = if f.table.zero_row().is_some() && f.table.is_off_support(w) {
+                recip.int_s2_zero[j as usize]
+            } else {
+                let row = f.table.delta_row(w);
+                let qr = &recip.qr[f.qr_base..f.qr_base + f.levels];
+                dot_mod4(row, qr)
+            };
+            nw * recip.int_s1[j as usize] + s2
+        }
+        Kind::Frozen(_) => tables.rows[t][w],
+        Kind::ConceptSet(_) => {
+            if tables.masks[t][w] {
+                (nw + tables.add[t]) * recip.recip[t]
+            } else {
+                0.0
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -713,34 +663,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The flat-table weight matches `TopicPrior::word_weight` **bit
-        /// for bit** across all five prior kinds and random counts — the
-        /// contract that lets the kernel walk the dense sweep's exact
-        /// chain.
-        #[test]
-        fn flat_weights_match_word_weight_bitwise(
-            raw_counts in prop::collection::vec(0u32..300, 5..24),
-            bag in prop::collection::vec(0u32..5, 0..8),
-            levels in 2usize..6,
-            w_pick in 0usize..1000,
-            nw in 0u32..40,
-            extra_nt in 0u32..500,
-        ) {
-            let counts: Vec<f64> = raw_counts.iter().map(|&c| c as f64).collect();
-            let v = counts.len();
-            let bag: Vec<u32> = bag.into_iter().filter(|&b| (b as usize) < v).collect();
-            let priors = mixed_priors(v, &counts, &bag, levels);
-            let tables = SweepTables::new(&priors);
-            let w = w_pick % v;
-            let nwf = nw as f64;
-            let ntf = (nw + extra_nt) as f64;
-            for (t, prior) in priors.iter().enumerate() {
-                let reference = prior.word_weight(w, nwf, ntf);
-                let flat = tables.weight_at(t, w, nwf, ntf);
-                prop_assert_eq!(flat.to_bits(), reference.to_bits());
-            }
-        }
 
         /// The word-major combined channels and the scattered per-prior
         /// reads produce bit-identical prefix sums for every word.
@@ -778,47 +700,45 @@ mod tests {
             }
         }
 
-        /// A cached reciprocal refreshed from the live counts equals the
-        /// freshly computed one bit for bit, for every kind.
+        /// The kernel's cached weight — flat tables plus a reciprocal
+        /// cache refreshed from the live counts — equals
+        /// `TopicPrior::word_weight` **bit for bit** at every word, across
+        /// all five prior kinds and random counts, off-bag concept words
+        /// and off-support λ-integrated words included: the contract that
+        /// lets the kernel walk the dense sweep's exact chain.
         #[test]
         fn cached_reciprocals_match_fresh_evaluation(
-            raw_counts in prop::collection::vec(1u32..200, 6..16),
-            levels in 2usize..5,
-            nt_seq in prop::collection::vec(0u32..100, 1..8),
-            nw in 0u32..30,
+            raw_counts in prop::collection::vec(0u32..200, 6..16),
+            bag in prop::collection::vec(0u32..16, 0..8),
+            levels in 2usize..6,
+            move_words in prop::collection::vec(0usize..16, 1..8),
+            move_sizes in prop::collection::vec(0u32..40, 1..8),
         ) {
             let counts: Vec<f64> = raw_counts.iter().map(|&c| c as f64).collect();
             let v = counts.len();
-            let priors = mixed_priors(v, &counts, &[0, 2], levels);
+            let bag: Vec<u32> = bag.into_iter().filter(|&b| (b as usize) < v).collect();
+            let priors = mixed_priors(v, &counts, &bag, levels);
             let tables = SweepTables::new(&priors);
-            let matrices = CountMatrices::new(v, priors.len(), &[64]);
+            let matrices = CountMatrices::new(v, priors.len(), &[0]);
             let mut cache = RecipCache::new(&tables, &matrices);
-            let nwf = nw as f64;
-            for &bump in &nt_seq {
-                for t in 0..priors.len() {
-                    for _ in 0..bump {
-                        matrices.increment_serial(0, 0, t);
+            for (step, (&w_pick, &n)) in move_words.iter().zip(&move_sizes).enumerate() {
+                // Assign `n` more tokens of one word to one topic, then
+                // refresh that topic's cached reciprocals.
+                let t = step % priors.len();
+                for _ in 0..n {
+                    matrices.increment_serial(w_pick % v, 0, t);
+                }
+                cache.refresh(&tables, t, matrices.nt(t));
+                for w in 0..v {
+                    for (t, prior) in priors.iter().enumerate() {
+                        let nw = matrices.nw(w, t) as f64;
+                        let cached = cached_weight(&tables, &cache, t, w, nw);
+                        let fresh = prior.word_weight(w, nw, matrices.nt(t) as f64);
+                        prop_assert!(
+                            cached.to_bits() == fresh.to_bits(),
+                            "word {} topic {}: cached {} vs fresh {}", w, t, cached, fresh
+                        );
                     }
-                    cache.refresh(&tables, t, matrices.nt(t));
-                    let ntf = matrices.nt(t) as f64;
-                    // Reconstruct the cached-path weight at word 0 (inside
-                    // the concept bag, so every kind exercises its real
-                    // formula) and compare with the fresh-reciprocal path.
-                    let cached = match tables.kinds[t] {
-                        Kind::Symmetric | Kind::ConceptSet(_) => {
-                            (nwf + tables.add[t]) * cache.recip[t]
-                        }
-                        Kind::Fixed(_) => (nwf + tables.rows[t][0]) * cache.recip[t],
-                        Kind::Integrated(i) => {
-                            let f = &tables.ints[i as usize];
-                            let row = f.table.delta_row(0);
-                            let qr = &cache.qr[f.qr_base..f.qr_base + f.levels];
-                            nwf * cache.int_s1[i as usize] + dot_mod4(row, qr)
-                        }
-                        Kind::Frozen(_) => tables.rows[t][0],
-                    };
-                    let fresh = tables.weight_at(t, 0, nwf, ntf);
-                    prop_assert_eq!(cached.to_bits(), fresh.to_bits());
                 }
             }
         }
@@ -867,11 +787,14 @@ mod tests {
     }
 
     /// Same seed → the kernel sweep and the dense reference sweep walk the
-    /// identical `z` trajectory over a fixture mixing all five prior kinds.
+    /// identical `z` trajectory over a fixture mixing all five prior kinds,
+    /// with the word-major combined table and without it.
     #[test]
     fn kernel_chain_matches_dense_reference() {
-        let run = |kernel: bool| -> Vec<Vec<u32>> {
-            let (tokens, priors) = fixture();
+        let (tokens, priors) = fixture();
+        let combined = Combined::build(&SweepTables::new(&priors), 6).expect("within budget");
+        // `None` sweeps the dense reference, `Some(table)` the kernel.
+        let run = |kernel: Option<Option<&Combined>>| -> Vec<Vec<u32>> {
             let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
             let counts = CountMatrices::new(6, priors.len(), &doc_lens);
             let mut rng = rng_from_seed(2024);
@@ -894,8 +817,8 @@ mod tests {
                 priors: &priors,
                 alpha: 0.4,
             };
-            if kernel {
-                let mut k = Kernel::new(&ctx, None);
+            if let Some(table) = kernel {
+                let mut k = Kernel::new(&ctx, table);
                 for _ in 0..40 {
                     k.sweep(&ctx, &mut z, &mut rng);
                     assert!(counts.check_invariants());
@@ -908,7 +831,13 @@ mod tests {
             }
             z
         };
-        assert_eq!(run(true), run(false), "kernel diverged from dense sweep");
+        let dense = run(None);
+        assert_eq!(
+            run(Some(Some(&combined))),
+            dense,
+            "combined-table kernel diverged"
+        );
+        assert_eq!(run(Some(None)), dense, "scattered-read kernel diverged");
     }
 
     /// The zero-weight fallback (all-concept priors covering no word) stays

@@ -13,6 +13,17 @@
 //! dense reference ([`serial`]) are bit-identical by construction (flat
 //! tables and cached reciprocals reproduce `TopicPrior::word_weight`
 //! exactly).
+//!
+//! ## Sweep-state lifecycle
+//!
+//! [`run_sweeps`] builds the sweep driver's [`shard::ShardState`] on a
+//! fit's first chunk, and the fit loop keeps it and lends it to every later
+//! chunk. It holds one [`KernelState`] in place, or one clone per shard:
+//! only the tables that depend on the priors' shape and the sparse
+//! kernel's non-zero lists. Each sweep builds a transient kernel over that
+//! state, and the kernel derives its reciprocals (and the sparse kernel
+//! its baselines) from the counts and the current priors at its start, so
+//! λ-adaptation between chunks leaves nothing stale.
 
 pub mod adapt;
 pub mod kernel;
@@ -279,80 +290,43 @@ pub(crate) struct SamplerRngs<'a> {
     pub shards: &'a mut [SldaRng],
 }
 
-/// Reusable sweep state carried by the fitting loop across chunk calls
-/// (the fit loop invokes [`run_sweeps`] once per λ-adaptation/checkpoint
-/// chunk). Everything here is a pure cache: rebuilding it from the live
-/// model state produces bit-identical values, so reuse never perturbs the
-/// chain — it only avoids repaying multi-MB copies per chunk.
-#[derive(Default)]
-pub(crate) struct SweepCache {
-    /// The sweep driver's state: the in-place kernel state, or the shard
-    /// partition with its per-shard workspaces.
-    state: Option<shard::ShardState>,
-}
-
-impl SweepCache {
-    /// λ-adaptation boundary hook: the adapter re-weighted the integrated
-    /// priors' quadrature, so an in-place sparse kernel's cached
-    /// reciprocals and baselines for those topics are repatched (see
-    /// [`sparse::SparseState::repatch_adapted`]). Shard workspaces need no
-    /// patching: they resync their count-dependent caches at every sweep.
-    pub(crate) fn repatch_adapted(&mut self, priors: &[TopicPrior], counts: &CountMatrices) {
-        if let Some(shard::ShardState::InPlace(KernelState::Sparse(Some(state)))) = &mut self.state
-        {
-            state.repatch_adapted(priors, counts);
-        }
-    }
-}
-
-/// One sweep kernel's reusable state — the [`KernelKind`] axis as data.
-/// The flat kernel keeps its word-major [`kernel::Combined`] table, the
-/// sparse kernel its [`sparse::SparseState`], the dense reference nothing.
-/// [`Self::sweep`] runs the kernel over whatever counts the context
-/// holds: the global counts in place, or one shard's local copy.
+/// One sweep kernel's state — the [`KernelKind`] axis as data, built once
+/// per fit by [`shard::ShardState::build`] and lent to every sweep. It
+/// keeps only tables that λ-adaptation never changes and the sparse
+/// non-zero lists: the flat kernel's word-major [`kernel::Combined`]
+/// table (`None` when the λ-tables mix quadrature depths or the copy would
+/// exceed its byte budget), the sparse kernel's [`sparse::SparseState`],
+/// the dense reference nothing. Everything that depends on the topic
+/// totals or on the λ-adapted quadrature weights — reciprocals, sparse
+/// baselines — is derived by each sweep's kernel at its start.
 ///
 /// A clone is the state for another shard of the same run. It shares the
 /// tables that depend on the priors alone by `Arc` — the combined table,
 /// the sparse [`sparse::SparseShape`] — and copies only the sparse
-/// count-dependent caches, which the shard resyncs from its own counts
-/// before every sweep.
+/// non-zero lists, which the shard rebuilds from its own counts before
+/// every sweep.
 #[derive(Clone)]
 pub(crate) enum KernelState {
     Flat(Option<Arc<kernel::Combined>>),
     Dense,
-    /// `None` only while a sweep holds it.
-    Sparse(Option<Box<sparse::SparseState>>),
+    Sparse(sparse::SparseState),
 }
 
 impl KernelState {
-    /// Fresh state for `kind` over `ctx`'s priors and counts. The tables
-    /// that depend on the priors alone are built here, once per fit.
+    /// Fresh state for `kind` over `ctx`'s priors and counts.
     pub(crate) fn new(kind: KernelKind, ctx: &SweepContext<'_>) -> Self {
-        let tables = kernel::SweepTables::new(ctx.priors);
         match kind {
             KernelKind::Flat => {
+                let tables = kernel::SweepTables::new(ctx.priors);
                 Self::Flat(kernel::Combined::build(&tables, ctx.counts.vocab_size()).map(Arc::new))
             }
             KernelKind::Dense => Self::Dense,
-            KernelKind::Sparse => Self::Sparse(Some(Box::new(sparse::SparseState::build(
-                &tables, ctx.counts,
-            )))),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> KernelKind {
-        match self {
-            Self::Flat(_) => KernelKind::Flat,
-            Self::Dense => KernelKind::Dense,
-            Self::Sparse(_) => KernelKind::Sparse,
+            KernelKind::Sparse => Self::Sparse(sparse::SparseState::build(ctx)),
         }
     }
 
     /// One full sweep over `ctx`'s documents and counts, drawing from
-    /// `rng`. Returns the sparse kernel's bucket-routing tallies. The
-    /// transient kernel is rebuilt per sweep from the kept state; its
-    /// reciprocal cache is recomputed from the live counts, which is
-    /// bit-equal to the one the previous sweep maintained.
+    /// `rng`. Returns the sparse kernel's bucket-routing tallies.
     pub(crate) fn sweep(
         &mut self,
         ctx: &SweepContext<'_>,
@@ -361,9 +335,7 @@ impl KernelState {
     ) -> Option<srclda_obs::SparseBucketCounts> {
         match self {
             Self::Flat(combined) => {
-                let mut k = kernel::Kernel::new(ctx, combined.take());
-                k.sweep(ctx, z, rng);
-                *combined = k.into_combined();
+                kernel::Kernel::new(ctx, combined.as_deref()).sweep(ctx, z, rng);
                 None
             }
             Self::Dense => {
@@ -371,20 +343,18 @@ impl KernelState {
                 None
             }
             Self::Sparse(state) => {
-                let mut k = sparse::SparseKernel::new(ctx, state.take().map(|s| *s));
+                let mut k = sparse::SparseKernel::new(ctx, state);
                 k.sweep(ctx, z, rng);
-                let buckets = k.take_bucket_counts();
-                *state = Some(Box::new(k.into_state()));
-                Some(buckets)
+                Some(k.take_bucket_counts())
             }
         }
     }
 
     /// The counts under `ctx` were replaced wholesale (a shard's snapshot
-    /// reload): re-derive the sparse state's count-dependent caches.
-    pub(crate) fn resync_counts(&mut self, ctx: &SweepContext<'_>) {
-        if let Self::Sparse(Some(state)) = self {
-            state.resync_counts(&kernel::SweepTables::new(ctx.priors), ctx.counts);
+    /// reload): rebuild the sparse state's non-zero lists.
+    pub(crate) fn resync_counts(&mut self, counts: &CountMatrices) {
+        if let Self::Sparse(state) = self {
+            state.resync_counts(counts);
         }
     }
 }
@@ -408,15 +378,17 @@ pub(crate) struct SweepStats {
 /// sweep with the completed iteration index (1-based) for trace recording,
 /// plus that sweep's [`SweepStats`].
 ///
-/// `cache` carries backend sweep state across calls (see [`SweepCache`]);
-/// pass a fresh `&mut SweepCache::default()` when no reuse applies.
+/// `state` is the sweep driver's state for the whole fit: built here on
+/// the first call, then lent to every later one (the fit loop calls once
+/// per λ-adaptation/checkpoint chunk). The paper algorithms' thread pools
+/// keep none.
 pub(crate) fn run_sweeps<F: FnMut(usize, &SweepStats)>(
     backend: Backend,
     ctx: &SweepContext<'_>,
     z: &mut [Vec<u32>],
     rngs: SamplerRngs<'_>,
     iterations: usize,
-    cache: &mut SweepCache,
+    state: &mut Option<shard::ShardState>,
     mut on_sweep: F,
 ) {
     let (kernel, threads, shard_rngs) = match backend {
@@ -444,7 +416,8 @@ pub(crate) fn run_sweeps<F: FnMut(usize, &SweepStats)>(
         // the flat kernel in place, on the run stream.
         _ => (KernelKind::Flat, 1, std::slice::from_mut(rngs.main)),
     };
-    let state = shard::ShardState::reuse_or_build(&mut cache.state, ctx, shard_rngs.len(), kernel);
+    let state =
+        state.get_or_insert_with(|| shard::ShardState::build(ctx, shard_rngs.len(), kernel));
     for iter in 1..=iterations {
         on_sweep(iter, &state.sweep(ctx, z, shard_rngs, threads));
     }

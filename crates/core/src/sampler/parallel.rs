@@ -22,7 +22,6 @@
 //! [`CountMatrices`](crate::counts::CountMatrices); ordering between phases
 //! comes from the [`SpinBarrier`].
 
-use super::kernel::SweepTables;
 use super::{debug_assert_counts, idx_u32, SweepContext};
 use crate::sync::{SharedF64Buffer, SharedF64Cell, SharedUsizeCell, SpinBarrier};
 use rand::Rng;
@@ -44,12 +43,10 @@ const NO_FORCED_TOPIC: usize = usize::MAX;
 
 /// State shared by all participants for the duration of a fit.
 struct Shared<'a, 'b> {
+    /// Workers compute weights with the dense reference's
+    /// `TopicPrior::word_weight`, so parallel and serial chains stay in
+    /// lock-step.
     ctx: &'a SweepContext<'b>,
-    /// Flat prior tables (shared read-only). Workers compute weights
-    /// through [`SweepTables::weight_at`], which derives reciprocals fresh
-    /// per call — bit-identical to the serial kernel's cached evaluation,
-    /// so parallel and serial chains stay in lock-step.
-    tables: SweepTables<'b>,
     algo: Algo,
     iterations: usize,
     threads: usize,
@@ -87,7 +84,6 @@ impl<'a, 'b> Shared<'a, 'b> {
             .collect();
         Self {
             ctx,
-            tables: SweepTables::new(ctx.priors),
             algo,
             iterations,
             threads,
@@ -254,8 +250,7 @@ fn phase_weights(p: usize, sh: &Shared<'_, '_>, d: usize, w: usize) {
         Algo::Simple => {
             let mut acc = 0.0;
             for t in range {
-                let weight = sh.tables.weight_at(
-                    t,
+                let weight = sh.ctx.priors[t].word_weight(
                     w,
                     nw_row[t].load(Ordering::Relaxed) as f64,
                     nt[t].load(Ordering::Relaxed) as f64,
@@ -268,8 +263,7 @@ fn phase_weights(p: usize, sh: &Shared<'_, '_>, d: usize, w: usize) {
         Algo::PrefixSums => {
             for t in range {
                 let weight = if t < sh.t_count {
-                    sh.tables.weight_at(
-                        t,
+                    sh.ctx.priors[t].word_weight(
                         w,
                         nw_row[t].load(Ordering::Relaxed) as f64,
                         nt[t].load(Ordering::Relaxed) as f64,

@@ -45,6 +45,11 @@
 //! result is bit-identical whatever `threads` is — including `threads`
 //! larger or smaller than `S`. λ-adaptation (and every trace callback)
 //! runs on the merged global state between sweeps.
+//!
+//! The driver's state ([`ShardState`]) is built once per fit and lent to
+//! every sweep. It holds nothing that depends on the λ-adapted quadrature
+//! weights: each sweep's kernel derives its reciprocals (and the sparse
+//! kernel its baselines) at its start, so adaptation needs no hook here.
 
 use super::{debug_assert_counts, idx_u32, KernelKind, KernelState, SweepContext, SweepStats};
 use crate::counts::CountMatrices;
@@ -92,7 +97,7 @@ pub(crate) fn partition_docs(tokens: &[Vec<u32>], shards: usize) -> Vec<Range<us
 }
 
 /// One shard of an `S > 1` run: its documents, its local counts, and its
-/// kernel's reusable state.
+/// kernel's state.
 pub(crate) struct ShardWorkspace {
     /// Global document range this shard owns.
     range: Range<usize>,
@@ -100,8 +105,8 @@ pub(crate) struct ShardWorkspace {
     /// snapshot-loaded `n_wt`/`n_t` working copy.
     local: CountMatrices,
     /// The shard kernel's state; a sparse state shares the run's
-    /// count-free [`super::sparse::SparseShape`] and resyncs its own
-    /// count-dependent caches after each snapshot reload.
+    /// count-free [`super::sparse::SparseShape`] and rebuilds its own
+    /// non-zero lists after each snapshot reload.
     kernel: KernelState,
 }
 
@@ -117,13 +122,13 @@ fn shard_sweep(
     rng: &mut SldaRng,
 ) -> Option<srclda_obs::SparseBucketCounts> {
     ws.local.load_nw_nt(snapshot_nw, snapshot_nt);
+    ws.kernel.resync_counts(&ws.local);
     let local_ctx = SweepContext {
         tokens: &ctx.tokens[ws.range.clone()],
         counts: &ws.local,
         priors: ctx.priors,
         alpha: ctx.alpha,
     };
-    ws.kernel.resync_counts(&local_ctx);
     ws.kernel.sweep(&local_ctx, z_shard, rng)
 }
 
@@ -138,14 +143,12 @@ type ShardJob<'a> = (
     &'a mut (f64, Option<srclda_obs::SparseBucketCounts>),
 );
 
-/// The sweep driver's reusable chunk state, carried across chunk calls
-/// by the fitting loop (via [`super::SweepCache`]) because rebuilding it
-/// is pure waste: the partition is a function of the (fixed) corpus and
-/// `S`; the local `n_dt` rows were the *source* of the global rows at the
-/// last merge, so they are already bit-equal; the combined tables'
-/// contents are invariant under λ adaptation; and the sparse states'
-/// structural parts are functions of the priors' shape, which adaptation
-/// never changes.
+/// The sweep driver's state, built once per fit and lent to every sweep
+/// (the fitting loop owns it across chunk calls): the partition is a
+/// function of the (fixed) corpus and `S`; the local `n_dt` rows were the
+/// *source* of the global rows at the last merge, so they are already
+/// bit-equal; and the kernel states keep only tables that λ adaptation
+/// never changes (see [`KernelState`]).
 pub(crate) enum ShardState {
     /// `S = 1`: one kernel state over the global counts.
     InPlace(KernelState),
@@ -154,7 +157,9 @@ pub(crate) enum ShardState {
 }
 
 impl ShardState {
-    fn build(ctx: &SweepContext<'_>, shards: usize, kernel: KernelKind) -> Self {
+    /// The state for `shards` shards of `kernel`: one kernel state in
+    /// place, or one clone per shard.
+    pub(crate) fn build(ctx: &SweepContext<'_>, shards: usize, kernel: KernelKind) -> Self {
         let first = KernelState::new(kernel, ctx);
         if shards == 1 {
             return Self::InPlace(first);
@@ -182,42 +187,6 @@ impl ShardState {
             })
             .collect();
         Self::Sharded(workspaces)
-    }
-
-    /// Whether this state matches the given run shape (same kernel, same
-    /// shard count, same corpus extent, same count dimensions) — within
-    /// one fit these never change, so a cached state from the previous
-    /// chunk is valid.
-    fn matches(&self, ctx: &SweepContext<'_>, shards: usize, kernel: KernelKind) -> bool {
-        match self {
-            Self::InPlace(k) => shards == 1 && k.kind() == kernel,
-            Self::Sharded(workspaces) => {
-                workspaces.len() == shards
-                    && workspaces.last().map_or(0, |ws| ws.range.end) == ctx.tokens.len()
-                    && workspaces.iter().all(|ws| {
-                        ws.kernel.kind() == kernel
-                            && ws.local.vocab_size() == ctx.counts.vocab_size()
-                            && ws.local.num_topics() == ctx.counts.num_topics()
-                    })
-            }
-        }
-    }
-
-    /// The cached state if it matches the run shape, else a fresh build
-    /// stored in `cache` (pass `&mut None` to build fresh).
-    pub(crate) fn reuse_or_build<'c>(
-        cache: &'c mut Option<Self>,
-        ctx: &SweepContext<'_>,
-        shards: usize,
-        kernel: KernelKind,
-    ) -> &'c mut Self {
-        if !cache
-            .as_ref()
-            .is_some_and(|state| state.matches(ctx, shards, kernel))
-        {
-            *cache = None;
-        }
-        cache.get_or_insert_with(|| Self::build(ctx, shards, kernel))
     }
 
     /// One sweep with one RNG stream per shard (`threads` only schedules
@@ -354,7 +323,7 @@ fn sharded_sweep(
 #[cfg(test)]
 mod tests {
     use super::super::kernel::Kernel;
-    use super::super::sparse::SparseKernel;
+    use super::super::sparse::{SparseKernel, SparseState};
     use super::*;
     use crate::prior::TopicPrior;
     use rand::Rng;
@@ -440,8 +409,8 @@ mod tests {
             .collect()
     }
 
-    /// Drive the sweep state directly, reusing it across sweeps like the
-    /// fitting loop does; returns (z, nw, nt).
+    /// Drive the sweep state directly, one state across every sweep like
+    /// the fitting loop; returns (z, nw, nt).
     fn run_sharded(
         kernel: KernelKind,
         shards: usize,
@@ -467,9 +436,8 @@ mod tests {
             priors: &priors,
             alpha: 0.5,
         };
-        let mut cache = None;
+        let mut state = ShardState::build(&ctx, shards, kernel);
         for _ in 0..sweeps {
-            let state = ShardState::reuse_or_build(&mut cache, &ctx, shards, kernel);
             let stats = state.sweep(&ctx, &mut z, &mut shard_rngs, threads);
             // Shard timings iff S > 1; bucket tallies iff the kernel is
             // sparse, on the timings or (in place) on the stats.
@@ -556,7 +524,8 @@ mod tests {
             priors: &priors,
             alpha: 0.5,
         };
-        let mut kernel = SparseKernel::new(&ctx, None);
+        let mut state = SparseState::build(&ctx);
+        let mut kernel = SparseKernel::new(&ctx, &mut state);
         for _ in 0..12 {
             kernel.sweep(&ctx, &mut z, &mut rng);
         }

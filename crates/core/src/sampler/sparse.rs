@@ -72,14 +72,16 @@
 //!   band (`tests/kernel_equivalence.rs`);
 //! * full determinism: the chain is a pure function of the seed, and chunk
 //!   boundaries (λ-adaptation, checkpoints) never perturb it — `r` is
-//!   rebuilt per document, `s` per sweep, and the non-zero lists are kept
+//!   rebuilt per document; the reciprocals, the baselines and `s` per
+//!   sweep, each refresh recomputed from scratch so a derived value is
+//!   bit-identical to a maintained one; and the non-zero lists are kept
 //!   sorted so an incrementally-maintained list is bit-identical to one
 //!   rebuilt from the counts.
 
 use super::kernel::{Kind, RecipCache, SweepTables};
 use super::{idx_u32, SweepContext};
 use crate::counts::CountMatrices;
-use crate::prior::{dot_mod4, TopicPrior};
+use crate::prior::dot_mod4;
 use rand::Rng;
 use srclda_math::categorical::binary_search_cumulative;
 use srclda_math::SldaRng;
@@ -91,8 +93,8 @@ use std::sync::Arc;
 /// deviation lists, the baselines' parameters and floors, and the dense
 /// demotions. These are functions of the priors alone, and λ-adaptation
 /// leaves them untouched (it re-weights the quadrature, not the δ rows).
-/// [`KernelState::new`](super::KernelState::new) builds it once per fit,
-/// and every shard's [`SparseState`] shares it by `Arc`.
+/// [`SparseState::build`] builds it once per fit, and every shard's
+/// [`SparseState`] shares it by `Arc`.
 pub(crate) struct SparseShape {
     /// Per-word topic lists where the word deviates from the topic's
     /// baseline (sorted ascending).
@@ -109,9 +111,6 @@ pub(crate) struct SparseShape {
     /// per-level element-wise floor of every word's δ row — the baseline
     /// the bucket decomposition subtracts. Empty for dense-demoted topics.
     int_floor: Vec<Vec<f64>>,
-    /// Shape fingerprint for reuse validation: per-topic kind tag (with the
-    /// dense-demotion bit) — a mismatch means different priors, rebuild.
-    tags: Vec<u8>,
 }
 
 impl SparseShape {
@@ -124,7 +123,6 @@ impl SparseShape {
             dense_flag: vec![false; t_count],
             base_param: vec![0.0; t_count],
             int_floor: vec![Vec::new(); tables.ints.len()],
-            tags: vec![0; t_count],
         };
         for t in 0..t_count {
             match tables.kinds[t] {
@@ -194,149 +192,46 @@ impl SparseShape {
                     }
                 }
             }
-            shape.tags[t] = shape.tag(tables.kinds[t], t);
         }
         shape
     }
-
-    /// Topic `t`'s kind tag, with the dense-demotion bit.
-    fn tag(&self, kind: Kind, t: usize) -> u8 {
-        match kind {
-            Kind::Symmetric => 1,
-            Kind::Fixed(_) => 2,
-            Kind::Integrated(_) => {
-                if self.dense_flag[t] {
-                    7
-                } else {
-                    3
-                }
-            }
-            Kind::Frozen(_) => 4,
-            Kind::ConceptSet(_) => 5,
-        }
-    }
-
-    /// Whether this structure belongs to the same model shape.
-    fn matches(&self, tables: &SweepTables<'_>, counts: &CountMatrices) -> bool {
-        self.exc.len() == counts.vocab_size()
-            && self.tags.len() == tables.num_topics()
-            && tables
-                .kinds
-                .iter()
-                .enumerate()
-                .all(|(t, &k)| self.tags[t] == self.tag(k, t))
-    }
 }
 
-/// Reusable sparse-kernel state carried across sweeps and chunks (the
-/// analogue of the flat kernel's `Combined` reuse): the shared count-free
-/// [`SparseShape`], the per-word non-zero assignment lists (maintained in
-/// lock-step with the counts, which only the kernel itself mutates between
-/// chunk boundaries), and the count-dependent caches — the reciprocal
-/// cache and the per-topic minimum-weight baselines `base0(t)` — kept
-/// valid across chunks through an explicit invalidation API:
-///
-/// * between in-place sweeps and at plain chunk boundaries (checkpoints)
-///   nothing else changed, so the caches are taken as-is;
-/// * at a λ-adaptation boundary the fitting loop calls
-///   [`Self::repatch_adapted`], which re-derives only the *adapted*
-///   (λ-integrated) topics' reciprocal rows and baselines instead of
-///   rebuilding every topic;
-/// * at `S > 1` each shard reloads its local counts from the global
-///   snapshot every sweep and calls [`Self::resync_counts`] to re-derive
-///   the count-dependent parts wholesale.
-///
-/// Every path is debug-asserted bit-equal to a from-scratch rebuild in
-/// [`SparseKernel::new`]. A clone shares the shape and copies the caches.
+/// The sparse kernel's state that outlives one sweep: the shared
+/// count-free [`SparseShape`] and the per-word sorted non-zero assignment
+/// lists, the one count-dependent structure whose O(V·T) rebuild an
+/// in-place sweep start should not pay. [`KernelState`](super::KernelState)
+/// owns it for the whole fit and lends it to each sweep's
+/// [`SparseKernel`], which keeps the lists in lock-step with the counts it
+/// moves. At `S > 1` each shard reloads its local counts from the global
+/// snapshot every sweep and rebuilds its lists with
+/// [`Self::resync_counts`]. A clone shares the shape and copies the lists.
 #[derive(Clone)]
 pub(crate) struct SparseState {
     shape: Arc<SparseShape>,
     /// Per-word sorted topic lists where `n_wt > 0` (incrementally
     /// maintained; rebuild from counts is bit-identical by sortedness).
     nz: Vec<Vec<u32>>,
-    /// The serial kernel's reciprocal cache (denominator reciprocals and,
-    /// for λ-integrated topics, the per-level quadrature products) at the
-    /// current counts. Maintained per token by the sweep; re-derived for
-    /// adapted topics by [`Self::repatch_adapted`].
-    recip: RecipCache,
-    /// `base0(t)` — the per-topic minimum word weight the bucket
-    /// decomposition subtracts — at the current counts and quadrature
-    /// weights. Maintained in lock-step with `recip`.
-    base0: Vec<f64>,
 }
 
 impl SparseState {
-    /// Build the shape from the flattened priors and the caches from the
-    /// current counts.
-    pub(crate) fn build(tables: &SweepTables<'_>, counts: &CountMatrices) -> Self {
+    /// Build the shape from `ctx`'s priors and the non-zero lists from its
+    /// counts.
+    pub(crate) fn build(ctx: &SweepContext<'_>) -> Self {
+        let v = ctx.counts.vocab_size();
         let mut state = Self {
-            shape: Arc::new(SparseShape::build(tables, counts.vocab_size())),
-            nz: vec![Vec::new(); counts.vocab_size()],
-            recip: RecipCache::new(tables, counts),
-            base0: vec![0.0; tables.num_topics()],
+            shape: Arc::new(SparseShape::build(&SweepTables::new(ctx.priors), v)),
+            nz: vec![Vec::new(); v],
         };
-        state.resync_counts(tables, counts);
+        state.resync_counts(ctx.counts);
         state
     }
 
-    /// `base0(t)` from the current reciprocal cache (see the kind table in
-    /// the module docs).
-    #[inline]
-    fn compute_base0(&self, tables: &SweepTables<'_>, t: usize) -> f64 {
-        match tables.kinds[t] {
-            Kind::Symmetric => tables.add[t] * self.recip.recip[t],
-            Kind::Fixed(_) => self.shape.base_param[t] * self.recip.recip[t],
-            Kind::Integrated(i) => {
-                if self.shape.dense_flag[t] {
-                    0.0
-                } else {
-                    // S2 at the floor row, under the current quadrature
-                    // weights (A is a handful of levels — recomputing the
-                    // dot at each refresh is cheaper than caching another
-                    // per-topic invalidation path).
-                    let f = &tables.ints[i as usize];
-                    let qr = &self.recip.qr[f.qr_base..f.qr_base + f.levels];
-                    dot_mod4(&self.shape.int_floor[i as usize], qr)
-                }
-            }
-            Kind::Frozen(_) => self.shape.base_param[t],
-            Kind::ConceptSet(_) => 0.0,
-        }
-    }
-
-    /// Refresh topic `t`'s reciprocal row for the given topic total, then
-    /// re-derive its baseline — the single per-topic invalidation step
-    /// every cache path routes through.
-    #[inline]
-    fn refresh_topic(&mut self, tables: &SweepTables<'_>, t: usize, nt: u32) {
-        self.recip.refresh(tables, t, nt);
-        self.base0[t] = self.compute_base0(tables, t);
-    }
-
-    /// Invalidation API for λ-adaptation boundaries: the adapter re-weights
-    /// the quadrature of every λ-integrated topic (and nothing else — δ
-    /// rows, deviation lists, and the floor structure are untouched), so
-    /// only those topics' reciprocal rows and baselines are re-derived.
-    /// Everything else in the cache is bit-valid as maintained — verified
-    /// against a from-scratch rebuild by the debug assertion in
-    /// [`SparseKernel::new`].
-    pub(crate) fn repatch_adapted(&mut self, priors: &[TopicPrior], counts: &CountMatrices) {
-        let tables = SweepTables::new(priors);
-        for t in 0..tables.num_topics() {
-            if matches!(tables.kinds[t], Kind::Integrated(_)) {
-                self.refresh_topic(&tables, t, counts.nt(t));
-            }
-        }
-    }
-
-    /// Invalidation API for shards at `S > 1`: the shard's local
-    /// counts were just reloaded from the sweep-start global snapshot, so
-    /// every count-dependent cache — the non-zero lists, the reciprocal
-    /// cache, and the baselines — is re-derived wholesale. The structural
-    /// parts (deviation lists, floors, dense demotions) are count-free and
-    /// survive untouched.
-    pub(crate) fn resync_counts(&mut self, tables: &SweepTables<'_>, counts: &CountMatrices) {
-        let t_count = tables.num_topics();
+    /// Rebuild the non-zero lists from `counts`, reusing their allocations
+    /// (a shard's local counts were just reloaded from the sweep-start
+    /// snapshot).
+    pub(crate) fn resync_counts(&mut self, counts: &CountMatrices) {
+        let t_count = counts.num_topics();
         for (w, list) in self.nz.iter_mut().enumerate() {
             list.clear();
             for t in 0..t_count {
@@ -344,10 +239,6 @@ impl SparseState {
                     list.push(idx_u32(t));
                 }
             }
-        }
-        self.recip = RecipCache::new(tables, counts);
-        for t in 0..t_count {
-            self.base0[t] = self.compute_base0(tables, t);
         }
     }
 
@@ -369,14 +260,22 @@ impl SparseState {
 
 /// The bucket kernel for one sweep. Mirrors the flat
 /// [`Kernel`](super::kernel::Kernel) lifecycle: built per sweep by
-/// [`KernelState::sweep`](super::KernelState::sweep), which takes the
-/// reusable state back with [`Self::into_state`].
+/// [`KernelState::sweep`](super::KernelState::sweep), which lends it the
+/// fit's [`SparseState`]. The reciprocal cache and the baselines are
+/// derived at sweep start from the counts and the current priors, so a
+/// λ-adaptation between sweeps leaves nothing stale.
 pub(crate) struct SparseKernel<'a> {
     tables: SweepTables<'a>,
-    /// Bucket caches — deviation/non-zero lists, reciprocal cache, and
-    /// baselines — owned by the reusable state so they survive chunk and
-    /// λ-adaptation boundaries (see [`SparseState`]).
-    state: SparseState,
+    /// The fit's deviation and non-zero lists (see [`SparseState`]).
+    state: &'a mut SparseState,
+    /// The flat kernel's reciprocal cache (denominator reciprocals and,
+    /// for λ-integrated topics, the per-level quadrature products) at the
+    /// current counts, refreshed per token.
+    recip: RecipCache,
+    /// `base0(t)` — the per-topic minimum word weight the bucket
+    /// decomposition subtracts — at the current counts and quadrature
+    /// weights. Refreshed in lock-step with `recip`.
+    base0: Vec<f64>,
     /// Cached smoothing-bucket mass `α · Σ_t base0(t)`; patched per token,
     /// rebuilt at every sweep start to cap float drift (sweeps are the
     /// chunking unit, so the rebuild schedule is chunk-invariant).
@@ -405,60 +304,29 @@ pub(crate) struct SparseKernel<'a> {
 }
 
 impl<'a> SparseKernel<'a> {
-    /// Build the kernel, reusing a previous sweep's [`SparseState`] when
-    /// its shape matches. The reused state's count-dependent caches
-    /// (non-zero lists, reciprocal cache, baselines) are taken **as-is**:
-    /// between sweeps they were either maintained in lock-step by the
-    /// sweep itself or explicitly repaired through the invalidation API
-    /// ([`SparseState::repatch_adapted`] at λ-adaptation boundaries,
-    /// [`SparseState::resync_counts`] after a sharded snapshot reload) —
-    /// debug-asserted bit-equal to a from-scratch rebuild here.
-    pub(crate) fn new(ctx: &SweepContext<'a>, reuse: Option<SparseState>) -> Self {
+    /// Build the kernel over the fit's `state`, deriving the reciprocal
+    /// cache and the baselines from `ctx`'s counts and priors. The
+    /// non-zero lists are taken as lent — the previous sweep kept them in
+    /// lock-step with the counts, or a shard just rebuilt them —
+    /// debug-asserted equal to a rebuild here.
+    pub(crate) fn new(ctx: &SweepContext<'a>, state: &'a mut SparseState) -> Self {
+        #[cfg(debug_assertions)]
+        {
+            let mut fresh = state.clone();
+            fresh.resync_counts(ctx.counts);
+            debug_assert_eq!(
+                state.nz, fresh.nz,
+                "cached non-zero lists drifted from the counts"
+            );
+        }
         let tables = SweepTables::new(ctx.priors);
-        let state = match reuse {
-            Some(prev) if prev.shape.matches(&tables, ctx.counts) => {
-                #[cfg(debug_assertions)]
-                {
-                    let fresh = SparseState::build(&tables, ctx.counts);
-                    debug_assert_eq!(
-                        prev.nz, fresh.nz,
-                        "cached non-zero lists drifted from the counts"
-                    );
-                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    debug_assert_eq!(
-                        bits(&prev.base0),
-                        bits(&fresh.base0),
-                        "cached baselines drifted from a fresh rebuild"
-                    );
-                    debug_assert_eq!(
-                        bits(&prev.recip.recip),
-                        bits(&fresh.recip.recip),
-                        "cached reciprocals drifted from a fresh rebuild"
-                    );
-                    debug_assert_eq!(
-                        bits(&prev.recip.qr),
-                        bits(&fresh.recip.qr),
-                        "cached quadrature products drifted from a fresh rebuild"
-                    );
-                    debug_assert_eq!(
-                        bits(&prev.recip.int_s1),
-                        bits(&fresh.recip.int_s1),
-                        "cached S1 sums drifted from a fresh rebuild"
-                    );
-                    debug_assert_eq!(
-                        bits(&prev.recip.int_s2_zero),
-                        bits(&fresh.recip.int_s2_zero),
-                        "cached zero-row S2 sums drifted from a fresh rebuild"
-                    );
-                }
-                prev
-            }
-            _ => SparseState::build(&tables, ctx.counts),
-        };
+        let recip = RecipCache::new(&tables, ctx.counts);
         let t_count = tables.num_topics();
-        Self {
+        let mut kernel = Self {
             tables,
             state,
+            recip,
+            base0: Vec::new(),
             s: 0.0,
             r: 0.0,
             fact: vec![ctx.alpha; t_count],
@@ -472,12 +340,42 @@ impl<'a> SparseKernel<'a> {
             tally_r: Cell::new(0),
             tally_s: Cell::new(0),
             tally_fallback: Cell::new(0),
+        };
+        kernel.base0 = (0..t_count).map(|t| kernel.compute_base0(t)).collect();
+        kernel
+    }
+
+    /// `base0(t)` from the current reciprocal cache (see the kind table in
+    /// the module docs).
+    #[inline]
+    fn compute_base0(&self, t: usize) -> f64 {
+        let shape = &self.state.shape;
+        match self.tables.kinds[t] {
+            Kind::Symmetric => self.tables.add[t] * self.recip.recip[t],
+            Kind::Fixed(_) => shape.base_param[t] * self.recip.recip[t],
+            Kind::Integrated(i) => {
+                if shape.dense_flag[t] {
+                    0.0
+                } else {
+                    // S2 at the floor row, under the current quadrature
+                    // weights (A is a handful of levels — recomputing the
+                    // dot at each refresh is cheaper than caching it).
+                    let f = &self.tables.ints[i as usize];
+                    let qr = &self.recip.qr[f.qr_base..f.qr_base + f.levels];
+                    dot_mod4(&shape.int_floor[i as usize], qr)
+                }
+            }
+            Kind::Frozen(_) => shape.base_param[t],
+            Kind::ConceptSet(_) => 0.0,
         }
     }
 
-    /// Surrender the reusable state for the next sweep chunk.
-    pub(crate) fn into_state(self) -> SparseState {
-        self.state
+    /// Refresh topic `t`'s reciprocal row for the given topic total, then
+    /// re-derive its baseline.
+    #[inline]
+    fn refresh_topic(&mut self, t: usize, nt: u32) {
+        self.recip.refresh(&self.tables, t, nt);
+        self.base0[t] = self.compute_base0(t);
     }
 
     /// Snapshot and reset the bucket-routing tallies accumulated since the
@@ -499,26 +397,25 @@ impl<'a> SparseKernel<'a> {
         match self.tables.kinds[t] {
             Kind::Symmetric => 0.0,
             Kind::Fixed(_) => {
-                (self.tables.rows[t][w] - self.state.shape.base_param[t])
-                    * self.state.recip.recip[t]
+                (self.tables.rows[t][w] - self.state.shape.base_param[t]) * self.recip.recip[t]
             }
             Kind::Integrated(i) => {
                 let f = &self.tables.ints[i as usize];
-                let qr = &self.state.recip.qr[f.qr_base..f.qr_base + f.levels];
+                let qr = &self.recip.qr[f.qr_base..f.qr_base + f.levels];
                 // `base0[t]` holds S2 at the floor row for the current
                 // quadrature; each term of the dot dominates its floor
                 // counterpart, so the difference is non-negative up to
                 // last-ulp cancellation (clamped).
-                (dot_mod4(f.table.delta_row(w), qr) - self.state.base0[t]).max(0.0)
+                (dot_mod4(f.table.delta_row(w), qr) - self.base0[t]).max(0.0)
             }
             Kind::Frozen(_) => self.tables.rows[t][w] - self.state.shape.base_param[t],
-            Kind::ConceptSet(_) => self.tables.add[t] * self.state.recip.recip[t],
+            Kind::ConceptSet(_) => self.tables.add[t] * self.recip.recip[t],
         }
     }
 
     /// Rebuild the smoothing-bucket mass from scratch.
     fn rebuild_s(&mut self) {
-        self.s = self.state.base0.iter().map(|&b| self.alpha * b).sum();
+        self.s = self.base0.iter().map(|&b| self.alpha * b).sum();
     }
 
     /// Remove topic `t`'s contribution from the cached bucket masses (call
@@ -526,15 +423,15 @@ impl<'a> SparseKernel<'a> {
     /// added.
     #[inline]
     fn unplug(&mut self, t: usize) {
-        self.s -= self.alpha * self.state.base0[t];
-        self.r -= self.nd_doc[t] as f64 * self.state.base0[t];
+        self.s -= self.alpha * self.base0[t];
+        self.r -= self.nd_doc[t] as f64 * self.base0[t];
     }
 
     /// Re-add topic `t`'s contribution after its counts/cache changed.
     #[inline]
     fn replug(&mut self, t: usize) {
-        self.s += self.alpha * self.state.base0[t];
-        self.r += self.nd_doc[t] as f64 * self.state.base0[t];
+        self.s += self.alpha * self.base0[t];
+        self.r += self.nd_doc[t] as f64 * self.base0[t];
     }
 
     /// Assemble the q bucket for word `w`: deviation terms, dense-topic
@@ -570,10 +467,9 @@ impl<'a> SparseKernel<'a> {
                 continue;
             };
             let f = &self.tables.ints[i as usize];
-            let qr = &self.state.recip.qr[f.qr_base..f.qr_base + f.levels];
+            let qr = &self.recip.qr[f.qr_base..f.qr_base + f.levels];
             let nw = counts.nw(w, t) as f64;
-            let mass = (nw * self.state.recip.int_s1[i as usize]
-                + dot_mod4(f.table.delta_row(w), qr))
+            let mass = (nw * self.recip.int_s1[i as usize] + dot_mod4(f.table.delta_row(w), qr))
                 * self.fact[t];
             if mass > 0.0 {
                 q += mass;
@@ -614,12 +510,12 @@ impl<'a> SparseKernel<'a> {
     #[inline]
     fn coef_at(&self, t: usize, w: usize) -> f64 {
         match self.tables.kinds[t] {
-            Kind::Symmetric | Kind::Fixed(_) => self.state.recip.recip[t],
-            Kind::Integrated(i) => self.state.recip.int_s1[i as usize],
+            Kind::Symmetric | Kind::Fixed(_) => self.recip.recip[t],
+            Kind::Integrated(i) => self.recip.int_s1[i as usize],
             Kind::Frozen(_) => 0.0,
             Kind::ConceptSet(_) => {
                 if self.tables.masks[t][w] {
-                    self.state.recip.recip[t]
+                    self.recip.recip[t]
                 } else {
                     0.0
                 }
@@ -648,8 +544,7 @@ impl<'a> SparseKernel<'a> {
                 if counts.nw(w, old) == 0 {
                     self.state.nz_remove(w, old);
                 }
-                self.state
-                    .refresh_topic(&self.tables, old, nt[old].load(Ordering::Relaxed));
+                self.refresh_topic(old, nt[old].load(Ordering::Relaxed));
                 self.replug(old);
 
                 let q = self.word_bucket(counts, w);
@@ -682,8 +577,7 @@ impl<'a> SparseKernel<'a> {
                 }
                 self.nd_doc[new] += 1;
                 self.fact[new] = self.nd_doc[new] as f64 + self.alpha;
-                self.state
-                    .refresh_topic(&self.tables, new, nt[new].load(Ordering::Relaxed));
+                self.refresh_topic(new, nt[new].load(Ordering::Relaxed));
                 self.replug(new);
             }
             self.leave_doc();
@@ -708,7 +602,7 @@ impl<'a> SparseKernel<'a> {
             let mut acc = 0.0;
             for &t in &self.active {
                 let t = t as usize;
-                let mass = self.nd_doc[t] as f64 * self.state.base0[t];
+                let mass = self.nd_doc[t] as f64 * self.base0[t];
                 if mass > 0.0 {
                     acc += mass;
                     fallback = Some(t);
@@ -724,7 +618,7 @@ impl<'a> SparseKernel<'a> {
         // Smoothing bucket: walk all topics over α·base0.
         let target = (u - q - r).max(0.0);
         let mut acc = 0.0;
-        for (t, &b) in self.state.base0.iter().enumerate() {
+        for (t, &b) in self.base0.iter().enumerate() {
             let mass = self.alpha * b;
             if mass > 0.0 {
                 acc += mass;
@@ -765,7 +659,7 @@ impl<'a> SparseKernel<'a> {
         for i in 0..self.active.len() {
             let t = self.active[i] as usize;
             self.fact[t] = self.nd_doc[t] as f64 + self.alpha;
-            self.r += self.nd_doc[t] as f64 * self.state.base0[t];
+            self.r += self.nd_doc[t] as f64 * self.base0[t];
         }
     }
 
@@ -868,7 +762,8 @@ mod tests {
                 priors: &priors,
                 alpha,
             };
-            let mut kernel = SparseKernel::new(&ctx, None);
+            let mut state = SparseState::build(&ctx);
+            let mut kernel = SparseKernel::new(&ctx, &mut state);
             kernel.rebuild_s();
             kernel.enter_doc(&z[0]);
             for w in 0..v {
@@ -929,7 +824,8 @@ mod tests {
                 priors: &priors,
                 alpha,
             };
-            let mut kernel = SparseKernel::new(&ctx, None);
+            let mut state = SparseState::build(&ctx);
+            let mut kernel = SparseKernel::new(&ctx, &mut state);
             kernel.rebuild_s();
             kernel.enter_doc(&z[0]);
             for w in 0..v {
@@ -976,12 +872,12 @@ mod tests {
                 priors: &priors,
                 alpha: 0.4,
             };
-            let mut kernel = SparseKernel::new(&ctx, None);
+            let mut state = SparseState::build(&ctx);
+            let mut kernel = SparseKernel::new(&ctx, &mut state);
             for _ in 0..6 {
                 kernel.sweep(&ctx, &mut z, &mut rng);
                 prop_assert!(matrices.check_invariants());
             }
-            let state = kernel.into_state();
             for w in 0..v {
                 let expect: Vec<u32> = (0..priors.len() as u32)
                     .filter(|&t| matrices.nw(w, t as usize) > 0)
@@ -1012,8 +908,9 @@ mod tests {
         (tokens, priors)
     }
 
-    /// Same seed → same chain, including across a state hand-off between
-    /// chunks (reuse is bit-transparent).
+    /// Same seed → same chain, including when each chunk builds a new
+    /// kernel over the lent state (reciprocals and baselines derived at a
+    /// kernel's start equal the ones a long-lived kernel maintained).
     #[test]
     fn sparse_chain_is_deterministic_and_reuse_transparent() {
         let run = |split: bool| -> Vec<Vec<u32>> {
@@ -1028,18 +925,17 @@ mod tests {
                 priors: &priors,
                 alpha: 0.4,
             };
+            let mut state = SparseState::build(&ctx);
             if split {
-                // 30 sweeps as 3 chunks of 10, handing the state across.
-                let mut state = None;
+                // 30 sweeps as 3 chunks of 10, one kernel per chunk.
                 for _ in 0..3 {
-                    let mut k = SparseKernel::new(&ctx, state.take());
+                    let mut k = SparseKernel::new(&ctx, &mut state);
                     for _ in 0..10 {
                         k.sweep(&ctx, &mut z, &mut rng);
                     }
-                    state = Some(k.into_state());
                 }
             } else {
-                let mut k = SparseKernel::new(&ctx, None);
+                let mut k = SparseKernel::new(&ctx, &mut state);
                 for _ in 0..30 {
                     k.sweep(&ctx, &mut z, &mut rng);
                     assert!(counts.check_invariants());
@@ -1076,7 +972,6 @@ mod tests {
         assert_eq!(a.dense_topics, b.dense_topics);
         assert_eq!(a.base_param, b.base_param);
         assert_eq!(a.int_floor, b.int_floor);
-        assert_eq!(a.tags, b.tags);
     }
 
     /// The zero-mass fallback (all-concept priors covering no word) keeps
@@ -1097,7 +992,8 @@ mod tests {
             priors: &priors,
             alpha: 0.5,
         };
-        let mut k = SparseKernel::new(&ctx, None);
+        let mut state = SparseState::build(&ctx);
+        let mut k = SparseKernel::new(&ctx, &mut state);
         for _ in 0..6 {
             k.sweep(&ctx, &mut z, &mut rng);
             assert!(counts.check_invariants());
@@ -1126,7 +1022,8 @@ mod tests {
             priors: &priors,
             alpha: 0.1,
         };
-        let mut k = SparseKernel::new(&ctx, None);
+        let mut state = SparseState::build(&ctx);
+        let mut k = SparseKernel::new(&ctx, &mut state);
         for _ in 0..100 {
             k.sweep(&ctx, &mut z, &mut rng);
         }
@@ -1157,7 +1054,8 @@ mod tests {
             let mut totals = vec![0.0; priors.len()];
             let sweeps = 400;
             if sparse {
-                let mut k = SparseKernel::new(&ctx, None);
+                let mut state = SparseState::build(&ctx);
+                let mut k = SparseKernel::new(&ctx, &mut state);
                 for _ in 0..sweeps {
                     k.sweep(&ctx, &mut z, &mut rng);
                     for (t, total) in totals.iter_mut().enumerate() {

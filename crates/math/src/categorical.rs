@@ -3,11 +3,10 @@
 //! The collapsed Gibbs samplers draw one topic per token from an
 //! *unnormalized* probability vector. Three strategies are provided:
 //!
-//! * [`sample_categorical`] — single linear pass, what the serial sampler
-//!   uses;
-//! * [`CumulativeSampler`] / [`sample_cumulative`] — inclusive-prefix-sum +
-//!   binary search, exactly the structure of the paper's Algorithms 2 and 3
-//!   (`topic ← Binary Search(p)`);
+//! * [`sample_categorical`] — single linear pass over the weights;
+//! * [`binary_search_cumulative`] — the search step over inclusive prefix
+//!   sums that every sampler kernel draws through, exactly the structure
+//!   of the paper's Algorithms 2 and 3 (`topic ← Binary Search(p)`);
 //! * [`AliasTable`] — Walker's alias method for repeated draws from a fixed
 //!   distribution, used by the synthetic corpus generators.
 
@@ -17,10 +16,10 @@ use rand::Rng;
 
 /// Draw an index proportional to `weights` (unnormalized, non-negative).
 ///
-/// Consumes exactly one uniform variate; given the same RNG state and the
-/// same weight *ratios*, the result is identical to [`sample_cumulative`] on
-/// the inclusive prefix sums of `weights` — this equivalence is what makes
-/// the parallel samplers bit-exact with the serial one.
+/// Consumes exactly one uniform variate `u`; given the same RNG state and
+/// the same weight *ratios*, the result is identical to
+/// [`binary_search_cumulative`] at `u · total` on the inclusive prefix sums
+/// of `weights` — the draw every sampler kernel makes.
 ///
 /// # Panics
 /// Panics (debug builds) if `weights` is empty or sums to a non-positive
@@ -41,18 +40,6 @@ pub fn sample_categorical(weights: &[f64], rng: &mut SldaRng) -> usize {
     weights.len() - 1
 }
 
-/// Draw an index from an inclusive prefix-sum vector via binary search.
-///
-/// `prefix[i]` must be the inclusive cumulative sum of the underlying
-/// weights; `prefix` must be non-decreasing with a positive final entry.
-pub fn sample_cumulative(prefix: &[f64], rng: &mut SldaRng) -> usize {
-    debug_assert!(!prefix.is_empty());
-    let total = *prefix.last().expect("non-empty prefix");
-    debug_assert!(total > 0.0 && total.is_finite());
-    let u: f64 = rng.gen::<f64>() * total;
-    binary_search_cumulative(prefix, u)
-}
-
 /// Find the smallest index `i` with `prefix[i] > u`.
 ///
 /// This is the `Binary Search(p)` step of Algorithms 2 and 3.
@@ -69,45 +56,6 @@ pub fn binary_search_cumulative(prefix: &[f64], u: f64) -> usize {
         }
     }
     lo.min(prefix.len() - 1)
-}
-
-/// A reusable cumulative sampler that owns its scratch buffer, so the hot
-/// Gibbs loop does not allocate.
-#[derive(Debug, Clone)]
-pub struct CumulativeSampler {
-    prefix: Vec<f64>,
-}
-
-impl CumulativeSampler {
-    /// Create a sampler with capacity for `n` outcomes.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            prefix: Vec::with_capacity(n),
-        }
-    }
-
-    /// Load unnormalized weights (computing the inclusive prefix sum) and
-    /// draw an index.
-    pub fn sample_weights(&mut self, weights: &[f64], rng: &mut SldaRng) -> usize {
-        self.prefix.clear();
-        let mut acc = 0.0;
-        for &w in weights {
-            acc += w;
-            self.prefix.push(acc);
-        }
-        sample_cumulative(&self.prefix, rng)
-    }
-
-    /// Expose the scratch prefix buffer (used by the parallel samplers which
-    /// fill it themselves).
-    pub fn buffer_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.prefix
-    }
-
-    /// Draw from whatever prefix sums are currently in the buffer.
-    pub fn sample_loaded(&self, rng: &mut SldaRng) -> usize {
-        sample_cumulative(&self.prefix, rng)
-    }
 }
 
 /// Walker's alias method: O(n) setup, O(1) per draw.
@@ -232,8 +180,9 @@ mod tests {
 
     #[test]
     fn cumulative_matches_linear_scan_bit_exact() {
-        // Core exactness property for the parallel samplers: same RNG state,
-        // same weights ⇒ same draw through either code path.
+        // Core exactness property for the sampler kernels: same RNG state,
+        // same weights ⇒ the linear pass and the prefix-sum search over
+        // `u · total` draw the same index.
         let weights = [0.5, 0.25, 3.0, 0.0, 1.25];
         let prefix: Vec<f64> = weights
             .iter()
@@ -245,9 +194,10 @@ mod tests {
         for seed in 0..200 {
             let mut r1 = rng_from_seed(seed);
             let mut r2 = rng_from_seed(seed);
+            let u = r2.gen::<f64>() * prefix[prefix.len() - 1];
             assert_eq!(
                 sample_categorical(&weights, &mut r1),
-                sample_cumulative(&prefix, &mut r2)
+                binary_search_cumulative(&prefix, u)
             );
         }
     }
@@ -262,18 +212,6 @@ mod tests {
         assert_eq!(binary_search_cumulative(&prefix, 4.999), 3);
         // Rounding slack at the top lands in the final bucket.
         assert_eq!(binary_search_cumulative(&prefix, 5.0), 3);
-    }
-
-    #[test]
-    fn cumulative_sampler_reuse() {
-        let mut rng = rng_from_seed(41);
-        let mut s = CumulativeSampler::with_capacity(4);
-        let mut counts = [0usize; 2];
-        for _ in 0..20_000 {
-            counts[s.sample_weights(&[3.0, 1.0], &mut rng)] += 1;
-        }
-        let emp = empirical(&counts);
-        assert!((emp[0] - 0.75).abs() < 0.02);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! * information-theoretic divergences ([`divergence`]) — in particular the
 //!   Jensen–Shannon divergence the paper uses throughout its evaluation;
 //! * probability-vector helpers ([`simplex`]);
-//! * prefix-sum scans ([`prefix`]) — the kernel of the paper's Algorithm 2;
 //! * piecewise-linear interpolation and inversion ([`interp`]) — used to
 //!   build the λ smoothing function `g` of §III.C.2;
 //! * k-means clustering over distributions ([`kmeans`]) — used by the
@@ -32,13 +31,12 @@ pub mod hash;
 pub mod interp;
 pub mod kmeans;
 pub mod matrix;
-pub mod prefix;
 pub mod rng;
 pub mod simplex;
 pub mod special;
 pub mod stats;
 
-pub use categorical::{sample_categorical, sample_cumulative, AliasTable, CumulativeSampler};
+pub use categorical::{sample_categorical, AliasTable};
 pub use dirichlet::Dirichlet;
 pub use divergence::{hellinger, js_divergence, kl_divergence, total_variation};
 pub use error::MathError;
@@ -47,7 +45,6 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use interp::PiecewiseLinear;
 pub use kmeans::{KMeans, KMeansResult};
 pub use matrix::DenseMatrix;
-pub use prefix::{exclusive_scan, inclusive_scan};
 pub use rng::{rng_from_seed, rng_from_state, rng_state, spawn_rng, SldaRng};
 pub use simplex::{entropy, normalize, normalized};
 pub use stats::BoxplotSummary;

@@ -156,6 +156,68 @@ fn kernel_matches_dense_with_adaptive_lambda() {
 }
 
 #[test]
+fn kernel_matches_dense_with_mixed_quadrature_depths() {
+    // λ-integrated priors with different quadrature depths have no
+    // word-major combined table, so the flat kernel reads every prior's own
+    // storage for the whole fit — across λ-adaptation chunks too. That
+    // path must walk the dense reference's chain as well.
+    use source_lda::knowledge::SmoothingFunction;
+    use source_lda::math::DiscretizedGaussian;
+    let v = 120;
+    let (vocab, knowledge) = random_source_topics(v, 4, 8, 80, 5);
+    let corpus = SourceLdaGenerator {
+        alpha: 0.5,
+        num_docs: 20,
+        doc_len: DocLength::Fixed(20),
+        lambda_mode: LambdaMode::None,
+        seed: 23,
+        ..SourceLdaGenerator::default()
+    }
+    .generate(&knowledge, &vocab)
+    .unwrap()
+    .corpus;
+    let g = SmoothingFunction::identity();
+    let quadrature = |levels| DiscretizedGaussian::unit_interval(0.6, 0.25, levels).unwrap();
+    let priors = vec![
+        TopicPrior::integrated(knowledge.topic(0), 0.01, &g, &quadrature(3)),
+        TopicPrior::integrated(knowledge.topic(1), 0.01, &g, &quadrature(5)),
+        TopicPrior::fixed_from_source(knowledge.topic(2), 0.01),
+        TopicPrior::symmetric(0.1, v).unwrap(),
+    ];
+    // Guard: the case must not quietly fall back to one uniform depth.
+    let depths: Vec<usize> = priors
+        .iter()
+        .filter_map(|p| match p {
+            TopicPrior::Integrated(table) => Some(table.levels()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(depths, [3, 5], "expected two quadrature depths");
+    let fit = |backend: Backend, seed: u64| {
+        let config = ModelConfig {
+            alpha: 0.5,
+            iterations: 20,
+            seed,
+            backend,
+            lambda_update_every: Some(5),
+            lambda_burn_in: 5,
+            ..ModelConfig::default()
+        };
+        GibbsModel::new(priors.clone(), vec![None; priors.len()], v, config)
+            .unwrap()
+            .fit(&corpus)
+            .unwrap()
+    };
+    for seed in [3u64, 33, 333] {
+        assert_identical(
+            &fit(Backend::Serial, seed),
+            &fit(DENSE, seed),
+            &format!("mixed quadrature depths, seed {seed}"),
+        );
+    }
+}
+
+#[test]
 fn kernel_matches_dense_on_plain_lda() {
     let fit = |backend: Backend| -> FittedModel {
         let mut b = source_lda::corpus::CorpusBuilder::new()
