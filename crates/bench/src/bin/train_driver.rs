@@ -4,7 +4,7 @@
 //! bit-identical models:
 //!
 //! ```sh
-//! # train, writing rotating resumable v2 .slda generations
+//! # train, writing rotating resumable v3 .slda generations
 //! # (ck.g000006.slda, ck.g000012.slda, …) every 6 sweeps, and simulate
 //! # a kill right after the sweep-12 checkpoint:
 //! train_driver --sweeps 24 --shards 2 \

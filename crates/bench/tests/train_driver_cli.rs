@@ -137,3 +137,47 @@ fn help_lists_only_the_accepted_flags() {
         assert!(!help.contains(flag), "lists {flag}");
     }
 }
+
+/// A format-v2 generation (the checkpoint rides beside a φ section),
+/// written by `--stop-after 12` of the run below before the format moved
+/// to v3, must keep resuming to the uninterrupted run's digest.
+#[test]
+fn v2_generation_archive_resumes_to_the_pinned_digest() {
+    let dir = std::env::temp_dir().join(format!("train_driver_v2_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let archive = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/generation_v2.slda");
+    std::fs::copy(archive, dir.join("ck.g000012.slda")).unwrap();
+    let ck = dir.join("ck.slda");
+    let out = driver(&[
+        "--sweeps",
+        "24",
+        "--shards",
+        "2",
+        "--checkpoint-every",
+        "6",
+        "--checkpoint-path",
+        ck.to_str().unwrap(),
+        "--resume",
+        "auto",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.lines().any(|l| l.starts_with("resuming from ")
+            && l.contains("ck.g000012.slda")
+            && l.contains(" at sweep 12")),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("final digest: 52dea8919f5bc136"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

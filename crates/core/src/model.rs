@@ -540,8 +540,10 @@ impl GibbsModel {
 
 /// Topic–word distributions at the counts `nw(w, t)` and `nt[t]`: each
 /// prior's [`TopicPrior::word_weight`] (Eq. 1 for fixed priors, Eq. 4 for
-/// λ-integrated ones). The fitted φ and [`crate::TrainCheckpoint::phi`] both
-/// come from here. `priors` yields the topics in order, one at a time.
+/// λ-integrated ones), one row at a time through
+/// [`TopicPrior::weight_row`]. The fitted φ and
+/// [`crate::TrainCheckpoint::phi`] both come from here. `priors` yields
+/// the topics in order, one at a time.
 pub(crate) fn compute_phi<P: Borrow<TopicPrior>>(
     v: usize,
     priors: impl IntoIterator<Item = P>,
@@ -550,10 +552,10 @@ pub(crate) fn compute_phi<P: Borrow<TopicPrior>>(
 ) -> DenseMatrix<f64> {
     let mut phi = DenseMatrix::zeros(nt.len(), v);
     for ((t, prior), &nt) in priors.into_iter().enumerate().zip(nt) {
-        let nt = nt as f64;
-        for (w, cell) in phi.row_mut(t).iter_mut().enumerate() {
-            *cell = prior.borrow().word_weight(w, nw(w, t) as f64, nt);
-        }
+        let row = phi.row_mut(t);
+        prior
+            .borrow()
+            .weight_row(row, |w| nw(w, t) as f64, nt as f64);
     }
     // The expressions already normalize analytically; renormalize to absorb
     // floating-point drift (and the CTM's support-restricted rows).

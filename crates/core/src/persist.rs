@@ -17,8 +17,11 @@
 //! sweep boundary — assignments, counts, RNG streams, shard layout, the
 //! (possibly λ-adapted) priors — as plain values. Capture and resume go
 //! through [`crate::GibbsModel::fit_resumable`]; the byte encoding lives
-//! with the artifact codec in `srclda_serve` (the checkpoint section of a
-//! format-v2 `.slda` file).
+//! with the artifact codec in `srclda_serve`. A format-v3 `.slda`
+//! generation stores only what cannot be derived: `nw` as its non-zero
+//! cells ([`TrainCheckpoint::nw_cells`]), the priors once and no φ;
+//! decode rebuilds the dense `nw` and `nt` and derives φ through
+//! [`TrainCheckpoint::phi`].
 
 use crate::error::CoreError;
 use crate::prior::{IntegrationTable, TopicPrior};
@@ -121,6 +124,28 @@ impl RawPrior {
             RawPrior::ConceptSet { .. } => "concept-set",
         }
     }
+
+    /// The prior's value payload in bytes: every numeric field at its
+    /// in-memory width, without tags or length prefixes.
+    pub fn payload_bytes(&self) -> u64 {
+        match self {
+            RawPrior::Symmetric { .. } => 8,
+            RawPrior::Fixed { delta } => 8 * delta.len() as u64,
+            RawPrior::Integrated(t) => {
+                let layout = match &t.layout {
+                    RawIntegrationLayout::Dense { values } => 8 * values.len() as u64,
+                    RawIntegrationLayout::Sparse {
+                        support,
+                        values,
+                        zero_values,
+                    } => 4 * support.len() as u64 + 8 * (values.len() + zero_values.len()) as u64,
+                };
+                8 * (t.weights.len() + t.prior_log_weights.len() + t.sums.len()) as u64 + layout
+            }
+            RawPrior::Frozen { phi } => 8 * phi.len() as u64,
+            RawPrior::ConceptSet { support, .. } => 8 + 4 * support.len() as u64,
+        }
+    }
 }
 
 impl TopicPrior {
@@ -201,11 +226,13 @@ impl TopicPrior {
 /// uninterrupted run of the same backend (pinned by
 /// `tests/shard_equivalence.rs`).
 ///
-/// The counts (`nw`/`nt`) are stored even though they are derivable from
-/// `z`: on resume the counts are rebuilt from the assignments and compared
-/// against the stored ones, so a checkpoint whose pieces drifted apart
-/// (truncated, hand-edited, mismatched corpus) is rejected instead of
-/// silently continuing a corrupt chain.
+/// The counts (`nw`/`nt`) are kept even though they are derivable from
+/// `z` and the corpus: on resume the counts are rebuilt from the
+/// assignments and compared against the kept ones, so a checkpoint whose
+/// pieces drifted apart (truncated, hand-edited, mismatched corpus) is
+/// rejected instead of silently continuing a corrupt chain. In memory
+/// `nw` is dense; a generation file stores its non-zero cells
+/// ([`Self::nw_cells`]) and no `nt`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainCheckpoint {
     /// Completed sweeps (resume continues at `sweep + 1`).
@@ -282,41 +309,29 @@ impl TrainCheckpoint {
         }
     }
 
-    /// The checkpoint's raw value payload in bytes: every numeric field
-    /// at its in-memory width, excluding container overhead and encoding
-    /// framing. This is the quantity telemetry reports per checkpoint —
-    /// a stable measure of checkpoint *size* independent of which codec
-    /// eventually writes it.
+    /// The non-zero cells of `nw` as `(w·T + t, n_wt)`, strictly
+    /// increasing by index — the form a generation file stores.
+    pub fn nw_cells(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        (0u64..)
+            .zip(&self.nw)
+            .filter(|&(_, &n)| n != 0)
+            .map(|(i, &n)| (i, n))
+    }
+
+    /// The value payload a generation stores, in bytes: every numeric
+    /// field at its in-memory width, `nw` as its non-zero cells (a u64
+    /// index and a u32 count each) and no `nt`, excluding container
+    /// overhead and encoding framing. This is the quantity telemetry
+    /// reports per checkpoint — a stable measure of checkpoint *size*
+    /// independent of which codec eventually writes it.
     pub fn payload_bytes(&self) -> u64 {
         let fixed = 8u64 * 4 // sweep, seed, alpha, shards
             + 8 * 4 // main_rng
             + 8 * 4 * self.shard_rngs.len() as u64;
         let z: u64 = self.z.iter().map(|doc| 4 * doc.len() as u64).sum();
-        let counts = 4 * (self.nw.len() + self.nt.len()) as u64;
-        let priors: u64 = self
-            .priors
-            .iter()
-            .map(|p| match p {
-                RawPrior::Symmetric { .. } => 8,
-                RawPrior::Fixed { delta } => 8 * delta.len() as u64,
-                RawPrior::Integrated(t) => {
-                    let layout = match &t.layout {
-                        RawIntegrationLayout::Dense { values } => 8 * values.len() as u64,
-                        RawIntegrationLayout::Sparse {
-                            support,
-                            values,
-                            zero_values,
-                        } => {
-                            4 * support.len() as u64 + 8 * (values.len() + zero_values.len()) as u64
-                        }
-                    };
-                    8 * (t.weights.len() + t.prior_log_weights.len() + t.sums.len()) as u64 + layout
-                }
-                RawPrior::Frozen { phi } => 8 * phi.len() as u64,
-                RawPrior::ConceptSet { support, .. } => 8 + 4 * support.len() as u64,
-            })
-            .sum();
-        fixed + z + counts + priors
+        let cells = 12 * self.nw_cells().count() as u64;
+        let priors: u64 = self.priors.iter().map(RawPrior::payload_bytes).sum();
+        fixed + z + cells + priors
     }
 
     /// FNV-1a-64 digest over the checkpoint's entire sampler state —
@@ -416,9 +431,8 @@ impl TrainCheckpoint {
     }
 
     /// The topic–word matrix φ at the checkpoint's counts (the code that
-    /// computes [`crate::FittedModel::phi`] at the end of a run), so a
-    /// checkpoint can be persisted as a *servable* snapshot of the
-    /// partially-trained model.
+    /// computes [`crate::FittedModel::phi`] at the end of a run). A loaded
+    /// generation derives its servable φ here, once, at decode.
     ///
     /// # Errors
     /// Fails if the checkpoint's own dimensions disagree (priors vs `nt`,
@@ -427,9 +441,9 @@ impl TrainCheckpoint {
     pub fn phi(&self) -> crate::Result<srclda_math::DenseMatrix<f64>> {
         let v = self.vocab_size();
         let t_count = self.num_topics();
-        // Guard the indexing below: this method is reachable before
-        // `validate` (e.g. `ModelArtifact::from_checkpoint`), so a
-        // malformed checkpoint must error here, not panic.
+        // Guard the indexing below: this method is public and need not
+        // follow `validate`, so a malformed checkpoint must error here,
+        // not panic.
         if self.priors.len() != t_count {
             return Err(CoreError::InvalidConfig(format!(
                 "checkpoint: {} priors for {t_count} topics",
@@ -717,6 +731,14 @@ mod tests {
         assert_eq!(cp.num_topics(), 2);
         assert_eq!(cp.vocab_size(), 2);
         cp.validate(&[2, 1], 2, 2).unwrap();
+    }
+
+    #[test]
+    fn payload_counts_nw_as_its_non_zero_cells() {
+        let cp = toy_checkpoint();
+        assert_eq!(cp.nw_cells().collect::<Vec<_>>(), [(0, 1), (3, 2)]);
+        // Scalars and RNG 64, z 3 × 4, two 12-byte cells, two β's; no nt.
+        assert_eq!(cp.payload_bytes(), 64 + 12 + 24 + 16);
     }
 
     #[test]

@@ -341,29 +341,57 @@ impl IntegrationTable {
     /// the result formed as `nw*S1 + S2`. This shape is canonical: the
     /// kernel caches the per-level `wₐrₐ` products **and** the per-topic
     /// `S1` (both depend only on `nt`), pays one multiply-add per level
-    /// for `S2`, and must reproduce this exact sum bit for bit.
+    /// for `S2`, and must reproduce this exact sum bit for bit. The two
+    /// halves are [`Self::topic_terms`] and [`Self::word_term`].
     #[inline]
     fn weight(&self, w: usize, nw: f64, nt: f64) -> f64 {
+        self.with_qr(|qr| {
+            let s1 = self.topic_terms(qr, nt);
+            self.word_term(qr, s1, w, nw)
+        })
+    }
+
+    /// Run `f` on a zeroed `qr` scratch row of length `A` (on the stack
+    /// up to [`QR_STACK`] levels).
+    #[inline]
+    fn with_qr<R>(&self, f: impl FnOnce(&mut [f64]) -> R) -> R {
         if self.a <= QR_STACK {
-            let mut qr = [0.0f64; QR_STACK];
-            self.weight_with_scratch(&mut qr[..self.a], w, nw, nt)
+            f(&mut [0.0f64; QR_STACK][..self.a])
         } else {
-            let mut qr = vec![0.0; self.a];
-            self.weight_with_scratch(&mut qr, w, nw, nt)
+            f(&mut vec![0.0; self.a])
         }
     }
 
-    /// [`Self::weight`] with caller-provided `qr` scratch (length `A`).
+    /// The per-topic half of [`Self::weight`]: fills `qr[a] = wₐrₐ`
+    /// (length `A`) and returns `S1 = Σ wₐrₐ` in level order. Both depend
+    /// on `nt` alone.
     #[inline]
-    fn weight_with_scratch(&self, qr: &mut [f64], w: usize, nw: f64, nt: f64) -> f64 {
-        let row = self.delta_row(w);
+    fn topic_terms(&self, qr: &mut [f64], nt: f64) -> f64 {
         let mut s1 = 0.0;
         for ((slot, &q), &sum) in qr.iter_mut().zip(self.weights.iter()).zip(self.sums.iter()) {
             let v = q * (1.0 / (nt + sum));
             *slot = v;
             s1 += v;
         }
-        nw * s1 + dot_mod4(row, qr)
+        s1
+    }
+
+    /// The per-word half of [`Self::weight`]: `nw*S1 + S2` from the
+    /// [`Self::topic_terms`] of the same `nt`.
+    #[inline]
+    fn word_term(&self, qr: &[f64], s1: f64, w: usize, nw: f64) -> f64 {
+        nw * s1 + dot_mod4(self.delta_row(w), qr)
+    }
+
+    /// [`Self::weight`]`(w, nw(w), nt)` into `row[w]` for every word, bit
+    /// for bit, with the per-topic half taken once.
+    fn weight_row(&self, row: &mut [f64], nw: impl Fn(usize) -> f64, nt: f64) {
+        self.with_qr(|qr| {
+            let s1 = self.topic_terms(qr, nt);
+            for (w, cell) in row.iter_mut().enumerate() {
+                *cell = self.word_term(qr, s1, w, nw(w));
+            }
+        });
     }
 
     /// The current quadrature weights (prior weights until adapted).
@@ -684,19 +712,57 @@ impl TopicPrior {
     #[inline]
     pub fn word_weight(&self, w: usize, nw: f64, nt: f64) -> f64 {
         match self {
-            TopicPrior::Symmetric { beta, denom_add } => (nw + beta) * (1.0 / (nt + denom_add)),
-            TopicPrior::Fixed { delta, sum } => (nw + delta[w]) * (1.0 / (nt + sum)),
             TopicPrior::Integrated(table) => table.weight(w, nw, nt),
+            _ => self.ratio_term(w, nw, self.reciprocal(nt)),
+        }
+    }
+
+    /// The per-topic half of [`Self::word_weight`] for the ratio kinds:
+    /// `1.0 / (nt + c)` with `c` the kind's denominator addend (unused by
+    /// frozen and λ-integrated priors, which return 0).
+    #[inline]
+    fn reciprocal(&self, nt: f64) -> f64 {
+        match self {
+            TopicPrior::Symmetric { denom_add, .. } | TopicPrior::ConceptSet { denom_add, .. } => {
+                1.0 / (nt + denom_add)
+            }
+            TopicPrior::Fixed { sum, .. } => 1.0 / (nt + sum),
+            TopicPrior::Integrated(_) | TopicPrior::Frozen { .. } => 0.0,
+        }
+    }
+
+    /// The per-word half of [`Self::word_weight`] for the ratio kinds and
+    /// frozen priors, given [`Self::reciprocal`]`(nt)` as `r`. A
+    /// λ-integrated prior's per-word half is
+    /// [`IntegrationTable::word_term`]; it never reaches this arm's 0.
+    #[inline]
+    fn ratio_term(&self, w: usize, nw: f64, r: f64) -> f64 {
+        match self {
+            TopicPrior::Symmetric { beta, .. } => (nw + beta) * r,
+            TopicPrior::Fixed { delta, .. } => (nw + delta[w]) * r,
             TopicPrior::Frozen { phi } => phi[w],
-            TopicPrior::ConceptSet {
-                in_set,
-                beta,
-                denom_add,
-            } => {
+            TopicPrior::ConceptSet { in_set, beta, .. } => {
                 if in_set[w] {
-                    (nw + beta) * (1.0 / (nt + denom_add))
+                    (nw + beta) * r
                 } else {
                     0.0
+                }
+            }
+            TopicPrior::Integrated(_) => 0.0,
+        }
+    }
+
+    /// One φ row: `row[w] = `[`Self::word_weight`]`(w, nw(w), nt)` for
+    /// every word, bit for bit, with the per-topic half — the reciprocal,
+    /// or a λ-integrated prior's level terms and `S1` — taken once per
+    /// row instead of once per word.
+    pub(crate) fn weight_row(&self, row: &mut [f64], nw: impl Fn(usize) -> f64, nt: f64) {
+        match self {
+            TopicPrior::Integrated(table) => table.weight_row(row, nw, nt),
+            _ => {
+                let r = self.reciprocal(nt);
+                for (w, cell) in row.iter_mut().enumerate() {
+                    *cell = self.ratio_term(w, nw(w), r);
                 }
             }
         }
@@ -855,6 +921,40 @@ mod tests {
                 wi >= min - 1e-12 && wi <= max + 1e-12,
                 "word {word}: {wi} outside [{min}, {max}]"
             );
+        }
+    }
+
+    #[test]
+    fn weight_row_is_word_weight_bit_for_bit() {
+        let mut counts = vec![0.0; 6000];
+        counts[3] = 7.0;
+        counts[5999] = 2.0;
+        let large = SourceTopic::new("Sparse", counts);
+        let small = SourceTopic::new("T", vec![4.0, 0.0, 2.0, 1.0, 0.0, 9.0]);
+        let g = SmoothingFunction::identity();
+        // 6 levels exercise dot_mod4's tail; 40 overflow the stack scratch.
+        let (q6, _) = quad_and_weights(6);
+        let (q40, _) = quad_and_weights(40);
+        let priors = [
+            TopicPrior::symmetric(0.1, 6).unwrap(),
+            TopicPrior::fixed_from_source(&small, 0.01),
+            TopicPrior::frozen_from_source(&small, 0.01),
+            TopicPrior::concept_set(&[0, 4], 0.5, 6).unwrap(),
+            TopicPrior::integrated(&small, 0.01, &g, &q6),
+            TopicPrior::integrated(&small, 0.01, &g, &q40),
+            TopicPrior::integrated(&large, 0.01, &g, &q6),
+        ];
+        for (i, p) in priors.iter().enumerate() {
+            let v = if i + 1 == priors.len() { 6000 } else { 6 };
+            let nw = |w: usize| (w % 5) as f64;
+            for nt in [0.0, 3.0, 1234.0] {
+                let mut row = vec![f64::NAN; v];
+                p.weight_row(&mut row, nw, nt);
+                for (w, &got) in row.iter().enumerate() {
+                    let want = p.word_weight(w, nw(w), nt);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{} w={w} nt={nt}", p.kind());
+                }
+            }
         }
     }
 

@@ -105,8 +105,9 @@ pub enum TrainEvent {
     Checkpoint {
         /// The checkpoint's completed-sweep index.
         sweep: u64,
-        /// Checkpoint payload size in bytes (section payloads — the
-        /// assignments, counts, RNG states, and priors).
+        /// Checkpoint payload size in bytes: the values a generation
+        /// stores — assignments, RNG states, priors, and the word–topic
+        /// counts as their non-zero cells.
         bytes: u64,
         /// Wall-clock seconds the checkpoint callback (the write) took.
         duration_secs: f64,

@@ -4,35 +4,50 @@
 //! *raw text* with no access to the training process: the posterior φ, the
 //! document–topic prior α, per-topic labels and priors, the vocabulary the
 //! word ids index into, and the tokenizer configuration that produced that
-//! vocabulary. Layout (all integers little-endian, floats IEEE-754 LE):
+//! vocabulary. A checkpoint *generation* holds the sampler state of an
+//! unfinished run in φ's place, and loading it derives φ from that state.
+//! Layout (all integers little-endian, floats IEEE-754 LE):
 //!
 //! ```text
 //! offset 0   magic            8 bytes  b"SLDAMODL"
-//!        8   format version   u32      currently 2 (1 still readable)
+//!        8   format version   u32      currently 3 (1 and 2 still readable)
 //!       12   section count    u32      N
 //!       16   section table    N × { id: u32, offset: u64, length: u64 }
 //!        …   section payloads (absolute offsets, non-overlapping)
 //!  len − 8   checksum         u64      FNV-1a 64 of bytes [0, len − 8)
 //! ```
 //!
-//! | id | section    | contents                                            |
-//! |----|------------|-----------------------------------------------------|
-//! | 1  | model      | α (f64), topic count `T` (u64), vocab size `V` (u64)|
-//! | 2  | phi        | `T·V` f64, row-major by topic                       |
-//! | 3  | labels     | `T` × (present: u8, then UTF-8 string)              |
-//! | 4  | priors     | `T` × tagged [`RawPrior`]                           |
-//! | 5  | vocab      | count (u64), then UTF-8 strings in word-id order    |
-//! | 6  | tokenizer  | lowercase u8, min_len u64, stopwords u8, numbers u8 |
-//! | 7  | checkpoint | *(optional, v2)* sampler state ([`TrainCheckpoint`])|
+//! | id | section    | contents                                              |
+//! |----|------------|-------------------------------------------------------|
+//! | 1  | model      | α (f64), topic count `T` (u64), vocab size `V` (u64)  |
+//! | 2  | phi        | `T·V` f64, row-major by topic (final models only)     |
+//! | 3  | labels     | `T` × (present: u8, then UTF-8 string)                |
+//! | 4  | priors     | `T` × tagged [`RawPrior`]                             |
+//! | 5  | vocab      | count (u64), then UTF-8 strings in word-id order      |
+//! | 6  | tokenizer  | lowercase u8, min_len u64, stopwords u8, numbers u8   |
+//! | 7  | checkpoint | sampler state ([`TrainCheckpoint`], generations only) |
 //!
-//! Version history: **v1** is sections 1–6; **v2** (this build) adds the
-//! *optional* checkpoint section carrying mid-training sampler state
-//! (sweep index, assignments, counts, RNG streams, shard layout, current
-//! priors) so a long Gibbs run can stop and resume bit-identically. A v2
-//! reader still loads v1 artifacts unchanged — the committed
-//! `tests/fixtures/model_v1.slda` golden file pins that forever — and a v2
-//! artifact without a checkpoint differs from v1 only in the version
-//! field.
+//! A final model ([`ModelArtifact::from_fitted`]) is sections 1–6. A
+//! generation ([`ModelArtifact::from_checkpoint`]) is sections 1 and 3–7:
+//! its priors section holds the checkpoint's current, possibly
+//! λ-adapted, priors, and its checkpoint section holds the sweep, the
+//! seed, the packed shards/kernel word, the RNG states, z, and `nw` as
+//! its non-zero cells — a u64 count, then `(w·T + t: u64, n_wt: u32)`
+//! pairs strictly increasing by index, at most `min(N, V·T)` of them.
+//! Decode rebuilds the dense `nw` and `nt` only after the labels, priors
+//! and vocab sections have confirmed `T` and `V` (the one buffer no file
+//! bytes back), rejects cells that are out of range, out of order,
+//! repeated or zero, or whose topic totals disagree with z, and then
+//! derives φ through [`TrainCheckpoint::phi`] — bit-equal to the φ a v2
+//! generation stored.
+//!
+//! Version history: **v1** is sections 1–6. **v2** added the optional
+//! checkpoint section: a v2 generation is a whole servable artifact plus
+//! sampler state that also carries α, the dense `nw`, `nt` and a second
+//! copy of the priors. **v3** (this build) writes generations as above;
+//! its final models differ from v1 and v2 ones only in the version field.
+//! v1 and v2 files, v2 generations included, still load; the committed
+//! fixtures under `tests/fixtures/` pin that.
 //!
 //! Readers ignore unknown section ids (room for additive growth within a
 //! version); any change to an *existing* section's meaning requires
@@ -51,7 +66,7 @@ use srclda_math::DenseMatrix;
 pub const MAGIC: [u8; 8] = *b"SLDAMODL";
 /// Format version this build writes. Every version from 1 through this
 /// one is readable.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const SEC_MODEL: u32 = 1;
 const SEC_PHI: u32 = 2;
@@ -92,12 +107,16 @@ impl SectionInfo {
     }
 }
 
-/// A self-contained, serializable trained model — optionally carrying a
-/// mid-training [`TrainCheckpoint`] so the run can be resumed.
+/// A self-contained, serializable trained model, or a checkpoint
+/// generation: a mid-training [`TrainCheckpoint`] with the labels,
+/// vocabulary and tokenizer it serves with, so the run can be resumed.
 #[derive(Debug, Clone)]
 pub struct ModelArtifact {
     alpha: f64,
-    phi: DenseMatrix<f64>,
+    /// `None` only for a generation built by
+    /// [`ModelArtifact::from_checkpoint`]: its file stores no φ, and
+    /// decode derives one.
+    phi: Option<DenseMatrix<f64>>,
     labels: Vec<Option<String>>,
     priors: Vec<RawPrior>,
     vocab: Vocabulary,
@@ -106,7 +125,7 @@ pub struct ModelArtifact {
 }
 
 impl ModelArtifact {
-    /// Assemble from parts, validating consistency.
+    /// Assemble a final model from parts, validating consistency.
     ///
     /// # Errors
     /// Fails if dimensions disagree, α is not positive and finite, φ has
@@ -121,7 +140,7 @@ impl ModelArtifact {
     ) -> Result<Self, ServeError> {
         let artifact = Self {
             alpha,
-            phi,
+            phi: Some(phi),
             labels,
             priors,
             vocab,
@@ -132,30 +151,16 @@ impl ModelArtifact {
         Ok(artifact)
     }
 
-    /// Attach a training checkpoint (validated against the model's
-    /// dimensions). The artifact then encodes the optional checkpoint
-    /// section and remains fully servable — φ/labels/priors describe the
-    /// state at the checkpointed sweep.
-    ///
-    /// # Errors
-    /// Fails if the checkpoint's dimensions or internal consistency
-    /// disagree with this model.
-    pub fn with_checkpoint(mut self, checkpoint: TrainCheckpoint) -> Result<Self, ServeError> {
-        self.checkpoint = Some(checkpoint);
-        self.validate()?;
-        Ok(self)
-    }
-
     /// The training checkpoint, if this artifact carries one.
     pub fn checkpoint(&self) -> Option<&TrainCheckpoint> {
         self.checkpoint.as_ref()
     }
 
-    /// Build a *servable* artifact directly from a mid-training
-    /// checkpoint: φ is computed at the checkpoint's counts
-    /// ([`TrainCheckpoint::phi`]), α and the priors are the checkpoint's
-    /// own (possibly λ-adapted) training values, and the checkpoint itself
-    /// rides along so training can resume from the same file.
+    /// Build a checkpoint generation: the checkpoint's sampler state, with
+    /// α and the priors its own (possibly λ-adapted) training values.
+    /// Nothing is derived — no φ — so a generation costs one copy of the
+    /// state and one validation. [`Self::from_bytes`] derives φ when the
+    /// generation is loaded, so every loaded generation serves.
     ///
     /// # Errors
     /// Fails if the checkpoint is internally inconsistent or disagrees
@@ -166,16 +171,17 @@ impl ModelArtifact {
         vocab: &Vocabulary,
         tokenizer: &Tokenizer,
     ) -> Result<Self, ServeError> {
-        let phi = checkpoint.phi()?;
-        Self::new(
-            checkpoint.alpha,
-            phi,
+        let artifact = Self {
+            alpha: checkpoint.alpha,
+            phi: None,
             labels,
-            checkpoint.priors.clone(),
-            vocab.clone(),
-            tokenizer.clone(),
-        )?
-        .with_checkpoint(checkpoint.clone())
+            priors: checkpoint.priors.clone(),
+            vocab: vocab.clone(),
+            tokenizer: tokenizer.clone(),
+            checkpoint: Some(checkpoint.clone()),
+        };
+        artifact.validate()?;
+        Ok(artifact)
     }
 
     /// Snapshot a fitted model for persistence. `vocab` and `tokenizer`
@@ -199,9 +205,11 @@ impl ModelArtifact {
         )
     }
 
+    /// `T` is the label count and `V` the vocabulary size; φ, the priors
+    /// and the checkpoint must agree with both.
     fn validate(&self) -> Result<(), ServeError> {
-        let t = self.phi.rows();
-        let v = self.phi.cols();
+        let t = self.num_topics();
+        let v = self.vocab_size();
         if t == 0 || v == 0 {
             return Err(ServeError::Corrupt(format!("empty model: T={t}, V={v}")));
         }
@@ -211,33 +219,31 @@ impl ModelArtifact {
                 self.alpha
             )));
         }
-        if self.labels.len() != t {
-            return Err(ServeError::Corrupt(format!(
-                "{} labels for {t} topics",
-                self.labels.len()
-            )));
-        }
         if self.priors.len() != t {
             return Err(ServeError::Corrupt(format!(
                 "{} priors for {t} topics",
                 self.priors.len()
             )));
         }
-        if self.vocab.len() != v {
-            return Err(ServeError::Corrupt(format!(
-                "vocabulary has {} words for V={v}",
-                self.vocab.len()
-            )));
-        }
-        if !self
-            .phi
-            .as_slice()
-            .iter()
-            .all(|&x| x.is_finite() && x >= 0.0)
-        {
-            return Err(ServeError::Corrupt(
-                "phi has negative or non-finite entries".into(),
-            ));
+        match &self.phi {
+            Some(phi) => {
+                if phi.rows() != t || phi.cols() != v {
+                    return Err(ServeError::Corrupt(format!(
+                        "phi is {}×{} for {t} labels and a {v}-word vocabulary",
+                        phi.rows(),
+                        phi.cols()
+                    )));
+                }
+                if !phi.as_slice().iter().all(|&x| x.is_finite() && x >= 0.0) {
+                    return Err(ServeError::Corrupt(
+                        "phi has negative or non-finite entries".into(),
+                    ));
+                }
+            }
+            None if self.checkpoint.is_none() => {
+                return Err(ServeError::MissingSection { name: "phi" })
+            }
+            None => {}
         }
         // Priors must survive semantic revalidation against this vocabulary.
         for (i, raw) in self.priors.iter().enumerate() {
@@ -283,19 +289,21 @@ impl ModelArtifact {
         self.alpha
     }
 
-    /// The topic–word matrix φ (`T × V`).
-    pub fn phi(&self) -> &DenseMatrix<f64> {
-        &self.phi
+    /// The topic–word matrix φ (`T × V`). Every artifact that
+    /// [`Self::from_bytes`] returns has one; a generation built in memory
+    /// by [`Self::from_checkpoint`] has none.
+    pub fn phi(&self) -> Option<&DenseMatrix<f64>> {
+        self.phi.as_ref()
     }
 
     /// Topic count `T`.
     pub fn num_topics(&self) -> usize {
-        self.phi.rows()
+        self.labels.len()
     }
 
     /// Vocabulary size `V`.
     pub fn vocab_size(&self) -> usize {
-        self.phi.cols()
+        self.vocab.len()
     }
 
     /// Per-topic labels.
@@ -333,112 +341,176 @@ impl ModelArtifact {
     /// Build the fold-in scoring engine from this artifact.
     ///
     /// # Errors
-    /// Propagates `srclda_core` validation failures.
+    /// [`ServeError::MissingSection`] for a generation built in memory,
+    /// which has no φ until it is encoded and loaded, and `srclda_core`
+    /// validation failures.
     pub fn inference(&self) -> Result<Inference, ServeError> {
-        Inference::from_parts(&self.phi, self.alpha, self.labels.clone()).map_err(Into::into)
+        let phi = self
+            .phi
+            .as_ref()
+            .ok_or(ServeError::MissingSection { name: "phi" })?;
+        Inference::from_parts(phi, self.alpha, self.labels.clone()).map_err(Into::into)
     }
 
-    /// The `n` most probable words of topic `t`, as vocabulary strings.
+    /// The `n` most probable words of topic `t`, as vocabulary strings
+    /// (none for a generation built in memory, which has no φ).
     pub fn top_words(&self, t: usize, n: usize) -> Vec<&str> {
-        srclda_math::simplex::top_n_indices(self.phi.row(t), n)
+        let Some(phi) = &self.phi else {
+            return Vec::new();
+        };
+        srclda_math::simplex::top_n_indices(phi.row(t), n)
             .into_iter()
             .map(|w| self.vocab.word(srclda_corpus::WordId::new(w)))
             .collect()
     }
 
-    /// Serialize to the on-disk format.
+    /// Serialize to the on-disk format: a generation (an artifact that
+    /// carries a checkpoint) as sections 1 and 3–7, a final model as
+    /// sections 1–6. The header goes first with a placeholder section
+    /// table; each payload is appended to the same buffer, sized up
+    /// front, and its table entry filled in once it has landed.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let t = self.num_topics();
-
-        let mut model = Writer::new();
-        model.f64(self.alpha);
-        model.u64(t as u64);
-        model.u64(self.vocab_size() as u64);
-
-        let mut phi = Writer::new();
-        for &x in self.phi.as_slice() {
-            phi.f64(x);
-        }
-
-        let mut labels = Writer::new();
-        for label in &self.labels {
-            match label {
-                Some(s) => {
-                    labels.bool(true);
-                    labels.str(s);
-                }
-                None => labels.bool(false),
-            }
-        }
-
-        let mut priors = Writer::new();
-        for raw in &self.priors {
-            encode_prior(&mut priors, raw);
-        }
-
-        let mut vocab = Writer::new();
-        vocab.u64(self.vocab.len() as u64);
-        for word in self.vocab.words() {
-            vocab.str(word);
-        }
-
-        let mut tokenizer = Writer::new();
-        let (lowercase, min_len, remove_stopwords, keep_numbers) = self.tokenizer.to_parts();
-        tokenizer.bool(lowercase);
-        tokenizer.u64(min_len as u64);
-        tokenizer.bool(remove_stopwords);
-        tokenizer.bool(keep_numbers);
-
-        let mut sections: Vec<(u32, Vec<u8>)> = vec![
-            (SEC_MODEL, model.into_bytes()),
-            (SEC_PHI, phi.into_bytes()),
-            (SEC_LABELS, labels.into_bytes()),
-            (SEC_PRIORS, priors.into_bytes()),
-            (SEC_VOCAB, vocab.into_bytes()),
-            (SEC_TOKENIZER, tokenizer.into_bytes()),
-        ];
-        if let Some(cp) = &self.checkpoint {
-            let mut w = Writer::new();
-            encode_checkpoint(&mut w, cp);
-            sections.push((SEC_CHECKPOINT, w.into_bytes()));
-        }
-
-        let table_len = 16 + sections.len() * 20;
-        let mut out = Writer::new();
+        let generation = self.checkpoint.is_some();
+        let mut ids = vec![SEC_MODEL];
+        ids.extend((!generation).then_some(SEC_PHI));
+        ids.extend([SEC_LABELS, SEC_PRIORS, SEC_VOCAB, SEC_TOKENIZER]);
+        ids.extend(generation.then_some(SEC_CHECKPOINT));
+        let bound = self.encoded_len_bound();
+        let mut out = Writer::with_capacity(bound);
         out.bytes(&MAGIC);
         out.u32(FORMAT_VERSION);
-        debug_assert!(sections.len() <= MAX_SECTIONS as usize);
-        out.u32(sections.len() as u32); // lint:allow(narrowing-cast): at most MAX_SECTIONS entries, built right above
-        let mut offset = table_len as u64;
-        for (id, payload) in &sections {
-            out.u32(*id);
-            out.u64(offset);
-            out.u64(payload.len() as u64);
-            offset += payload.len() as u64;
+        out.u32(ids.len() as u32); // lint:allow(narrowing-cast): six sections, listed right above
+        let table = out.len();
+        for &id in &ids {
+            out.u32(id);
+            out.u64(0); // offset and length, patched below
+            out.u64(0);
         }
-        for (_, payload) in &sections {
-            out.bytes(payload);
+        for (i, &id) in ids.iter().enumerate() {
+            let start = out.len();
+            self.encode_section(id, &mut out);
+            let entry = table + 20 * i + 4;
+            out.patch_u64(entry, start as u64);
+            out.patch_u64(entry + 8, (out.len() - start) as u64);
         }
         let mut bytes = out.into_bytes();
         let checksum = fnv1a64(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
+        debug_assert!(
+            bytes.len() <= bound,
+            "{} bytes over a bound of {bound}",
+            bytes.len()
+        );
         bytes
     }
 
-    /// Deserialize and fully validate an artifact.
+    /// Append the payload of section `id` to `w`.
+    fn encode_section(&self, id: u32, w: &mut Writer) {
+        match id {
+            SEC_MODEL => {
+                w.f64(self.alpha);
+                w.u64(self.num_topics() as u64);
+                w.u64(self.vocab_size() as u64);
+            }
+            SEC_PHI => {
+                for &x in self.phi.iter().flat_map(DenseMatrix::as_slice) {
+                    w.f64(x);
+                }
+            }
+            SEC_LABELS => {
+                for label in &self.labels {
+                    w.bool(label.is_some());
+                    if let Some(s) = label {
+                        w.str(s);
+                    }
+                }
+            }
+            SEC_PRIORS => {
+                for raw in self.encoded_priors() {
+                    encode_prior(w, raw);
+                }
+            }
+            SEC_VOCAB => {
+                w.u64(self.vocab.len() as u64);
+                for word in self.vocab.words() {
+                    w.str(word);
+                }
+            }
+            SEC_TOKENIZER => {
+                let (lowercase, min_len, remove_stopwords, keep_numbers) =
+                    self.tokenizer.to_parts();
+                w.bool(lowercase);
+                w.u64(min_len as u64);
+                w.bool(remove_stopwords);
+                w.bool(keep_numbers);
+            }
+            SEC_CHECKPOINT => {
+                if let Some(cp) = &self.checkpoint {
+                    encode_checkpoint(w, cp);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The priors the priors section holds: a generation's are its
+    /// checkpoint's, the sampler state a resume continues from.
+    fn encoded_priors(&self) -> &[RawPrior] {
+        self.checkpoint
+            .as_ref()
+            .map_or(&self.priors, |cp| &cp.priors)
+    }
+
+    /// An upper bound on the length of [`Self::to_bytes`], so the encoder
+    /// fills one buffer without growing it: the exact framing and strings,
+    /// every prior's values plus its tags and length prefixes, and either
+    /// φ or the checkpoint with one cell per token.
+    fn encoded_len_bound(&self) -> usize {
+        let labels: usize = self
+            .labels
+            .iter()
+            .map(|l| 9 + l.as_ref().map_or(0, String::len))
+            .sum();
+        let vocab: usize = self.vocab.words().iter().map(|w| 8 + w.len()).sum();
+        let priors: u64 = self
+            .encoded_priors()
+            .iter()
+            .map(|p| p.payload_bytes() + 64)
+            .sum();
+        let body = match &self.checkpoint {
+            Some(cp) => {
+                // Ten u64 words of scalars, RNG state and counts, then per
+                // shard one RNG state, per document a length and its
+                // assignments, and at most one 12-byte cell per token.
+                let tokens: usize = cp.z.iter().map(Vec::len).sum();
+                8 * (10 + 4 * cp.shard_rngs.len() + cp.z.len())
+                    + 4 * tokens
+                    + 12 * tokens.min(cp.nw.len())
+            }
+            None => 8 * self.num_topics() * self.vocab_size(),
+        };
+        // Header, table, model, vocab count, tokenizer, trailer.
+        16 + 20 * 6 + 24 + 8 + 11 + 8 + labels + vocab + priors as usize + body
+    }
+
+    /// Deserialize and fully validate an artifact. A generation with no φ
+    /// section (v3) gets its φ derived from the checkpoint, once.
     ///
     /// # Errors
     /// Every way a file can be wrong maps to a distinct [`ServeError`]:
     /// bad magic, unsupported version, checksum mismatch, truncation,
     /// missing sections, or structurally/semantically corrupt content.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
-        let sections = list_sections(bytes)?;
-        let payload = |id: u32, name: &'static str| -> Result<&[u8], ServeError> {
-            let info = sections
+        let (version, sections) = envelope(bytes)?;
+        let section = |id: u32| -> Result<Option<&[u8]>, ServeError> {
+            sections
                 .iter()
                 .find(|s| s.id == id)
-                .ok_or(ServeError::MissingSection { name })?;
-            section_bytes(bytes, info)
+                .map(|info| section_bytes(bytes, info))
+                .transpose()
+        };
+        let payload = |id: u32, name: &'static str| -> Result<&[u8], ServeError> {
+            section(id)?.ok_or(ServeError::MissingSection { name })
         };
 
         let mut model = Reader::new(payload(SEC_MODEL, "model")?, "model section");
@@ -449,24 +521,6 @@ impl ModelArtifact {
         if t == 0 || v == 0 {
             return Err(ServeError::Corrupt(format!("empty model: T={t}, V={v}")));
         }
-
-        let phi_bytes = payload(SEC_PHI, "phi")?;
-        let expected = t
-            .checked_mul(v)
-            .and_then(|n| n.checked_mul(8))
-            .ok_or_else(|| ServeError::Corrupt(format!("phi dimensions overflow: {t}×{v}")))?;
-        if phi_bytes.len() != expected {
-            return Err(ServeError::Corrupt(format!(
-                "phi section is {} bytes, expected {expected} for T={t}, V={v}",
-                phi_bytes.len()
-            )));
-        }
-        let mut phi_reader = Reader::new(phi_bytes, "phi section");
-        let mut phi_data = Vec::with_capacity(t * v);
-        for _ in 0..t * v {
-            phi_data.push(phi_reader.f64()?);
-        }
-        let phi = DenseMatrix::from_vec(t, v, phi_data);
 
         let mut labels_reader = Reader::new(payload(SEC_LABELS, "labels")?, "labels section");
         let labels: Vec<Option<String>> = (0..t)
@@ -513,14 +567,46 @@ impl ModelArtifact {
         );
         tok_reader.expect_empty()?;
 
-        let artifact = Self::new(alpha, phi, labels, priors, vocab, tokenizer)?;
-        // The checkpoint section is optional (v2); absent in every v1
-        // artifact and in v2 artifacts of finished runs.
-        if let Some(info) = sections.iter().find(|s| s.id == SEC_CHECKPOINT) {
-            let mut cp_reader = Reader::new(section_bytes(bytes, info)?, "checkpoint section");
-            let cp = decode_checkpoint(&mut cp_reader)?;
-            cp_reader.expect_empty()?;
-            return artifact.with_checkpoint(cp);
+        // The labels and vocab sections have confirmed T and V; only now
+        // is anything V·T-sized built.
+        let phi = section(SEC_PHI)?
+            .map(|bytes| decode_phi(bytes, t, v))
+            .transpose()?;
+        if phi.is_none() && version < 3 {
+            return Err(ServeError::MissingSection { name: "phi" });
+        }
+        // The checkpoint section is optional: absent in v1 artifacts and
+        // in final models.
+        let checkpoint = match section(SEC_CHECKPOINT)? {
+            Some(bytes) => {
+                let mut r = Reader::new(bytes, "checkpoint section");
+                let cp = if version < 3 {
+                    decode_checkpoint_v2(&mut r)?
+                } else {
+                    decode_checkpoint(&mut r, alpha, &priors, t, v)?
+                };
+                r.expect_empty()?;
+                Some(cp)
+            }
+            None => None,
+        };
+        let mut artifact = Self {
+            alpha,
+            phi,
+            labels,
+            priors,
+            vocab,
+            tokenizer,
+            checkpoint,
+        };
+        artifact.validate()?;
+        if artifact.phi.is_none() {
+            artifact.phi = artifact
+                .checkpoint
+                .as_ref()
+                .map(TrainCheckpoint::phi)
+                .transpose()
+                .map_err(|e| ServeError::Corrupt(format!("deriving phi: {e}")))?;
         }
         Ok(artifact)
     }
@@ -611,12 +697,13 @@ impl ModelArtifact {
     }
 }
 
-/// Encode a [`TrainCheckpoint`] (the v2 optional section payload):
-/// scalars, RNG states, assignments, counts, then the current priors.
+/// Encode a [`TrainCheckpoint`] as a v3 generation's checkpoint section:
+/// the scalars, RNG states and assignments, then `nw` as its non-zero
+/// cells. α and the priors live in the model and priors sections, and
+/// decode rebuilds `nt`.
 fn encode_checkpoint(w: &mut Writer, cp: &TrainCheckpoint) {
     w.u64(cp.sweep);
     w.u64(cp.seed);
-    w.f64(cp.alpha);
     w.u64(cp.shards);
     for &word in &cp.main_rng {
         w.u64(word);
@@ -631,19 +718,100 @@ fn encode_checkpoint(w: &mut Writer, cp: &TrainCheckpoint) {
     for doc in &cp.z {
         w.u32_slice(doc);
     }
-    w.u32_slice(&cp.nw);
-    w.u32_slice(&cp.nt);
-    w.u64(cp.priors.len() as u64);
-    for raw in &cp.priors {
-        encode_prior(w, raw);
+    let count_at = w.len();
+    w.u64(0); // the cell count, patched once the cells are written
+    let mut cells = 0u64;
+    for (index, n) in cp.nw_cells() {
+        w.u64(index);
+        w.u32(n);
+        cells += 1;
     }
+    w.patch_u64(count_at, cells);
 }
 
-fn decode_checkpoint(r: &mut Reader<'_>) -> Result<TrainCheckpoint, ServeError> {
+/// Decode a v3 checkpoint section for a `t × v` model whose α and priors
+/// the model and priors sections carried.
+fn decode_checkpoint(
+    r: &mut Reader<'_>,
+    alpha: f64,
+    priors: &[RawPrior],
+    t: usize,
+    v: usize,
+) -> Result<TrainCheckpoint, ServeError> {
     let sweep = r.u64()?;
     let seed = r.u64()?;
-    let alpha = r.f64()?;
     let shards = r.u64()?;
+    let (main_rng, shard_rngs, z) = decode_rngs_and_z(r)?;
+    let (nw, nt) = decode_cells(r, t, v)?;
+    Ok(TrainCheckpoint {
+        sweep,
+        seed,
+        alpha,
+        shards,
+        z,
+        nw,
+        nt,
+        main_rng,
+        shard_rngs,
+        priors: priors.to_vec(),
+    })
+}
+
+/// Rebuild the dense `nw` (`V·T`, row-major by word) and the topic totals
+/// `nt` from a generation's non-zero cells. A cell that is past `V·T`,
+/// not after its predecessor (out of order or repeated) or zero is
+/// corrupt; totals that disagree with z fail [`TrainCheckpoint::validate`].
+/// `nw` is the one buffer no file bytes back, so the caller confirms `t`
+/// and `v` against the labels and vocab sections first, and a size the
+/// allocator refuses is an error rather than an abort.
+fn decode_cells(
+    r: &mut Reader<'_>,
+    t: usize,
+    v: usize,
+) -> Result<(Vec<u32>, Vec<u32>), ServeError> {
+    let count = r.len(12)?;
+    let size = v
+        .checked_mul(t)
+        .ok_or_else(|| ServeError::Corrupt(format!("nw dimensions overflow: {v}×{t}")))?;
+    let mut nw = Vec::new();
+    nw.try_reserve_exact(size)
+        .map_err(|e| ServeError::Corrupt(format!("nw of {v}×{t} cells: {e}")))?;
+    nw.resize(size, 0u32);
+    let mut nt = vec![0u32; t];
+    let mut next = 0u64;
+    for _ in 0..count {
+        let index = r.u64()?;
+        let n = r.u32()?;
+        if n == 0 {
+            return Err(ServeError::Corrupt(format!("nw cell {index} is zero")));
+        }
+        if index < next {
+            return Err(ServeError::Corrupt(format!(
+                "nw cell {index} is out of order or repeated"
+            )));
+        }
+        let i = usize::try_from(index)
+            .ok()
+            .filter(|&i| i < size)
+            .ok_or_else(|| ServeError::Corrupt(format!("nw cell {index} is past V·T = {size}")))?;
+        // i < V·T, so T > 0 and both lookups hit.
+        if let (Some(cell), Some(total)) = (nw.get_mut(i), nt.get_mut(i % t)) {
+            *cell = n;
+            *total = total
+                .checked_add(n)
+                .ok_or_else(|| ServeError::Corrupt("a topic total overflows u32".into()))?;
+        }
+        next = index + 1;
+    }
+    Ok((nw, nt))
+}
+
+/// The main RNG state, the per-shard RNG states and the assignments.
+type RngsAndZ = ([u64; 4], Vec<[u64; 4]>, Vec<Vec<u32>>);
+
+/// The RNG states and assignments, which the v2 and v3 checkpoint
+/// sections share.
+fn decode_rngs_and_z(r: &mut Reader<'_>) -> Result<RngsAndZ, ServeError> {
     let main_rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
     let shard_count = r.len(32)?;
     let mut shard_rngs = Vec::with_capacity(shard_count);
@@ -655,6 +823,17 @@ fn decode_checkpoint(r: &mut Reader<'_>) -> Result<TrainCheckpoint, ServeError> 
     for _ in 0..doc_count {
         z.push(r.u32_vec()?);
     }
+    Ok((main_rng, shard_rngs, z))
+}
+
+/// Decode a v2 checkpoint section (read-only: this build writes v3):
+/// scalars, RNG states, assignments, the dense counts, then the priors.
+fn decode_checkpoint_v2(r: &mut Reader<'_>) -> Result<TrainCheckpoint, ServeError> {
+    let sweep = r.u64()?;
+    let seed = r.u64()?;
+    let alpha = r.f64()?;
+    let shards = r.u64()?;
+    let (main_rng, shard_rngs, z) = decode_rngs_and_z(r)?;
     let nw = r.u32_vec()?;
     let nt = r.u32_vec()?;
     let prior_count = r.len(1)?;
@@ -673,6 +852,27 @@ fn decode_checkpoint(r: &mut Reader<'_>) -> Result<TrainCheckpoint, ServeError> 
         shard_rngs,
         priors,
     })
+}
+
+/// Decode a φ section of a `t × v` model: exactly `t·v` f64, row-major
+/// by topic.
+fn decode_phi(bytes: &[u8], t: usize, v: usize) -> Result<DenseMatrix<f64>, ServeError> {
+    let expected = t
+        .checked_mul(v)
+        .and_then(|n| n.checked_mul(8))
+        .ok_or_else(|| ServeError::Corrupt(format!("phi dimensions overflow: {t}×{v}")))?;
+    if bytes.len() != expected {
+        return Err(ServeError::Corrupt(format!(
+            "phi section is {} bytes, expected {expected} for T={t}, V={v}",
+            bytes.len()
+        )));
+    }
+    let mut r = Reader::new(bytes, "phi section");
+    let mut data = Vec::with_capacity(t * v);
+    for _ in 0..t * v {
+        data.push(r.f64()?);
+    }
+    Ok(DenseMatrix::from_vec(t, v, data))
 }
 
 fn encode_prior(w: &mut Writer, raw: &RawPrior) {
@@ -781,13 +981,18 @@ fn section_bytes<'a>(bytes: &'a [u8], info: &SectionInfo) -> Result<&'a [u8], Se
 }
 
 /// Parse and verify the envelope (magic, version, checksum, section table)
-/// without decoding payloads. This is what `inspect` prints and what
-/// [`ModelArtifact::from_bytes`] builds on.
+/// without decoding payloads. This is what `inspect` prints.
 ///
 /// # Errors
 /// Fails on a bad magic, unsupported version, checksum mismatch, or a
 /// structurally invalid section table.
 pub fn list_sections(bytes: &[u8]) -> Result<Vec<SectionInfo>, ServeError> {
+    envelope(bytes).map(|(_, sections)| sections)
+}
+
+/// [`list_sections`] with the format version, which
+/// [`ModelArtifact::from_bytes`] needs to pick the checkpoint decoder.
+fn envelope(bytes: &[u8]) -> Result<(u32, Vec<SectionInfo>), ServeError> {
     if bytes.get(..8) != Some(MAGIC.as_slice()) {
         return Err(ServeError::BadMagic {
             found: bytes.iter().copied().take(8).collect(),
@@ -840,7 +1045,7 @@ pub fn list_sections(bytes: &[u8]) -> Result<Vec<SectionInfo>, ServeError> {
         }
         sections.push(SectionInfo { id, offset, length });
     }
-    Ok(sections)
+    Ok((version, sections))
 }
 
 #[cfg(test)]
@@ -885,7 +1090,7 @@ mod tests {
         let (artifact, fitted) = trained();
         let bytes = artifact.to_bytes();
         let back = ModelArtifact::from_bytes(&bytes).unwrap();
-        assert_eq!(back.phi().as_slice(), fitted.phi().as_slice());
+        assert_eq!(back.phi().unwrap().as_slice(), fitted.phi().as_slice());
         assert_eq!(back.alpha(), fitted.alpha());
         assert_eq!(back.labels(), fitted.labels());
         assert_eq!(back.priors(), artifact.priors());
@@ -1037,15 +1242,26 @@ mod tests {
         }
     }
 
+    /// A generation of `cp` that serves with `artifact`'s labels,
+    /// vocabulary and tokenizer.
+    fn generation(
+        artifact: &ModelArtifact,
+        cp: &TrainCheckpoint,
+    ) -> Result<ModelArtifact, ServeError> {
+        ModelArtifact::from_checkpoint(
+            cp,
+            artifact.labels().to_vec(),
+            artifact.vocabulary(),
+            artifact.tokenizer(),
+        )
+    }
+
     #[test]
     fn checkpoint_section_round_trips() {
         let (artifact, _) = trained();
         let t = artifact.num_topics();
         let v = artifact.vocab_size();
-        let with_cp = artifact
-            .clone()
-            .with_checkpoint(toy_checkpoint(t, v))
-            .unwrap();
+        let with_cp = generation(&artifact, &toy_checkpoint(t, v)).unwrap();
         let bytes = with_cp.to_bytes();
         let back = ModelArtifact::from_bytes(&bytes).unwrap();
         assert_eq!(back.checkpoint(), with_cp.checkpoint());
@@ -1055,7 +1271,18 @@ mod tests {
             .iter()
             .map(SectionInfo::name)
             .collect();
-        assert!(names.contains(&"checkpoint"), "{names:?}");
+        assert_eq!(
+            names,
+            [
+                "model",
+                "labels",
+                "priors",
+                "vocab",
+                "tokenizer",
+                "checkpoint"
+            ],
+            "a generation stores no phi"
+        );
         assert!(with_cp.summary().contains("checkpoint: sweep 17"));
         assert!(
             with_cp.summary().contains("2 shards (Flat kernel)"),
@@ -1065,7 +1292,7 @@ mod tests {
         // The kernel tag rides the packed shards word through the codec.
         let mut sparse_cp = toy_checkpoint(t, v);
         sparse_cp.shards = 1 << 56 | 2; // sparse kernel, 2 shards
-        let with_sparse = artifact.clone().with_checkpoint(sparse_cp).unwrap();
+        let with_sparse = generation(&artifact, &sparse_cp).unwrap();
         let back = ModelArtifact::from_bytes(&with_sparse.to_bytes()).unwrap();
         assert_eq!(back.checkpoint(), with_sparse.checkpoint());
         assert!(
@@ -1084,45 +1311,44 @@ mod tests {
         let t = artifact.num_topics();
         let v = artifact.vocab_size();
         // Wrong dimensions.
-        assert!(artifact
-            .clone()
-            .with_checkpoint(toy_checkpoint(t + 1, v))
-            .is_err());
+        assert!(generation(&artifact, &toy_checkpoint(t + 1, v)).is_err());
         // Shard/RNG disagreement.
         let mut cp = toy_checkpoint(t, v);
         cp.shards = 5;
-        assert!(artifact.clone().with_checkpoint(cp).is_err());
+        assert!(generation(&artifact, &cp).is_err());
         // Counts inconsistent with assignments.
         let mut cp = toy_checkpoint(t, v);
         cp.nt[0] += 1;
-        assert!(artifact.clone().with_checkpoint(cp).is_err());
+        assert!(generation(&artifact, &cp).is_err());
     }
 
     #[test]
     fn artifact_from_checkpoint_is_servable_and_resumable() {
         let (artifact, _) = trained();
         let cp = toy_checkpoint(artifact.num_topics(), artifact.vocab_size());
-        let snapshot = ModelArtifact::from_checkpoint(
-            &cp,
-            artifact.labels().to_vec(),
-            artifact.vocabulary(),
-            artifact.tokenizer(),
-        )
-        .unwrap();
+        let snapshot = generation(&artifact, &cp).unwrap();
         assert_eq!(
             snapshot.alpha(),
             cp.alpha,
             "alpha comes from the checkpoint"
         );
         assert_eq!(snapshot.checkpoint(), Some(&cp));
-        // φ rows are normalized distributions (servable).
-        for t in 0..snapshot.num_topics() {
-            let sum: f64 = snapshot.phi().row(t).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "row {t} sums to {sum}");
-        }
-        // And it round-trips through bytes.
+        // Building a generation derives nothing: no φ until it is loaded.
+        assert!(snapshot.phi().is_none());
+        assert!(matches!(
+            snapshot.inference(),
+            Err(ServeError::MissingSection { name: "phi" })
+        ));
+        // Loaded, it carries the checkpoint's own φ: normalized rows that
+        // serve.
         let back = ModelArtifact::from_bytes(&snapshot.to_bytes()).unwrap();
         assert_eq!(back.checkpoint(), Some(&cp));
+        let phi = back.phi().unwrap();
+        assert_eq!(phi.as_slice(), cp.phi().unwrap().as_slice());
+        for t in 0..back.num_topics() {
+            let sum: f64 = phi.row(t).iter().sum();
+            assert!((sum - 1.0).abs() < 1e-9, "row {t} sums to {sum}");
+        }
         assert!(back.inference().is_ok());
     }
 

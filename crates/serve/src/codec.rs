@@ -24,6 +24,13 @@ impl Writer {
         Self::default()
     }
 
+    /// Empty writer that holds `capacity` bytes before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -67,6 +74,16 @@ impl Writer {
     /// IEEE-754 f64 bit pattern, little-endian (bit-exact round trip).
     pub fn f64(&mut self, x: f64) {
         self.buf.extend_from_slice(&x.to_le_bytes());
+    }
+
+    /// Overwrite the little-endian u64 written earlier at byte offset
+    /// `at` (a placeholder filled in once its value is known).
+    pub fn patch_u64(&mut self, at: usize, x: u64) {
+        let slot = at.checked_add(8).and_then(|end| self.buf.get_mut(at..end));
+        debug_assert!(slot.is_some(), "patch at {at} past the written bytes");
+        if let Some(slot) = slot {
+            slot.copy_from_slice(&x.to_le_bytes());
+        }
     }
 
     /// Length-prefixed (u64) UTF-8 string.
@@ -250,6 +267,8 @@ mod tests {
         w.str("umpire ⚾");
         w.f64_slice(&[1.5, -2.5]);
         w.u32_slice(&[3, 0, 9]);
+        w.u64(0);
+        w.patch_u64(w.len() - 8, 77);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, "test");
         assert_eq!(r.u8().unwrap(), 7);
@@ -261,6 +280,7 @@ mod tests {
         assert_eq!(r.str().unwrap(), "umpire ⚾");
         assert_eq!(r.f64_vec().unwrap(), vec![1.5, -2.5]);
         assert_eq!(r.u32_vec().unwrap(), vec![3, 0, 9]);
+        assert_eq!(r.u64().unwrap(), 77);
         r.expect_empty().unwrap();
     }
 

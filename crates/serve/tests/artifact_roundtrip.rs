@@ -1,8 +1,8 @@
-//! Property-based tests for the artifact codec: arbitrary models — with
-//! and without the v2 training-checkpoint section — must round-trip
-//! bit-exactly, and malformed bytes must fail cleanly (never panic, never
-//! silently succeed). Version-1 byte streams (no checkpoint section) must
-//! keep loading.
+//! Property-based tests for the artifact codec: arbitrary models and
+//! checkpoint generations must round-trip bit-exactly, and malformed
+//! bytes — including crafted generations whose re-stamped checksum is
+//! valid — must fail cleanly (never panic, never silently succeed).
+//! Version-1 byte streams (no checkpoint section) must keep loading.
 
 use proptest::prelude::*;
 use srclda_core::persist::{RawPrior, TrainCheckpoint};
@@ -119,15 +119,33 @@ fn build_checkpoint(t: usize, v: usize, seed: u64, alpha: f64) -> TrainCheckpoin
     }
 }
 
-/// Patch a (checkpoint-free) v2 byte stream down to version 1 and restamp
-/// the checksum — byte-identical to what a v1 writer produced, since the
-/// sections and layout did not change in v2.
-fn downgrade_to_v1(mut bytes: Vec<u8>) -> Vec<u8> {
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+/// A generation of `cp` that serves with `artifact`'s labels, vocabulary
+/// and tokenizer.
+fn generation(artifact: &ModelArtifact, cp: &TrainCheckpoint) -> ModelArtifact {
+    ModelArtifact::from_checkpoint(
+        cp,
+        artifact.labels().to_vec(),
+        artifact.vocabulary(),
+        artifact.tokenizer(),
+    )
+    .expect("strategy builds consistent checkpoints")
+}
+
+/// Overwrite the trailer with the checksum of everything before it, so
+/// an edited byte stream is refused for its content, not its checksum.
+fn restamp(bytes: &mut [u8]) {
     let body = bytes.len() - 8;
     let checksum = srclda_serve::codec::fnv1a64(&bytes[..body]);
-    let len = bytes.len();
-    bytes[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+    bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// Patch a (checkpoint-free) final-model byte stream down to version 1
+/// and restamp the checksum — byte-identical to what a v1 writer
+/// produced, since the sections and layout of a final model never
+/// changed.
+fn downgrade_to_v1(mut bytes: Vec<u8>) -> Vec<u8> {
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    restamp(&mut bytes);
     bytes
 }
 
@@ -140,8 +158,10 @@ proptest! {
         let bytes = artifact.to_bytes();
         let back = ModelArtifact::from_bytes(&bytes).unwrap();
         // φ compared by bit pattern, not float equality.
-        let a_bits: Vec<u64> = artifact.phi().as_slice().iter().map(|x| x.to_bits()).collect();
-        let b_bits: Vec<u64> = back.phi().as_slice().iter().map(|x| x.to_bits()).collect();
+        let bits = |a: &ModelArtifact| -> Vec<u64> {
+            a.phi().unwrap().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        let (a_bits, b_bits) = (bits(&artifact), bits(&back));
         prop_assert_eq!(a_bits, b_bits);
         prop_assert_eq!(artifact.alpha().to_bits(), back.alpha().to_bits());
         prop_assert_eq!(artifact.labels(), back.labels());
@@ -160,11 +180,12 @@ proptest! {
     ) {
         let artifact = build_artifact(t, v, seed);
         let cp = build_checkpoint(t, v, seed ^ 0xc4ec, artifact.alpha());
-        let artifact = artifact.with_checkpoint(cp.clone()).unwrap();
+        let artifact = generation(&artifact, &cp);
         let bytes = artifact.to_bytes();
         let back = ModelArtifact::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back.checkpoint(), Some(&cp));
         prop_assert_eq!(back.priors(), artifact.priors());
+        prop_assert_eq!(back.phi().unwrap(), &cp.phi().unwrap());
         prop_assert_eq!(bytes, back.to_bytes());
     }
 
@@ -193,7 +214,7 @@ proptest! {
         let mut artifact = build_artifact(t, v, seed);
         if with_checkpoint {
             let cp = build_checkpoint(t, v, seed ^ 0x71c, artifact.alpha());
-            artifact = artifact.with_checkpoint(cp).unwrap();
+            artifact = generation(&artifact, &cp);
         }
         let bytes = artifact.to_bytes();
         let cut = ((bytes.len() - 1) as f64 * frac) as usize;
@@ -214,7 +235,7 @@ proptest! {
         let mut artifact = build_artifact(t, v, seed);
         if with_checkpoint {
             let cp = build_checkpoint(t, v, seed ^ 0xf11b, artifact.alpha());
-            artifact = artifact.with_checkpoint(cp).unwrap();
+            artifact = generation(&artifact, &cp);
         }
         let mut bytes = artifact.to_bytes();
         let idx = ((bytes.len() - 1) as f64 * frac) as usize;
@@ -240,10 +261,7 @@ fn future_version_reports_unsupported() {
     let artifact = tiny_artifact();
     let mut bytes = artifact.to_bytes();
     bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    let body = bytes.len() - 8;
-    let checksum = srclda_serve::codec::fnv1a64(&bytes[..body]);
-    let len = bytes.len();
-    bytes[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+    restamp(&mut bytes);
     assert!(matches!(
         ModelArtifact::from_bytes(&bytes),
         Err(ServeError::UnsupportedVersion { found, supported })
@@ -280,4 +298,99 @@ fn tiny_artifact() -> ModelArtifact {
         Tokenizer::default(),
     )
     .unwrap()
+}
+
+/// A generation with its checkpoint section's `nw` cells replaced by
+/// `cells`: the checkpoint is the last section and the cells end it, so
+/// the edit cuts the old cells off the end, appends the new ones, and
+/// restamps the section length and the checksum.
+fn with_cells(bytes: &[u8], old_cells: usize, cells: &[(u64, u32)]) -> Vec<u8> {
+    let sections = srclda_serve::list_sections(bytes).unwrap();
+    let last = sections.len() - 1;
+    assert_eq!(sections[last].name(), "checkpoint");
+    let mut out = bytes[..bytes.len() - 8 - 8 - 12 * old_cells].to_vec();
+    out.extend((cells.len() as u64).to_le_bytes());
+    for &(index, n) in cells {
+        out.extend(index.to_le_bytes());
+        out.extend(n.to_le_bytes());
+    }
+    let length = out.len() as u64 - sections[last].offset;
+    let at = 16 + 20 * last + 12;
+    out[at..at + 8].copy_from_slice(&length.to_le_bytes());
+    out.extend([0; 8]);
+    restamp(&mut out);
+    out
+}
+
+/// A crafted v3 generation — every edit re-checksummed so that only the
+/// content is wrong — decodes to a `ServeError`, and never aborts on an
+/// allocation that no file bytes back.
+#[test]
+fn crafted_v3_generations_are_rejected() {
+    let (t, v) = (3, 5);
+    let artifact = build_artifact(t, v, 0x5eed);
+    let cp = build_checkpoint(t, v, 0xce11, artifact.alpha());
+    let bytes = generation(&artifact, &cp).to_bytes();
+    let cells: Vec<(u64, u32)> = cp.nw_cells().collect();
+    assert!(cells.len() >= 2, "the edits below need two cells");
+    assert_eq!(with_cells(&bytes, cells.len(), &cells), bytes);
+    ModelArtifact::from_bytes(&bytes).unwrap();
+
+    let rejected = |what: &str, bytes: &[u8]| {
+        let err = ModelArtifact::from_bytes(bytes).expect_err(what);
+        assert!(
+            matches!(
+                err,
+                ServeError::Corrupt(_)
+                    | ServeError::Truncated { .. }
+                    | ServeError::MissingSection { .. }
+            ),
+            "{what}: {err}"
+        );
+    };
+
+    // T or V claimed as 2^40 by the model section: the labels and vocab
+    // sections must refute it before any V·T-sized buffer exists.
+    let model = srclda_serve::list_sections(&bytes).unwrap()[0];
+    assert_eq!(model.name(), "model");
+    for (field, what) in [(8, "T = 2^40"), (16, "V = 2^40")] {
+        let mut crafted = bytes.clone();
+        let at = model.offset as usize + field;
+        crafted[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        restamp(&mut crafted);
+        rejected(what, &crafted);
+    }
+
+    type Cells = Vec<(u64, u32)>;
+    let edit = |f: &dyn Fn(&mut Cells)| {
+        let mut edited = cells.clone();
+        f(&mut edited);
+        with_cells(&bytes, cells.len(), &edited)
+    };
+    let past_end = (v * t) as u64;
+    rejected("index past V·T", &edit(&|c| c.push((past_end, 1))));
+    rejected("index u64::MAX", &edit(&|c| c.push((u64::MAX, 1))));
+    rejected("swapped cells", &edit(&|c| c.swap(0, 1)));
+    rejected("duplicated cell", &edit(&|c| c.insert(1, c[0])));
+    rejected("zero count", &edit(&|c| c[0].1 = 0));
+    rejected("totals disagree with z", &edit(&|c| c[0].1 += 1));
+    rejected(
+        "missing cell",
+        &edit(&|c| {
+            c.remove(0);
+        }),
+    );
+
+    // A v3 file with neither a phi nor a checkpoint section: a final
+    // model whose phi section id is renamed to one readers ignore.
+    let mut crafted = artifact.to_bytes();
+    let sections = srclda_serve::list_sections(&crafted).unwrap();
+    let phi = sections.iter().position(|s| s.name() == "phi").unwrap();
+    let at = 16 + 20 * phi;
+    crafted[at..at + 4].copy_from_slice(&99u32.to_le_bytes());
+    restamp(&mut crafted);
+    assert!(matches!(
+        ModelArtifact::from_bytes(&crafted),
+        Err(ServeError::MissingSection { name: "phi" })
+    ));
 }

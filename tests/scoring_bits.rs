@@ -137,15 +137,23 @@ fn final_checkpoint_serves_the_fitted_phi() {
             .unwrap();
         let checkpoint = last.unwrap();
         assert_eq!(checkpoint.sweep, 24);
-        let artifact = ModelArtifact::from_checkpoint(
+        let generation = ModelArtifact::from_checkpoint(
             &checkpoint,
             fitted.labels().to_vec(),
             train.vocabulary(),
             &Tokenizer::permissive(),
         )
         .unwrap();
+        // A generation stores no φ; loading it derives one.
+        let artifact = ModelArtifact::from_bytes(&generation.to_bytes()).unwrap();
+        let served = f64_bytes(artifact.phi().unwrap().as_slice().iter().copied());
         assert_eq!(
-            f64_bytes(artifact.phi().as_slice().iter().copied()),
+            served,
+            f64_bytes(checkpoint.phi().unwrap().as_slice().iter().copied()),
+            "{variant:?}"
+        );
+        assert_eq!(
+            served,
             f64_bytes(fitted.phi().as_slice().iter().copied()),
             "{variant:?}"
         );
