@@ -52,10 +52,12 @@ pub(crate) fn pack_shards(kernel: KernelKind, shards: u64) -> u64 {
     (tag << KERNEL_TAG_SHIFT) | shards
 }
 
-/// Value-only mirror of the λ-integration table's storage layout.
+/// Value-only mirror of a λ-integration table's δ rows, in one of two
+/// raw layouts; [`IntegrationTable::to_raw`] picks which.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RawIntegrationLayout {
-    /// Dense per-word table: `values[w*A + a]`, length `V·A`.
+    /// Dense per-word table: `values[w*A + a]`, length `V·A`. It does not
+    /// record the support, so it decodes with every word on it.
     Dense {
         /// The `δ^{g(λₐ)}` grid, row-major by word.
         values: Vec<f64>,
@@ -80,7 +82,7 @@ pub struct RawIntegrationTable {
     pub prior_log_weights: Vec<f64>,
     /// `Σ_w δ_w^{g(λₐ)}` per level (length `A`).
     pub sums: Vec<f64>,
-    /// Storage layout.
+    /// The δ rows.
     pub layout: RawIntegrationLayout,
 }
 
@@ -704,6 +706,111 @@ mod tests {
             },
         };
         assert!(TopicPrior::from_raw(RawPrior::Integrated(bad), 4).is_err());
+        // Integrated: values outside the ranges the weights stay finite and
+        // positive under, one case per check.
+        let good = || RawIntegrationTable {
+            weights: vec![0.5, 0.5],
+            prior_log_weights: vec![-0.7, -0.7],
+            sums: vec![3.5, 3.0],
+            layout: RawIntegrationLayout::Sparse {
+                support: vec![1],
+                values: vec![2.0, 1.5],
+                zero_values: vec![0.5, 0.5],
+            },
+        };
+        assert!(TopicPrior::from_raw(RawPrior::Integrated(good()), 4).is_ok());
+        type Spoil = fn(&mut RawIntegrationTable);
+        let cases: [(&str, Spoil); 6] = [
+            ("NaN dense δ", |t| {
+                let mut values = vec![1.0; 8];
+                values[3] = f64::NAN;
+                t.layout = RawIntegrationLayout::Dense { values };
+            }),
+            ("negative sparse δ", |t| {
+                if let RawIntegrationLayout::Sparse { values, .. } = &mut t.layout {
+                    values[1] = -1.5;
+                }
+            }),
+            ("zero off-support value", |t| {
+                if let RawIntegrationLayout::Sparse { zero_values, .. } = &mut t.layout {
+                    zero_values[0] = 0.0;
+                }
+            }),
+            ("infinite level sum", |t| t.sums[1] = f64::INFINITY),
+            ("negative quadrature weight", |t| t.weights[0] = -0.5),
+            ("NaN prior log-weight", |t| {
+                t.prior_log_weights[1] = f64::NAN
+            }),
+        ];
+        for (what, spoil) in cases {
+            let mut bad = good();
+            spoil(&mut bad);
+            assert!(
+                TopicPrior::from_raw(RawPrior::Integrated(bad), 4).is_err(),
+                "{what} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn raw_layout_choice_is_pinned_at_its_edges() {
+        let g = SmoothingFunction::identity();
+        let q = DiscretizedGaussian::unit_interval(0.7, 0.3, 5).unwrap();
+        let zero_row: Vec<u64> = q
+            .points()
+            .iter()
+            .map(|&lam| 0.01f64.powf(g.eval(lam)).to_bits())
+            .collect();
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (v, support, dense) in [(4096, 20, true), (4097, 20, false), (5000, 2500, true)] {
+            let stride = v / support;
+            let mut counts = vec![0.0; v];
+            for i in 0..support {
+                counts[i * stride] = (1 + i % 5) as f64;
+            }
+            let topic = SourceTopic::new("T", counts.clone());
+            let p = TopicPrior::integrated(&topic, 0.01, &g, &q);
+            let raw = p.to_raw();
+            let RawPrior::Integrated(table) = &raw else {
+                panic!("an integrated prior writes an integrated mirror");
+            };
+            match &table.layout {
+                RawIntegrationLayout::Dense { values } => {
+                    assert!(dense, "V = {v}: wrote the dense raw layout");
+                    assert_eq!(values.len(), v * 5);
+                    for (w, row) in values.chunks_exact(5).enumerate() {
+                        if counts[w] == 0.0 {
+                            assert_eq!(bits(row), zero_row, "V = {v}: off-support row {w}");
+                        }
+                    }
+                }
+                RawIntegrationLayout::Sparse {
+                    support: words,
+                    zero_values,
+                    ..
+                } => {
+                    assert!(!dense, "V = {v}: wrote the sparse raw layout");
+                    assert_eq!(words.len(), support);
+                    assert_eq!(bits(zero_values), zero_row);
+                }
+            }
+            let back = TopicPrior::from_raw(raw.clone(), v).unwrap();
+            assert_eq!(
+                back.to_raw(),
+                raw,
+                "V = {v}: re-encoding moved the raw table"
+            );
+            // Words 0 and `stride` are on the support, 1 and V − 1 off it.
+            for w in [0, 1, stride, v - 1] {
+                for (nw, nt) in [(0.0, 0.0), (3.0, 40.0)] {
+                    assert_eq!(
+                        p.word_weight(w, nw, nt).to_bits(),
+                        back.word_weight(w, nw, nt).to_bits(),
+                        "V = {v}, w = {w}"
+                    );
+                }
+            }
+        }
     }
 
     fn toy_checkpoint() -> TrainCheckpoint {

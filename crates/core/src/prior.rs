@@ -29,22 +29,27 @@
 //! tests in the kernel module.
 
 use crate::error::CoreError;
+use crate::persist::{RawIntegrationLayout, RawIntegrationTable};
 use srclda_knowledge::{SmoothingFunction, SourceTopic};
 use srclda_math::DiscretizedGaussian;
 
-/// Threshold deciding the dense-vs-sparse layout for integrated priors: use
-/// the dense per-word table when the vocabulary is small or the topic's
-/// support covers a sizable fraction of it. Sparse storage keeps the paper's
-/// `B = 10000` scaling benchmark within memory (dense would need
-/// `O(V·A·B)` floats).
+/// The raw-layout rule of [`IntegrationTable::to_raw`]: a table is written
+/// in the dense raw layout (every word's row, `V·A` values) when the
+/// vocabulary has at most this many words or the support covers half of
+/// it, and in the sparse raw layout otherwise. Checkpoint digests hash the
+/// raw priors, so the rule is part of the file format.
 const DENSE_INTEGRATION_MAX_VOCAB: usize = 4096;
-
-/// Sentinel in the sparse layout's per-word row pointer marking a word
-/// outside the support (its δ row is the shared `zero_values` row).
-const NO_ROW: u32 = u32::MAX;
 
 /// The λ-integration table of one source topic: per quadrature level `a`,
 /// the powered hyperparameters `δ^{g(λₐ)}` and their sum.
+///
+/// A word's δ row is `(n_w + ε)^{g(λₐ)}` on the topic's source support and
+/// the shared row `ε^{g(λₐ)}` off it, so the table stores the support's
+/// rows and the one off-support row. Nothing in it is sized by the
+/// vocabulary: the paper's `B = 10000` scaling benchmark would need
+/// `O(V·A·B)` floats otherwise. Readers that visit every word walk the
+/// sorted support with a cursor ([`Self::row_indices`]); readers of one
+/// word binary-search it ([`Self::row_index`]).
 #[derive(Debug, Clone)]
 pub struct IntegrationTable {
     /// Current quadrature weights `wₐ` (initialized to the λ prior's
@@ -59,52 +64,19 @@ pub struct IntegrationTable {
     sums: Vec<f64>,
     /// `ln Γ(Σ_w δ_w^{g(λₐ)})` per level (adapt baseline, see [`Self::adapt`]).
     sums_lngamma: Vec<f64>,
-    /// Storage layout.
-    layout: IntegrationLayout,
-}
-
-#[derive(Debug, Clone)]
-enum IntegrationLayout {
-    /// `values[w*A + a] = (n_w + ε)^{g(λₐ)}` for every vocabulary word.
-    Dense {
-        values: Vec<f64>,
-        /// `ln Γ(values[..])`, same layout (adapt baseline cache).
-        values_lngamma: Vec<f64>,
-        /// The shared off-support δ row `ε^{g(λₐ)}` (empty when the table
-        /// was rebuilt from a raw artifact, where support is no longer
-        /// recoverable — the kernel then skips the off-support shortcut).
-        zero_row: Vec<f64>,
-        /// Off-support membership per word (empty when unknown). When
-        /// `off_support[w]`, row `w` of `values` is a verbatim copy of
-        /// `zero_row` — the invariant behind the kernel's cached
-        /// `S2_zero` shortcut.
-        off_support: Vec<bool>,
-    },
-    /// Only support words stored; zero-count words share `zero_values[a] =
-    /// ε^{g(λₐ)}`.
-    Sparse {
-        support: Vec<u32>,
-        values: Vec<f64>,
-        zero_values: Vec<f64>,
-        /// Per-word row pointer: `row_of[w]` is the row index into `values`
-        /// (or [`NO_ROW`] for off-support words). Gives the sampling hot
-        /// path a direct load where it previously binary-searched `support`
-        /// once per (token, topic).
-        row_of: Vec<u32>,
-        /// `ln Γ(values[..])`, same layout as `values`.
-        values_lngamma: Vec<f64>,
-        /// `ln Γ(zero_values[..])`.
-        zero_lngamma: Vec<f64>,
-    },
-}
-
-/// Build the per-word row pointer for a sparse layout.
-fn build_row_of(support: &[u32], vocab_size: usize) -> Vec<u32> {
-    let mut row_of = vec![NO_ROW; vocab_size];
-    for (si, &w) in support.iter().enumerate() {
-        row_of[w as usize] = si as u32;
-    }
-    row_of
+    /// Vocabulary size `V`.
+    vocab_size: usize,
+    /// The support's word ids, strictly increasing. A table decoded from a
+    /// raw dense layout has every word on its support.
+    support: Vec<u32>,
+    /// The δ rows, `A` values each: row `i < |support|` belongs to word
+    /// `support[i]`, and row `|support|` is the shared off-support row
+    /// `ε^{g(λₐ)}`. No word reads that row when every word is on the
+    /// support; a table decoded from a raw dense layout, which does not
+    /// store `ε`, fills it with ones.
+    rows: Vec<f64>,
+    /// `ln Γ(rows[..])`, same layout (the adapt baselines).
+    rows_lngamma: Vec<f64>,
 }
 
 /// `ln Γ` of every entry (the adapt baselines, cached at build time so
@@ -161,81 +133,48 @@ impl IntegrationTable {
         let weights: Vec<f64> = quadrature.weights().to_vec();
         let prior_log_weights: Vec<f64> = weights.iter().map(|&w| w.max(1e-300).ln()).collect();
         let v = topic.vocab_size();
-        let a = quadrature.len();
         let exponents: Vec<f64> = quadrature.points().iter().map(|&lam| g.eval(lam)).collect();
         let counts = topic.counts();
         let support: Vec<u32> = (0..v)
             .filter(|&w| counts[w] > 0.0)
             .map(|w| w as u32)
             .collect();
-        let dense = v <= DENSE_INTEGRATION_MAX_VOCAB || support.len() * 2 >= v;
         let zero_values: Vec<f64> = exponents.iter().map(|&e| epsilon.powf(e)).collect();
-        let mut sums = vec![0.0; a];
-        for (ai, &zv) in zero_values.iter().enumerate() {
-            sums[ai] = (v - support.len()) as f64 * zv;
+        // Each level sums the off-support term first, then the support
+        // values in word order.
+        let off_words = (v - support.len()) as f64;
+        let mut sums: Vec<f64> = zero_values.iter().map(|&zv| off_words * zv).collect();
+        let mut rows = Vec::with_capacity((support.len() + 1) * exponents.len());
+        for &w in &support {
+            for (sum, &e) in sums.iter_mut().zip(&exponents) {
+                let val = (counts[w as usize] + epsilon).powf(e);
+                rows.push(val);
+                *sum += val;
+            }
         }
-        if dense {
-            let mut values = vec![0.0; v * a];
-            for w in 0..v {
-                for (ai, &e) in exponents.iter().enumerate() {
-                    let val = if counts[w] > 0.0 {
-                        (counts[w] + epsilon).powf(e)
-                    } else {
-                        zero_values[ai]
-                    };
-                    values[w * a + ai] = val;
-                    if counts[w] > 0.0 {
-                        sums[ai] += val;
-                    }
-                }
-            }
-            let values_lngamma = lngamma_all(&values);
-            let sums_lngamma = lngamma_all(&sums);
-            let mut off_support = vec![true; v];
-            for &sw in &support {
-                off_support[sw as usize] = false;
-            }
-            Self {
-                weights,
-                prior_log_weights,
-                a,
-                sums,
-                sums_lngamma,
-                layout: IntegrationLayout::Dense {
-                    values,
-                    values_lngamma,
-                    zero_row: zero_values,
-                    off_support,
-                },
-            }
-        } else {
-            let mut values = vec![0.0; support.len() * a];
-            for (si, &w) in support.iter().enumerate() {
-                for (ai, &e) in exponents.iter().enumerate() {
-                    let val = (counts[w as usize] + epsilon).powf(e);
-                    values[si * a + ai] = val;
-                    sums[ai] += val;
-                }
-            }
-            let row_of = build_row_of(&support, v);
-            let values_lngamma = lngamma_all(&values);
-            let zero_lngamma = lngamma_all(&zero_values);
-            let sums_lngamma = lngamma_all(&sums);
-            Self {
-                weights,
-                prior_log_weights,
-                a,
-                sums,
-                sums_lngamma,
-                layout: IntegrationLayout::Sparse {
-                    support,
-                    values,
-                    zero_values,
-                    row_of,
-                    values_lngamma,
-                    zero_lngamma,
-                },
-            }
+        rows.extend_from_slice(&zero_values);
+        Self::from_parts(weights, prior_log_weights, sums, v, support, rows)
+    }
+
+    /// Assemble a table from its stored parts, deriving the `ln Γ` caches.
+    fn from_parts(
+        weights: Vec<f64>,
+        prior_log_weights: Vec<f64>,
+        sums: Vec<f64>,
+        vocab_size: usize,
+        support: Vec<u32>,
+        rows: Vec<f64>,
+    ) -> Self {
+        Self {
+            a: weights.len(),
+            sums_lngamma: lngamma_all(&sums),
+            rows_lngamma: lngamma_all(&rows),
+            weights,
+            prior_log_weights,
+            sums,
+            vocab_size,
+            support,
+            rows,
         }
     }
 
@@ -244,89 +183,62 @@ impl IntegrationTable {
         self.a
     }
 
-    /// True iff the dense layout was chosen (test/diagnostic use).
-    pub fn is_dense(&self) -> bool {
-        matches!(self.layout, IntegrationLayout::Dense { .. })
+    /// The support's word ids, strictly increasing; word `support()[i]`
+    /// reads row `i`.
+    #[inline]
+    pub(crate) fn support(&self) -> &[u32] {
+        &self.support
     }
 
-    /// The δ row of word `w` (length `A`): a direct slice into the dense
-    /// table, or a `row_of`-pointed row / the shared zero row for the
-    /// sparse layout. No binary search on any path.
+    /// δ row `i` (length `A`): the `i`-th support word's row for
+    /// `i < |support|`, the off-support row for `i = |support|`.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.rows[i * self.a..(i + 1) * self.a]
+    }
+
+    /// The shared off-support δ row: every word off the support reads it,
+    /// so `S2` computed against it can be cached per topic.
+    #[inline]
+    pub(crate) fn zero_row(&self) -> &[f64] {
+        self.row(self.support.len())
+    }
+
+    /// The row index of word `w`: its position in the support, or
+    /// `|support|` (the off-support row) when it is not on it. A binary
+    /// search of the support.
+    #[inline]
+    pub(crate) fn row_index(&self, w: usize) -> usize {
+        self.support
+            .binary_search_by(|&s| (s as usize).cmp(&w))
+            .unwrap_or(self.support.len())
+    }
+
+    /// The row index of every word `0..V`, in word order: a cursor over
+    /// the sorted support, no search.
+    pub(crate) fn row_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        let off = self.support.len();
+        let mut next = 0;
+        (0..self.vocab_size).map(move |w| {
+            if self.support.get(next).is_some_and(|&s| s as usize == w) {
+                next += 1;
+                next - 1
+            } else {
+                off
+            }
+        })
+    }
+
+    /// The δ row of word `w` (length `A`).
     #[inline]
     pub(crate) fn delta_row(&self, w: usize) -> &[f64] {
-        match &self.layout {
-            IntegrationLayout::Dense { values, .. } => &values[w * self.a..(w + 1) * self.a],
-            IntegrationLayout::Sparse {
-                values,
-                zero_values,
-                row_of,
-                ..
-            } => {
-                let si = row_of[w];
-                if si == NO_ROW {
-                    zero_values
-                } else {
-                    &values[si as usize * self.a..(si as usize + 1) * self.a]
-                }
-            }
-        }
-    }
-
-    /// The cached `ln Γ(δ)` row matching [`Self::delta_row`].
-    #[inline]
-    fn lngamma_row(&self, w: usize) -> &[f64] {
-        match &self.layout {
-            IntegrationLayout::Dense { values_lngamma, .. } => {
-                &values_lngamma[w * self.a..(w + 1) * self.a]
-            }
-            IntegrationLayout::Sparse {
-                values_lngamma,
-                zero_lngamma,
-                row_of,
-                ..
-            } => {
-                let si = row_of[w];
-                if si == NO_ROW {
-                    zero_lngamma
-                } else {
-                    &values_lngamma[si as usize * self.a..(si as usize + 1) * self.a]
-                }
-            }
-        }
+        self.row(self.row_index(w))
     }
 
     /// The per-level denominator addends `Σ_w δ_w^{g(λₐ)}` (kernel view).
     #[inline]
     pub(crate) fn sums(&self) -> &[f64] {
         &self.sums
-    }
-
-    /// The shared off-support δ row, when known (`None` for tables rebuilt
-    /// from raw dense artifacts). Paired with [`Self::is_off_support`]:
-    /// whenever that returns `true` for `w`, [`Self::delta_row`]`(w)` is
-    /// value-identical to this row, so `S2` computed against it can be
-    /// cached per topic.
-    #[inline]
-    pub(crate) fn zero_row(&self) -> Option<&[f64]> {
-        match &self.layout {
-            IntegrationLayout::Dense { zero_row, .. } => {
-                (!zero_row.is_empty()).then_some(&zero_row[..])
-            }
-            IntegrationLayout::Sparse { zero_values, .. } => Some(zero_values),
-        }
-    }
-
-    /// Whether word `w` is outside this topic's source support (always
-    /// `false` when support is unknown — a conservative answer that only
-    /// disables the kernel's `S2_zero` shortcut, never correctness).
-    #[inline]
-    pub(crate) fn is_off_support(&self, w: usize) -> bool {
-        match &self.layout {
-            IntegrationLayout::Dense { off_support, .. } => {
-                !off_support.is_empty() && off_support[w]
-            }
-            IntegrationLayout::Sparse { row_of, .. } => row_of[w] == NO_ROW,
-        }
     }
 
     /// The numerically integrated weight (Eq. 3 numerator/denominator pair),
@@ -384,12 +296,22 @@ impl IntegrationTable {
     }
 
     /// [`Self::weight`]`(w, nw(w), nt)` into `row[w]` for every word, bit
-    /// for bit, with the per-topic half taken once.
+    /// for bit, with the per-topic half taken once. Every off-support word
+    /// reads the same row, so its `S2` is taken once as well: such a cell
+    /// is `nw·S1 + S2_zero`, the sum [`Self::word_term`] forms from the
+    /// same values.
     fn weight_row(&self, row: &mut [f64], nw: impl Fn(usize) -> f64, nt: f64) {
         self.with_qr(|qr| {
             let s1 = self.topic_terms(qr, nt);
-            for (w, cell) in row.iter_mut().enumerate() {
-                *cell = self.word_term(qr, s1, w, nw(w));
+            let off = self.support.len();
+            let s2_zero = dot_mod4(self.zero_row(), qr);
+            for (w, (cell, i)) in row.iter_mut().zip(self.row_indices()).enumerate() {
+                let s2 = if i == off {
+                    s2_zero
+                } else {
+                    dot_mod4(self.row(i), qr)
+                };
+                *cell = nw(w) * s1 + s2;
             }
         });
     }
@@ -439,9 +361,9 @@ impl IntegrationTable {
         for (w, n) in topic_counts {
             debug_assert!(n > 0);
             let nf = n as f64;
-            let row = self.delta_row(w);
-            let base = self.lngamma_row(w);
-            for (ai, (&delta, &lg)) in row.iter().zip(base).enumerate() {
+            let i = self.row_index(w);
+            let base = &self.rows_lngamma[i * self.a..(i + 1) * self.a];
+            for (ai, (&delta, &lg)) in self.row(i).iter().zip(base).enumerate() {
                 loglik[ai] += ln_gamma(delta + nf) - lg;
             }
         }
@@ -463,41 +385,42 @@ impl IntegrationTable {
     }
 
     /// Convert to the serializable mirror (see [`crate::persist`]). All f64
-    /// state is copied verbatim, so the round trip is bit-exact.
-    pub fn to_raw(&self) -> crate::persist::RawIntegrationTable {
-        use crate::persist::{RawIntegrationLayout, RawIntegrationTable};
+    /// state is copied verbatim, so the round trip is bit-exact. The raw
+    /// layout follows [`DENSE_INTEGRATION_MAX_VOCAB`]'s rule; a dense one
+    /// repeats the off-support row for every word off the support.
+    pub fn to_raw(&self) -> RawIntegrationTable {
+        let n = self.support.len();
+        let layout = if self.vocab_size <= DENSE_INTEGRATION_MAX_VOCAB || 2 * n >= self.vocab_size {
+            let mut values = Vec::with_capacity(self.vocab_size * self.a);
+            for i in self.row_indices() {
+                values.extend_from_slice(self.row(i));
+            }
+            RawIntegrationLayout::Dense { values }
+        } else {
+            RawIntegrationLayout::Sparse {
+                support: self.support.clone(),
+                values: self.rows[..n * self.a].to_vec(),
+                zero_values: self.zero_row().to_vec(),
+            }
+        };
         RawIntegrationTable {
             weights: self.weights.clone(),
             prior_log_weights: self.prior_log_weights.clone(),
             sums: self.sums.clone(),
-            layout: match &self.layout {
-                IntegrationLayout::Dense { values, .. } => RawIntegrationLayout::Dense {
-                    values: values.clone(),
-                },
-                IntegrationLayout::Sparse {
-                    support,
-                    values,
-                    zero_values,
-                    ..
-                } => RawIntegrationLayout::Sparse {
-                    support: support.clone(),
-                    values: values.clone(),
-                    zero_values: zero_values.clone(),
-                },
-            },
+            layout,
         }
     }
 
-    /// Rebuild from the mirror, revalidating every structural invariant the
-    /// sampling hot path relies on (lengths, sorted sparse support).
+    /// Rebuild from the mirror, revalidating every invariant the sampling
+    /// hot path relies on: lengths, a sorted in-range support, and values
+    /// that keep every weight finite and positive — δ rows and level sums
+    /// finite and positive, quadrature weights finite and non-negative,
+    /// prior log-weights finite. A raw dense layout does not record the
+    /// support, so every word joins it.
     ///
     /// # Errors
     /// Fails on any inconsistency (a corrupt or mismatched artifact).
-    pub fn from_raw(
-        raw: crate::persist::RawIntegrationTable,
-        vocab_size: usize,
-    ) -> crate::Result<Self> {
-        use crate::persist::RawIntegrationLayout;
+    pub fn from_raw(raw: RawIntegrationTable, vocab_size: usize) -> crate::Result<Self> {
         let bad = |msg: String| CoreError::InvalidConfig(format!("integration table: {msg}"));
         let a = raw.weights.len();
         if a == 0 {
@@ -511,28 +434,31 @@ impl IntegrationTable {
                 raw.sums.len()
             )));
         }
-        let layout = match raw.layout {
-            RawIntegrationLayout::Dense { values } => {
+        if !raw.weights.iter().all(|&w| w.is_finite() && w >= 0.0) {
+            return Err(bad("a quadrature weight is negative or non-finite".into()));
+        }
+        if !raw.prior_log_weights.iter().all(|x| x.is_finite()) {
+            return Err(bad("a prior log-weight is non-finite".into()));
+        }
+        let positive = |xs: &[f64]| xs.iter().all(|&x| x > 0.0 && x.is_finite());
+        if !positive(&raw.sums) {
+            return Err(bad("a level sum is not finite and positive".into()));
+        }
+        let (support, rows) = match raw.layout {
+            RawIntegrationLayout::Dense { mut values } => {
                 if values.len() != vocab_size * a {
                     return Err(bad(format!(
                         "dense table has {} values for V={vocab_size}, A={a}",
                         values.len()
                     )));
                 }
-                let values_lngamma = lngamma_all(&values);
-                // Support membership is not serialized for the dense
-                // layout; leave the hints empty (the kernel then computes
-                // every row's dot product — slower, never incorrect).
-                IntegrationLayout::Dense {
-                    values,
-                    values_lngamma,
-                    zero_row: Vec::new(),
-                    off_support: Vec::new(),
-                }
+                // The off-support row, which no word reads (see `rows`).
+                values.resize(values.len() + a, 1.0);
+                ((0..vocab_size).map(|w| w as u32).collect(), values)
             }
             RawIntegrationLayout::Sparse {
                 support,
-                values,
+                mut values,
                 zero_values,
             } => {
                 if values.len() != support.len() * a {
@@ -556,28 +482,21 @@ impl IntegrationTable {
                         "support word {w} outside vocabulary of size {vocab_size}"
                     )));
                 }
-                let row_of = build_row_of(&support, vocab_size);
-                let values_lngamma = lngamma_all(&values);
-                let zero_lngamma = lngamma_all(&zero_values);
-                IntegrationLayout::Sparse {
-                    support,
-                    values,
-                    zero_values,
-                    row_of,
-                    values_lngamma,
-                    zero_lngamma,
-                }
+                values.extend_from_slice(&zero_values);
+                (support, values)
             }
         };
-        let sums_lngamma = lngamma_all(&raw.sums);
-        Ok(Self {
-            weights: raw.weights,
-            prior_log_weights: raw.prior_log_weights,
-            a,
-            sums: raw.sums,
-            sums_lngamma,
-            layout,
-        })
+        if !positive(&rows) {
+            return Err(bad("a δ value is not finite and positive".into()));
+        }
+        Ok(Self::from_parts(
+            raw.weights,
+            raw.prior_log_weights,
+            raw.sums,
+            vocab_size,
+            support,
+            rows,
+        ))
     }
 
     /// Expected hyperparameter `E[δ_w^{g(λ)}]` under the quadrature — used
@@ -960,9 +879,8 @@ mod tests {
 
     #[test]
     fn integrated_dense_and_sparse_agree() {
-        // Build a topic big enough to trigger the sparse layout and compare
-        // against a forced-dense equivalent (small vocab with same counts
-        // can't work — instead compare sparse weight vs manual computation).
+        // Eq. 3 evaluated by hand at support and off-support words of a
+        // large, sparsely supported topic.
         let v = 10_000;
         let mut counts = vec![0.0; v];
         counts[3] = 7.0;
@@ -971,12 +889,6 @@ mod tests {
         let (q, w) = quad_and_weights(4);
         let g = SmoothingFunction::identity();
         let p = TopicPrior::integrated(&t, 0.01, &g, &q);
-        if let TopicPrior::Integrated(table) = &p {
-            assert!(
-                !table.is_dense(),
-                "large sparse topic should pick sparse layout"
-            );
-        }
         // Manual Eq. 3 at word 3 and at an off-support word.
         let exps: Vec<f64> = q.points().to_vec();
         let manual = |word: usize, nw: f64, nt: f64| -> f64 {
@@ -1006,15 +918,49 @@ mod tests {
     }
 
     #[test]
-    fn small_vocab_uses_dense_layout() {
-        let (q, _w) = quad_and_weights(4);
-        let g = SmoothingFunction::identity();
-        let p = TopicPrior::integrated(&topic(), 0.01, &g, &q);
-        if let TopicPrior::Integrated(table) = &p {
-            assert!(table.is_dense());
-            assert_eq!(table.levels(), 4);
-        } else {
-            panic!("wrong kind");
+    fn small_vocab_table_is_sized_by_its_support() {
+        // V = 4000 is below the raw dense threshold: the file still holds
+        // every word's row, the table only the support's and the shared one.
+        let (v, support, levels) = (4000, 20, 8);
+        let mut counts = vec![0.0; v];
+        for i in 0..support {
+            counts[i * 150 + 7] = (i + 1) as f64;
+        }
+        let (q, _w) = quad_and_weights(levels);
+        let table = IntegrationTable::new(
+            &SourceTopic::new("T", counts),
+            0.01,
+            &SmoothingFunction::identity(),
+            &q,
+        );
+        assert_eq!(table.levels(), levels);
+        // Exhaustive, so a new field must be bounded here too.
+        let IntegrationTable {
+            weights,
+            prior_log_weights,
+            a: _,
+            sums,
+            sums_lngamma,
+            vocab_size: _,
+            support: words,
+            rows,
+            rows_lngamma,
+        } = &table;
+        let bound = (support + 1) * levels;
+        for len in [
+            weights.len(),
+            prior_log_weights.len(),
+            sums.len(),
+            sums_lngamma.len(),
+            words.len(),
+            rows.len(),
+            rows_lngamma.len(),
+        ] {
+            assert!(len <= bound, "a field holds {len} entries, over {bound}");
+        }
+        match table.to_raw().layout {
+            RawIntegrationLayout::Dense { values } => assert_eq!(values.len(), v * levels),
+            RawIntegrationLayout::Sparse { .. } => panic!("V = {v} writes the dense raw layout"),
         }
     }
 

@@ -23,9 +23,11 @@
 //! a one-byte kind tag, the numerator addend (β), the denominator addend
 //! (`Vβ` / `Σδ` / `|W_c|β`), a per-word row slice (δ for `Fixed`, φ for
 //! `Frozen`), a concept mask, and a view of each λ-integration table. The
-//! per-(token, topic) enum dispatch becomes a tag branch over flat arrays,
-//! and λ-integrated topics read their δ row through the table's per-word
-//! row pointer (a direct load; the sparse layout's binary search is gone).
+//! per-(token, topic) enum dispatch becomes a tag branch over flat arrays.
+//! λ-integrated topics read their δ rows from the word-major [`Combined`]
+//! copy, or binary-search the table's support on its fallback; an
+//! off-support word, whose row is the topic's shared off-support row,
+//! needs no row at all, because that row's `S2` is cached per topic.
 //!
 //! ## The reciprocal-cache invariant
 //!
@@ -206,7 +208,6 @@ pub(super) struct RecipCache {
     /// Per λ-integrated topic: `S2` evaluated against the topic's shared
     /// off-support δ row (`dot_mod4(zero_row, qr)`), so off-support words
     /// — the vast majority at realistic V — cost O(1) instead of O(A).
-    /// 0.0 (unused) when the topic's support is unknown.
     pub(super) int_s2_zero: Vec<f64>,
 }
 
@@ -245,9 +246,7 @@ impl RecipCache {
                     s1 += v;
                 }
                 self.int_s1[i as usize] = s1;
-                if let Some(zero) = f.table.zero_row() {
-                    self.int_s2_zero[i as usize] = dot_mod4(zero, qr);
-                }
+                self.int_s2_zero[i as usize] = dot_mod4(f.table.zero_row(), qr);
             }
             Kind::Frozen(_) => {}
         }
@@ -283,8 +282,9 @@ pub(crate) struct Combined {
     n_int: usize,
     a: usize,
     /// `int_off[w*n_int + j]`: word `w` is off-support for the `j`-th
-    /// λ-integrated topic, i.e. its δ row equals the topic's zero row and
-    /// the cached `S2_zero` applies (all `false` when support is unknown).
+    /// λ-integrated topic, i.e. its δ row is the topic's zero row and the
+    /// cached `S2_zero` applies (never, for a table decoded from a raw
+    /// dense layout, whose support is every word).
     int_off: Vec<bool>,
 }
 
@@ -348,12 +348,11 @@ impl Combined {
                 }
                 Kind::Integrated(j) => {
                     let table = tables.ints[j as usize].table;
-                    let has_zero = table.zero_row().is_some();
-                    for w in 0..vocab_size {
+                    let off = table.support().len();
+                    for (w, i) in table.row_indices().enumerate().take(vocab_size) {
                         let dst = (w * n_int + j as usize) * a;
-                        combined.ints[dst..dst + a].copy_from_slice(table.delta_row(w));
-                        combined.int_off[w * n_int + j as usize] =
-                            has_zero && table.is_off_support(w);
+                        combined.ints[dst..dst + a].copy_from_slice(table.row(i));
+                        combined.int_off[w * n_int + j as usize] = i == off;
                     }
                 }
             }
@@ -619,12 +618,12 @@ fn cached_weight(tables: &SweepTables<'_>, recip: &RecipCache, t: usize, w: usiz
         Kind::Fixed(_) => (nw + tables.rows[t][w]) * recip.recip[t],
         Kind::Integrated(j) => {
             let f = &tables.ints[j as usize];
-            let s2 = if f.table.zero_row().is_some() && f.table.is_off_support(w) {
+            let i = f.table.row_index(w);
+            let s2 = if i == f.table.support().len() {
                 recip.int_s2_zero[j as usize]
             } else {
-                let row = f.table.delta_row(w);
                 let qr = &recip.qr[f.qr_base..f.qr_base + f.levels];
-                dot_mod4(row, qr)
+                dot_mod4(f.table.row(i), qr)
             };
             nw * recip.int_s1[j as usize] + s2
         }

@@ -49,14 +49,16 @@
 //! [`RecipCache`] is shared verbatim; `floor_t` is the per-level
 //! element-wise minimum over every word's δ row, so in the normal regime
 //! it *is* the shared off-support row and the deviating words are exactly
-//! the source support.) Baselines are **min-valued by construction** —
-//! derived only from row values, never from the integration table's layout
-//! hints, which a checkpoint round-trip drops — so `dev_w ≥ 0` always and
-//! a resumed chain routes every draw exactly like the uninterrupted one. A
-//! λ-integrated topic where most words deviate from the floor (pathological
-//! δ structure) is demoted to a **dense topic**: its full weight is
-//! evaluated in the q bucket for every token — correct, just not
-//! sub-linear for that topic.
+//! the source support.) Baselines are **min-valued by construction**, so
+//! `dev_w ≥ 0` always. They are derived from row values, never from which
+//! words a table keeps on its support: a table decoded from a raw dense
+//! layout has every word on its support, and its fresh twin keeps only the
+//! source support, yet both hold the same row values, so both build the
+//! same floors, deviating words and demotions, and a resumed chain routes
+//! every draw exactly like the uninterrupted one. A λ-integrated topic
+//! where most words deviate from the floor (pathological δ structure) is
+//! demoted to a **dense topic**: its full weight is evaluated in the q
+//! bucket for every token — correct, just not sub-linear for that topic.
 //!
 //! ## Equivalence contract: distribution-level, not bit-level
 //!
@@ -96,9 +98,13 @@ use std::sync::Arc;
 /// [`SparseState::build`] builds it once per fit, and every shard's
 /// [`SparseState`] shares it by `Arc`.
 pub(crate) struct SparseShape {
-    /// Per-word topic lists where the word deviates from the topic's
-    /// baseline (sorted ascending).
-    exc: Vec<Vec<u32>>,
+    /// Per-word `(topic, row)` lists of the topics whose baseline the
+    /// word deviates from, sorted by topic. `row` indexes a λ-integrated
+    /// topic's δ rows ([`IntegrationTable::row`]) and is 0 for the other
+    /// kinds, which index by word.
+    ///
+    /// [`IntegrationTable::row`]: crate::prior::IntegrationTable::row
+    exc: Vec<Vec<(u32, u32)>>,
     /// Topics whose full weight must be evaluated per token (λ-integrated
     /// topics without a usable off-support baseline). Sorted.
     dense_topics: Vec<u32>,
@@ -133,60 +139,56 @@ impl SparseShape {
                     shape.base_param[t] = if min.is_finite() { min } else { 0.0 };
                     for (w, &x) in row.iter().enumerate() {
                         if x != shape.base_param[t] {
-                            shape.exc[w].push(idx_u32(t));
+                            shape.exc[w].push((idx_u32(t), 0));
                         }
                     }
                 }
                 Kind::ConceptSet(_) => {
                     for (w, &in_set) in tables.masks[t].iter().enumerate().take(v) {
                         if in_set {
-                            shape.exc[w].push(idx_u32(t));
+                            shape.exc[w].push((idx_u32(t), 0));
                         }
                     }
                 }
                 Kind::Integrated(i) => {
                     // Baseline: the per-level element-wise floor of every
-                    // word's δ row. Derived from the row *values* alone —
-                    // never from the table's layout hints (`zero_row`,
-                    // `is_off_support`), which a checkpoint round-trip
-                    // drops for the dense layout. The bucket structure
-                    // must be a pure function of data that persists, or a
-                    // resumed chain would route draws differently than the
-                    // uninterrupted one. The floor guarantees every
-                    // `dev_w = S2_w − S2_floor ≥ 0`, keeping the q-bucket
-                    // cumulative monotone.
-                    if v == 0 {
-                        continue;
-                    }
+                    // word's δ row — the support's rows, and the shared
+                    // off-support row when some word reads it. The floor
+                    // guarantees every `dev_w = S2_w − S2_floor ≥ 0`,
+                    // keeping the q-bucket cumulative monotone.
                     let table = tables.ints[i as usize].table;
-                    let mut floor = table.delta_row(0).to_vec();
-                    for w in 1..v {
-                        for (f, &x) in floor.iter_mut().zip(table.delta_row(w)) {
+                    let off = table.support().len();
+                    let mut rows = (0..off).chain((off < v).then_some(off));
+                    let Some(first) = rows.next() else {
+                        continue; // an empty vocabulary
+                    };
+                    let mut floor = table.row(first).to_vec();
+                    for r in rows {
+                        for (f, &x) in floor.iter_mut().zip(table.row(r)) {
                             if x < *f {
                                 *f = x;
                             }
                         }
                     }
+                    let row_deviates: Vec<bool> = (0..=off)
+                        .map(|r| table.row(r).iter().zip(&floor).any(|(&x, &f)| x != f))
+                        .collect();
                     // In the healthy regime the floor is the shared
                     // off-support row and only the support deviates. If
                     // most words deviate (pathological δ structure), the
                     // exc walk would cost O(V) per token — demote the
                     // topic to per-token dense evaluation instead.
-                    let deviating: Vec<u32> = (0..idx_u32(v))
-                        .filter(|&w| {
-                            table
-                                .delta_row(w as usize)
-                                .iter()
-                                .zip(&floor)
-                                .any(|(&x, &f)| x != f)
-                        })
+                    let deviating: Vec<(usize, usize)> = table
+                        .row_indices()
+                        .enumerate()
+                        .filter(|&(_, r)| row_deviates[r])
                         .collect();
                     if deviating.len() * 2 > v {
                         shape.dense_topics.push(idx_u32(t));
                         shape.dense_flag[t] = true;
                     } else {
-                        for &w in &deviating {
-                            shape.exc[w as usize].push(idx_u32(t));
+                        for &(w, r) in &deviating {
+                            shape.exc[w].push((idx_u32(t), idx_u32(r)));
                         }
                         shape.int_floor[i as usize] = floor;
                     }
@@ -389,11 +391,12 @@ impl<'a> SparseKernel<'a> {
         }
     }
 
-    /// `dev_w(t)` for a topic on word `w`'s deviation list. Non-negative
+    /// `dev_w(t)` for a topic on word `w`'s deviation list, whose entry
+    /// carries the δ row index `row` of a λ-integrated topic. Non-negative
     /// by baseline construction; the integrated case clamps the last-ulp
     /// cancellation residue.
     #[inline]
-    fn dev_at(&self, t: usize, w: usize) -> f64 {
+    fn dev_at(&self, t: usize, w: usize, row: usize) -> f64 {
         match self.tables.kinds[t] {
             Kind::Symmetric => 0.0,
             Kind::Fixed(_) => {
@@ -406,7 +409,7 @@ impl<'a> SparseKernel<'a> {
                 // quadrature; each term of the dot dominates its floor
                 // counterpart, so the difference is non-negative up to
                 // last-ulp cancellation (clamped).
-                (dot_mod4(f.table.delta_row(w), qr) - self.base0[t]).max(0.0)
+                (dot_mod4(f.table.row(row), qr) - self.base0[t]).max(0.0)
             }
             Kind::Frozen(_) => self.tables.rows[t][w] - self.state.shape.base_param[t],
             Kind::ConceptSet(_) => self.tables.add[t] * self.recip.recip[t],
@@ -443,10 +446,10 @@ impl<'a> SparseKernel<'a> {
         self.term_topic.clear();
         self.term_cum.clear();
         let mut q = 0.0;
-        for &t32 in &self.state.shape.exc[w] {
+        for &(t32, row) in &self.state.shape.exc[w] {
             let t = t32 as usize;
             let nw = counts.nw(w, t) as f64;
-            let mass = (self.dev_at(t, w)
+            let mass = (self.dev_at(t, w, row as usize)
                 + if nw > 0.0 {
                     // Fold the nw term in here so the nz walk below can
                     // skip deviating topics entirely (no double count).
@@ -482,10 +485,10 @@ impl<'a> SparseKernel<'a> {
         let exc = &self.state.shape.exc[w];
         let mut e = 0usize;
         for &t32 in &self.state.nz[w] {
-            while e < exc.len() && exc[e] < t32 {
+            while e < exc.len() && exc[e].0 < t32 {
                 e += 1;
             }
-            if e < exc.len() && exc[e] == t32 {
+            if e < exc.len() && exc[e].0 == t32 {
                 continue; // already counted in the deviation walk
             }
             let t = t32 as usize;
@@ -689,6 +692,7 @@ impl<'a> SparseKernel<'a> {
 mod tests {
     use super::super::kernel::Kernel;
     use super::*;
+    use crate::persist::{RawIntegrationLayout, RawIntegrationTable, RawPrior};
     use crate::prior::TopicPrior;
     use proptest::prelude::*;
     use srclda_knowledge::{SmoothingFunction, SourceTopic};
@@ -707,6 +711,38 @@ mod tests {
             TopicPrior::frozen_from_source(&topic, 0.01),
             TopicPrior::concept_set(bag, 0.5, v).unwrap(),
         ]
+    }
+
+    /// A λ-integrated prior decoded from a crafted raw sparse table over
+    /// `v ≥ 5` words. Its support is the first `⌈v/2⌉ + 1` words; word 0's
+    /// row sits above the floor, and the other support rows dip below the
+    /// off-support row at the last level. So every off-support word
+    /// deviates from the floor, yet only `⌊v/2⌋` words deviate and the
+    /// topic is not demoted.
+    fn dipping_support_prior(v: usize, levels: usize) -> TopicPrior {
+        let n = v - v / 2 + 1;
+        let mut zero_values = vec![0.3; levels];
+        zero_values[levels - 1] = 0.9;
+        let mut values = vec![0.3; n * levels];
+        values[..levels].fill(0.8);
+        let sums = (0..levels)
+            .map(|a| {
+                let support: f64 = values.iter().skip(a).step_by(levels).sum();
+                support + (v - n) as f64 * zero_values[a]
+            })
+            .collect();
+        let quad = DiscretizedGaussian::unit_interval(0.6, 0.25, levels).unwrap();
+        let raw = RawIntegrationTable {
+            weights: quad.weights().to_vec(),
+            prior_log_weights: vec![0.0; levels],
+            sums,
+            layout: RawIntegrationLayout::Sparse {
+                support: (0..idx_u32(n)).collect(),
+                values,
+                zero_values,
+            },
+        };
+        TopicPrior::from_raw(RawPrior::Integrated(raw), v).unwrap()
     }
 
     /// Random assignments into the count matrices; returns z.
@@ -736,7 +772,8 @@ mod tests {
         /// The bucket decomposition's total mass (cached s + cached r +
         /// fresh q) equals the dense per-topic weight sum for every word,
         /// across all five prior kinds and random count states — the
-        /// correctness core of the sub-linear sampler.
+        /// correctness core of the sub-linear sampler. A sixth topic puts
+        /// off-support words on the deviation lists.
         #[test]
         fn bucket_mass_matches_dense_mass(
             raw_counts in prop::collection::vec(0u32..200, 5..16),
@@ -750,7 +787,8 @@ mod tests {
             let v = counts_vec.len();
             let bag: Vec<u32> = bag.into_iter().filter(|&b| (b as usize) < v).collect();
             let doc: Vec<u32> = doc_words.into_iter().map(|w| w % v as u32).collect();
-            let priors = mixed_priors(v, &counts_vec, &bag, levels);
+            let mut priors = mixed_priors(v, &counts_vec, &bag, levels);
+            priors.push(dipping_support_prior(v, levels));
             let tokens = vec![doc];
             let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
             let matrices = CountMatrices::new(v, priors.len(), &doc_lens);
@@ -763,6 +801,9 @@ mod tests {
                 alpha,
             };
             let mut state = SparseState::build(&ctx);
+            let off_word = v - 1;
+            prop_assert!(!state.shape.dense_flag[5]);
+            prop_assert_eq!(state.shape.exc[off_word].last().map(|e| e.0), Some(5));
             let mut kernel = SparseKernel::new(&ctx, &mut state);
             kernel.rebuild_s();
             kernel.enter_doc(&z[0]);
@@ -953,25 +994,79 @@ mod tests {
     }
 
     /// Regression: the bucket structure must survive a checkpoint
-    /// round-trip of the priors. `TopicPrior::to_raw` does not serialize
-    /// the dense integration layout's `zero_row`/`off_support` hints, so a
-    /// structure derived from them would differ after resume and route
-    /// draws onto a different chain (caught by
-    /// `tests/shard_equivalence.rs::resume_replays_bit_identically`).
+    /// round-trip of the priors. A table decoded from a raw dense layout
+    /// has every word on its support, while its fresh twin keeps only the
+    /// source support, so a structure derived from support membership
+    /// would differ after resume and route draws onto a different chain
+    /// (caught by `tests/shard_equivalence.rs::resume_replays_bit_identically`).
+    /// Inputs: the mixed fixture at V = 6 (raw dense), and at V = 5000 a
+    /// 20-word support (raw sparse), a support of exactly half the words
+    /// (raw dense, sub-linear) and one of more than half (raw dense,
+    /// demoted). Deviation entries are compared by topic and by the δ row
+    /// they resolve to: a row index counts support positions, which differ
+    /// between the twins when every word joins the support.
     #[test]
     fn bucket_structure_survives_prior_round_trip() {
-        let (_, priors) = fixture();
-        let v = 6;
-        let round_tripped: Vec<TopicPrior> = priors
+        type Resolved = Vec<Vec<(u32, Vec<u64>)>>;
+        fn resolve(shape: &SparseShape, priors: &[TopicPrior]) -> Resolved {
+            let row_bits = |t: u32, r: u32| match &priors[t as usize] {
+                TopicPrior::Integrated(table) => {
+                    table.row(r as usize).iter().map(|x| x.to_bits()).collect()
+                }
+                _ => Vec::new(),
+            };
+            let entries =
+                |list: &Vec<(u32, u32)>| list.iter().map(|&(t, r)| (t, row_bits(t, r))).collect();
+            shape.exc.iter().map(entries).collect()
+        }
+        let v = 5000;
+        let quad = DiscretizedGaussian::unit_interval(0.7, 0.3, 4).unwrap();
+        let g = SmoothingFunction::identity();
+        let topic = |stride: usize, words: usize| {
+            let mut counts = vec![0.0; v];
+            for i in 0..words {
+                counts[i * stride] = (1 + i % 7) as f64;
+            }
+            TopicPrior::integrated(&SourceTopic::new("T", counts), 0.01, &g, &quad)
+        };
+        let large = vec![topic(250, 20), topic(2, 2500), topic(1, 2600)];
+        let dense_raw: Vec<bool> = large
             .iter()
-            .map(|p| TopicPrior::from_raw(p.to_raw(), v).unwrap())
+            .map(|p| {
+                matches!(
+                    p.to_raw(),
+                    RawPrior::Integrated(RawIntegrationTable {
+                        layout: RawIntegrationLayout::Dense { .. },
+                        ..
+                    })
+                )
+            })
             .collect();
-        let a = SparseShape::build(&SweepTables::new(&priors), v);
-        let b = SparseShape::build(&SweepTables::new(&round_tripped), v);
-        assert_eq!(a.exc, b.exc, "deviation lists changed across round-trip");
-        assert_eq!(a.dense_topics, b.dense_topics);
-        assert_eq!(a.base_param, b.base_param);
-        assert_eq!(a.int_floor, b.int_floor);
+        assert_eq!(dense_raw, [false, true, true]);
+        for (priors, v, demoted) in [(fixture().1, 6, vec![]), (large, v, vec![2])] {
+            let round_tripped: Vec<TopicPrior> = priors
+                .iter()
+                .map(|p| TopicPrior::from_raw(p.to_raw(), v).unwrap())
+                .collect();
+            if let TopicPrior::Integrated(table) = &round_tripped[1] {
+                assert_eq!(
+                    table.support().len(),
+                    v,
+                    "a raw dense table decodes onto every word"
+                );
+            }
+            let a = SparseShape::build(&SweepTables::new(&priors), v);
+            let b = SparseShape::build(&SweepTables::new(&round_tripped), v);
+            assert_eq!(
+                resolve(&a, &priors),
+                resolve(&b, &round_tripped),
+                "deviation lists changed across round-trip (V = {v})"
+            );
+            assert_eq!(a.dense_topics, demoted);
+            assert_eq!(b.dense_topics, demoted);
+            assert_eq!(a.base_param, b.base_param);
+            assert_eq!(a.int_floor, b.int_floor);
+        }
     }
 
     /// The zero-mass fallback (all-concept priors covering no word) keeps

@@ -160,10 +160,12 @@ pub fn obj(members: Vec<(&str, Value)>) -> Value {
 /// `f64` → shortest round-trip decimal (JSON has no NaN/∞; map them to
 /// `null` rather than emit invalid JSON).
 fn write_f64(out: &mut String, n: f64) {
+    use fmt::Write;
     if n.is_finite() {
         // Display for f64 is shortest-round-trip since Rust 1.0; integral
         // values print without a decimal point, which JSON permits.
-        out.push_str(&format!("{n}"));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{n}");
     } else {
         out.push_str("null");
     }

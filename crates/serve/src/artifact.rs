@@ -1381,5 +1381,29 @@ mod tests {
             ModelArtifact::from_fitted(&fitted, &tiny, artifact.tokenizer()),
             Err(ServeError::Corrupt(_))
         ));
+        // A λ-integrated prior holding a NaN δ: a final model's priors never
+        // reach φ, so only prior validation keeps it out.
+        let with_delta = |delta: f64| {
+            let v = artifact.vocab_size();
+            let mut values = vec![1.0; v * 2];
+            values[1] = delta;
+            let mut priors = artifact.priors().to_vec();
+            priors[0] = RawPrior::Integrated(RawIntegrationTable {
+                weights: vec![0.5, 0.5],
+                prior_log_weights: vec![0.5f64.ln(); 2],
+                sums: vec![v as f64; 2],
+                layout: RawIntegrationLayout::Dense { values },
+            });
+            ModelArtifact::new(
+                artifact.alpha(),
+                artifact.phi().unwrap().clone(),
+                artifact.labels().to_vec(),
+                priors,
+                artifact.vocabulary().clone(),
+                artifact.tokenizer().clone(),
+            )
+        };
+        assert!(with_delta(1.0).is_ok());
+        assert!(matches!(with_delta(f64::NAN), Err(ServeError::Corrupt(_))));
     }
 }

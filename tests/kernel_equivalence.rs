@@ -41,8 +41,9 @@ const SPARSE: Backend = Backend::ShardedDocs {
 };
 
 /// Fit the 16-source-topic world over a `vocab_size`-word vocabulary.
-/// Each source topic has a support of 10 words, so above 4096 words the
-/// λ-integrated priors take the sparse per-word row layout.
+/// Each source topic has a support of 10 words, so the share of words off
+/// the support, which the kernel serves from its cached off-support `S2`,
+/// grows with the vocabulary.
 fn fit_source_lda(backend: Backend, variant: Variant, seed: u64, vocab_size: usize) -> FittedModel {
     let (vocab, knowledge) = random_source_topics(vocab_size, 16, 10, 120, 11);
     let generated = SourceLdaGenerator {
@@ -83,10 +84,9 @@ fn assert_identical(a: &FittedModel, b: &FittedModel, what: &str) {
 
 #[test]
 fn kernel_matches_dense_on_lambda_integrated_model() {
-    // Both integration-table layouts: dense at V = 250, and the sparse
-    // per-word row layout the kernel reads at V = 5000. Several seeds,
-    // not one pinned seed: the equivalence is structural.
-    for (vocab_size, sparse_layout) in [(250, false), (5000, true)] {
+    // A 10-word support covers 4% of V = 250 and 0.2% of V = 5000.
+    // Several seeds, not one pinned seed: the equivalence is structural.
+    for vocab_size in [250, 5000] {
         for seed in [7u64, 77, 770] {
             let dense = fit_source_lda(DENSE, Variant::Full, seed, vocab_size);
             let kernel = fit_source_lda(Backend::Serial, Variant::Full, seed, vocab_size);
@@ -95,19 +95,9 @@ fn kernel_matches_dense_on_lambda_integrated_model() {
                 &dense,
                 &format!("full variant, V = {vocab_size}, seed {seed}"),
             );
-            let integrated: Vec<bool> = kernel
-                .priors()
-                .iter()
-                .filter_map(|p| match p {
-                    TopicPrior::Integrated(table) => Some(table.is_dense()),
-                    _ => None,
-                })
-                .collect();
-            // Guard: the case must not quietly fall back to the other layout.
-            assert!(!integrated.is_empty(), "the full variant integrates λ");
             assert!(
-                integrated.iter().all(|&dense| dense != sparse_layout),
-                "V = {vocab_size}: expected sparse layout = {sparse_layout}"
+                kernel.priors().iter().any(TopicPrior::is_integrated),
+                "the full variant integrates λ"
             );
         }
     }
