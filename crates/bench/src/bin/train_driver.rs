@@ -401,8 +401,8 @@ fn train(args: &[String]) {
 }
 
 /// Field schemas per event kind: `(name, nullable)`; the `"event"`
-/// discriminator itself is implicit. `shard_secs` is additionally
-/// required to be an array of numbers.
+/// discriminator itself is implicit. The [`ARRAY_FIELDS`] are arrays of
+/// numbers; every other non-null field is a number.
 const SWEEP_FIELDS: &[(&str, bool)] = &[
     ("sweep", false),
     ("duration_secs", false),
@@ -422,7 +422,11 @@ const SHARD_FIELDS: &[(&str, bool)] = &[
     ("sweep", false),
     ("merge_secs", false),
     ("shard_secs", false),
+    ("refresh_secs", false),
+    ("moved", false),
 ];
+/// The per-shard fields of a `shard_sweep` line.
+const ARRAY_FIELDS: &[&str] = &["shard_secs", "refresh_secs"];
 /// Bucket tallies a `shard_sweep` line carries iff the shard kernel is
 /// sparse — all four present or all four absent, never a subset.
 const SHARD_BUCKET_FIELDS: &[&str] = &["q_hits", "r_hits", "s_hits", "dense_fallbacks"];
@@ -487,9 +491,10 @@ fn validate_telemetry(path: &str) {
             };
             let ok = match v {
                 json::Value::Null => *nullable,
-                json::Value::Num(_) => *field != "shard_secs",
+                json::Value::Num(_) => !ARRAY_FIELDS.contains(field),
                 json::Value::Arr(items) => {
-                    *field == "shard_secs" && items.iter().all(|x| matches!(x, json::Value::Num(_)))
+                    ARRAY_FIELDS.contains(field)
+                        && items.iter().all(|x| matches!(x, json::Value::Num(_)))
                 }
                 _ => false,
             };

@@ -10,6 +10,7 @@
 //! Layout: `nw` is row-major by **word** (`nw[w*T + t]`), `nd` row-major by
 //! document — both give the per-token inner loop over `t` a contiguous walk.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Count matrices for a `V`-word vocabulary, `D` documents, `T` topics.
@@ -219,64 +220,61 @@ impl CountMatrices {
         self.nd.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
-    /// Overwrite `nw` and `nt` from plain-integer snapshots (the sharded
-    /// backend refreshes each shard's local word/topic counts from the
-    /// merged global state at every sweep boundary). Relaxed stores; the
+    /// The local counts of a document shard over the documents `docs`:
+    /// `nw` and `nt` copied cell by cell from this matrix, and the `nd`
+    /// rows and lengths of those documents, renumbered from 0.
+    ///
+    /// # Panics
+    /// Panics if `docs` is not a range of this matrix's documents.
+    pub fn shard_copy(&self, docs: Range<usize>) -> CountMatrices {
+        let copy = |cells: &[AtomicU32]| -> Vec<AtomicU32> {
+            cells
+                .iter()
+                .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
+                .collect()
+        };
+        Self {
+            nw: copy(&self.nw),
+            nd: copy(&self.nd[docs.start * self.t..docs.end * self.t]),
+            nt: copy(&self.nt),
+            doc_len: self.doc_len[docs].to_vec(),
+            v: self.v,
+            t: self.t,
+        }
+    }
+
+    /// Copy `src`'s `n_w,t` cell into this matrix and return the cell's
+    /// value before and after (the sharded backend refreshing a shard's
+    /// local copy at the cells other shards moved). Relaxed stores; the
     /// single-writer contract of [`Self::increment_serial`] applies.
-    ///
-    /// # Panics
-    /// Panics if the snapshot lengths do not match `V·T` / `T`.
-    pub fn load_nw_nt(&self, nw: &[u32], nt: &[u32]) {
-        assert_eq!(nw.len(), self.nw.len(), "nw snapshot length");
-        assert_eq!(nt.len(), self.nt.len(), "nt snapshot length");
-        for (cell, &value) in self.nw.iter().zip(nw) {
-            cell.store(value, Ordering::Relaxed);
-        }
-        for (cell, &value) in self.nt.iter().zip(nt) {
-            cell.store(value, Ordering::Relaxed);
-        }
+    #[inline]
+    pub fn copy_nw_cell_from(&self, src: &CountMatrices, w: usize, t: usize) -> (u32, u32) {
+        let cell = &self.nw[w * self.t + t];
+        let (before, after) = (cell.load(Ordering::Relaxed), src.nw(w, t));
+        cell.store(after, Ordering::Relaxed);
+        (before, after)
     }
 
-    /// Accumulate this matrix's `nw`/`nt` **deltas against a base
-    /// snapshot** into `out`: `out[i] += self[i] − base[i]`, in wrapping
-    /// arithmetic so transient per-shard negatives cancel exactly when
-    /// every shard's delta has been applied. This is the sweep-boundary
-    /// merge of the sharded backend: starting from `out = base`, applying
-    /// every shard's delta yields counts consistent with the post-sweep
-    /// assignments.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths do not match `V·T` / `T`.
-    pub fn add_deltas_into(
-        &self,
-        base_nw: &[u32],
-        base_nt: &[u32],
-        out_nw: &mut [u32],
-        out_nt: &mut [u32],
-    ) {
-        assert_eq!(base_nw.len(), self.nw.len(), "base nw length");
-        assert_eq!(base_nt.len(), self.nt.len(), "base nt length");
-        assert_eq!(out_nw.len(), self.nw.len(), "out nw length");
-        assert_eq!(out_nt.len(), self.nt.len(), "out nt length");
-        for ((cell, &base), out) in self.nw.iter().zip(base_nw).zip(out_nw.iter_mut()) {
-            *out = out.wrapping_add(cell.load(Ordering::Relaxed).wrapping_sub(base));
-        }
-        for ((cell, &base), out) in self.nt.iter().zip(base_nt).zip(out_nt.iter_mut()) {
-            *out = out.wrapping_add(cell.load(Ordering::Relaxed).wrapping_sub(base));
-        }
-    }
-
-    /// Copy document `src_d`'s `nd` row from `src` into this matrix's row
-    /// `d` (the sharded backend publishing a shard-local document row back
-    /// into the global matrices).
+    /// Copy `src`'s topic totals into this matrix.
     ///
     /// # Panics
     /// Panics if the topic counts of the two matrices differ.
-    pub fn copy_nd_row_from(&self, d: usize, src: &CountMatrices, src_d: usize) {
+    pub fn copy_nt_from(&self, src: &CountMatrices) {
         assert_eq!(self.t, src.t, "topic count mismatch");
-        for (dst, cell) in self.nd_row(d).iter().zip(src.nd_row(src_d)) {
+        for (dst, cell) in self.nt.iter().zip(&src.nt) {
             dst.store(cell.load(Ordering::Relaxed), Ordering::Relaxed);
         }
+    }
+
+    /// Whether `nw` and `nt` equal `other`'s, cell for cell.
+    pub fn word_topic_counts_eq(&self, other: &CountMatrices) -> bool {
+        let eq = |a: &[AtomicU32], b: &[AtomicU32]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.load(Ordering::Relaxed) == y.load(Ordering::Relaxed))
+        };
+        eq(&self.nw, &other.nw) && eq(&self.nt, &other.nt)
     }
 }
 
@@ -383,17 +381,22 @@ mod tests {
     }
 
     #[test]
-    fn load_round_trips_snapshots() {
-        let a = CountMatrices::new(3, 2, &[2, 1]);
+    fn shard_copy_carries_counts_and_its_rows() {
+        let a = CountMatrices::new(3, 2, &[2, 1, 3]);
         a.increment(0, 0, 1);
         a.increment(2, 1, 0);
-        let b = CountMatrices::new(3, 2, &[2, 1]);
-        b.load_nw_nt(&a.snapshot_nw(), &a.snapshot_nt());
-        b.copy_nd_row_from(0, &a, 0);
-        b.copy_nd_row_from(1, &a, 1);
+        a.increment(1, 2, 1);
+        let b = a.shard_copy(1..3);
+        assert!(b.word_topic_counts_eq(&a));
         assert_eq!(b.snapshot_nw(), a.snapshot_nw());
         assert_eq!(b.snapshot_nt(), a.snapshot_nt());
-        assert_eq!(b.snapshot_nd(), a.snapshot_nd());
+        assert_eq!(b.num_docs(), 2);
+        assert_eq!((b.doc_len(0), b.doc_len(1)), (1, 3));
+        assert_eq!(b.snapshot_nd(), a.snapshot_nd()[2..]);
+        // The copy owns its cells.
+        b.increment(0, 0, 0);
+        assert!(!b.word_topic_counts_eq(&a));
+        assert_eq!(a.nw(0, 0), 0);
     }
 
     #[test]
@@ -402,32 +405,33 @@ mod tests {
         let global = CountMatrices::new(2, 2, &[1, 1]);
         global.increment(0, 0, 0);
         global.increment(1, 1, 1);
-        let base_nw = global.snapshot_nw();
-        let base_nt = global.snapshot_nt();
-        // Two shards start from the snapshot; each moves its own token.
-        let mk_shard = |d: usize| {
-            let local = CountMatrices::new(2, 2, &[1]);
-            local.load_nw_nt(&base_nw, &base_nt);
-            local.copy_nd_row_from(0, &global, d);
-            local
-        };
-        let s0 = mk_shard(0);
+        // Two shards start from copies; each moves its own token.
+        let s0 = global.shard_copy(0..1);
         s0.decrement(0, 0, 0);
         s0.increment(0, 0, 1); // word 0: topic 0 → 1
-        let s1 = mk_shard(1);
+        let s1 = global.shard_copy(1..2);
         s1.decrement(1, 0, 1);
         s1.increment(1, 0, 0); // word 1: topic 1 → 0
-        let mut merged_nw = base_nw.clone();
-        let mut merged_nt = base_nt.clone();
-        s0.add_deltas_into(&base_nw, &base_nt, &mut merged_nw, &mut merged_nt);
-        s1.add_deltas_into(&base_nw, &base_nt, &mut merged_nw, &mut merged_nt);
-        global.load_nw_nt(&merged_nw, &merged_nt);
-        global.copy_nd_row_from(0, &s0, 0);
-        global.copy_nd_row_from(1, &s1, 0);
+
+        // Replay every move (word, doc, old, new) on the global counts.
+        for (w, d, old, new) in [(0, 0, 0, 1), (1, 1, 1, 0)] {
+            global.decrement_serial(w, d, old);
+            global.increment_serial(w, d, new);
+        }
         // nw[w][t] layout: [w0t0, w0t1, w1t0, w1t1]
         assert_eq!(global.snapshot_nw(), vec![0, 1, 1, 0]);
         assert_eq!(global.snapshot_nt(), vec![1, 1]);
+        assert_eq!(global.snapshot_nd(), vec![0, 1, 1, 0]);
         assert!(global.check_invariants());
+        // Each shard copies the cells the other moved, and `nt` whole.
+        for (local, (w, old, new)) in [(&s0, (1, 1, 0)), (&s1, (0, 0, 1))] {
+            assert!(!local.word_topic_counts_eq(&global));
+            assert_eq!(local.copy_nw_cell_from(&global, w, old), (1, 0));
+            assert_eq!(local.copy_nw_cell_from(&global, w, new), (0, 1));
+            assert_eq!(local.copy_nw_cell_from(&global, w, new), (1, 1));
+            local.copy_nt_from(&global);
+            assert!(local.word_topic_counts_eq(&global));
+        }
     }
 
     #[test]

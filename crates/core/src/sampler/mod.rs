@@ -18,9 +18,11 @@
 //!
 //! [`run_sweeps`] builds the sweep driver's [`shard::ShardState`] on a
 //! fit's first chunk, and the fit loop keeps it and lends it to every later
-//! chunk. It holds one [`KernelState`] in place, or one clone per shard:
-//! only the tables that depend on the priors' shape and the sparse
-//! kernel's non-zero lists. Each sweep builds a transient kernel over that
+//! chunk. It holds one [`KernelState`] in place, or one clone per shard
+//! next to the shard's own copy of the counts, which every sweep's merge
+//! brings back to the global counts. A kernel state keeps only the tables
+//! that depend on the priors' shape and the sparse kernel's non-zero
+//! lists. Each sweep builds a transient kernel over that
 //! state, and the kernel derives its reciprocals (and the sparse kernel
 //! its baselines) from the counts and the current priors at its start, so
 //! λ-adaptation between chunks leaves nothing stale.
@@ -131,9 +133,10 @@ pub enum Backend {
     },
     /// Document-sharded approximate collapsed Gibbs (AD-LDA style, see
     /// [`shard`]): documents are statically partitioned into `shards`
-    /// shards; each shard sweeps against a sweep-start snapshot of the
-    /// word/topic counts with its own RNG stream, and shard deltas merge
-    /// into the global counts at every sweep boundary, in shard order.
+    /// shards; each shard sweeps its own copy of the word/topic counts
+    /// with its own RNG stream, and at every sweep boundary the shards'
+    /// moves are replayed into the global counts in shard order and every
+    /// copy takes the cells the other shards moved.
     ///
     /// The chain is a pure function of `(seed, shards, kernel)` —
     /// `threads` only schedules shard work and never changes a single bit
@@ -220,7 +223,7 @@ pub(crate) fn idx_u32(x: usize) -> u32 {
 /// the count matrices `nd`/`nw`/`nt` must be exactly the histograms of
 /// the current assignment vector `z`. Every backend calls this at sweep
 /// boundaries; a drifted counter here means a broken
-/// increment/decrement pairing or a bad shard-delta merge, which would
+/// increment/decrement pairing or a bad shard merge, which would
 /// otherwise surface only as silently wrong posteriors.
 #[inline]
 pub(crate) fn debug_assert_counts(ctx: &SweepContext<'_>, z: &[Vec<u32>], backend: &str) {
@@ -303,8 +306,8 @@ pub(crate) struct SamplerRngs<'a> {
 /// A clone is the state for another shard of the same run. It shares the
 /// tables that depend on the priors alone by `Arc` — the combined table,
 /// the sparse [`sparse::SparseShape`] — and copies only the sparse
-/// non-zero lists, which the shard rebuilds from its own counts before
-/// every sweep.
+/// non-zero lists, which the shard's own sweeps and its merge refreshes
+/// ([`Self::refresh`]) keep in step with its local counts.
 #[derive(Clone)]
 pub(crate) enum KernelState {
     Flat(Option<Arc<kernel::Combined>>),
@@ -350,11 +353,32 @@ impl KernelState {
         }
     }
 
-    /// The counts under `ctx` were replaced wholesale (a shard's snapshot
-    /// reload): rebuild the sparse state's non-zero lists.
-    pub(crate) fn resync_counts(&mut self, counts: &CountMatrices) {
-        if let Self::Sparse(state) = self {
-            state.resync_counts(counts);
+    /// Bring a shard's `local` counts to the merged `global` ones: copy
+    /// `n_t` whole and the `n_wt` cells `cells` names, keeping the sparse
+    /// non-zero lists in step. Cells outside `cells` must already agree.
+    /// Idempotent, and independent of the order of `cells`.
+    pub(crate) fn refresh(
+        &mut self,
+        local: &CountMatrices,
+        global: &CountMatrices,
+        cells: impl Iterator<Item = (usize, usize)>,
+    ) {
+        local.copy_nt_from(global);
+        for (w, t) in cells {
+            let (before, after) = local.copy_nw_cell_from(global, w, t);
+            if let Self::Sparse(state) = self {
+                state.track(w, t, before, after);
+            }
+        }
+    }
+
+    /// Whether this state matches `counts`: the sparse non-zero lists
+    /// equal a rebuild from them (the other kernels keep nothing
+    /// count-dependent). An O(V·T) check for debug assertions and tests.
+    pub(crate) fn in_step_with(&self, counts: &CountMatrices) -> bool {
+        match self {
+            Self::Sparse(state) => state.lists_match(counts),
+            Self::Flat(_) | Self::Dense => true,
         }
     }
 }
@@ -368,8 +392,8 @@ impl KernelState {
 pub(crate) struct SweepStats {
     /// Bucket routing tallies from the in-place sparse kernel.
     pub buckets: Option<srclda_obs::SparseBucketCounts>,
-    /// Per-shard sweep and merge timings from [`Backend::ShardedDocs`]
-    /// at `S > 1`.
+    /// Per-shard kernel and refresh timings, the merge timing and the
+    /// tokens moved, from [`Backend::ShardedDocs`] at `S > 1`.
     pub shards: Option<srclda_obs::ShardTimings>,
 }
 

@@ -7,12 +7,13 @@
 //! count and cannot scale with corpus size. This module implements the
 //! standard corpus-scale route instead — distributed/approximate collapsed
 //! Gibbs over **document shards** (AD-LDA): within one sweep every shard
-//! samples its documents against a frozen snapshot of the global
-//! word–topic state, and the shards' count deltas are reconciled at the
-//! sweep boundary. The chain is no longer the exact serial chain for
-//! `S > 1` (each shard is blind to the others' intra-sweep moves — the
-//! usual AD-LDA approximation, which vanishes as sweeps converge), but it
-//! is **deterministic in `(seed, S, kernel)` alone**:
+//! samples its documents against the global word–topic state as it stood
+//! at sweep start plus its own moves, and the shards' moves are
+//! reconciled at the sweep boundary. The chain is no longer the exact
+//! serial chain for `S > 1` (each shard is blind to the others'
+//! intra-sweep moves — the usual AD-LDA approximation, which vanishes as
+//! sweeps converge), but it is **deterministic in `(seed, S, kernel)`
+//! alone**:
 //!
 //! * documents are partitioned into `S` contiguous, token-balanced ranges
 //!   — a pure function of the corpus and `S` ([`partition_docs`]);
@@ -23,35 +24,46 @@
 //!   (`KernelState` — the flat serial kernel, the dense reference, or
 //!   the sub-linear sparse bucket kernel) over a shard-local
 //!   [`CountMatrices`]: `n_dt` rows for its own documents (documents are
-//!   disjoint, so these are exact), plus a local copy of `n_wt`/`n_t`
-//!   loaded from the sweep-start snapshot and updated in place as the
-//!   shard moves its own tokens;
-//! * at the sweep boundary the shard deltas are merged into the global
-//!   counts **in shard order** (`global = snapshot + Σ_s (local_s −
-//!   snapshot)`, wrapping arithmetic, so the merged state is exactly the
-//!   counts implied by the post-sweep assignments), and the shard `n_dt`
-//!   rows are copied back.
+//!   disjoint, so these are exact), plus a local copy of `n_wt`/`n_t`,
+//!   copied from the global counts once per fit (and again on resume),
+//!   that equals the global counts at every sweep boundary and is updated
+//!   in place as the shard moves its own tokens;
+//! * at the sweep boundary the merge **replays** each shard's moves into
+//!   the global counts **in shard order**: every token whose topic
+//!   changed (its sweep-start topic, kept in a per-shard buffer, against
+//!   its new one) leaves its old `n_wt`/`n_dt`/`n_t` cells for its new
+//!   ones. Counts are integers, so the merged state is exactly the counts
+//!   implied by the post-sweep assignments;
+//! * then every shard copies the merged value of each `n_wt` cell another
+//!   shard moved, and `n_t` whole, keeping its kernel state (the sparse
+//!   non-zero lists) in step. Its own moves are already in its copy, so
+//!   afterwards the copy equals the global counts again.
 //!
-//! With `S = 1` the lone shard's snapshot-plus-own-moves view *is* the
-//! global state, so the driver skips the snapshot and the merge and
+//! Every per-sweep phase costs O(tokens + moves); only
+//! [`ShardState::build`] touches every count cell.
+//!
+//! With `S = 1` the lone shard's start-plus-own-moves view *is* the
+//! global state, so the driver skips the copy and the merge and
 //! sweeps the global counts in place (`ShardState::InPlace`). The same
 //! in-place path serves [`Backend::Serial`](super::Backend::Serial) (the
 //! flat kernel on the run stream) and a paper algorithm whose pool clamps
 //! to one thread; it reports bucket tallies as a plain sweep stat and no
 //! shard timings.
 //!
-//! Worker threads only *schedule* shard sweeps: each shard's sweep is a
-//! pure function of (snapshot, its documents, its RNG state), so the
-//! result is bit-identical whatever `threads` is — including `threads`
-//! larger or smaller than `S`. λ-adaptation (and every trace callback)
-//! runs on the merged global state between sweeps.
+//! Worker threads only *schedule* shard sweeps and refreshes: each
+//! shard's sweep is a pure function of (sweep-start counts, its
+//! documents, its RNG state), and a refresh sets cells to merged values,
+//! so the result is bit-identical whatever `threads` is — including
+//! `threads` larger or smaller than `S`. λ-adaptation (and every trace
+//! callback) runs on the merged global state between sweeps and only
+//! reads the counts.
 //!
 //! The driver's state ([`ShardState`]) is built once per fit and lent to
 //! every sweep. It holds nothing that depends on the λ-adapted quadrature
 //! weights: each sweep's kernel derives its reciprocals (and the sparse
 //! kernel its baselines) at its start, so adaptation needs no hook here.
 
-use super::{debug_assert_counts, idx_u32, KernelKind, KernelState, SweepContext, SweepStats};
+use super::{debug_assert_counts, KernelKind, KernelState, SweepContext, SweepStats};
 use crate::counts::CountMatrices;
 use srclda_math::SldaRng;
 use std::ops::Range;
@@ -96,104 +108,102 @@ pub(crate) fn partition_docs(tokens: &[Vec<u32>], shards: usize) -> Vec<Range<us
     ranges
 }
 
+/// One token's move in a sharded sweep: `(word, old topic, new topic)`.
+type Move = (u32, u32, u32);
+
 /// One shard of an `S > 1` run: its documents, its local counts, and its
 /// kernel's state.
 pub(crate) struct ShardWorkspace {
     /// Global document range this shard owns.
     range: Range<usize>,
-    /// Local counts: exact `n_dt` rows for the shard's documents, plus the
-    /// snapshot-loaded `n_wt`/`n_t` working copy.
+    /// Local counts: exact `n_dt` rows for the shard's documents, plus a
+    /// working copy of `n_wt`/`n_t` that equals the global counts at
+    /// every sweep boundary and moves with the shard's own tokens during
+    /// a sweep.
     local: CountMatrices,
-    /// The shard kernel's state; a sparse state shares the run's
-    /// count-free [`super::sparse::SparseShape`] and rebuilds its own
-    /// non-zero lists after each snapshot reload.
+    /// The shard kernel's state, in step with `local`; a sparse state
+    /// shares the run's count-free [`super::sparse::SparseShape`].
     kernel: KernelState,
+    /// The shard's assignments at sweep start, in token order: the other
+    /// half of the diff the merge replays.
+    z_start: Vec<u32>,
 }
 
-/// One shard's sweep: refresh the local word/topic counts from the global
-/// snapshot, then run one sweep of the shard's kernel over its documents
-/// with the shard's RNG stream. Returns the sparse kernel's bucket-routing
-/// tallies when the kernel is sparse.
-fn shard_sweep(
-    ctx: &SweepContext<'_>,
-    (snapshot_nw, snapshot_nt): (&[u32], &[u32]),
-    ws: &mut ShardWorkspace,
-    z_shard: &mut [Vec<u32>],
-    rng: &mut SldaRng,
-) -> Option<srclda_obs::SparseBucketCounts> {
-    ws.local.load_nw_nt(snapshot_nw, snapshot_nt);
-    ws.kernel.resync_counts(&ws.local);
-    let local_ctx = SweepContext {
-        tokens: &ctx.tokens[ws.range.clone()],
-        counts: &ws.local,
-        priors: ctx.priors,
-        alpha: ctx.alpha,
-    };
-    ws.kernel.sweep(&local_ctx, z_shard, rng)
-}
+impl ShardWorkspace {
+    /// Replay this shard's sweep into the global counts: every token whose
+    /// topic changed leaves its sweep-start topic for its new one. Appends
+    /// the moves to `moves`.
+    fn replay(&self, ctx: &SweepContext<'_>, z: &[Vec<u32>], moves: &mut Vec<Move>) {
+        let mut z_start = &self.z_start[..];
+        for d in self.range.clone() {
+            let (doc_start, rest) = z_start.split_at(z[d].len());
+            z_start = rest;
+            for ((&w, &new), &old) in ctx.tokens[d].iter().zip(&z[d]).zip(doc_start) {
+                if old != new {
+                    ctx.counts.decrement_serial(w as usize, d, old as usize);
+                    ctx.counts.increment_serial(w as usize, d, new as usize);
+                    moves.push((w, old, new));
+                }
+            }
+        }
+    }
 
-/// One shard's slice of mutable sweep state: its workspace, its documents'
-/// assignments, its RNG stream, and its telemetry slots (wall-clock seconds
-/// the shard's sweep took plus its sparse bucket tallies — written by
-/// whichever worker runs the shard).
-type ShardJob<'a> = (
-    &'a mut ShardWorkspace,
-    &'a mut [Vec<u32>],
-    &'a mut SldaRng,
-    &'a mut (f64, Option<srclda_obs::SparseBucketCounts>),
-);
+    /// Whether the local word/topic counts equal `global` and the kernel
+    /// state matches them: the invariant every merge refresh restores.
+    /// O(V·T); for debug assertions and tests.
+    fn in_step_with(&self, global: &CountMatrices) -> bool {
+        self.local.word_topic_counts_eq(global) && self.kernel.in_step_with(&self.local)
+    }
+}
 
 /// The sweep driver's state, built once per fit and lent to every sweep
 /// (the fitting loop owns it across chunk calls): the partition is a
-/// function of the (fixed) corpus and `S`; the local `n_dt` rows were the
-/// *source* of the global rows at the last merge, so they are already
-/// bit-equal; and the kernel states keep only tables that λ adaptation
-/// never changes (see [`KernelState`]).
+/// function of the (fixed) corpus and `S`; each shard's local counts and
+/// kernel state equal the global counts at every sweep boundary; and the
+/// kernel states keep only tables that λ adaptation never changes (see
+/// [`KernelState`]).
 pub(crate) enum ShardState {
     /// `S = 1`: one kernel state over the global counts.
     InPlace(KernelState),
     /// `S > 1`: one workspace per shard, in shard order.
-    Sharded(Vec<ShardWorkspace>),
+    Sharded {
+        workspaces: Vec<ShardWorkspace>,
+        /// The last merge's moves, shard after shard (a reused buffer).
+        moves: Vec<Move>,
+    },
 }
 
 impl ShardState {
     /// The state for `shards` shards of `kernel`: one kernel state in
-    /// place, or one clone per shard.
+    /// place, or one clone per shard over a copy of the global counts.
+    /// This is the only pass over every count cell; sweeps then touch
+    /// only the cells their tokens moved.
     pub(crate) fn build(ctx: &SweepContext<'_>, shards: usize, kernel: KernelKind) -> Self {
         let first = KernelState::new(kernel, ctx);
         if shards == 1 {
             return Self::InPlace(first);
         }
-        let v = ctx.counts.vocab_size();
-        let t_count = ctx.counts.num_topics();
-        // Local n_dt rows are seeded from the global matrices (which are
-        // consistent with `z` at every boundary).
         let workspaces = partition_docs(ctx.tokens, shards)
             .into_iter()
-            .map(|range| {
-                let doc_lens: Vec<u32> = ctx.tokens[range.clone()]
-                    .iter()
-                    .map(|d| idx_u32(d.len()))
-                    .collect();
-                let local = CountMatrices::new(v, t_count, &doc_lens);
-                for (local_d, global_d) in range.clone().enumerate() {
-                    local.copy_nd_row_from(local_d, ctx.counts, global_d);
-                }
-                ShardWorkspace {
-                    range,
-                    local,
-                    kernel: first.clone(),
-                }
+            .zip(vec![first; shards])
+            .map(|(range, kernel)| ShardWorkspace {
+                local: ctx.counts.shard_copy(range.clone()),
+                z_start: Vec::new(),
+                range,
+                kernel,
             })
             .collect();
-        Self::Sharded(workspaces)
+        Self::Sharded {
+            workspaces,
+            moves: Vec::new(),
+        }
     }
 
     /// One sweep with one RNG stream per shard (`threads` only schedules
     /// shard work). Returns its telemetry — the in-place sparse kernel's
-    /// bucket tallies, or at `S > 1` the per-shard sweep and merge
-    /// timings with the merged tallies; reading it touches no sampler
-    /// state.
+    /// bucket tallies, or at `S > 1` the per-shard kernel, merge and
+    /// refresh timings with the merged tallies; reading it touches no
+    /// sampler state.
     pub(crate) fn sweep(
         &mut self,
         ctx: &SweepContext<'_>,
@@ -205,109 +215,135 @@ impl ShardState {
             Self::InPlace(k) => {
                 let buckets = k.sweep(ctx, z, &mut shard_rngs[0]);
                 debug_assert_counts(ctx, z, "in-place sweep");
+                debug_assert!(
+                    k.in_step_with(ctx.counts),
+                    "in-place sweep: kernel state drifted from the counts"
+                );
                 SweepStats {
                     buckets,
                     shards: None,
                 }
             }
-            Self::Sharded(workspaces) => SweepStats {
+            Self::Sharded { workspaces, moves } => SweepStats {
                 buckets: None,
-                shards: Some(sharded_sweep(ctx, z, shard_rngs, workspaces, threads)),
+                shards: Some(sharded_sweep(
+                    ctx, z, shard_rngs, workspaces, moves, threads,
+                )),
             },
         }
     }
 }
 
-/// One `S > 1` sweep: every shard sweeps its documents against the
-/// sweep-start snapshot, then the deltas merge into the global counts in
-/// shard order. Returns the sweep's shard timings and merged bucket
-/// tallies.
+/// Run `job` on every item of `jobs` over `workers` threads, the calling
+/// thread among them. The strided split keeps token-balanced shards
+/// balanced across workers; it never changes a result, because each job
+/// touches only its own shard.
+fn run_on_workers<J: Send>(jobs: Vec<J>, workers: usize, job: impl Fn(J) + Sync) {
+    let mut groups: Vec<Vec<J>> = (0..workers.max(1)).map(|_| Vec::new()).collect();
+    let n = groups.len();
+    for (i, item) in jobs.into_iter().enumerate() {
+        groups[i % n].push(item);
+    }
+    let job = &job;
+    let mut groups = groups.into_iter();
+    let own = groups.next().unwrap_or_default();
+    crossbeam::thread::scope(|scope| {
+        for group in groups {
+            scope.spawn(move |_| group.into_iter().for_each(job));
+        }
+        own.into_iter().for_each(job);
+    })
+    .expect("shard worker panicked");
+}
+
+/// One `S > 1` sweep. Every shard sweeps its documents over its local
+/// counts; the merge then replays each shard's moves into the global
+/// counts in shard order, and every shard copies the cells the other
+/// shards moved. Each phase costs O(tokens or moves), never O(V·T).
+/// Returns the sweep's shard timings and merged bucket tallies.
 fn sharded_sweep(
     ctx: &SweepContext<'_>,
     z: &mut [Vec<u32>],
     shard_rngs: &mut [SldaRng],
     workspaces: &mut [ShardWorkspace],
+    moves: &mut Vec<Move>,
     threads: usize,
 ) -> srclda_obs::ShardTimings {
     let shards = workspaces.len();
     let workers = threads.clamp(1, shards);
-    let snapshot_nw = ctx.counts.snapshot_nw();
-    let snapshot_nt = ctx.counts.snapshot_nt();
-    let snapshot = (&snapshot_nw[..], &snapshot_nt[..]);
-    // Per-shard telemetry slots: (sweep seconds, sparse bucket tallies).
-    let mut shard_stats: Vec<(f64, Option<srclda_obs::SparseBucketCounts>)> =
+    // Per-shard kernel slots: (sweep seconds, sparse bucket tallies).
+    let mut kernel_stats: Vec<(f64, Option<srclda_obs::SparseBucketCounts>)> =
         vec![(0.0, None); shards];
-
     // Split `z` into per-shard mutable slices (ranges are contiguous
     // and ordered, so this is a sequence of split_at_mut cuts).
-    let mut jobs: Vec<ShardJob<'_>> = {
-        let mut rest = &mut *z;
-        let mut cut_at = 0usize;
-        let mut parts = Vec::with_capacity(shards);
-        for ws in workspaces.iter() {
-            let (head, tail) = rest.split_at_mut(ws.range.end - cut_at);
-            cut_at = ws.range.end;
-            parts.push(head);
-            rest = tail;
-        }
-        workspaces
-            .iter_mut()
-            .zip(parts)
-            .zip(shard_rngs.iter_mut())
-            .zip(shard_stats.iter_mut())
-            .map(|(((ws, part), rng), stats)| (ws, part, rng, stats))
-            .collect()
-    };
-
-    let run_jobs = |jobs: &mut Vec<ShardJob<'_>>| {
-        for (ws, z_shard, rng, stats) in jobs.iter_mut() {
-            let span = srclda_obs::SpanTimer::start();
-            let buckets = shard_sweep(ctx, snapshot, ws, z_shard, rng);
-            **stats = (span.elapsed_secs(), buckets);
-        }
-    };
-    if workers == 1 {
-        run_jobs(&mut jobs);
-    } else {
-        // Strided shard→worker assignment. Scheduling is irrelevant to
-        // the result (each shard sweep is self-contained), so any
-        // deterministic split works; strided keeps token-balanced
-        // shards balanced across workers too.
-        let mut groups: Vec<Vec<ShardJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            groups[i % workers].push(job);
-        }
-        crossbeam::thread::scope(|scope| {
-            for group in groups.iter_mut() {
-                scope.spawn(move |_| run_jobs(group));
-            }
-        })
-        .expect("shard worker panicked");
+    let mut parts = Vec::with_capacity(shards);
+    let mut rest = &mut *z;
+    for ws in workspaces.iter() {
+        let (head, tail) = rest.split_at_mut(ws.range.len());
+        parts.push(head);
+        rest = tail;
     }
+    let jobs: Vec<_> = workspaces
+        .iter_mut()
+        .zip(parts)
+        .zip(shard_rngs.iter_mut())
+        .zip(kernel_stats.iter_mut())
+        .collect();
+    run_on_workers(jobs, workers, |(((ws, z_shard), rng), slot)| {
+        ws.z_start.clear();
+        ws.z_start.extend(z_shard.iter().flatten());
+        let local_ctx = SweepContext {
+            tokens: &ctx.tokens[ws.range.clone()],
+            counts: &ws.local,
+            priors: ctx.priors,
+            alpha: ctx.alpha,
+        };
+        let span = srclda_obs::SpanTimer::start();
+        let buckets = ws.kernel.sweep(&local_ctx, z_shard, rng);
+        *slot = (span.elapsed_secs(), buckets);
+    });
 
-    // Merge shard deltas into the global counts, in shard order.
+    // Replay the shards' moves into the global counts, in shard order.
     let merge_span = srclda_obs::SpanTimer::start();
-    let mut merged_nw = snapshot_nw.clone();
-    let mut merged_nt = snapshot_nt.clone();
+    moves.clear();
+    let mut own_moves = Vec::with_capacity(shards);
     for ws in workspaces.iter() {
-        ws.local
-            .add_deltas_into(&snapshot_nw, &snapshot_nt, &mut merged_nw, &mut merged_nt);
-    }
-    ctx.counts.load_nw_nt(&merged_nw, &merged_nt);
-    for ws in workspaces.iter() {
-        for (local_d, global_d) in ws.range.clone().enumerate() {
-            ctx.counts.copy_nd_row_from(global_d, &ws.local, local_d);
-        }
+        let start = moves.len();
+        ws.replay(ctx, z, moves);
+        own_moves.push(start..moves.len());
     }
     let merge_secs = merge_span.elapsed_secs();
     // The merge is the sharded backend's sweep boundary: globals must
     // again be the exact histogram of z.
     debug_assert_counts(ctx, z, "sharded merge");
+
+    // Each shard already holds its own moves; copy the cells the others
+    // moved, where the merged value can differ from the local one.
+    let mut refresh_secs = vec![0.0; shards];
+    let moves = &moves[..];
+    let jobs: Vec<_> = workspaces
+        .iter_mut()
+        .zip(own_moves)
+        .zip(refresh_secs.iter_mut())
+        .collect();
+    run_on_workers(jobs, workers, |((ws, own), secs)| {
+        let span = srclda_obs::SpanTimer::start();
+        let others = moves[..own.start].iter().chain(&moves[own.end..]);
+        let cells = others
+            .flat_map(|&(w, old, new)| [(w as usize, old as usize), (w as usize, new as usize)]);
+        ws.kernel.refresh(&ws.local, ctx.counts, cells);
+        *secs = span.elapsed_secs();
+    });
+    debug_assert!(
+        workspaces.iter().all(|ws| ws.in_step_with(ctx.counts)),
+        "sharded refresh: a shard's local counts or lists drifted from the global counts"
+    );
+
     // Fold the per-shard bucket tallies into one sweep-level total
     // (Some iff the shard kernel is sparse).
     let mut buckets: Option<srclda_obs::SparseBucketCounts> = None;
     let mut shard_secs = Vec::with_capacity(shards);
-    for (secs, shard_buckets) in shard_stats {
+    for (secs, shard_buckets) in kernel_stats {
         shard_secs.push(secs);
         if let Some(b) = shard_buckets {
             buckets.get_or_insert_with(Default::default).absorb(b);
@@ -316,6 +352,8 @@ fn sharded_sweep(
     srclda_obs::ShardTimings {
         shard_secs,
         merge_secs,
+        refresh_secs,
+        moved: moves.len() as u64,
         buckets,
     }
 }
@@ -409,16 +447,27 @@ mod tests {
             .collect()
     }
 
+    /// A chain's end state: (z, nw, nt).
+    type Chain = (Vec<Vec<u32>>, Vec<u32>, Vec<u32>);
+
     /// Drive the sweep state directly, one state across every sweep like
-    /// the fitting loop; returns (z, nw, nt).
-    fn run_sharded(
+    /// the fitting loop.
+    fn run_sharded(kernel: KernelKind, shards: usize, threads: usize, sweeps: usize) -> Chain {
+        run_sharded_with(&priors(), kernel, shards, threads, sweeps).0
+    }
+
+    /// [`run_sharded`] over `priors`, also returning the tokens moved over
+    /// all sweeps. After every `S > 1` sweep it checks the telemetry
+    /// against the z diff and that every shard's local counts and kernel
+    /// state are in step with the global counts.
+    fn run_sharded_with(
+        priors: &[TopicPrior],
         kernel: KernelKind,
         shards: usize,
         threads: usize,
         sweeps: usize,
-    ) -> (Vec<Vec<u32>>, Vec<u32>, Vec<u32>) {
+    ) -> (Chain, u64) {
         let tokens = toy_tokens();
-        let priors = priors();
         let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
         let counts = CountMatrices::new(4, priors.len(), &doc_lens);
         let mut rng = rng_from_seed(404);
@@ -433,24 +482,38 @@ mod tests {
         let ctx = SweepContext {
             tokens: &tokens,
             counts: &counts,
-            priors: &priors,
+            priors,
             alpha: 0.5,
         };
         let mut state = ShardState::build(&ctx, shards, kernel);
+        let mut moved = 0;
         for _ in 0..sweeps {
+            let z_before = z.clone();
             let stats = state.sweep(&ctx, &mut z, &mut shard_rngs, threads);
             // Shard timings iff S > 1; bucket tallies iff the kernel is
             // sparse, on the timings or (in place) on the stats.
-            let buckets = match &stats.shards {
-                Some(timings) => {
+            let buckets = match (&stats.shards, &state) {
+                (Some(timings), ShardState::Sharded { workspaces, .. }) => {
                     assert_eq!(timings.shard_secs.len(), shards, "one timing per shard");
+                    assert_eq!(timings.refresh_secs.len(), shards, "one refresh per shard");
+                    let changed = z_before.iter().flatten().zip(z.iter().flatten());
+                    let changed = changed.filter(|(a, b)| a != b).count() as u64;
+                    assert_eq!(timings.moved, changed, "moved counts the z diff");
+                    moved += timings.moved;
+                    for (s, ws) in workspaces.iter().enumerate() {
+                        assert!(
+                            ws.in_step_with(&counts),
+                            "{kernel:?} S={shards}: shard {s} out of step after a sweep"
+                        );
+                    }
                     assert!(stats.buckets.is_none());
                     timings.buckets
                 }
-                None => {
+                (None, ShardState::InPlace(_)) => {
                     assert_eq!(shards, 1, "only S = 1 sweeps in place");
                     stats.buckets
                 }
+                _ => panic!("shard timings iff the state is sharded"),
             };
             assert_eq!(
                 buckets.is_some(),
@@ -462,14 +525,17 @@ mod tests {
             counts.check_invariants(),
             "merged counts inconsistent with assignments"
         );
-        (z, counts.snapshot_nw(), counts.snapshot_nt())
+        ((z, counts.snapshot_nw(), counts.snapshot_nt()), moved)
     }
 
     #[test]
     fn merged_state_is_thread_count_invariant() {
         for kernel in [KernelKind::Flat, KernelKind::Sparse, KernelKind::Dense] {
             for shards in [1, 2, 3, 5, 7] {
-                let reference = run_sharded(kernel, shards, 1, 12);
+                // Every S > 1 sweep is checked inside; tokens must move,
+                // so the merge and the refreshes have cells to carry.
+                let (reference, moved) = run_sharded_with(&priors(), kernel, shards, 1, 12);
+                assert_eq!(moved > 0, shards > 1, "{kernel:?} S={shards}");
                 for threads in [2, 3, 8] {
                     assert_eq!(
                         run_sharded(kernel, shards, threads, 12),
@@ -477,6 +543,22 @@ mod tests {
                         "{kernel:?} S={shards} diverged at {threads} threads"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn one_topic_sweeps_move_nothing() {
+        // With a single topic no token can change topic, so every merge
+        // replays nothing and every refresh copies only `n_t`.
+        let one_topic = [TopicPrior::symmetric(0.1, 4).unwrap()];
+        for kernel in [KernelKind::Flat, KernelKind::Sparse, KernelKind::Dense] {
+            for shards in [2, 3, 5, 7] {
+                let ((z, nw, nt), moved) = run_sharded_with(&one_topic, kernel, shards, 2, 4);
+                assert_eq!(moved, 0, "{kernel:?} S={shards}");
+                assert!(z.iter().flatten().all(|&t| t == 0));
+                assert_eq!(nw, vec![5, 5, 4, 4], "{kernel:?} S={shards}");
+                assert_eq!(nt, vec![18], "{kernel:?} S={shards}");
             }
         }
     }

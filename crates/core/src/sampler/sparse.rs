@@ -201,13 +201,13 @@ impl SparseShape {
 
 /// The sparse kernel's state that outlives one sweep: the shared
 /// count-free [`SparseShape`] and the per-word sorted non-zero assignment
-/// lists, the one count-dependent structure whose O(V·T) rebuild an
-/// in-place sweep start should not pay. [`KernelState`](super::KernelState)
-/// owns it for the whole fit and lends it to each sweep's
-/// [`SparseKernel`], which keeps the lists in lock-step with the counts it
-/// moves. At `S > 1` each shard reloads its local counts from the global
-/// snapshot every sweep and rebuilds its lists with
-/// [`Self::resync_counts`]. A clone shares the shape and copies the lists.
+/// lists, the one count-dependent structure whose O(V·T) rebuild a sweep
+/// should not pay. [`KernelState`](super::KernelState) builds it once per
+/// fit from the counts and lends it to each sweep's [`SparseKernel`],
+/// which keeps the lists in lock-step with the counts it moves. At
+/// `S > 1` a shard's merge refresh keeps them in step with the cells other
+/// shards moved ([`Self::track`]). A clone shares the shape and copies the
+/// lists.
 #[derive(Clone)]
 pub(crate) struct SparseState {
     shape: Arc<SparseShape>,
@@ -220,27 +220,28 @@ impl SparseState {
     /// Build the shape from `ctx`'s priors and the non-zero lists from its
     /// counts.
     pub(crate) fn build(ctx: &SweepContext<'_>) -> Self {
-        let v = ctx.counts.vocab_size();
-        let mut state = Self {
-            shape: Arc::new(SparseShape::build(&SweepTables::new(ctx.priors), v)),
-            nz: vec![Vec::new(); v],
-        };
-        state.resync_counts(ctx.counts);
-        state
+        Self {
+            shape: Arc::new(SparseShape::build(
+                &SweepTables::new(ctx.priors),
+                ctx.counts.vocab_size(),
+            )),
+            nz: nonzero_lists(ctx.counts),
+        }
     }
 
-    /// Rebuild the non-zero lists from `counts`, reusing their allocations
-    /// (a shard's local counts were just reloaded from the sweep-start
-    /// snapshot).
-    pub(crate) fn resync_counts(&mut self, counts: &CountMatrices) {
-        let t_count = counts.num_topics();
-        for (w, list) in self.nz.iter_mut().enumerate() {
-            list.clear();
-            for t in 0..t_count {
-                if counts.nw(w, t) > 0 {
-                    list.push(idx_u32(t));
-                }
-            }
+    /// Whether the non-zero lists equal a rebuild from `counts`.
+    pub(crate) fn lists_match(&self, counts: &CountMatrices) -> bool {
+        self.nz == nonzero_lists(counts)
+    }
+
+    /// Keep word `w`'s list in step with its `n_wt` cell, which went from
+    /// `before` to `after`.
+    #[inline]
+    pub(crate) fn track(&mut self, w: usize, t: usize, before: u32, after: u32) {
+        match (before, after) {
+            (0, 1..) => self.nz_insert(w, t),
+            (1.., 0) => self.nz_remove(w, t),
+            _ => {}
         }
     }
 
@@ -258,6 +259,19 @@ impl SparseState {
         debug_assert!(pos < list.len() && list[pos] as usize == t);
         list.remove(pos);
     }
+}
+
+/// Per word, the sorted topics whose `n_wt` is non-zero.
+fn nonzero_lists(counts: &CountMatrices) -> Vec<Vec<u32>> {
+    (0..counts.vocab_size())
+        .map(|w| {
+            let row = counts.nw_row(w).iter().map(|c| c.load(Ordering::Relaxed));
+            row.enumerate()
+                .filter(|&(_, n)| n > 0)
+                .map(|(t, _)| idx_u32(t))
+                .collect()
+        })
+        .collect()
 }
 
 /// The bucket kernel for one sweep. Mirrors the flat
@@ -308,19 +322,10 @@ pub(crate) struct SparseKernel<'a> {
 impl<'a> SparseKernel<'a> {
     /// Build the kernel over the fit's `state`, deriving the reciprocal
     /// cache and the baselines from `ctx`'s counts and priors. The
-    /// non-zero lists are taken as lent — the previous sweep kept them in
-    /// lock-step with the counts, or a shard just rebuilt them —
-    /// debug-asserted equal to a rebuild here.
+    /// non-zero lists are taken as lent: the previous sweep kept them in
+    /// lock-step with the counts, or a shard's merge refresh did (the
+    /// sweep driver debug-asserts both at every sweep boundary).
     pub(crate) fn new(ctx: &SweepContext<'a>, state: &'a mut SparseState) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            let mut fresh = state.clone();
-            fresh.resync_counts(ctx.counts);
-            debug_assert_eq!(
-                state.nz, fresh.nz,
-                "cached non-zero lists drifted from the counts"
-            );
-        }
         let tables = SweepTables::new(ctx.priors);
         let recip = RecipCache::new(&tables, ctx.counts);
         let t_count = tables.num_topics();

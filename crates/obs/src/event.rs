@@ -43,15 +43,21 @@ impl SparseBucketCounts {
 }
 
 /// Per-sweep timings of the document-sharded backend at `S > 1`
-/// (`Backend::ShardedDocs`): each shard's sweep wall-clock and the
-/// sweep-boundary merge, plus — when the shard kernel is the sparse bucket
+/// (`Backend::ShardedDocs`): each shard's kernel sweep, the
+/// sweep-boundary merge and each shard's refresh wall-clock, the tokens
+/// that changed topic, plus — when the shard kernel is the sparse bucket
 /// kernel — the merged bucket-routing tallies across all shards.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardTimings {
-    /// Seconds each shard spent sweeping, indexed by shard.
+    /// Seconds each shard's kernel spent sweeping, indexed by shard.
     pub shard_secs: Vec<f64>,
-    /// Seconds spent merging shard deltas into the global counts.
+    /// Seconds spent replaying the shards' moves into the global counts.
     pub merge_secs: f64,
+    /// Seconds each shard spent bringing its local counts back to the
+    /// merged global counts, indexed by shard.
+    pub refresh_secs: Vec<f64>,
+    /// Tokens whose topic changed in the sweep.
+    pub moved: u64,
     /// Bucket-routing tallies summed over every shard's sweep, `Some` iff
     /// the shard kernel is sparse (`ShardedDocs { kernel: Sparse, .. }`).
     pub buckets: Option<SparseBucketCounts>,
@@ -164,10 +170,12 @@ impl TrainEvent {
     /// {"event":"sparse_buckets","sweep":12,"q_hits":9000,"r_hits":500,
     ///  "s_hits":100,"dense_fallbacks":0}
     /// {"event":"shard_sweep","sweep":12,"merge_secs":0.001,
-    ///  "shard_secs":[0.004,0.005]}
+    ///  "shard_secs":[0.004,0.005],"refresh_secs":[0.0002,0.0003],
+    ///  "moved":1200}
     /// {"event":"shard_sweep","sweep":12,"merge_secs":0.001,
-    ///  "shard_secs":[0.004,0.005],"q_hits":9000,"r_hits":500,
-    ///  "s_hits":100,"dense_fallbacks":0}
+    ///  "shard_secs":[0.004,0.005],"refresh_secs":[0.0002,0.0003],
+    ///  "moved":1200,"q_hits":9000,"r_hits":500,"s_hits":100,
+    ///  "dense_fallbacks":0}
     /// {"event":"adapt","sweep":12,"duration_secs":0.002,"threads":8}
     /// {"event":"checkpoint","sweep":12,"bytes":40960,"duration_secs":0.003}
     /// {"event":"fit_complete","sweeps":24,"duration_secs":0.5,
@@ -178,6 +186,7 @@ impl TrainEvent {
     pub fn to_json(&self) -> String {
         let num = Value::Num;
         let int = Value::from;
+        let nums = |xs: &[f64]| Value::Arr(xs.iter().copied().map(num).collect());
         let buckets = |b: &SparseBucketCounts| {
             [
                 ("q_hits", int(b.q_hits)),
@@ -211,10 +220,9 @@ impl TrainEvent {
                 members.extend([
                     ("sweep", int(*sweep)),
                     ("merge_secs", num(timings.merge_secs)),
-                    (
-                        "shard_secs",
-                        Value::Arr(timings.shard_secs.iter().copied().map(num).collect()),
-                    ),
+                    ("shard_secs", nums(&timings.shard_secs)),
+                    ("refresh_secs", nums(&timings.refresh_secs)),
+                    ("moved", int(timings.moved)),
                 ]);
                 if let Some(b) = &timings.buckets {
                     members.extend(buckets(b));
@@ -292,6 +300,8 @@ mod tests {
                 timings: ShardTimings {
                     shard_secs: vec![0.5, 0.25],
                     merge_secs: 0.125,
+                    refresh_secs: vec![0.0625, 0.03125],
+                    moved: 40,
                     buckets: None,
                 },
             },
@@ -335,7 +345,7 @@ mod tests {
         assert_eq!(
             events[2].to_json(),
             "{\"event\":\"shard_sweep\",\"sweep\":3,\"merge_secs\":0.125,\
-             \"shard_secs\":[0.5,0.25]}"
+             \"shard_secs\":[0.5,0.25],\"refresh_secs\":[0.0625,0.03125],\"moved\":40}"
         );
         // Sharded-sparse sweeps append the aggregated bucket tallies.
         let with_buckets = TrainEvent::ShardSweep {
@@ -343,6 +353,8 @@ mod tests {
             timings: ShardTimings {
                 shard_secs: vec![0.5, 0.25],
                 merge_secs: 0.125,
+                refresh_secs: vec![0.0625, 0.03125],
+                moved: 40,
                 buckets: Some(SparseBucketCounts {
                     q_hits: 9000,
                     r_hits: 500,
@@ -354,8 +366,8 @@ mod tests {
         assert_eq!(
             with_buckets.to_json(),
             "{\"event\":\"shard_sweep\",\"sweep\":3,\"merge_secs\":0.125,\
-             \"shard_secs\":[0.5,0.25],\"q_hits\":9000,\"r_hits\":500,\
-             \"s_hits\":100,\"dense_fallbacks\":1}"
+             \"shard_secs\":[0.5,0.25],\"refresh_secs\":[0.0625,0.03125],\"moved\":40,\
+             \"q_hits\":9000,\"r_hits\":500,\"s_hits\":100,\"dense_fallbacks\":1}"
         );
     }
 

@@ -95,6 +95,7 @@ pub struct RegistryObserver {
     bucket_s: Arc<Counter>,
     bucket_fallback: Arc<Counter>,
     shard_nanos: Vec<Arc<Counter>>,
+    refresh_nanos: Vec<Arc<Counter>>,
     merge_nanos: Arc<Counter>,
     adapts: Arc<Counter>,
     adapt_nanos: Arc<Counter>,
@@ -156,9 +157,10 @@ impl RegistryObserver {
                 &[],
             ),
             shard_nanos: Vec::new(),
+            refresh_nanos: Vec::new(),
             merge_nanos: registry.counter_scaled(
                 "srclda_train_shard_merge_seconds_total",
-                "Seconds merging shard deltas at sweep boundaries.",
+                "Seconds replaying shard moves into the global counts at sweep boundaries.",
                 &[],
                 NANOS,
             ),
@@ -219,18 +221,22 @@ impl RegistryObserver {
         self.bucket_s.add(counts.s_hits);
         self.bucket_fallback.add(counts.dense_fallbacks);
     }
+}
 
-    fn shard_counter(&mut self, shard: usize) -> &Counter {
-        while self.shard_nanos.len() <= shard {
-            let label = self.shard_nanos.len().to_string();
-            self.shard_nanos.push(self.registry.counter_scaled(
-                "srclda_train_shard_sweep_seconds_total",
-                "Seconds each shard spent sweeping.",
-                &[("shard", &label)],
-                NANOS,
-            ));
-        }
-        &self.shard_nanos[shard]
+/// Add each shard's seconds to its `{shard}`-labelled counter of
+/// `family`, registering the counters on first use.
+fn add_per_shard(
+    registry: &Registry,
+    counters: &mut Vec<Arc<Counter>>,
+    (family, help): (&str, &str),
+    secs: &[f64],
+) {
+    while counters.len() < secs.len() {
+        let label = counters.len().to_string();
+        counters.push(registry.counter_scaled(family, help, &[("shard", &label)], NANOS));
+    }
+    for (counter, &s) in counters.iter().zip(secs) {
+        counter.add(nanos(s));
     }
 }
 
@@ -264,9 +270,24 @@ impl TrainObserver for RegistryObserver {
             }
             TrainEvent::SparseBuckets { counts, .. } => self.add_buckets(counts),
             TrainEvent::ShardSweep { timings, .. } => {
-                for (shard, &secs) in timings.shard_secs.iter().enumerate() {
-                    self.shard_counter(shard).add(nanos(secs));
-                }
+                add_per_shard(
+                    &self.registry,
+                    &mut self.shard_nanos,
+                    (
+                        "srclda_train_shard_sweep_seconds_total",
+                        "Seconds each shard's kernel spent sweeping.",
+                    ),
+                    &timings.shard_secs,
+                );
+                add_per_shard(
+                    &self.registry,
+                    &mut self.refresh_nanos,
+                    (
+                        "srclda_train_shard_refresh_seconds_total",
+                        "Seconds each shard spent copying the cells other shards moved.",
+                    ),
+                    &timings.refresh_secs,
+                );
                 self.merge_nanos.add(nanos(timings.merge_secs));
                 // Sharded sparse sweeps carry their bucket tallies inline
                 // instead of as separate `SparseBuckets` events.
@@ -357,6 +378,8 @@ mod tests {
             timings: ShardTimings {
                 shard_secs: vec![0.25, 0.5],
                 merge_secs: 0.125,
+                refresh_secs: vec![0.0625, 0.03125],
+                moved: 40,
                 buckets: None,
             },
         });
@@ -367,6 +390,8 @@ mod tests {
             timings: ShardTimings {
                 shard_secs: Vec::new(),
                 merge_secs: 0.0,
+                refresh_secs: Vec::new(),
+                moved: 0,
                 buckets: Some(SparseBucketCounts {
                     q_hits: 10,
                     r_hits: 2,
@@ -404,6 +429,8 @@ mod tests {
         assert!(text.contains("srclda_train_shard_sweep_seconds_total{shard=\"0\"} 0.25\n"));
         assert!(text.contains("srclda_train_shard_sweep_seconds_total{shard=\"1\"} 0.5\n"));
         assert!(text.contains("srclda_train_shard_merge_seconds_total 0.125\n"));
+        assert!(text.contains("srclda_train_shard_refresh_seconds_total{shard=\"0\"} 0.0625\n"));
+        assert!(text.contains("srclda_train_shard_refresh_seconds_total{shard=\"1\"} 0.03125\n"));
         assert!(text.contains("srclda_train_adaptations_total 1\n"));
         assert!(text.contains("srclda_train_adapt_seconds_total 1\n"));
         assert!(text.contains("srclda_train_checkpoints_total 1\n"));

@@ -2,7 +2,7 @@
 //! (`Backend::ShardedDocs`) and of training checkpoint/resume:
 //!
 //! * `S = 1` sweeps the global counts in place — one shard's view
-//!   (snapshot + its own moves) *is* the true state — and shard 0
+//!   (sweep-start counts + its own moves) *is* the true state — and shard 0
 //!   continues the run RNG stream, so `{ Flat, 1 }` is **bit-identical**
 //!   to `Backend::Serial` and every `S = 1` chain is thread-count
 //!   invariant;

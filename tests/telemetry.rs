@@ -206,10 +206,18 @@ fn jsonl_streams_are_well_formed_and_backend_shaped() {
                 }
             );
             for (_, e) in events.iter().filter(|(k, _)| k == "shard_sweep") {
-                let Some(Value::Arr(secs)) = e.get("shard_secs") else {
-                    panic!("{backend:?}: shard_secs must be an array");
-                };
-                assert_eq!(secs.len(), 3, "{backend:?}: one timing per shard");
+                for field in ["shard_secs", "refresh_secs"] {
+                    let Some(Value::Arr(secs)) = e.get(field) else {
+                        panic!("{backend:?}: {field} must be an array");
+                    };
+                    assert_eq!(secs.len(), 3, "{backend:?}: one {field} timing per shard");
+                }
+                // A sweep moves each token at most once.
+                let moved = e.get("moved").and_then(Value::as_f64).unwrap();
+                assert!(
+                    moved <= tokens,
+                    "{backend:?}: moved {moved} of {tokens} tokens"
+                );
                 // Bucket tallies ride the shard_sweep line iff the shard
                 // kernel is sparse, and the merged totals across shards
                 // account for every token of the sweep.
