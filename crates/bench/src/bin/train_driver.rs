@@ -4,7 +4,7 @@
 //! bit-identical models:
 //!
 //! ```sh
-//! # train, writing rotating resumable v3 .slda generations
+//! # train, writing rotating resumable v4 .slda generations
 //! # (ck.g000006.slda, ck.g000012.slda, …) every 6 sweeps, and simulate
 //! # a kill right after the sweep-12 checkpoint:
 //! train_driver --sweeps 24 --shards 2 \
@@ -268,16 +268,12 @@ fn train(args: &[String]) {
                 println!("resume auto: no valid generation found, starting fresh");
                 return None;
             };
-            let cp = recovered
-                .artifact
-                .checkpoint()
-                .unwrap_or_else(|| {
-                    die(&format!(
-                        "{:?} carries no checkpoint section",
-                        recovered.path
-                    ))
-                })
-                .clone();
+            let cp = recovered.artifact.checkpoint().unwrap_or_else(|| {
+                die(&format!(
+                    "{:?} carries no checkpoint section",
+                    recovered.path
+                ))
+            });
             println!(
                 "resuming from {:?} at sweep {} (checkpoint digest {:016x})",
                 recovered.path,
@@ -290,8 +286,7 @@ fn train(args: &[String]) {
             ModelArtifact::load(&path).unwrap_or_else(|e| die(&format!("loading {path:?}: {e}")));
         let cp = artifact
             .checkpoint()
-            .unwrap_or_else(|| die(&format!("{path:?} carries no checkpoint section")))
-            .clone();
+            .unwrap_or_else(|| die(&format!("{path:?} carries no checkpoint section")));
         println!("resuming from {path:?} at sweep {}", cp.sweep);
         Some(cp)
     });

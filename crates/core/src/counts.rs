@@ -207,7 +207,12 @@ impl CountMatrices {
     /// Snapshot the `nw` matrix into plain integers (held-out perplexity
     /// freezes training counts).
     pub fn snapshot_nw(&self) -> Vec<u32> {
-        self.nw.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        self.nw_values().collect()
+    }
+
+    /// The `nw` cells in storage order (row-major by word), copying none.
+    pub fn nw_values(&self) -> impl Iterator<Item = u32> + '_ {
+        self.nw.iter().map(|c| c.load(Ordering::Relaxed))
     }
 
     /// Snapshot the topic totals.

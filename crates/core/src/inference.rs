@@ -7,12 +7,14 @@
 //! persisted, and then asked to label a stream of unseen documents, one at a
 //! time, concurrently. [`Inference`] is the engine for that workload — it
 //! holds only what scoring needs (φ, α, labels), so it can be rebuilt from a
-//! deserialized artifact without the training corpus, counts, or priors.
+//! deserialized artifact without the training corpus.
 //!
 //! The engine keeps one copy of φ, word-major (`V × T`): every token of
 //! fold-in and of scoring reads the contiguous row of its word. It is built
-//! from a borrowed topic-major φ, so building an engine from an artifact or
-//! a fitted model writes that one copy and clones nothing.
+//! either from a borrowed topic-major φ or, for a model stored as sampler
+//! state, derived straight from the counts and priors
+//! ([`Inference::from_counts`]); either way it writes that one copy and
+//! clones nothing.
 //!
 //! The estimator is standard *fold-in* Gibbs sampling: φ is frozen at its
 //! trained value and only the new document's topic assignments are sampled,
@@ -29,7 +31,9 @@
 //! request to be independent of every other request in flight).
 
 use crate::error::CoreError;
-use crate::model::FittedModel;
+use crate::model::{compute_phi_word_major, FittedModel};
+use crate::persist::CountCells;
+use crate::prior::TopicPrior;
 use rand::Rng;
 use srclda_math::categorical::binary_search_cumulative;
 use srclda_math::{rng_from_seed, DenseMatrix};
@@ -114,17 +118,6 @@ pub struct Inference {
     labels: Vec<Option<String>>,
 }
 
-/// The word-major (`V × T`) layout of a topic-major (`T × V`) φ.
-fn word_major(phi: &DenseMatrix<f64>) -> DenseMatrix<f64> {
-    let mut out = DenseMatrix::zeros(phi.cols(), phi.rows());
-    for t in 0..phi.rows() {
-        for (w, &p) in phi.row(t).iter().enumerate() {
-            out[(w, t)] = p;
-        }
-    }
-    out
-}
-
 /// Fill `buf` with the running sums of `phi_row[t] · fact[t]`, added left
 /// to right, and return the total. The serial sum bounds the loop at one
 /// add latency per topic; taking four topics per iteration keeps its speed
@@ -152,6 +145,26 @@ fn cumulative_weights(phi_row: &[f64], fact: &[f64], buf: &mut [f64]) -> f64 {
     acc
 }
 
+/// Fails unless a `topics × words` model has topics and words, α is
+/// positive and finite, and there is one label per topic.
+fn check_parts(topics: usize, words: usize, alpha: f64, labels: usize) -> crate::Result<()> {
+    if topics == 0 || words == 0 {
+        return Err(CoreError::NoTopics);
+    }
+    if !(alpha > 0.0 && alpha.is_finite()) {
+        return Err(CoreError::NonPositiveParameter {
+            name: "alpha",
+            value: alpha,
+        });
+    }
+    if labels != topics {
+        return Err(CoreError::InvalidConfig(format!(
+            "{labels} labels for {topics} topics"
+        )));
+    }
+    Ok(())
+}
+
 impl Inference {
     /// Build from explicit parts; `phi` is topic-major (`T × V`) and is
     /// read once into the engine's word-major copy.
@@ -164,24 +177,39 @@ impl Inference {
         alpha: f64,
         labels: Vec<Option<String>>,
     ) -> crate::Result<Self> {
-        if phi.rows() == 0 || phi.cols() == 0 {
-            return Err(CoreError::NoTopics);
-        }
-        if !(alpha > 0.0 && alpha.is_finite()) {
-            return Err(CoreError::NonPositiveParameter {
-                name: "alpha",
-                value: alpha,
-            });
-        }
-        if labels.len() != phi.rows() {
-            return Err(CoreError::InvalidConfig(format!(
-                "{} labels for {} topics",
-                labels.len(),
-                phi.rows()
-            )));
-        }
+        check_parts(phi.rows(), phi.cols(), alpha, labels.len())?;
         Ok(Self {
-            phi: word_major(phi),
+            phi: phi.transposed(),
+            alpha,
+            labels,
+        })
+    }
+
+    /// Build from sampler state: φ at the counts `counts` under `priors`
+    /// (Eq. 1 / Eq. 4), derived straight into the engine's word-major
+    /// layout. No topic-major φ and no dense `nw` is built, and the φ is
+    /// bit for bit the one [`Self::from_fitted`] serves for the same
+    /// counts and priors.
+    ///
+    /// # Errors
+    /// Fails if there are no topics or no words, `alpha` is not positive
+    /// and finite, the label count does not match the topic count, or
+    /// `priors` are not one prior per topic over the counts' vocabulary.
+    pub fn from_counts(
+        priors: &[TopicPrior],
+        counts: &CountCells,
+        alpha: f64,
+        labels: Vec<Option<String>>,
+    ) -> crate::Result<Self> {
+        check_parts(
+            counts.num_topics(),
+            counts.vocab_size(),
+            alpha,
+            labels.len(),
+        )?;
+        counts.check_priors(priors)?;
+        Ok(Self {
+            phi: compute_phi_word_major(priors, counts),
             alpha,
             labels,
         })
@@ -190,7 +218,7 @@ impl Inference {
     /// Snapshot a fitted model's φ/α/labels for serving.
     pub fn from_fitted(fitted: &FittedModel) -> Self {
         Self {
-            phi: word_major(fitted.phi()),
+            phi: fitted.phi().transposed(),
             alpha: fitted.alpha(),
             labels: fitted.labels().to_vec(),
         }

@@ -17,15 +17,18 @@
 //! sweep boundary — assignments, counts, RNG streams, shard layout, the
 //! (possibly λ-adapted) priors — as plain values. Capture and resume go
 //! through [`crate::GibbsModel::fit_resumable`]; the byte encoding lives
-//! with the artifact codec in `srclda_serve`. A format-v3 `.slda`
-//! generation stores only what cannot be derived: `nw` as its non-zero
-//! cells ([`TrainCheckpoint::nw_cells`]), the priors once and no φ;
-//! decode rebuilds the dense `nw` and `nt` and derives φ through
-//! [`TrainCheckpoint::phi`].
+//! with the artifact codec in `srclda_serve`. A `.slda` file stores only
+//! what cannot be derived: `nw` as its non-zero cells ([`CountCells`]) and
+//! the priors, and for a generation the [`ChainState`]. Serving derives φ
+//! from the cells and priors ([`crate::Inference::from_counts`]); only a
+//! resume rebuilds the dense [`TrainCheckpoint`]
+//! ([`ChainState::to_checkpoint`]). [`TrainCheckpoint::phi`] is the
+//! topic-major oracle that derivation is tested against.
 
 use crate::error::CoreError;
 use crate::prior::{IntegrationTable, TopicPrior};
 use crate::sampler::KernelKind;
+use srclda_math::DenseMatrix;
 
 /// Bit position of the kernel tag inside [`TrainCheckpoint::shards`].
 ///
@@ -292,14 +295,7 @@ impl TrainCheckpoint {
     /// Returns an error for an unknown kernel tag (a checkpoint written
     /// by a newer codec, or corruption in the high byte).
     pub fn kernel_kind(&self) -> crate::Result<KernelKind> {
-        match self.shards >> KERNEL_TAG_SHIFT {
-            0 => Ok(KernelKind::Flat),
-            1 => Ok(KernelKind::Sparse),
-            2 => Ok(KernelKind::Dense),
-            tag => Err(CoreError::InvalidConfig(format!(
-                "checkpoint: unknown kernel tag {tag}"
-            ))),
-        }
+        kernel_of(self.shards)
     }
 
     /// Vocabulary size `V` implied by the checkpoint.
@@ -440,7 +436,7 @@ impl TrainCheckpoint {
     /// Fails if the checkpoint's own dimensions disagree (priors vs `nt`,
     /// `nw` not `V·T`-shaped) or a stored prior is inconsistent with the
     /// checkpoint's vocabulary size.
-    pub fn phi(&self) -> crate::Result<srclda_math::DenseMatrix<f64>> {
+    pub fn phi(&self) -> crate::Result<DenseMatrix<f64>> {
         let v = self.vocab_size();
         let t_count = self.num_topics();
         // Guard the indexing below: this method is public and need not
@@ -515,36 +511,298 @@ impl TrainCheckpoint {
                     doc.len()
                 ));
             }
-            if let Some(&t) = doc.iter().find(|&&t| t as usize >= t_count) {
-                return fail(format!("document {d} assigns topic {t} of {t_count}"));
+        }
+        check_chain(&self.z, &self.nt, self.shards, self.shard_rngs.len())
+    }
+}
+
+/// The kernel tag in the high byte of a packed `shards` word.
+fn kernel_of(shards: u64) -> crate::Result<KernelKind> {
+    match shards >> KERNEL_TAG_SHIFT {
+        0 => Ok(KernelKind::Flat),
+        1 => Ok(KernelKind::Sparse),
+        2 => Ok(KernelKind::Dense),
+        tag => Err(CoreError::InvalidConfig(format!(
+            "checkpoint: unknown kernel tag {tag}"
+        ))),
+    }
+}
+
+/// The checks a chain's state takes without its `nw`: every topic id in
+/// z is below `T = nt.len()`, the packed `shards` word has one RNG state
+/// per shard and a known kernel tag, and the topic totals `nt` are the
+/// ones z implies. The full `nw` check needs the token stream and happens
+/// at resume time (`GibbsModel::fit_resumable`), but the `nt` cross-check
+/// alone already catches truncation and doc/count mixups cheaply.
+fn check_chain(z: &[Vec<u32>], nt: &[u32], shards: u64, shard_rngs: usize) -> crate::Result<()> {
+    let fail = |msg: String| Err(CoreError::InvalidConfig(format!("checkpoint: {msg}")));
+    let t_count = nt.len();
+    let mut implied_nt = vec![0u64; t_count];
+    for (d, doc) in z.iter().enumerate() {
+        for &t in doc {
+            match implied_nt.get_mut(t as usize) {
+                Some(n) => *n += 1,
+                None => return fail(format!("document {d} assigns topic {t} of {t_count}")),
             }
         }
-        if self.shard_count() as usize != self.shard_rngs.len() {
+    }
+    let shard_count = shards & SHARD_COUNT_MASK;
+    if shard_count != shard_rngs as u64 {
+        return fail(format!(
+            "{shard_rngs} shard RNG states for {shard_count} shards"
+        ));
+    }
+    kernel_of(shards)?;
+    for (t, (&stored, &implied)) in nt.iter().zip(&implied_nt).enumerate() {
+        if u64::from(stored) != implied {
             return fail(format!(
-                "{} shard RNG states for {} shards",
-                self.shard_rngs.len(),
-                self.shard_count()
+                "topic {t} total is {stored} but assignments imply {implied}"
             ));
         }
-        self.kernel_kind()?;
-        // The stored topic totals must equal the totals implied by z. The
-        // full nw check needs the token stream and happens at resume time
-        // (GibbsModel::fit_resumable), but the nt cross-check alone already
-        // catches truncation and doc/count mixups cheaply.
-        let mut implied_nt = vec![0u64; t_count];
-        for doc in &self.z {
-            for &t in doc {
-                implied_nt[t as usize] += 1;
+    }
+    Ok(())
+}
+
+/// The word–topic counts `nw` as their non-zero cells `(w·T + t, n_wt)`,
+/// strictly increasing by index, with the topic totals `n_t` they sum
+/// to. This is the form a `.slda` file stores; with the priors it
+/// determines φ ([`crate::Inference::from_counts`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CountCells {
+    vocab_size: usize,
+    cells: Vec<(u64, u32)>,
+    nt: Vec<u32>,
+}
+
+impl CountCells {
+    /// Adopt `cells` as the counts of a `vocab_size`-word, `num_topics`-
+    /// topic model.
+    ///
+    /// # Errors
+    /// Fails on a zero count, a cell that is not after its predecessor
+    /// (out of order or repeated), an index past `V·T`, or a topic total
+    /// that overflows u32.
+    pub fn new(
+        vocab_size: usize,
+        num_topics: usize,
+        cells: Vec<(u64, u32)>,
+    ) -> crate::Result<Self> {
+        let fail = |msg: String| Err(CoreError::InvalidConfig(format!("nw cells: {msg}")));
+        let Some(size) = vocab_size
+            .checked_mul(num_topics)
+            .and_then(|n| u64::try_from(n).ok())
+        else {
+            return fail(format!("{vocab_size}×{num_topics} overflows"));
+        };
+        let mut nt = vec![0u32; num_topics];
+        let mut next = 0u64;
+        for &(index, n) in &cells {
+            if n == 0 {
+                return fail(format!("cell {index} is zero"));
+            }
+            if index < next {
+                return fail(format!("cell {index} is out of order or repeated"));
+            }
+            if index >= size {
+                return fail(format!("cell {index} is past V·T = {size}"));
+            }
+            // index < V·T, so T > 0 and the topic is in range.
+            if let Some(total) = nt.get_mut((index % num_topics as u64) as usize) {
+                *total = match total.checked_add(n) {
+                    Some(sum) => sum,
+                    None => return fail("a topic total overflows u32".into()),
+                };
+            }
+            next = index + 1;
+        }
+        Ok(Self {
+            vocab_size,
+            cells,
+            nt,
+        })
+    }
+
+    /// The non-zero cells of the dense `nw` of a `vocab_size`-word,
+    /// `num_topics`-topic model, given as its `V·T` values row-major by
+    /// word. A topic total past u32::MAX wraps, which no count z implies
+    /// can match.
+    pub fn from_dense(
+        vocab_size: usize,
+        num_topics: usize,
+        nw: impl IntoIterator<Item = u32>,
+    ) -> Self {
+        let mut nt = vec![0u32; num_topics];
+        let mut cells = Vec::new();
+        let topics = num_topics as u64;
+        for (index, n) in (0u64..).zip(nw).filter(|&(_, n)| n != 0) {
+            cells.push((index, n));
+            if let Some(total) = index
+                .checked_rem(topics)
+                .and_then(|t| nt.get_mut(t as usize))
+            {
+                *total = total.wrapping_add(n);
             }
         }
-        for (t, (&stored, &implied)) in self.nt.iter().zip(&implied_nt).enumerate() {
-            if stored as u64 != implied {
-                return fail(format!(
-                    "topic {t} total is {stored} but assignments imply {implied}"
-                ));
-            }
+        Self {
+            vocab_size,
+            cells,
+            nt,
         }
-        Ok(())
+    }
+
+    /// Vocabulary size `V`.
+    pub fn vocab_size(&self) -> usize {
+        self.vocab_size
+    }
+
+    /// Topic count `T`.
+    pub fn num_topics(&self) -> usize {
+        self.nt.len()
+    }
+
+    /// The non-zero cells `(w·T + t, n_wt)`, strictly increasing by index.
+    pub fn cells(&self) -> &[(u64, u32)] {
+        &self.cells
+    }
+
+    /// The topic totals `n_t`.
+    pub fn nt(&self) -> &[u32] {
+        &self.nt
+    }
+
+    /// The dense `nw` (`V·T`, row-major by word).
+    pub fn to_dense(&self) -> Vec<u32> {
+        let mut nw = vec![0u32; self.vocab_size * self.num_topics()];
+        for &(index, n) in &self.cells {
+            nw[index as usize] = n;
+        }
+        nw
+    }
+
+    /// Fails unless `priors` are one prior per topic, each over these
+    /// counts' vocabulary where it records one.
+    pub(crate) fn check_priors(&self, priors: &[TopicPrior]) -> crate::Result<()> {
+        let (t, v) = (self.num_topics(), self.vocab_size);
+        if priors.len() != t {
+            return Err(CoreError::InvalidConfig(format!(
+                "{} priors for {t} topics",
+                priors.len()
+            )));
+        }
+        match priors
+            .iter()
+            .filter_map(TopicPrior::vocab_size)
+            .find(|&n| n != v)
+        {
+            Some(n) => Err(CoreError::InvalidConfig(format!(
+                "a prior over {n} words for a {v}-word vocabulary"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// φ topic-major (`T × V`) at these counts under `priors`: the φ
+    /// [`crate::Inference::from_counts`] serves, transposed. For tooling
+    /// and tests.
+    ///
+    /// # Errors
+    /// Fails if `priors` do not fit the counts (see
+    /// [`crate::Inference::from_counts`]).
+    pub fn phi(&self, priors: &[TopicPrior]) -> crate::Result<DenseMatrix<f64>> {
+        self.check_priors(priors)?;
+        Ok(crate::model::compute_phi_word_major(priors, self).transposed())
+    }
+
+    /// Row `t` of [`Self::phi`] under topic `t`'s `prior`, derived alone.
+    ///
+    /// # Panics
+    /// Panics if `t` is not below `T`.
+    pub fn phi_row(&self, t: usize, prior: &TopicPrior) -> Vec<f64> {
+        let topics = self.num_topics() as u64;
+        let mut nw = vec![0u32; self.vocab_size];
+        for &(index, n) in self.cells.iter().filter(|c| c.0 % topics == t as u64) {
+            nw[(index / topics) as usize] = n;
+        }
+        let phi =
+            crate::model::compute_phi(self.vocab_size, [prior], |w, _| nw[w], &self.nt[t..=t]);
+        phi.row(0).to_vec()
+    }
+}
+
+/// Where a chain stands at a sweep boundary and how it continues: a
+/// [`TrainCheckpoint`] less its counts, α and priors. A generation file
+/// stores it beside the [`CountCells`], and a resume puts the two back
+/// together ([`Self::to_checkpoint`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChainState {
+    /// Completed sweeps.
+    pub sweep: u64,
+    /// The run seed.
+    pub seed: u64,
+    /// Packed shard layout and kernel tag (see [`TrainCheckpoint::shards`]).
+    pub shards: u64,
+    /// Per-token topic assignments, indexed `[doc][position]`.
+    pub z: Vec<Vec<u32>>,
+    /// The run RNG state at the boundary.
+    pub main_rng: [u64; 4],
+    /// Per-shard RNG states.
+    pub shard_rngs: Vec<[u64; 4]>,
+}
+
+impl ChainState {
+    /// The chain state of `cp` (a copy of its assignments).
+    pub fn of(cp: &TrainCheckpoint) -> Self {
+        Self {
+            sweep: cp.sweep,
+            seed: cp.seed,
+            shards: cp.shards,
+            z: cp.z.clone(),
+            main_rng: cp.main_rng,
+            shard_rngs: cp.shard_rngs.clone(),
+        }
+    }
+
+    /// Shard count `S`, or 0 for non-sharded backends.
+    pub fn shard_count(&self) -> u64 {
+        self.shards & SHARD_COUNT_MASK
+    }
+
+    /// The sweep kernel that produced the chain.
+    ///
+    /// # Errors
+    /// Returns an error for an unknown kernel tag.
+    pub fn kernel_kind(&self) -> crate::Result<KernelKind> {
+        kernel_of(self.shards)
+    }
+
+    /// The checks of [`TrainCheckpoint::validate`] that need no `nw`,
+    /// with the topic totals `nt` of the chain's counts.
+    ///
+    /// # Errors
+    /// Returns the first inconsistency found.
+    pub fn validate(&self, nt: &[u32]) -> crate::Result<()> {
+        check_chain(&self.z, nt, self.shards, self.shard_rngs.len())
+    }
+
+    /// The dense checkpoint of this chain with its α, counts and priors.
+    pub fn to_checkpoint(
+        &self,
+        alpha: f64,
+        counts: &CountCells,
+        priors: Vec<RawPrior>,
+    ) -> TrainCheckpoint {
+        TrainCheckpoint {
+            sweep: self.sweep,
+            seed: self.seed,
+            alpha,
+            shards: self.shards,
+            z: self.z.clone(),
+            nw: counts.to_dense(),
+            nt: counts.nt().to_vec(),
+            main_rng: self.main_rng,
+            shard_rngs: self.shard_rngs.clone(),
+            priors,
+        }
     }
 }
 

@@ -117,6 +117,13 @@ pub(crate) fn dot_mod4(row: &[f64], qr: &[f64]) -> f64 {
     (s2[0] + s2[1]) + (s2[2] + s2[3])
 }
 
+/// A λ-integrated weight from its halves: `nw·S1 + S2` (see
+/// [`IntegrationTable::weight`]).
+#[inline]
+fn integrated_weight(nw: f64, s1: f64, s2: f64) -> f64 {
+    nw * s1 + s2
+}
+
 /// Stack budget for the per-call `qr` scratch row in
 /// [`IntegrationTable::weight`] (heap fallback above it; `A` is typically
 /// 4–16).
@@ -292,28 +299,7 @@ impl IntegrationTable {
     /// [`Self::topic_terms`] of the same `nt`.
     #[inline]
     fn word_term(&self, qr: &[f64], s1: f64, w: usize, nw: f64) -> f64 {
-        nw * s1 + dot_mod4(self.delta_row(w), qr)
-    }
-
-    /// [`Self::weight`]`(w, nw(w), nt)` into `row[w]` for every word, bit
-    /// for bit, with the per-topic half taken once. Every off-support word
-    /// reads the same row, so its `S2` is taken once as well: such a cell
-    /// is `nw·S1 + S2_zero`, the sum [`Self::word_term`] forms from the
-    /// same values.
-    fn weight_row(&self, row: &mut [f64], nw: impl Fn(usize) -> f64, nt: f64) {
-        self.with_qr(|qr| {
-            let s1 = self.topic_terms(qr, nt);
-            let off = self.support.len();
-            let s2_zero = dot_mod4(self.zero_row(), qr);
-            for (w, (cell, i)) in row.iter_mut().zip(self.row_indices()).enumerate() {
-                let s2 = if i == off {
-                    s2_zero
-                } else {
-                    dot_mod4(self.row(i), qr)
-                };
-                *cell = nw(w) * s1 + s2;
-            }
-        });
+        integrated_weight(nw, s1, dot_mod4(self.delta_row(w), qr))
     }
 
     /// The current quadrature weights (prior weights until adapted).
@@ -672,18 +658,32 @@ impl TopicPrior {
     }
 
     /// One φ row: `row[w] = `[`Self::word_weight`]`(w, nw(w), nt)` for
-    /// every word, bit for bit, with the per-topic half — the reciprocal,
-    /// or a λ-integrated prior's level terms and `S1` — taken once per
-    /// row instead of once per word.
+    /// every word, bit for bit, from the [`TopicTerms`] at `nt`.
     pub(crate) fn weight_row(&self, row: &mut [f64], nw: impl Fn(usize) -> f64, nt: f64) {
+        let terms = TopicTerms::new(self, nt);
         match self {
-            TopicPrior::Integrated(table) => table.weight_row(row, nw, nt),
-            _ => {
-                let r = self.reciprocal(nt);
-                for (w, cell) in row.iter_mut().enumerate() {
-                    *cell = self.ratio_term(w, nw(w), r);
+            TopicPrior::Integrated(table) => {
+                for (w, (cell, i)) in row.iter_mut().zip(table.row_indices()).enumerate() {
+                    *cell = terms.weight_at(w, i, nw(w));
                 }
             }
+            _ => {
+                for (w, cell) in row.iter_mut().enumerate() {
+                    *cell = terms.weight_at(w, 0, nw(w));
+                }
+            }
+        }
+    }
+
+    /// The vocabulary size the prior was built for, where it records one
+    /// (a symmetric prior does not).
+    pub fn vocab_size(&self) -> Option<usize> {
+        match self {
+            TopicPrior::Symmetric { .. } => None,
+            TopicPrior::Fixed { delta, .. } => Some(delta.len()),
+            TopicPrior::Integrated(table) => Some(table.vocab_size),
+            TopicPrior::Frozen { phi } => Some(phi.len()),
+            TopicPrior::ConceptSet { in_set, .. } => Some(in_set.len()),
         }
     }
 
@@ -742,6 +742,86 @@ impl TopicPrior {
             TopicPrior::Frozen { .. } => "frozen",
             TopicPrior::ConceptSet { .. } => "concept-set",
         }
+    }
+}
+
+/// The per-topic half of [`TopicPrior::word_weight`] at one `nt`, taken
+/// once so that each word pays only its per-word half: a ratio prior's
+/// reciprocal `1/(nt + c)`, or a λ-integrated prior's `S1` and the `S2` of
+/// each of its δ rows. φ is built from these terms one topic at a time
+/// ([`TopicPrior::weight_row`]) or one word at a time across all topics
+/// ([`crate::model::compute_phi_word_major`]), bit for bit the same.
+pub(crate) struct TopicTerms<'p> {
+    prior: &'p TopicPrior,
+    /// Ratio kinds: `1/(nt + c)`. λ-integrated: `S1 = Σ wₐrₐ`.
+    scale: f64,
+    /// λ-integrated only: the `S2` of each δ row, the support's rows then
+    /// the off-support row.
+    s2: Vec<f64>,
+}
+
+impl<'p> TopicTerms<'p> {
+    pub(crate) fn new(prior: &'p TopicPrior, nt: f64) -> Self {
+        match prior {
+            TopicPrior::Integrated(table) => table.with_qr(|qr| {
+                let scale = table.topic_terms(qr, nt);
+                let s2 = (0..=table.support.len())
+                    .map(|i| dot_mod4(table.row(i), qr))
+                    .collect();
+                Self { prior, scale, s2 }
+            }),
+            _ => Self {
+                prior,
+                scale: prior.reciprocal(nt),
+                s2: Vec::new(),
+            },
+        }
+    }
+
+    /// The weight of word `w` at count `nw`, where `i` is `w`'s δ row index
+    /// ([`Self::row_index`]; only λ-integrated priors read it).
+    #[inline]
+    pub(crate) fn weight_at(&self, w: usize, i: usize, nw: f64) -> f64 {
+        match self.prior {
+            TopicPrior::Integrated(_) => integrated_weight(nw, self.scale, self.s2[i]),
+            _ => self.prior.ratio_term(w, nw, self.scale),
+        }
+    }
+
+    /// The weight of word `w` at count `nw`.
+    #[inline]
+    pub(crate) fn weight(&self, w: usize, nw: f64) -> f64 {
+        self.weight_at(w, self.row_index(w), nw)
+    }
+
+    /// The δ row index of word `w` (0 for priors without δ rows).
+    #[inline]
+    fn row_index(&self, w: usize) -> usize {
+        match self.prior {
+            TopicPrior::Integrated(table) => table.row_index(w),
+            _ => 0,
+        }
+    }
+
+    /// The zero-count weight that every word off [`Self::own_rows`]
+    /// shares, or `None` when each word has its own (fixed, frozen and
+    /// concept-set priors).
+    pub(crate) fn shared_zero_weight(&self) -> Option<f64> {
+        match self.prior {
+            TopicPrior::Symmetric { .. } => Some(self.weight_at(0, 0, 0.0)),
+            TopicPrior::Integrated(table) => Some(self.weight_at(0, table.support.len(), 0.0)),
+            _ => None,
+        }
+    }
+
+    /// The words whose zero-count weight is not the shared one, each with
+    /// its δ row index: a λ-integrated prior's support.
+    pub(crate) fn own_rows(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let support: &[u32] = match self.prior {
+            TopicPrior::Integrated(table) => &table.support,
+            _ => &[],
+        };
+        support.iter().enumerate().map(|(i, &w)| (w as usize, i))
     }
 }
 

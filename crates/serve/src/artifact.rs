@@ -1,16 +1,17 @@
 //! The versioned, checksummed binary model-artifact format.
 //!
 //! A `.slda` artifact is everything needed to serve a trained model against
-//! *raw text* with no access to the training process: the posterior φ, the
-//! document–topic prior α, per-topic labels and priors, the vocabulary the
-//! word ids index into, and the tokenizer configuration that produced that
-//! vocabulary. A checkpoint *generation* holds the sampler state of an
-//! unfinished run in φ's place, and loading it derives φ from that state.
-//! Layout (all integers little-endian, floats IEEE-754 LE):
+//! *raw text* with no access to the training process: the word–topic
+//! counts and per-topic priors that φ derives from, the document–topic
+//! prior α, per-topic labels, the vocabulary the word ids index into, and
+//! the tokenizer configuration that produced that vocabulary. A checkpoint
+//! *generation* adds the rest of an unfinished run's sampler state, so the
+//! run can be resumed. Layout (all integers little-endian, floats
+//! IEEE-754 LE):
 //!
 //! ```text
 //! offset 0   magic            8 bytes  b"SLDAMODL"
-//!        8   format version   u32      currently 3 (1 and 2 still readable)
+//!        8   format version   u32      currently 4 (1–3 still readable)
 //!       12   section count    u32      N
 //!       16   section table    N × { id: u32, offset: u64, length: u64 }
 //!        …   section payloads (absolute offsets, non-overlapping)
@@ -20,34 +21,41 @@
 //! | id | section    | contents                                              |
 //! |----|------------|-------------------------------------------------------|
 //! | 1  | model      | α (f64), topic count `T` (u64), vocab size `V` (u64)  |
-//! | 2  | phi        | `T·V` f64, row-major by topic (final models only)     |
+//! | 2  | phi        | `T·V` f64, row-major by topic (models built from a φ) |
 //! | 3  | labels     | `T` × (present: u8, then UTF-8 string)                |
 //! | 4  | priors     | `T` × tagged [`RawPrior`]                             |
 //! | 5  | vocab      | count (u64), then UTF-8 strings in word-id order      |
 //! | 6  | tokenizer  | lowercase u8, min_len u64, stopwords u8, numbers u8   |
-//! | 7  | checkpoint | sampler state ([`TrainCheckpoint`], generations only) |
+//! | 7  | checkpoint | chain state, then `nw` cells (generations only)       |
+//! | 8  | counts     | `nw` cells (final models)                             |
 //!
-//! A final model ([`ModelArtifact::from_fitted`]) is sections 1–6. A
-//! generation ([`ModelArtifact::from_checkpoint`]) is sections 1 and 3–7:
-//! its priors section holds the checkpoint's current, possibly
-//! λ-adapted, priors, and its checkpoint section holds the sweep, the
-//! seed, the packed shards/kernel word, the RNG states, z, and `nw` as
-//! its non-zero cells — a u64 count, then `(w·T + t: u64, n_wt: u32)`
-//! pairs strictly increasing by index, at most `min(N, V·T)` of them.
-//! Decode rebuilds the dense `nw` and `nt` only after the labels, priors
-//! and vocab sections have confirmed `T` and `V` (the one buffer no file
-//! bytes back), rejects cells that are out of range, out of order,
-//! repeated or zero, or whose topic totals disagree with z, and then
-//! derives φ through [`TrainCheckpoint::phi`] — bit-equal to the φ a v2
-//! generation stored.
+//! The `nw` cells are the counts' non-zero cells ([`CountCells`]): a u64
+//! count, then `(w·T + t: u64, n_wt: u32)` pairs strictly increasing by
+//! index, at most `V·T` of them.
+//!
+//! A final model ([`ModelArtifact::from_fitted`]) is sections 1, 3–6 and
+//! 8, and stores no φ: [`ModelArtifact::inference`] derives it from the
+//! counts and priors straight into the engine's word-major layout
+//! ([`Inference::from_counts`]), bit-equal to the fitted φ. A generation
+//! ([`ModelArtifact::from_checkpoint`]) is sections 1 and 3–7: its priors
+//! section holds the checkpoint's current, possibly λ-adapted, priors, and
+//! its checkpoint section holds the sweep, the seed, the packed
+//! shards/kernel word, the RNG states and z ([`ChainState`]), then the
+//! cells. A model built from a φ ([`ModelArtifact::new`]) is sections
+//! 1–6. Decode rejects cells that are past `V·T`, out of order, repeated
+//! or zero, or whose topic totals overflow u32 or, in a generation,
+//! disagree with z. It builds no dense `nw`: only
+//! [`ModelArtifact::checkpoint`] does, for a resume.
 //!
 //! Version history: **v1** is sections 1–6. **v2** added the optional
 //! checkpoint section: a v2 generation is a whole servable artifact plus
 //! sampler state that also carries α, the dense `nw`, `nt` and a second
-//! copy of the priors. **v3** (this build) writes generations as above;
-//! its final models differ from v1 and v2 ones only in the version field.
-//! v1 and v2 files, v2 generations included, still load; the committed
-//! fixtures under `tests/fixtures/` pin that.
+//! copy of the priors. **v3** wrote generations as above and final models
+//! as sections 1–6. **v4** (this build) writes final models as sampler
+//! state, the counts section in φ's place; its generations differ from v3
+//! ones only in the version field. Files of every earlier version,
+//! generations included, still load; the committed fixtures under
+//! `tests/fixtures/` pin that.
 //!
 //! Readers ignore unknown section ids (room for additive growth within a
 //! version); any change to an *existing* section's meaning requires
@@ -56,7 +64,9 @@
 
 use crate::codec::{fnv1a64, Reader, Writer};
 use crate::error::ServeError;
-use srclda_core::persist::{RawIntegrationLayout, RawIntegrationTable, RawPrior, TrainCheckpoint};
+use srclda_core::persist::{
+    ChainState, CountCells, RawIntegrationLayout, RawIntegrationTable, RawPrior, TrainCheckpoint,
+};
 use srclda_core::prior::TopicPrior;
 use srclda_core::{FittedModel, Inference};
 use srclda_corpus::{Tokenizer, Vocabulary};
@@ -66,7 +76,7 @@ use srclda_math::DenseMatrix;
 pub const MAGIC: [u8; 8] = *b"SLDAMODL";
 /// Format version this build writes. Every version from 1 through this
 /// one is readable.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const SEC_MODEL: u32 = 1;
 const SEC_PHI: u32 = 2;
@@ -75,6 +85,7 @@ const SEC_PRIORS: u32 = 4;
 const SEC_VOCAB: u32 = 5;
 const SEC_TOKENIZER: u32 = 6;
 const SEC_CHECKPOINT: u32 = 7;
+const SEC_COUNTS: u32 = 8;
 
 /// Section-table caps: a sane artifact has 6 sections; allow headroom for
 /// additive growth but reject tables a corrupt count field could inflate.
@@ -102,30 +113,75 @@ impl SectionInfo {
             SEC_VOCAB => "vocab",
             SEC_TOKENIZER => "tokenizer",
             SEC_CHECKPOINT => "checkpoint",
+            SEC_COUNTS => "counts",
             _ => "unknown",
         }
     }
 }
 
+/// What an artifact's φ comes from.
+#[derive(Debug, Clone)]
+enum Body {
+    /// φ itself (`T × V`): a model built by [`ModelArtifact::new`] or a
+    /// v1–v3 final model.
+    Phi(DenseMatrix<f64>),
+    /// Sampler state: `nw`'s non-zero cells, and for a generation the
+    /// chain that continues from them.
+    Counts {
+        counts: CountCells,
+        chain: Option<ChainState>,
+    },
+}
+
 /// A self-contained, serializable trained model, or a checkpoint
-/// generation: a mid-training [`TrainCheckpoint`] with the labels,
-/// vocabulary and tokenizer it serves with, so the run can be resumed.
+/// generation: a mid-training sampler state with the labels, vocabulary
+/// and tokenizer it serves with, so the run can be resumed.
 #[derive(Debug, Clone)]
 pub struct ModelArtifact {
     alpha: f64,
-    /// `None` only for a generation built by
-    /// [`ModelArtifact::from_checkpoint`]: its file stores no φ, and
-    /// decode derives one.
-    phi: Option<DenseMatrix<f64>>,
     labels: Vec<Option<String>>,
-    priors: Vec<RawPrior>,
+    /// The live priors, built once; the priors section stores their
+    /// mirrors ([`TopicPrior::to_raw`]).
+    priors: Vec<TopicPrior>,
     vocab: Vocabulary,
     tokenizer: Tokenizer,
-    checkpoint: Option<TrainCheckpoint>,
+    body: Body,
+}
+
+/// The live priors of `priors` over a `v`-word vocabulary, each revalidated.
+fn live(priors: Vec<RawPrior>, v: usize) -> Result<Vec<TopicPrior>, ServeError> {
+    priors
+        .into_iter()
+        .enumerate()
+        .map(|(i, raw)| {
+            let kind = raw.kind();
+            TopicPrior::from_raw(raw, v)
+                .map_err(|e| ServeError::Corrupt(format!("prior {i} ({kind}) invalid: {e}")))
+        })
+        .collect()
+}
+
+/// The counts of `cp`, a checkpoint of a `t × v` model, as non-zero cells,
+/// checked against its dimensions and its topic totals.
+fn counts_of(cp: &TrainCheckpoint, t: usize, v: usize) -> Result<CountCells, ServeError> {
+    if cp.nt.len() != t || Some(cp.nw.len()) != v.checked_mul(t) {
+        return Err(ServeError::Corrupt(format!(
+            "checkpoint is {}×{} for a {t}×{v} model",
+            cp.num_topics(),
+            cp.vocab_size()
+        )));
+    }
+    let counts = CountCells::from_dense(v, t, cp.nw.iter().copied());
+    if counts.nt() != cp.nt.as_slice() {
+        return Err(ServeError::Corrupt(
+            "checkpoint topic totals disagree with its nw".into(),
+        ));
+    }
+    Ok(counts)
 }
 
 impl ModelArtifact {
-    /// Assemble a final model from parts, validating consistency.
+    /// Assemble a model from a φ and its parts, validating consistency.
     ///
     /// # Errors
     /// Fails if dimensions disagree, α is not positive and finite, φ has
@@ -140,27 +196,32 @@ impl ModelArtifact {
     ) -> Result<Self, ServeError> {
         let artifact = Self {
             alpha,
-            phi: Some(phi),
             labels,
-            priors,
+            priors: live(priors, vocab.len())?,
             vocab,
             tokenizer,
-            checkpoint: None,
+            body: Body::Phi(phi),
         };
         artifact.validate()?;
         Ok(artifact)
     }
 
-    /// The training checkpoint, if this artifact carries one.
-    pub fn checkpoint(&self) -> Option<&TrainCheckpoint> {
-        self.checkpoint.as_ref()
+    /// The training checkpoint of a generation, rebuilt with its dense
+    /// `nw` for a resume (`None` for a final model).
+    pub fn checkpoint(&self) -> Option<TrainCheckpoint> {
+        match &self.body {
+            Body::Counts {
+                counts,
+                chain: Some(chain),
+            } => Some(chain.to_checkpoint(self.alpha, counts, self.priors())),
+            _ => None,
+        }
     }
 
     /// Build a checkpoint generation: the checkpoint's sampler state, with
-    /// α and the priors its own (possibly λ-adapted) training values.
-    /// Nothing is derived — no φ — so a generation costs one copy of the
-    /// state and one validation. [`Self::from_bytes`] derives φ when the
-    /// generation is loaded, so every loaded generation serves.
+    /// α and the priors its own (possibly λ-adapted) training values. It
+    /// copies the counts' non-zero cells, z and the priors, and derives
+    /// no φ.
     ///
     /// # Errors
     /// Fails if the checkpoint is internally inconsistent or disagrees
@@ -171,22 +232,26 @@ impl ModelArtifact {
         vocab: &Vocabulary,
         tokenizer: &Tokenizer,
     ) -> Result<Self, ServeError> {
+        let counts = counts_of(checkpoint, labels.len(), vocab.len())?;
         let artifact = Self {
             alpha: checkpoint.alpha,
-            phi: None,
             labels,
-            priors: checkpoint.priors.clone(),
+            priors: live(checkpoint.priors.clone(), vocab.len())?,
             vocab: vocab.clone(),
             tokenizer: tokenizer.clone(),
-            checkpoint: Some(checkpoint.clone()),
+            body: Body::Counts {
+                counts,
+                chain: Some(ChainState::of(checkpoint)),
+            },
         };
         artifact.validate()?;
         Ok(artifact)
     }
 
-    /// Snapshot a fitted model for persistence. `vocab` and `tokenizer`
-    /// must be the ones the training corpus was built with — they are what
-    /// lets the serving side preprocess raw text identically.
+    /// Snapshot a fitted model for persistence: its counts' non-zero cells
+    /// and its priors. `vocab` and `tokenizer` must be the ones the
+    /// training corpus was built with — they are what lets the serving
+    /// side preprocess raw text identically.
     ///
     /// # Errors
     /// Fails if `vocab` does not match the model's vocabulary size.
@@ -195,18 +260,24 @@ impl ModelArtifact {
         vocab: &Vocabulary,
         tokenizer: &Tokenizer,
     ) -> Result<Self, ServeError> {
-        Self::new(
-            fitted.alpha(),
-            fitted.phi().clone(),
-            fitted.labels().to_vec(),
-            fitted.priors().iter().map(TopicPrior::to_raw).collect(),
-            vocab.clone(),
-            tokenizer.clone(),
-        )
+        let (t, v) = (fitted.num_topics(), fitted.vocab_size());
+        let artifact = Self {
+            alpha: fitted.alpha(),
+            labels: fitted.labels().to_vec(),
+            priors: fitted.priors().to_vec(),
+            vocab: vocab.clone(),
+            tokenizer: tokenizer.clone(),
+            body: Body::Counts {
+                counts: CountCells::from_dense(v, t, fitted.counts().nw_values()),
+                chain: None,
+            },
+        };
+        artifact.validate()?;
+        Ok(artifact)
     }
 
-    /// `T` is the label count and `V` the vocabulary size; φ, the priors
-    /// and the checkpoint must agree with both.
+    /// `T` is the label count and `V` the vocabulary size; φ or the
+    /// counts, the priors and a generation's chain must agree with both.
     fn validate(&self) -> Result<(), ServeError> {
         let t = self.num_topics();
         let v = self.vocab_size();
@@ -225,8 +296,8 @@ impl ModelArtifact {
                 self.priors.len()
             )));
         }
-        match &self.phi {
-            Some(phi) => {
+        match &self.body {
+            Body::Phi(phi) => {
                 if phi.rows() != t || phi.cols() != v {
                     return Err(ServeError::Corrupt(format!(
                         "phi is {}×{} for {t} labels and a {v}-word vocabulary",
@@ -240,46 +311,20 @@ impl ModelArtifact {
                     ));
                 }
             }
-            None if self.checkpoint.is_none() => {
-                return Err(ServeError::MissingSection { name: "phi" })
+            Body::Counts { counts, chain } => {
+                if counts.num_topics() != t || counts.vocab_size() != v {
+                    return Err(ServeError::Corrupt(format!(
+                        "counts are {}×{} for {t} labels and a {v}-word vocabulary",
+                        counts.num_topics(),
+                        counts.vocab_size()
+                    )));
+                }
+                if let Some(chain) = chain {
+                    chain
+                        .validate(counts.nt())
+                        .map_err(|e| ServeError::Corrupt(format!("checkpoint invalid: {e}")))?;
+                }
             }
-            None => {}
-        }
-        // Priors must survive semantic revalidation against this vocabulary.
-        for (i, raw) in self.priors.iter().enumerate() {
-            TopicPrior::from_raw(raw.clone(), v).map_err(|e| {
-                ServeError::Corrupt(format!("prior {i} ({}) invalid: {e}", raw.kind()))
-            })?;
-        }
-        if let Some(cp) = &self.checkpoint {
-            if cp.num_topics() != t || cp.vocab_size() != v {
-                return Err(ServeError::Corrupt(format!(
-                    "checkpoint is {}×{} for a {t}×{v} model",
-                    cp.num_topics(),
-                    cp.vocab_size()
-                )));
-            }
-            if cp.alpha.to_bits() != self.alpha.to_bits() {
-                return Err(ServeError::Corrupt(format!(
-                    "checkpoint alpha {} disagrees with the model's alpha {}",
-                    cp.alpha, self.alpha
-                )));
-            }
-            // The checkpoint's own document lengths are the reference here
-            // (the artifact carries no corpus); cross-corpus validation
-            // happens again at resume time in `fit_resumable`.
-            let doc_lens: Vec<u32> =
-                cp.z.iter()
-                    .map(|d| {
-                        u32::try_from(d.len()).map_err(|_| {
-                            ServeError::Corrupt(
-                                "checkpoint document longer than u32::MAX tokens".into(),
-                            )
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-            cp.validate(&doc_lens, v, t)
-                .map_err(|e| ServeError::Corrupt(format!("checkpoint invalid: {e}")))?;
         }
         Ok(())
     }
@@ -289,11 +334,18 @@ impl ModelArtifact {
         self.alpha
     }
 
-    /// The topic–word matrix φ (`T × V`). Every artifact that
-    /// [`Self::from_bytes`] returns has one; a generation built in memory
-    /// by [`Self::from_checkpoint`] has none.
-    pub fn phi(&self) -> Option<&DenseMatrix<f64>> {
-        self.phi.as_ref()
+    /// The topic–word matrix φ (`T × V`): the stored one, or for a model
+    /// stored as sampler state the one [`Self::inference`] serves, derived
+    /// and transposed. For tooling and tests; serving never builds it.
+    ///
+    /// # Errors
+    /// Propagates `srclda_core` validation failures (none for an artifact
+    /// that validated).
+    pub fn phi(&self) -> Result<DenseMatrix<f64>, ServeError> {
+        match &self.body {
+            Body::Phi(phi) => Ok(phi.clone()),
+            Body::Counts { counts, .. } => counts.phi(&self.priors).map_err(Into::into),
+        }
     }
 
     /// Topic count `T`.
@@ -311,8 +363,15 @@ impl ModelArtifact {
         &self.labels
     }
 
-    /// Per-topic prior mirrors.
-    pub fn priors(&self) -> &[RawPrior] {
+    /// Per-topic prior mirrors, as the priors section stores them.
+    pub fn priors(&self) -> Vec<RawPrior> {
+        self.priors.iter().map(TopicPrior::to_raw).collect()
+    }
+
+    /// The live priors (for workloads that resume training or need Eq. 3
+    /// weights rather than the point estimate φ), built once at
+    /// construction.
+    pub fn live_priors(&self) -> &[TopicPrior] {
         &self.priors
     }
 
@@ -326,56 +385,59 @@ impl ModelArtifact {
         &self.tokenizer
     }
 
-    /// Reconstruct the live priors (for workloads that resume training or
-    /// need Eq. 3 weights rather than the point estimate φ).
+    /// Build the fold-in scoring engine from this artifact: from its φ, or
+    /// from its counts and priors with φ derived straight into the
+    /// engine's word-major layout.
     ///
     /// # Errors
-    /// Fails if a prior mirror is inconsistent with the vocabulary.
-    pub fn live_priors(&self) -> Result<Vec<TopicPrior>, ServeError> {
-        self.priors
-            .iter()
-            .map(|raw| TopicPrior::from_raw(raw.clone(), self.vocab_size()).map_err(Into::into))
-            .collect()
-    }
-
-    /// Build the fold-in scoring engine from this artifact.
-    ///
-    /// # Errors
-    /// [`ServeError::MissingSection`] for a generation built in memory,
-    /// which has no φ until it is encoded and loaded, and `srclda_core`
-    /// validation failures.
+    /// `srclda_core` validation failures.
     pub fn inference(&self) -> Result<Inference, ServeError> {
-        let phi = self
-            .phi
-            .as_ref()
-            .ok_or(ServeError::MissingSection { name: "phi" })?;
-        Inference::from_parts(phi, self.alpha, self.labels.clone()).map_err(Into::into)
+        let labels = self.labels.clone();
+        match &self.body {
+            Body::Phi(phi) => Inference::from_parts(phi, self.alpha, labels),
+            Body::Counts { counts, .. } => {
+                Inference::from_counts(&self.priors, counts, self.alpha, labels)
+            }
+        }
+        .map_err(Into::into)
     }
 
     /// The `n` most probable words of topic `t`, as vocabulary strings
-    /// (none for a generation built in memory, which has no φ).
+    /// (none for a topic the model does not have). A model stored as
+    /// sampler state derives that one topic's φ row.
     pub fn top_words(&self, t: usize, n: usize) -> Vec<&str> {
-        let Some(phi) = &self.phi else {
+        let Some(prior) = self.priors.get(t) else {
             return Vec::new();
         };
-        srclda_math::simplex::top_n_indices(phi.row(t), n)
+        let row = match &self.body {
+            Body::Phi(phi) => phi.row(t).to_vec(),
+            Body::Counts { counts, .. } => counts.phi_row(t, prior),
+        };
+        srclda_math::simplex::top_n_indices(&row, n)
             .into_iter()
             .map(|w| self.vocab.word(srclda_corpus::WordId::new(w)))
             .collect()
     }
 
-    /// Serialize to the on-disk format: a generation (an artifact that
-    /// carries a checkpoint) as sections 1 and 3–7, a final model as
-    /// sections 1–6. The header goes first with a placeholder section
-    /// table; each payload is appended to the same buffer, sized up
-    /// front, and its table entry filled in once it has landed.
+    /// Serialize to the on-disk format: a generation as sections 1 and
+    /// 3–7, a final model as sections 1, 3–6 and 8, a model built from a
+    /// φ as sections 1–6. The header goes first with a placeholder section
+    /// table; each payload is appended to the same buffer, sized up front,
+    /// and its table entry filled in once it has landed.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let generation = self.checkpoint.is_some();
-        let mut ids = vec![SEC_MODEL];
-        ids.extend((!generation).then_some(SEC_PHI));
-        ids.extend([SEC_LABELS, SEC_PRIORS, SEC_VOCAB, SEC_TOKENIZER]);
-        ids.extend(generation.then_some(SEC_CHECKPOINT));
-        let bound = self.encoded_len_bound();
+        let (model, labels, priors, vocab, tokenizer) =
+            (SEC_MODEL, SEC_LABELS, SEC_PRIORS, SEC_VOCAB, SEC_TOKENIZER);
+        let ids = match &self.body {
+            Body::Phi(_) => [model, SEC_PHI, labels, priors, vocab, tokenizer],
+            Body::Counts { chain: None, .. } => {
+                [model, labels, priors, vocab, tokenizer, SEC_COUNTS]
+            }
+            Body::Counts { chain: Some(_), .. } => {
+                [model, labels, priors, vocab, tokenizer, SEC_CHECKPOINT]
+            }
+        };
+        let raw_priors = self.priors();
+        let bound = self.encoded_len_bound(&raw_priors);
         let mut out = Writer::with_capacity(bound);
         out.bytes(&MAGIC);
         out.u32(FORMAT_VERSION);
@@ -388,7 +450,7 @@ impl ModelArtifact {
         }
         for (i, &id) in ids.iter().enumerate() {
             let start = out.len();
-            self.encode_section(id, &mut out);
+            self.encode_section(id, &raw_priors, &mut out);
             let entry = table + 20 * i + 4;
             out.patch_u64(entry, start as u64);
             out.patch_u64(entry + 8, (out.len() - start) as u64);
@@ -404,20 +466,21 @@ impl ModelArtifact {
         bytes
     }
 
-    /// Append the payload of section `id` to `w`.
-    fn encode_section(&self, id: u32, w: &mut Writer) {
-        match id {
-            SEC_MODEL => {
+    /// Append the payload of section `id` to `w`; the priors section
+    /// holds `raw_priors`.
+    fn encode_section(&self, id: u32, raw_priors: &[RawPrior], w: &mut Writer) {
+        match (id, &self.body) {
+            (SEC_MODEL, _) => {
                 w.f64(self.alpha);
                 w.u64(self.num_topics() as u64);
                 w.u64(self.vocab_size() as u64);
             }
-            SEC_PHI => {
-                for &x in self.phi.iter().flat_map(DenseMatrix::as_slice) {
+            (SEC_PHI, Body::Phi(phi)) => {
+                for &x in phi.as_slice() {
                     w.f64(x);
                 }
             }
-            SEC_LABELS => {
+            (SEC_LABELS, _) => {
                 for label in &self.labels {
                     w.bool(label.is_some());
                     if let Some(s) = label {
@@ -425,18 +488,18 @@ impl ModelArtifact {
                     }
                 }
             }
-            SEC_PRIORS => {
-                for raw in self.encoded_priors() {
+            (SEC_PRIORS, _) => {
+                for raw in raw_priors {
                     encode_prior(w, raw);
                 }
             }
-            SEC_VOCAB => {
+            (SEC_VOCAB, _) => {
                 w.u64(self.vocab.len() as u64);
                 for word in self.vocab.words() {
                     w.str(word);
                 }
             }
-            SEC_TOKENIZER => {
+            (SEC_TOKENIZER, _) => {
                 let (lowercase, min_len, remove_stopwords, keep_numbers) =
                     self.tokenizer.to_parts();
                 w.bool(lowercase);
@@ -444,57 +507,54 @@ impl ModelArtifact {
                 w.bool(remove_stopwords);
                 w.bool(keep_numbers);
             }
-            SEC_CHECKPOINT => {
-                if let Some(cp) = &self.checkpoint {
-                    encode_checkpoint(w, cp);
-                }
+            (
+                SEC_CHECKPOINT,
+                Body::Counts {
+                    counts,
+                    chain: Some(chain),
+                },
+            ) => {
+                encode_chain(w, chain);
+                encode_cells(w, counts);
             }
+            (SEC_COUNTS, Body::Counts { counts, .. }) => encode_cells(w, counts),
             _ => {}
         }
     }
 
-    /// The priors the priors section holds: a generation's are its
-    /// checkpoint's, the sampler state a resume continues from.
-    fn encoded_priors(&self) -> &[RawPrior] {
-        self.checkpoint
-            .as_ref()
-            .map_or(&self.priors, |cp| &cp.priors)
-    }
-
     /// An upper bound on the length of [`Self::to_bytes`], so the encoder
     /// fills one buffer without growing it: the exact framing and strings,
-    /// every prior's values plus its tags and length prefixes, and either
-    /// φ or the checkpoint with one cell per token.
-    fn encoded_len_bound(&self) -> usize {
+    /// every prior's values plus its tags and length prefixes, and φ or
+    /// the cells and a generation's chain.
+    fn encoded_len_bound(&self, raw_priors: &[RawPrior]) -> usize {
         let labels: usize = self
             .labels
             .iter()
             .map(|l| 9 + l.as_ref().map_or(0, String::len))
             .sum();
         let vocab: usize = self.vocab.words().iter().map(|w| 8 + w.len()).sum();
-        let priors: u64 = self
-            .encoded_priors()
-            .iter()
-            .map(|p| p.payload_bytes() + 64)
-            .sum();
-        let body = match &self.checkpoint {
-            Some(cp) => {
-                // Ten u64 words of scalars, RNG state and counts, then per
-                // shard one RNG state, per document a length and its
-                // assignments, and at most one 12-byte cell per token.
-                let tokens: usize = cp.z.iter().map(Vec::len).sum();
-                8 * (10 + 4 * cp.shard_rngs.len() + cp.z.len())
-                    + 4 * tokens
-                    + 12 * tokens.min(cp.nw.len())
+        let priors: u64 = raw_priors.iter().map(|p| p.payload_bytes() + 64).sum();
+        let body = match &self.body {
+            Body::Phi(_) => 8 * self.num_topics() * self.vocab_size(),
+            Body::Counts { counts, chain } => {
+                // Nine u64 words of scalars, RNG state and counts, then per
+                // shard one RNG state and per document a length and its
+                // assignments.
+                let chain = chain.as_ref().map_or(0, |c| {
+                    let tokens: usize = c.z.iter().map(Vec::len).sum();
+                    8 * (9 + 4 * c.shard_rngs.len() + c.z.len()) + 4 * tokens
+                });
+                chain + 8 + 12 * counts.cells().len()
             }
-            None => 8 * self.num_topics() * self.vocab_size(),
         };
         // Header, table, model, vocab count, tokenizer, trailer.
         16 + 20 * 6 + 24 + 8 + 11 + 8 + labels + vocab + priors as usize + body
     }
 
-    /// Deserialize and fully validate an artifact. A generation with no φ
-    /// section (v3) gets its φ derived from the checkpoint, once.
+    /// Deserialize and fully validate an artifact. A v4 final model and a
+    /// v3 or v4 generation decode to sampler state and build no φ; v1–v3
+    /// final models decode their φ, and a v2 generation its checkpoint
+    /// section's sampler state.
     ///
     /// # Errors
     /// Every way a file can be wrong maps to a distinct [`ServeError`]:
@@ -569,45 +629,55 @@ impl ModelArtifact {
 
         // The labels and vocab sections have confirmed T and V; only now
         // is anything V·T-sized built.
-        let phi = section(SEC_PHI)?
-            .map(|bytes| decode_phi(bytes, t, v))
-            .transpose()?;
-        if phi.is_none() && version < 3 {
-            return Err(ServeError::MissingSection { name: "phi" });
-        }
-        // The checkpoint section is optional: absent in v1 artifacts and
-        // in final models.
-        let checkpoint = match section(SEC_CHECKPOINT)? {
-            Some(bytes) => {
+        let body = match (section(SEC_CHECKPOINT)?, version) {
+            (Some(bytes), 1 | 2) => {
                 let mut r = Reader::new(bytes, "checkpoint section");
-                let cp = if version < 3 {
-                    decode_checkpoint_v2(&mut r)?
-                } else {
-                    decode_checkpoint(&mut r, alpha, &priors, t, v)?
-                };
+                let cp = decode_checkpoint_v2(&mut r)?;
                 r.expect_empty()?;
-                Some(cp)
+                // A v2 generation stored α and the priors twice.
+                if cp.alpha.to_bits() != alpha.to_bits() || cp.priors != priors {
+                    return Err(ServeError::Corrupt(
+                        "checkpoint alpha or priors disagree with the model's".into(),
+                    ));
+                }
+                Body::Counts {
+                    counts: counts_of(&cp, t, v)?,
+                    chain: Some(ChainState::of(&cp)),
+                }
             }
-            None => None,
+            (Some(bytes), _) => {
+                let mut r = Reader::new(bytes, "checkpoint section");
+                let chain = decode_chain(&mut r)?;
+                let counts = decode_cells(&mut r, t, v)?;
+                r.expect_empty()?;
+                Body::Counts {
+                    counts,
+                    chain: Some(chain),
+                }
+            }
+            (None, 4..) if section(SEC_COUNTS)?.is_some() => {
+                let mut r = Reader::new(payload(SEC_COUNTS, "counts")?, "counts section");
+                let counts = decode_cells(&mut r, t, v)?;
+                r.expect_empty()?;
+                Body::Counts {
+                    counts,
+                    chain: None,
+                }
+            }
+            (None, _) => {
+                let name = if version < 4 { "phi" } else { "counts" };
+                Body::Phi(decode_phi(payload(SEC_PHI, name)?, t, v)?)
+            }
         };
-        let mut artifact = Self {
+        let artifact = Self {
             alpha,
-            phi,
             labels,
-            priors,
+            priors: live(priors, v)?,
             vocab,
             tokenizer,
-            checkpoint,
+            body,
         };
         artifact.validate()?;
-        if artifact.phi.is_none() {
-            artifact.phi = artifact
-                .checkpoint
-                .as_ref()
-                .map(TrainCheckpoint::phi)
-                .transpose()
-                .map_err(|e| ServeError::Corrupt(format!("deriving phi: {e}")))?;
-        }
         Ok(artifact)
     }
 
@@ -671,8 +741,8 @@ impl ModelArtifact {
             self.num_topics()
         ));
         let mut kinds: Vec<(&str, usize)> = Vec::new();
-        for raw in &self.priors {
-            let kind = raw.kind();
+        for prior in &self.priors {
+            let kind = prior.kind();
             match kinds.iter_mut().find(|(k, _)| *k == kind) {
                 Some((_, n)) => *n += 1,
                 None => kinds.push((kind, 1)),
@@ -680,12 +750,15 @@ impl ModelArtifact {
         }
         let kinds_str: Vec<String> = kinds.iter().map(|(k, n)| format!("{n}×{k}")).collect();
         out.push_str(&format!("priors: {}\n", kinds_str.join(", ")));
-        if let Some(cp) = &self.checkpoint {
+        if let Body::Counts {
+            chain: Some(chain), ..
+        } = &self.body
+        {
             out.push_str(&format!(
                 "checkpoint: sweep {} · seed {} · {} · resumable\n",
-                cp.sweep,
-                cp.seed,
-                match (cp.shard_count(), cp.kernel_kind()) {
+                chain.sweep,
+                chain.seed,
+                match (chain.shard_count(), chain.kernel_kind()) {
                     (0, Ok(k)) => format!("serial ({k:?} kernel)"),
                     (s, Ok(k)) => format!("{s} shards ({k:?} kernel)"),
                     (0, Err(_)) => "serial (unknown kernel)".to_string(),
@@ -697,120 +770,73 @@ impl ModelArtifact {
     }
 }
 
-/// Encode a [`TrainCheckpoint`] as a v3 generation's checkpoint section:
-/// the scalars, RNG states and assignments, then `nw` as its non-zero
-/// cells. α and the priors live in the model and priors sections, and
-/// decode rebuilds `nt`.
-fn encode_checkpoint(w: &mut Writer, cp: &TrainCheckpoint) {
-    w.u64(cp.sweep);
-    w.u64(cp.seed);
-    w.u64(cp.shards);
-    for &word in &cp.main_rng {
+/// Encode a generation's chain state: the sweep, the seed, the packed
+/// shards/kernel word, the RNG states and the assignments. α and the
+/// priors live in the model and priors sections, and the cells follow.
+fn encode_chain(w: &mut Writer, chain: &ChainState) {
+    w.u64(chain.sweep);
+    w.u64(chain.seed);
+    w.u64(chain.shards);
+    for &word in &chain.main_rng {
         w.u64(word);
     }
-    w.u64(cp.shard_rngs.len() as u64);
-    for state in &cp.shard_rngs {
+    w.u64(chain.shard_rngs.len() as u64);
+    for state in &chain.shard_rngs {
         for &word in state {
             w.u64(word);
         }
     }
-    w.u64(cp.z.len() as u64);
-    for doc in &cp.z {
+    w.u64(chain.z.len() as u64);
+    for doc in &chain.z {
         w.u32_slice(doc);
     }
-    let count_at = w.len();
-    w.u64(0); // the cell count, patched once the cells are written
-    let mut cells = 0u64;
-    for (index, n) in cp.nw_cells() {
-        w.u64(index);
-        w.u32(n);
-        cells += 1;
-    }
-    w.patch_u64(count_at, cells);
 }
 
-/// Decode a v3 checkpoint section for a `t × v` model whose α and priors
-/// the model and priors sections carried.
-fn decode_checkpoint(
-    r: &mut Reader<'_>,
-    alpha: f64,
-    priors: &[RawPrior],
-    t: usize,
-    v: usize,
-) -> Result<TrainCheckpoint, ServeError> {
+/// Encode `nw` as its non-zero cells: a u64 count, then `(w·T + t: u64,
+/// n_wt: u32)` pairs in index order.
+fn encode_cells(w: &mut Writer, counts: &CountCells) {
+    w.u64(counts.cells().len() as u64);
+    for &(index, n) in counts.cells() {
+        w.u64(index);
+        w.u32(n);
+    }
+}
+
+/// Decode a v3 or v4 generation's chain state.
+fn decode_chain(r: &mut Reader<'_>) -> Result<ChainState, ServeError> {
     let sweep = r.u64()?;
     let seed = r.u64()?;
     let shards = r.u64()?;
     let (main_rng, shard_rngs, z) = decode_rngs_and_z(r)?;
-    let (nw, nt) = decode_cells(r, t, v)?;
-    Ok(TrainCheckpoint {
+    Ok(ChainState {
         sweep,
         seed,
-        alpha,
         shards,
         z,
-        nw,
-        nt,
         main_rng,
         shard_rngs,
-        priors: priors.to_vec(),
     })
 }
 
-/// Rebuild the dense `nw` (`V·T`, row-major by word) and the topic totals
-/// `nt` from a generation's non-zero cells. A cell that is past `V·T`,
-/// not after its predecessor (out of order or repeated) or zero is
-/// corrupt; totals that disagree with z fail [`TrainCheckpoint::validate`].
-/// `nw` is the one buffer no file bytes back, so the caller confirms `t`
-/// and `v` against the labels and vocab sections first, and a size the
-/// allocator refuses is an error rather than an abort.
-fn decode_cells(
-    r: &mut Reader<'_>,
-    t: usize,
-    v: usize,
-) -> Result<(Vec<u32>, Vec<u32>), ServeError> {
+/// Decode the non-zero cells of a `t × v` model's `nw`. The count is
+/// bounded by the bytes left, so the cell buffer is backed by the file,
+/// and no dense `nw` is built. A cell past `V·T`, not after its
+/// predecessor (out of order or repeated) or zero, or a topic total that
+/// overflows u32, is corrupt.
+fn decode_cells(r: &mut Reader<'_>, t: usize, v: usize) -> Result<CountCells, ServeError> {
     let count = r.len(12)?;
-    let size = v
-        .checked_mul(t)
-        .ok_or_else(|| ServeError::Corrupt(format!("nw dimensions overflow: {v}×{t}")))?;
-    let mut nw = Vec::new();
-    nw.try_reserve_exact(size)
-        .map_err(|e| ServeError::Corrupt(format!("nw of {v}×{t} cells: {e}")))?;
-    nw.resize(size, 0u32);
-    let mut nt = vec![0u32; t];
-    let mut next = 0u64;
+    let mut cells = Vec::with_capacity(count);
     for _ in 0..count {
-        let index = r.u64()?;
-        let n = r.u32()?;
-        if n == 0 {
-            return Err(ServeError::Corrupt(format!("nw cell {index} is zero")));
-        }
-        if index < next {
-            return Err(ServeError::Corrupt(format!(
-                "nw cell {index} is out of order or repeated"
-            )));
-        }
-        let i = usize::try_from(index)
-            .ok()
-            .filter(|&i| i < size)
-            .ok_or_else(|| ServeError::Corrupt(format!("nw cell {index} is past V·T = {size}")))?;
-        // i < V·T, so T > 0 and both lookups hit.
-        if let (Some(cell), Some(total)) = (nw.get_mut(i), nt.get_mut(i % t)) {
-            *cell = n;
-            *total = total
-                .checked_add(n)
-                .ok_or_else(|| ServeError::Corrupt("a topic total overflows u32".into()))?;
-        }
-        next = index + 1;
+        cells.push((r.u64()?, r.u32()?));
     }
-    Ok((nw, nt))
+    CountCells::new(v, t, cells).map_err(|e| ServeError::Corrupt(e.to_string()))
 }
 
 /// The main RNG state, the per-shard RNG states and the assignments.
 type RngsAndZ = ([u64; 4], Vec<[u64; 4]>, Vec<Vec<u32>>);
 
-/// The RNG states and assignments, which the v2 and v3 checkpoint
-/// sections share.
+/// The RNG states and assignments, which every version's checkpoint
+/// section stores alike.
 fn decode_rngs_and_z(r: &mut Reader<'_>) -> Result<RngsAndZ, ServeError> {
     let main_rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
     let shard_count = r.len(32)?;
@@ -826,7 +852,7 @@ fn decode_rngs_and_z(r: &mut Reader<'_>) -> Result<RngsAndZ, ServeError> {
     Ok((main_rng, shard_rngs, z))
 }
 
-/// Decode a v2 checkpoint section (read-only: this build writes v3):
+/// Decode a v2 checkpoint section (read-only: this build writes v4):
 /// scalars, RNG states, assignments, the dense counts, then the priors.
 fn decode_checkpoint_v2(r: &mut Reader<'_>) -> Result<TrainCheckpoint, ServeError> {
     let sweep = r.u64()?;
@@ -1109,7 +1135,8 @@ mod tests {
         let names: Vec<&str> = sections.iter().map(SectionInfo::name).collect();
         assert_eq!(
             names,
-            vec!["model", "phi", "labels", "priors", "vocab", "tokenizer"]
+            vec!["model", "labels", "priors", "vocab", "tokenizer", "counts"],
+            "a final model stores its counts, not phi"
         );
         // Sections tile the payload contiguously.
         for pair in sections.windows(2) {
@@ -1194,7 +1221,7 @@ mod tests {
     #[test]
     fn live_priors_reconstruct() {
         let (artifact, fitted) = trained();
-        let priors = artifact.live_priors().unwrap();
+        let priors = artifact.live_priors();
         assert_eq!(priors.len(), fitted.num_topics());
         for (a, b) in priors.iter().zip(fitted.priors()) {
             assert_eq!(a.kind(), b.kind());
@@ -1332,17 +1359,13 @@ mod tests {
             cp.alpha,
             "alpha comes from the checkpoint"
         );
-        assert_eq!(snapshot.checkpoint(), Some(&cp));
-        // Building a generation derives nothing: no φ until it is loaded.
-        assert!(snapshot.phi().is_none());
-        assert!(matches!(
-            snapshot.inference(),
-            Err(ServeError::MissingSection { name: "phi" })
-        ));
-        // Loaded, it carries the checkpoint's own φ: normalized rows that
-        // serve.
+        assert_eq!(snapshot.checkpoint(), Some(cp.clone()));
+        // In memory and loaded, it serves the checkpoint's own φ:
+        // normalized rows.
+        assert!(snapshot.inference().is_ok());
+        assert_eq!(snapshot.phi().unwrap(), cp.phi().unwrap());
         let back = ModelArtifact::from_bytes(&snapshot.to_bytes()).unwrap();
-        assert_eq!(back.checkpoint(), Some(&cp));
+        assert_eq!(back.checkpoint(), Some(cp.clone()));
         let phi = back.phi().unwrap();
         assert_eq!(phi.as_slice(), cp.phi().unwrap().as_slice());
         for t in 0..back.num_topics() {
@@ -1387,7 +1410,7 @@ mod tests {
             let v = artifact.vocab_size();
             let mut values = vec![1.0; v * 2];
             values[1] = delta;
-            let mut priors = artifact.priors().to_vec();
+            let mut priors = artifact.priors();
             priors[0] = RawPrior::Integrated(RawIntegrationTable {
                 weights: vec![0.5, 0.5],
                 prior_log_weights: vec![0.5f64.ln(); 2],
@@ -1396,7 +1419,7 @@ mod tests {
             });
             ModelArtifact::new(
                 artifact.alpha(),
-                artifact.phi().unwrap().clone(),
+                artifact.phi().unwrap(),
                 artifact.labels().to_vec(),
                 priors,
                 artifact.vocabulary().clone(),

@@ -7,7 +7,8 @@
 //! that missing serving layer:
 //!
 //! * [`artifact`] — a versioned, checksummed binary format
-//!   ([`ModelArtifact`]) that round-trips a fitted model's φ/α/labels/priors
+//!   ([`ModelArtifact`]) that round-trips a fitted model's word–topic
+//!   counts, priors, α and labels — φ derives from them at load —
 //!   together with the vocabulary and tokenizer configuration needed to
 //!   process raw text (hand-rolled little-endian codec in [`codec`]; no
 //!   external serialization dependency);

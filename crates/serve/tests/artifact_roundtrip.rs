@@ -1,8 +1,9 @@
 //! Property-based tests for the artifact codec: arbitrary models and
 //! checkpoint generations must round-trip bit-exactly, and malformed
-//! bytes — including crafted generations whose re-stamped checksum is
-//! valid — must fail cleanly (never panic, never silently succeed).
-//! Version-1 byte streams (no checkpoint section) must keep loading.
+//! bytes — including crafted generations and final models whose
+//! re-stamped checksum is valid — must fail cleanly (never panic, never
+//! silently succeed). Version-1 byte streams (no checkpoint section) must
+//! keep loading.
 
 use proptest::prelude::*;
 use srclda_core::persist::{RawPrior, TrainCheckpoint};
@@ -183,9 +184,9 @@ proptest! {
         let artifact = generation(&artifact, &cp);
         let bytes = artifact.to_bytes();
         let back = ModelArtifact::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back.checkpoint(), Some(&cp));
+        prop_assert_eq!(back.checkpoint(), Some(cp.clone()));
         prop_assert_eq!(back.priors(), artifact.priors());
-        prop_assert_eq!(back.phi().unwrap(), &cp.phi().unwrap());
+        prop_assert_eq!(back.phi().unwrap(), cp.phi().unwrap());
         prop_assert_eq!(bytes, back.to_bytes());
     }
 
@@ -300,14 +301,14 @@ fn tiny_artifact() -> ModelArtifact {
     .unwrap()
 }
 
-/// A generation with its checkpoint section's `nw` cells replaced by
-/// `cells`: the checkpoint is the last section and the cells end it, so
-/// the edit cuts the old cells off the end, appends the new ones, and
+/// A generation or final model with its `nw` cells replaced by `cells`:
+/// the checkpoint or counts section is the last one and the cells end it,
+/// so the edit cuts the old cells off the end, appends the new ones, and
 /// restamps the section length and the checksum.
 fn with_cells(bytes: &[u8], old_cells: usize, cells: &[(u64, u32)]) -> Vec<u8> {
     let sections = srclda_serve::list_sections(bytes).unwrap();
     let last = sections.len() - 1;
-    assert_eq!(sections[last].name(), "checkpoint");
+    assert!(["checkpoint", "counts"].contains(&sections[last].name()));
     let mut out = bytes[..bytes.len() - 8 - 8 - 12 * old_cells].to_vec();
     out.extend((cells.len() as u64).to_le_bytes());
     for &(index, n) in cells {
@@ -322,9 +323,10 @@ fn with_cells(bytes: &[u8], old_cells: usize, cells: &[(u64, u32)]) -> Vec<u8> {
     out
 }
 
-/// A crafted v3 generation — every edit re-checksummed so that only the
-/// content is wrong — decodes to a `ServeError`, and never aborts on an
-/// allocation that no file bytes back.
+/// A crafted generation in the v3 layout, which v4 keeps — every edit
+/// re-checksummed so that only the content is wrong — decodes to a
+/// `ServeError`, and never aborts on an allocation that no file bytes
+/// back. So does a crafted final model's counts section.
 #[test]
 fn crafted_v3_generations_are_rejected() {
     let (t, v) = (3, 5);
@@ -381,8 +383,10 @@ fn crafted_v3_generations_are_rejected() {
         }),
     );
 
-    // A v3 file with neither a phi nor a checkpoint section: a final
-    // model whose phi section id is renamed to one readers ignore.
+    // A file with no phi, counts or checkpoint section: a model built
+    // from a φ whose phi section id is renamed to one readers ignore. A v4
+    // reader asks for the counts a final model stores; before v4 a final
+    // model stored φ.
     let mut crafted = artifact.to_bytes();
     let sections = srclda_serve::list_sections(&crafted).unwrap();
     let phi = sections.iter().position(|s| s.name() == "phi").unwrap();
@@ -391,6 +395,66 @@ fn crafted_v3_generations_are_rejected() {
     restamp(&mut crafted);
     assert!(matches!(
         ModelArtifact::from_bytes(&crafted),
+        Err(ServeError::MissingSection { name: "counts" })
+    ));
+    crafted[8..12].copy_from_slice(&3u32.to_le_bytes());
+    restamp(&mut crafted);
+    assert!(matches!(
+        ModelArtifact::from_bytes(&crafted),
         Err(ServeError::MissingSection { name: "phi" })
     ));
+
+    // A final model's counts section: every crafted cell list is corrupt
+    // content, never a panic.
+    let (fitted, vocab) = fitted_lda();
+    let final_bytes = ModelArtifact::from_fitted(&fitted, &vocab, &Tokenizer::default())
+        .unwrap()
+        .to_bytes();
+    let t = fitted.num_topics() as u64;
+    let v = fitted.vocab_size() as u64;
+    let cells: Vec<(u64, u32)> = (0..v * t)
+        .zip(fitted.counts().snapshot_nw())
+        .filter(|&(_, n)| n != 0)
+        .collect();
+    assert!(cells.len() >= 2, "the edits below need two cells");
+    assert_eq!(with_cells(&final_bytes, cells.len(), &cells), final_bytes);
+    ModelArtifact::from_bytes(&final_bytes).unwrap();
+    let edit = |f: &dyn Fn(&mut Cells)| {
+        let mut edited = cells.clone();
+        f(&mut edited);
+        with_cells(&final_bytes, cells.len(), &edited)
+    };
+    for (what, crafted) in [
+        ("zero count", edit(&|c| c[0].1 = 0)),
+        ("swapped cells", edit(&|c| c.swap(0, 1))),
+        ("duplicated cell", edit(&|c| c.insert(1, c[0]))),
+        ("index past V·T", edit(&|c| c.push((v * t, 1)))),
+        ("index u64::MAX", edit(&|c| c.push((u64::MAX, 1)))),
+        (
+            "topic total over u32::MAX",
+            edit(&|c| *c = vec![(0, u32::MAX), (t, 1)]),
+        ),
+    ] {
+        let err = ModelArtifact::from_bytes(&crafted).expect_err(what);
+        assert!(matches!(err, ServeError::Corrupt(_)), "{what}: {err}");
+    }
+}
+
+/// A two-topic LDA fit on a small corpus, and its vocabulary.
+fn fitted_lda() -> (srclda_core::FittedModel, Vocabulary) {
+    let mut b = srclda_corpus::CorpusBuilder::new().tokenizer(Tokenizer::permissive());
+    for _ in 0..4 {
+        b.add_tokens("a", &["cat", "dog", "pet", "cat"]);
+        b.add_tokens("b", &["stock", "bond", "fund", "stock"]);
+    }
+    let corpus = b.build();
+    let fitted = srclda_core::Lda::builder()
+        .topics(2)
+        .iterations(20)
+        .seed(5)
+        .build()
+        .unwrap()
+        .fit(&corpus)
+        .unwrap();
+    (fitted, corpus.vocabulary().clone())
 }

@@ -200,8 +200,7 @@ fn corruption_falls_back_to_newest_valid_generation_and_chain_stays_bit_identica
     let cp = recovered
         .artifact
         .checkpoint()
-        .expect("generation carries its checkpoint")
-        .clone();
+        .expect("generation carries its checkpoint");
     // The digest round-trips through encode → corrupt-sibling scan →
     // decode unchanged.
     let original = ModelArtifact::from_bytes(&reference().0[0].1)
@@ -234,7 +233,7 @@ fn crash_after_rename_recovers_the_committed_generation() {
     let recovered = recovery.recovered.expect("the rename committed");
     assert_eq!(recovered.generation, 8);
     assert_eq!(recovered.artifact.to_bytes(), generations[1].1);
-    let cp = recovered.artifact.checkpoint().unwrap().clone();
+    let cp = recovered.artifact.checkpoint().unwrap();
     assert_resumed_chain_matches_reference(&cp);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,12 +12,17 @@
 //!   --stop-after 12` before the bump. It must keep loading, serving and
 //!   resuming to the uninterrupted run's digest
 //!   (`crates/bench/tests/train_driver_cli.rs`), and its stored φ is what
-//!   a v3 decode derives from the same state.
-//! * `model_v3.slda` is the pinned model written by the current
-//!   **format-v3** encoder, and `generation_v3.slda` a small v3
-//!   generation of the same corpus (no φ section; sampler state with
-//!   `nw` as non-zero cells). They guard encoder drift and are
-//!   regenerable with
+//!   decode derives from the same state.
+//! * `model_v3.slda` and `generation_v3.slda` were written by the
+//!   **format-v3** encoder: the pinned model as sections 1–6 (φ stored),
+//!   and a small generation of the same corpus (no φ section; sampler
+//!   state with `nw` as non-zero cells). They are immutable read-compat
+//!   archives too.
+//! * `model_v4.slda` is the pinned model written by the current
+//!   **format-v4** encoder (the counts section in φ's place), and
+//!   `generation_v4.slda` the v3 generation re-encoded, which differs only
+//!   in the version field. They guard encoder drift and are regenerable
+//!   with
 //!
 //! ```sh
 //! cargo test --test artifact_compat -- --ignored regenerate_golden_fixture
@@ -33,10 +38,10 @@
 //! not a fixture to regenerate. If only a `…_is_reproducible_…` test
 //! fails while every fixture still loads, the encoded **values** drifted
 //! — e.g. an intentional change to the sampler's canonical floating-point
-//! arithmetic shifted φ by ulps. That needs no version bump: regenerate
-//! the v3 fixtures and call the change out in the PR. A change to the
-//! **byte layout** of existing sections needs a version bump to v4 plus
-//! decode paths for v1–v3.
+//! arithmetic shifted the counts. That needs no version bump: regenerate
+//! the v4 fixtures and call the change out in the PR. A change to the
+//! **byte layout** of existing sections needs a version bump to v5 plus
+//! decode paths for v1–v4.
 
 use source_lda::prelude::*;
 use std::path::PathBuf;
@@ -60,8 +65,38 @@ fn fixture_v3_path() -> PathBuf {
     fixture_path_for("model_v3.slda")
 }
 
-fn generation_v3_path() -> PathBuf {
-    fixture_path_for("generation_v3.slda")
+fn fixture_v4_path() -> PathBuf {
+    fixture_path_for("model_v4.slda")
+}
+
+fn generation_v4_path() -> PathBuf {
+    fixture_path_for("generation_v4.slda")
+}
+
+/// Section names in table order.
+fn section_names(bytes: &[u8]) -> Vec<&'static str> {
+    source_lda::serve::list_sections(bytes)
+        .unwrap()
+        .iter()
+        .map(|s| s.name())
+        .collect()
+}
+
+/// The θ and log-likelihood bits `artifact` serves for a fixed set of
+/// requests.
+fn served_bits(artifact: &ModelArtifact) -> Vec<u64> {
+    let engine = InferenceEngine::from_artifact(artifact, EngineOptions::default()).unwrap();
+    let mut bits = Vec::new();
+    for text in [
+        "pencil ruler pencil",
+        "umpire baseball umpire",
+        "pencil umpire eraser ruler baseball baseball",
+    ] {
+        let score = engine.infer(text).unwrap();
+        bits.extend(score.theta().iter().map(|x| x.to_bits()));
+        bits.push(score.log_likelihood().to_bits());
+    }
+    bits
 }
 
 /// The corpus and knowledge source of the pinned fixtures (quickstart's
@@ -180,8 +215,8 @@ fn v2_generation_archive_still_loads_and_serves() {
 
 /// The pinned generation: the sweep-8 checkpoint of a 12-sweep,
 /// λ-integrated, adaptive, 2-shard sparse-kernel run on the golden
-/// corpus, so the v3 fixture pins integrated priors, shard RNG states
-/// and the kernel tag.
+/// corpus, so the generation fixtures pin integrated priors, shard RNG
+/// states and the kernel tag.
 fn golden_generation() -> ModelArtifact {
     let (corpus, knowledge, tokenizer) = golden_world();
     let model = SourceLda::builder()
@@ -214,37 +249,74 @@ fn golden_generation() -> ModelArtifact {
 
 #[test]
 fn golden_fixture_is_reproducible_from_the_pinned_model() {
-    // The committed v3 bytes must equal a fresh encode of the pinned
+    // The committed v4 bytes must equal a fresh encode of the pinned
     // model — i.e. the encoder has not silently drifted within format
-    // version 3.
+    // version 4.
     let (corpus, fitted, tokenizer) = golden_model();
     let artifact = ModelArtifact::from_fitted(&fitted, corpus.vocabulary(), &tokenizer).unwrap();
-    let committed = std::fs::read(fixture_v3_path()).expect("v3 fixture file present");
+    let committed = std::fs::read(fixture_v4_path()).expect("v4 fixture file present");
     assert_eq!(
         artifact.to_bytes(),
         committed,
-        "encoder output drifted from the committed v3 fixture — if this is \
+        "encoder output drifted from the committed v4 fixture — if this is \
          intentional, regenerate it and call the drift out (see module docs)"
     );
+}
+
+/// A v4 final model is sampler state: the counts section in φ's place.
+/// Loaded, it serves the pinned model bit for bit as the v1 archive does.
+#[test]
+fn v4_fixture_stores_counts_and_serves_the_v1_bits() {
+    let committed = std::fs::read(fixture_v4_path()).unwrap();
+    assert_eq!(committed[8..12], 4u32.to_le_bytes());
+    assert_eq!(
+        section_names(&committed),
+        ["model", "labels", "priors", "vocab", "tokenizer", "counts"],
+        "a v4 final model stores no phi"
+    );
+    let v1 = ModelArtifact::load(fixture_path()).unwrap();
+    let v4 = ModelArtifact::from_bytes(&committed).unwrap();
+    assert!(v4.checkpoint().is_none());
+    assert_eq!(served_bits(&v4), served_bits(&v1));
+    assert_eq!(v4.phi().unwrap(), v1.phi().unwrap());
+    assert_eq!(v4.priors(), v1.priors());
+    assert_eq!(v4.labels(), v1.labels());
+    assert_eq!(v4.vocabulary().words(), v1.vocabulary().words());
+}
+
+/// A model that holds a φ and no counts — the v1 archive — re-encodes with
+/// its φ section: only the version field and checksum change, and it
+/// serves the same bits.
+#[test]
+fn v1_model_reencodes_with_its_phi_section() {
+    let v1_bytes = std::fs::read(fixture_path()).unwrap();
+    let v1 = ModelArtifact::from_bytes(&v1_bytes).unwrap();
+    let v4_bytes = v1.to_bytes();
+    assert_eq!(v4_bytes[8..12], 4u32.to_le_bytes());
+    assert_eq!(
+        section_names(&v4_bytes),
+        ["model", "phi", "labels", "priors", "vocab", "tokenizer"]
+    );
+    assert_eq!(
+        v1_bytes[12..v1_bytes.len() - 8],
+        v4_bytes[12..v4_bytes.len() - 8]
+    );
+    let v4 = ModelArtifact::from_bytes(&v4_bytes).unwrap();
+    assert_eq!(served_bits(&v4), served_bits(&v1));
 }
 
 #[test]
 fn generation_fixture_is_reproducible_and_serves_its_checkpoint_phi() {
     let generation = golden_generation();
-    let committed = std::fs::read(generation_v3_path()).expect("v3 generation present");
+    let committed = std::fs::read(generation_v4_path()).expect("v4 generation present");
     assert_eq!(
         generation.to_bytes(),
         committed,
-        "generation encoder output drifted from the committed v3 fixture — \
+        "generation encoder output drifted from the committed v4 fixture — \
          if this is intentional, regenerate it and call the drift out"
     );
-    let names: Vec<&str> = source_lda::serve::list_sections(&committed)
-        .unwrap()
-        .iter()
-        .map(|s| s.name())
-        .collect();
     assert_eq!(
-        names,
+        section_names(&committed),
         [
             "model",
             "labels",
@@ -256,7 +328,7 @@ fn generation_fixture_is_reproducible_and_serves_its_checkpoint_phi() {
     );
     let loaded = ModelArtifact::from_bytes(&committed).unwrap();
     let cp = loaded.checkpoint().unwrap();
-    assert_eq!(Some(cp), generation.checkpoint());
+    assert_eq!(Some(&cp), generation.checkpoint().as_ref());
     assert_eq!(loaded.priors(), cp.priors.as_slice());
     assert!(loaded.priors().iter().all(|p| p.kind() == "integrated"));
     assert_eq!(
@@ -272,29 +344,56 @@ fn generation_fixture_is_reproducible_and_serves_its_checkpoint_phi() {
     );
 }
 
-/// Re-encoding the v2 generation archive writes a v3 generation that
+/// The v3 generation archive: the same sampler state as the v4 fixture,
+/// whose bytes differ from it only in the version field and checksum. It
+/// keeps loading, serving and resuming.
+#[test]
+fn v3_generation_archive_still_loads_and_serves() {
+    let v3_bytes = std::fs::read(fixture_path_for("generation_v3.slda")).unwrap();
+    let v4_bytes = std::fs::read(generation_v4_path()).unwrap();
+    assert_eq!(v3_bytes[8..12], 3u32.to_le_bytes());
+    assert_eq!(
+        v3_bytes[12..v3_bytes.len() - 8],
+        v4_bytes[12..v4_bytes.len() - 8]
+    );
+    let v3 = ModelArtifact::from_bytes(&v3_bytes).unwrap();
+    let v4 = ModelArtifact::from_bytes(&v4_bytes).unwrap();
+    assert_eq!(v3.checkpoint(), v4.checkpoint());
+    assert_eq!(v3.to_bytes(), v4_bytes);
+    assert_eq!(served_bits(&v3), served_bits(&v4));
+}
+
+/// Re-encoding the v2 generation archive writes a v4 generation that
 /// decodes to the same sampler state and derives, bit for bit, the φ the
 /// v2 file stored.
 #[test]
-fn v2_generation_transcodes_to_v3_without_drift() {
+fn v2_generation_transcodes_to_v4_without_drift() {
     let v2_bytes = std::fs::read(fixture_path_for("generation_v2.slda")).unwrap();
     let v2 = ModelArtifact::from_bytes(&v2_bytes).unwrap();
-    let v3_bytes = v2.to_bytes();
-    assert_eq!(v3_bytes[8..12], 3u32.to_le_bytes());
-    assert!(v3_bytes.len() < v2_bytes.len(), "v3 stores no phi");
-    let v3 = ModelArtifact::from_bytes(&v3_bytes).unwrap();
-    assert_eq!(v3.checkpoint(), v2.checkpoint());
-    assert_eq!(v3.priors(), v2.priors());
-    assert_eq!(v3.labels(), v2.labels());
-    let bits = |a: &ModelArtifact| -> Vec<u64> {
-        a.phi()
-            .unwrap()
-            .as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect()
-    };
-    assert_eq!(bits(&v3), bits(&v2));
+    let v4_bytes = v2.to_bytes();
+    assert_eq!(v4_bytes[8..12], 4u32.to_le_bytes());
+    assert!(v4_bytes.len() < v2_bytes.len(), "v4 stores no phi");
+    let v4 = ModelArtifact::from_bytes(&v4_bytes).unwrap();
+    assert_eq!(v4.checkpoint(), v2.checkpoint());
+    assert_eq!(v4.priors(), v2.priors());
+    assert_eq!(v4.labels(), v2.labels());
+    let phi = source_lda::serve::list_sections(&v2_bytes)
+        .unwrap()
+        .into_iter()
+        .find(|s| s.name() == "phi")
+        .unwrap();
+    let stored: Vec<u64> = v2_bytes[phi.offset as usize..(phi.offset + phi.length) as usize]
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    let derived: Vec<u64> = v4
+        .phi()
+        .unwrap()
+        .as_slice()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect();
+    assert_eq!(derived, stored);
 }
 
 #[test]
@@ -356,7 +455,7 @@ fn write_fixture(artifact: &ModelArtifact, path: PathBuf) {
     );
 }
 
-/// Regenerates the **v3** model fixture (the v1 and v2 fixtures are
+/// Regenerates the **v4** model fixture (the v1–v3 fixtures are
 /// immutable archives of older layouts). Run explicitly (`--ignored`);
 /// see module docs.
 #[test]
@@ -364,13 +463,13 @@ fn write_fixture(artifact: &ModelArtifact, path: PathBuf) {
 fn regenerate_golden_fixture() {
     let (corpus, fitted, tokenizer) = golden_model();
     let artifact = ModelArtifact::from_fitted(&fitted, corpus.vocabulary(), &tokenizer).unwrap();
-    write_fixture(&artifact, fixture_v3_path());
+    write_fixture(&artifact, fixture_v4_path());
 }
 
-/// Regenerates the **v3** generation fixture (the v2 generation is an
-/// immutable archive). Run explicitly (`--ignored`); see module docs.
+/// Regenerates the **v4** generation fixture (the v2 and v3 generations
+/// are immutable archives). Run explicitly (`--ignored`); see module docs.
 #[test]
 #[ignore]
 fn regenerate_generation_fixture() {
-    write_fixture(&golden_generation(), generation_v3_path());
+    write_fixture(&golden_generation(), generation_v4_path());
 }

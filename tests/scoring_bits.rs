@@ -110,9 +110,80 @@ fn perplexity_bits_are_pinned() {
     assert_eq!(importance.to_bits(), 4623905664812667504, "{importance}");
 }
 
+/// The scoring corpus with filler words appended until the vocabulary
+/// passes 4096 words, and its knowledge source: a λ-integrated prior over
+/// it writes the sparse raw layout, where the scoring corpus's writes the
+/// dense one.
+fn wide_corpus() -> (Corpus, KnowledgeSource) {
+    let (train, _, _) = corpora();
+    let mut b = CorpusBuilder::new().tokenizer(Tokenizer::permissive());
+    for (d, doc) in train.docs().iter().enumerate() {
+        let mut words: Vec<String> = doc
+            .tokens()
+            .iter()
+            .map(|&w| train.vocabulary().word(w).to_string())
+            .collect();
+        words.extend((0..140).map(|j| format!("filler{}", d * 140 + j)));
+        b.add_tokens(format!("d{d}"), &words);
+    }
+    let wide = b.build();
+    let mut ks = KnowledgeSourceBuilder::new();
+    for (label, theme) in ["School Supplies", "Baseball", "Finance"]
+        .iter()
+        .zip(&THEMES)
+    {
+        ks.add_article(*label, format!("{} ", theme.join(" ")).repeat(20));
+    }
+    let knowledge = ks.build(wide.vocabulary());
+    (wide, knowledge)
+}
+
+/// Whether every λ-integrated prior of `artifact` wrote the sparse raw
+/// layout (`Some(true)`), every one the dense (`Some(false)`), or it has
+/// none.
+fn integrated_layout_is_sparse(artifact: &ModelArtifact) -> Option<bool> {
+    use source_lda::core::persist::{RawIntegrationLayout, RawPrior};
+    let sparse: Vec<bool> = artifact
+        .priors()
+        .iter()
+        .filter_map(|p| match p {
+            RawPrior::Integrated(t) => {
+                Some(matches!(t.layout, RawIntegrationLayout::Sparse { .. }))
+            }
+            _ => None,
+        })
+        .collect();
+    let first = *sparse.first()?;
+    assert!(sparse.iter().all(|&s| s == first));
+    Some(first)
+}
+
+/// θ, assignment and log-likelihood bits of folding the first documents
+/// of `corpus` into `inference`.
+fn fold_in_bytes(inference: &Inference, corpus: &Corpus) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (seed, doc) in corpus.docs().iter().take(4).enumerate() {
+        let ids: Vec<u32> = doc.tokens().iter().map(|w| w.0).collect();
+        let config = FoldInConfig {
+            iterations: 10,
+            seed: seed as u64,
+        };
+        let doc = inference.fold_in(&ids, &config).unwrap();
+        bytes.extend(f64_bytes(doc.theta().iter().copied()));
+        bytes.extend(f64_bytes([doc.log_likelihood()]));
+        for &t in doc.assignments() {
+            bytes.extend(t.to_le_bytes());
+        }
+    }
+    bytes
+}
+
 /// A checkpoint taken at the final sweep serves exactly the φ the fit
 /// reports: no λ-adaptation runs at that boundary, so the counts and
-/// priors are the final ones, and both φ's come from one expression.
+/// priors are the final ones, and both φ's come from one expression. A
+/// final model of every prior family, stored as its counts and priors,
+/// serves it too: the φ derived at load straight into the engine's
+/// word-major layout is the fitted φ, transposed, bit for bit.
 #[test]
 fn final_checkpoint_serves_the_fitted_phi() {
     let (train, _, knowledge) = corpora();
@@ -144,7 +215,7 @@ fn final_checkpoint_serves_the_fitted_phi() {
             &Tokenizer::permissive(),
         )
         .unwrap();
-        // A generation stores no φ; loading it derives one.
+        // A generation stores no φ; it derives from the counts.
         let artifact = ModelArtifact::from_bytes(&generation.to_bytes()).unwrap();
         let served = f64_bytes(artifact.phi().unwrap().as_slice().iter().copied());
         assert_eq!(
@@ -156,6 +227,120 @@ fn final_checkpoint_serves_the_fitted_phi() {
             served,
             f64_bytes(fitted.phi().as_slice().iter().copied()),
             "{variant:?}"
+        );
+    }
+
+    let (wide, wide_knowledge) = wide_corpus();
+    assert!(wide.vocab_size() > 4096);
+    let full = |corpus: &Corpus, knowledge: KnowledgeSource| {
+        SourceLda::builder()
+            .knowledge_source(knowledge)
+            .variant(Variant::Full)
+            .unlabeled_topics(2)
+            .adaptive_lambda(4)
+            .iterations(8)
+            .seed(5)
+            .build()
+            .unwrap()
+            .fit(corpus)
+            .unwrap()
+    };
+    let families: [(&str, FittedModel, &Corpus, Option<bool>); 6] = [
+        (
+            "LDA (symmetric)",
+            Lda::builder()
+                .topics(3)
+                .alpha(0.3)
+                .beta(0.1)
+                .iterations(16)
+                .seed(5)
+                .build()
+                .unwrap()
+                .fit(&train)
+                .unwrap(),
+            &train,
+            None,
+        ),
+        (
+            "Bijective (fixed δ)",
+            SourceLda::builder()
+                .knowledge_source(knowledge.clone())
+                .variant(Variant::Bijective)
+                .iterations(16)
+                .seed(5)
+                .build()
+                .unwrap()
+                .fit(&train)
+                .unwrap(),
+            &train,
+            None,
+        ),
+        (
+            "Full, V ≤ 4096",
+            full(&train, knowledge.clone()),
+            &train,
+            Some(false),
+        ),
+        (
+            "Full, V > 4096",
+            full(&wide, wide_knowledge),
+            &wide,
+            Some(true),
+        ),
+        (
+            "EDA (frozen)",
+            Eda::builder()
+                .knowledge_source(knowledge.clone())
+                .iterations(16)
+                .seed(5)
+                .build()
+                .unwrap()
+                .fit(&train)
+                .unwrap(),
+            &train,
+            None,
+        ),
+        (
+            "CTM (concept set)",
+            Ctm::builder()
+                .knowledge_source(knowledge.clone())
+                .unconstrained_topics(2)
+                .iterations(16)
+                .seed(5)
+                .build()
+                .unwrap()
+                .fit(&train)
+                .unwrap(),
+            &train,
+            None,
+        ),
+    ];
+    for (what, fitted, corpus, sparse) in families {
+        let bytes =
+            ModelArtifact::from_fitted(&fitted, corpus.vocabulary(), &Tokenizer::permissive())
+                .unwrap()
+                .to_bytes();
+        let names: Vec<&str> = source_lda::serve::list_sections(&bytes)
+            .unwrap()
+            .iter()
+            .map(|s| s.name())
+            .collect();
+        assert_eq!(
+            names,
+            ["model", "labels", "priors", "vocab", "tokenizer", "counts"],
+            "{what}"
+        );
+        let artifact = ModelArtifact::from_bytes(&bytes).unwrap();
+        assert_eq!(integrated_layout_is_sparse(&artifact), sparse, "{what}");
+        assert_eq!(
+            f64_bytes(artifact.phi().unwrap().as_slice().iter().copied()),
+            f64_bytes(fitted.phi().as_slice().iter().copied()),
+            "{what}"
+        );
+        assert_eq!(
+            fold_in_bytes(&artifact.inference().unwrap(), corpus),
+            fold_in_bytes(&Inference::from_fitted(&fitted), corpus),
+            "{what}"
         );
     }
 }
