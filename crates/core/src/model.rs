@@ -5,8 +5,8 @@ use crate::counts::CountMatrices;
 use crate::error::CoreError;
 use crate::loglik;
 use crate::params::ModelConfig;
-use crate::persist::{CountCells, TrainCheckpoint};
-use crate::prior::{TopicPrior, TopicTerms};
+use crate::persist::TrainCheckpoint;
+use crate::prior::TopicPrior;
 use crate::sampler::{run_sweeps, SamplerRngs, SweepContext};
 use rand::Rng;
 use srclda_corpus::Corpus;
@@ -560,96 +560,6 @@ pub(crate) fn compute_phi<P: Borrow<TopicPrior>>(
     // The expressions already normalize analytically; renormalize to absorb
     // floating-point drift (and the CTM's support-restricted rows).
     phi.normalize_rows();
-    phi
-}
-
-/// φ word-major (`V × T`: row `w` holds `φ_tw` for every topic) at the
-/// counts `counts`, written straight into that layout and bit for bit the
-/// transpose of [`compute_phi`]'s φ. Each topic's [`TopicTerms`] are taken
-/// once. Row `w` starts from every topic's shared zero-count weight, then
-/// takes the topics whose words each have their own weight, the
-/// λ-integrated topics that have `w` on their support, and the non-zero
-/// cells of `w`, which one cursor walks in index order. Adding each row
-/// into per-topic sums adds every topic's cells in word order, as
-/// [`DenseMatrix::normalize_rows`] does, so the rows divide by the same
-/// sums. `priors` must be `counts`' `T` priors over its `V` words.
-pub(crate) fn compute_phi_word_major(
-    priors: &[TopicPrior],
-    counts: &CountCells,
-) -> DenseMatrix<f64> {
-    let (v, t_count) = (counts.vocab_size(), counts.num_topics());
-    let terms: Vec<TopicTerms> = priors
-        .iter()
-        .zip(counts.nt())
-        .map(|(prior, &nt)| TopicTerms::new(prior, f64::from(nt)))
-        .collect();
-    let shared: Vec<Option<f64>> = terms.iter().map(TopicTerms::shared_zero_weight).collect();
-    let template: Vec<f64> = shared.iter().map(|s| s.unwrap_or(0.0)).collect();
-    let own_words: Vec<usize> = (0..t_count).filter(|&t| shared[t].is_none()).collect();
-    // The support words of every topic, grouped by word: the (topic, δ row
-    // index) pairs of word w are own_rows[starts[w]..starts[w + 1]].
-    let mut starts = vec![0usize; v + 1];
-    for term in &terms {
-        for (w, _) in term.own_rows() {
-            starts[w + 1] += 1;
-        }
-    }
-    for w in 0..v {
-        starts[w + 1] += starts[w];
-    }
-    let mut own_rows = vec![(0usize, 0usize); starts[v]];
-    let mut next = starts.clone();
-    for (t, term) in terms.iter().enumerate() {
-        for (w, i) in term.own_rows() {
-            own_rows[next[w]] = (t, i);
-            next[w] += 1;
-        }
-    }
-
-    let mut phi = DenseMatrix::zeros(v, t_count);
-    let mut sums = vec![0.0f64; t_count];
-    let mut cells = counts.cells();
-    let t_wide = t_count as u64;
-    for (w, row) in phi
-        .as_mut_slice()
-        .chunks_exact_mut(t_count.max(1))
-        .enumerate()
-    {
-        row.copy_from_slice(&template);
-        for &t in &own_words {
-            row[t] = terms[t].weight(w, 0.0);
-        }
-        for &(t, i) in &own_rows[starts[w]..starts[w + 1]] {
-            row[t] = terms[t].weight_at(w, i, 0.0);
-        }
-        let end = (w as u64 + 1) * t_wide;
-        let here = cells.iter().take_while(|&&(index, _)| index < end).count();
-        let (word_cells, rest) = cells.split_at(here);
-        for &(index, n) in word_cells {
-            let t = (index % t_wide) as usize;
-            row[t] = terms[t].weight(w, f64::from(n));
-        }
-        cells = rest;
-        for (sum, &x) in sums.iter_mut().zip(row.iter()) {
-            *sum += x;
-        }
-    }
-    for row in phi.as_mut_slice().chunks_exact_mut(t_count.max(1)) {
-        for (x, &sum) in row.iter_mut().zip(&sums) {
-            *x /= sum;
-        }
-    }
-    // A topic whose weights sum to zero is uniform, as normalize_rows
-    // makes such a row.
-    let uniform = 1.0 / v as f64;
-    for (t, &sum) in sums.iter().enumerate() {
-        if sum > 0.0 {
-            continue;
-        }
-        for w in 0..v {
-            phi[(w, t)] = uniform;
-        }
-    }
     phi
 }
 

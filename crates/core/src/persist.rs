@@ -702,15 +702,15 @@ impl CountCells {
     }
 
     /// φ topic-major (`T × V`) at these counts under `priors`: the φ
-    /// [`crate::Inference::from_counts`] serves, transposed. For tooling
-    /// and tests.
+    /// [`crate::Inference::from_counts`] serves, written out in full. For
+    /// tooling and tests.
     ///
     /// # Errors
     /// Fails if `priors` do not fit the counts (see
     /// [`crate::Inference::from_counts`]).
     pub fn phi(&self, priors: &[TopicPrior]) -> crate::Result<DenseMatrix<f64>> {
         self.check_priors(priors)?;
-        Ok(crate::model::compute_phi_word_major(priors, self).transposed())
+        Ok(crate::inference::PhiTable::from_counts(priors, self).to_topic_major())
     }
 
     /// Row `t` of [`Self::phi`] under topic `t`'s `prior`, derived alone.

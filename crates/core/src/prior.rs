@@ -62,8 +62,6 @@ pub struct IntegrationTable {
     a: usize,
     /// `Σ_w δ_w^{g(λₐ)}` per level.
     sums: Vec<f64>,
-    /// `ln Γ(Σ_w δ_w^{g(λₐ)})` per level (adapt baseline, see [`Self::adapt`]).
-    sums_lngamma: Vec<f64>,
     /// Vocabulary size `V`.
     vocab_size: usize,
     /// The support's word ids, strictly increasing. A table decoded from a
@@ -75,12 +73,13 @@ pub struct IntegrationTable {
     /// support; a table decoded from a raw dense layout, which does not
     /// store `ε`, fills it with ones.
     rows: Vec<f64>,
-    /// `ln Γ(rows[..])`, same layout (the adapt baselines).
-    rows_lngamma: Vec<f64>,
+    /// `ln Γ` of `sums` and of `rows` (the baselines of [`Self::adapt`]),
+    /// built by the first adapt call: loading a model builds a table per
+    /// topic, and a served model never adapts.
+    adapt_lngamma: Option<(Vec<f64>, Vec<f64>)>,
 }
 
-/// `ln Γ` of every entry (the adapt baselines, cached at build time so
-/// [`IntegrationTable::adapt`] never recomputes them per call).
+/// `ln Γ` of every entry.
 fn lngamma_all(values: &[f64]) -> Vec<f64> {
     use srclda_math::special::ln_gamma;
     values.iter().map(|&v| ln_gamma(v)).collect()
@@ -163,7 +162,7 @@ impl IntegrationTable {
         Self::from_parts(weights, prior_log_weights, sums, v, support, rows)
     }
 
-    /// Assemble a table from its stored parts, deriving the `ln Γ` caches.
+    /// Assemble a table from its stored parts.
     fn from_parts(
         weights: Vec<f64>,
         prior_log_weights: Vec<f64>,
@@ -174,14 +173,13 @@ impl IntegrationTable {
     ) -> Self {
         Self {
             a: weights.len(),
-            sums_lngamma: lngamma_all(&sums),
-            rows_lngamma: lngamma_all(&rows),
             weights,
             prior_log_weights,
             sums,
             vocab_size,
             support,
             rows,
+            adapt_lngamma: None,
         }
     }
 
@@ -332,27 +330,32 @@ impl IntegrationTable {
     ///
     /// Only words with non-zero counts contribute to the beta-function
     /// ratio (`ln Γ(δ) − ln Γ(δ) = 0` otherwise), so the update is
-    /// `O(nnz(topic) · A)`. The `ln Γ(δ)` baselines are cached at
-    /// table-build time (one `ln Γ` per entry, ever) so each call pays only
-    /// the count-dependent `ln Γ(δ + n)` evaluations.
+    /// `O(nnz(topic) · A)`. The `ln Γ(δ)` baselines are computed once, at
+    /// the first call, so each call pays only the count-dependent
+    /// `ln Γ(δ + n)` evaluations.
     ///
     /// `topic_counts` yields the `(word, count)` pairs with `count > 0`.
     pub fn adapt<I: IntoIterator<Item = (usize, u32)>>(&mut self, topic_counts: I, nt: u32) {
         use srclda_math::special::ln_gamma;
         let mut loglik = self.prior_log_weights.clone();
         let ntf = nt as f64;
+        let (sums_lngamma, rows_lngamma) = self
+            .adapt_lngamma
+            .take()
+            .unwrap_or_else(|| (lngamma_all(&self.sums), lngamma_all(&self.rows)));
         for (ai, ll) in loglik.iter_mut().enumerate() {
-            *ll -= ln_gamma(self.sums[ai] + ntf) - self.sums_lngamma[ai];
+            *ll -= ln_gamma(self.sums[ai] + ntf) - sums_lngamma[ai];
         }
         for (w, n) in topic_counts {
             debug_assert!(n > 0);
             let nf = n as f64;
             let i = self.row_index(w);
-            let base = &self.rows_lngamma[i * self.a..(i + 1) * self.a];
+            let base = &rows_lngamma[i * self.a..(i + 1) * self.a];
             for (ai, (&delta, &lg)) in self.row(i).iter().zip(base).enumerate() {
                 loglik[ai] += ln_gamma(delta + nf) - lg;
             }
         }
+        self.adapt_lngamma = Some((sums_lngamma, rows_lngamma));
         // Softmax back to normalized weights.
         let max = loglik.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         if !max.is_finite() {
@@ -750,7 +753,8 @@ impl TopicPrior {
 /// reciprocal `1/(nt + c)`, or a λ-integrated prior's `S1` and the `S2` of
 /// each of its δ rows. φ is built from these terms one topic at a time
 /// ([`TopicPrior::weight_row`]) or one word at a time across all topics
-/// ([`crate::model::compute_phi_word_major`]), bit for bit the same.
+/// (the engine's table, [`crate::Inference::from_counts`]), bit for bit
+/// the same.
 pub(crate) struct TopicTerms<'p> {
     prior: &'p TopicPrior,
     /// Ratio kinds: `1/(nt + c)`. λ-integrated: `S1 = Σ wₐrₐ`.
@@ -1020,21 +1024,22 @@ mod tests {
             prior_log_weights,
             a: _,
             sums,
-            sums_lngamma,
             vocab_size: _,
             support: words,
             rows,
-            rows_lngamma,
+            adapt_lngamma,
         } = &table;
+        assert!(
+            adapt_lngamma.is_none(),
+            "no ln Γ baselines before the first adapt"
+        );
         let bound = (support + 1) * levels;
         for len in [
             weights.len(),
             prior_log_weights.len(),
             sums.len(),
-            sums_lngamma.len(),
             words.len(),
             rows.len(),
-            rows_lngamma.len(),
         ] {
             assert!(len <= bound, "a field holds {len} entries, over {bound}");
         }

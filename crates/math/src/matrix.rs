@@ -32,17 +32,6 @@ impl<T: Clone + Default> DenseMatrix<T> {
             data: vec![value; rows * cols],
         }
     }
-
-    /// The transpose (`cols × rows`).
-    pub fn transposed(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
-            for (c, x) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = x.clone();
-            }
-        }
-        out
-    }
 }
 
 impl<T> DenseMatrix<T> {

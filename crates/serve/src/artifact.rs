@@ -35,8 +35,9 @@
 //!
 //! A final model ([`ModelArtifact::from_fitted`]) is sections 1, 3–6 and
 //! 8, and stores no φ: [`ModelArtifact::inference`] derives it from the
-//! counts and priors straight into the engine's word-major layout
-//! ([`Inference::from_counts`]), bit-equal to the fitted φ. A generation
+//! counts and priors straight into the engine's table of per-topic
+//! baselines and per-word exceptions ([`Inference::from_counts`]),
+//! bit-equal to the fitted φ. A generation
 //! ([`ModelArtifact::from_checkpoint`]) is sections 1 and 3–7: its priors
 //! section holds the checkpoint's current, possibly λ-adapted, priors, and
 //! its checkpoint section holds the sweep, the seed, the packed
@@ -387,7 +388,7 @@ impl ModelArtifact {
 
     /// Build the fold-in scoring engine from this artifact: from its φ, or
     /// from its counts and priors with φ derived straight into the
-    /// engine's word-major layout.
+    /// engine's table of baselines and exceptions.
     ///
     /// # Errors
     /// `srclda_core` validation failures.

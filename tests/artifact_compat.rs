@@ -165,15 +165,24 @@ fn golden_artifact_still_loads() {
     assert_eq!(engine.label(sports.top_topics(1)[0]), Some("Baseball"));
 }
 
-/// Absolute pin of what the v1 fixture serves: FNV-1a over the θ bits and
-/// log-likelihood bits of three engine requests, computed with the
-/// topic-major scorer. The other tests compare two decode paths, which a
-/// change to the engine's φ layout that moved both sides would pass.
+/// Absolute pins of what the v1 fixture serves: FNV-1a over the θ bits and
+/// log-likelihood bits of three engine requests. The other tests compare
+/// two decode paths, which a change to the engine's φ layout that moved
+/// both sides would pass.
+///
+/// The first pin was computed with the topic-major scorer and is now held
+/// by the dense fold-in oracle, run on the engine's tokens with the seeds
+/// the engine derives (the configured seed XOR the FNV-1a of the ids'
+/// little-endian bytes). The second pins the bucket kernel the engine
+/// serves. They are equal: on this two-topic model each of these texts
+/// ends its sweeps on the same topic counts under either kernel.
 #[test]
 fn golden_artifact_serves_pinned_bits() {
+    use source_lda::serve::codec::fnv1a64;
     let artifact = ModelArtifact::load(fixture_path()).unwrap();
-    let engine = InferenceEngine::from_artifact(&artifact, EngineOptions::default()).unwrap();
-    let mut bytes = Vec::new();
+    let options = EngineOptions::default();
+    let engine = InferenceEngine::from_artifact(&artifact, options).unwrap();
+    let (mut served, mut oracle) = (Vec::new(), Vec::new());
     for text in [
         "pencil ruler pencil",
         "umpire baseball umpire",
@@ -181,13 +190,21 @@ fn golden_artifact_serves_pinned_bits() {
     ] {
         let score = engine.infer(text).unwrap();
         for x in score.theta().iter().chain([&score.log_likelihood()]) {
-            bytes.extend(x.to_bits().to_le_bytes());
+            served.extend(x.to_bits().to_le_bytes());
+        }
+        let (ids, _) = engine.tokenize(text);
+        let id_bytes: Vec<u8> = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
+        let config = FoldInConfig {
+            iterations: options.fold_in.iterations,
+            seed: options.fold_in.seed ^ fnv1a64(&id_bytes),
+        };
+        let doc = engine.inference().fold_in_dense(&ids, &config).unwrap();
+        for x in doc.theta().iter().chain([&doc.log_likelihood()]) {
+            oracle.extend(x.to_bits().to_le_bytes());
         }
     }
-    assert_eq!(
-        source_lda::serve::codec::fnv1a64(&bytes),
-        2472627282661521440
-    );
+    assert_eq!(fnv1a64(&oracle), 2472627282661521440);
+    assert_eq!(fnv1a64(&served), 2472627282661521440);
 }
 
 /// A v2 checkpoint generation (φ section plus the v2 checkpoint section),

@@ -1,11 +1,18 @@
 //! Absolute bit pins for everything that reads a fixed φ: fold-in
-//! ([`Inference::fold_in`]), the two held-out perplexity estimators, and
-//! the φ a checkpoint generation serves.
+//! ([`Inference::fold_in`] and its dense oracle
+//! [`Inference::fold_in_dense`]), the two held-out perplexity estimators,
+//! and the φ a checkpoint generation serves.
 //!
 //! The other scoring tests compare two code paths (served vs in-process,
 //! memory vs disk). A change to φ's layout or to the scoring loop that
-//! moved both sides the same way would pass them. These values were
-//! computed once, with the topic-major scorer, and must never move.
+//! moved both sides the same way would pass them. The perplexity bits and
+//! the dense oracle's fold-in bits were computed once, with the
+//! topic-major scorer, and must never move. The served fold-in draws from
+//! the engine's buckets of per-topic baselines and per-word exceptions,
+//! which sample the same conditional in a different order, so it has a pin
+//! of its own, computed when that kernel replaced the dense loop; its
+//! distribution is checked against the exact posterior in
+//! `tests/exact_posterior.rs`.
 
 use source_lda::prelude::*;
 use source_lda::serve::codec::fnv1a64;
@@ -69,6 +76,9 @@ fn f64_bytes(xs: impl IntoIterator<Item = f64>) -> Vec<u8> {
         .collect()
 }
 
+/// [`Inference::fold_in`] or [`Inference::fold_in_dense`].
+type FoldIn = fn(&Inference, &[u32], &FoldInConfig) -> source_lda::core::Result<InferredDocument>;
+
 #[test]
 fn fold_in_bits_are_pinned() {
     let (train, _, knowledge) = corpora();
@@ -76,28 +86,32 @@ fn fold_in_bits_are_pinned() {
     assert_eq!(fitted.num_topics(), 7);
     let inference = Inference::from_fitted(&fitted);
     let vocab = train.vocabulary();
-    let mut bytes = Vec::new();
-    for (seed, text) in [
-        "pencil ruler eraser pencil glue",
-        "umpire stock pitcher bond today",
-        "fund market broker city people report stock",
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let ids: Vec<u32> = text.split(' ').map(|w| vocab.get(w).unwrap().0).collect();
-        let config = FoldInConfig {
-            iterations: 25,
-            seed: seed as u64,
-        };
-        let doc = inference.fold_in(&ids, &config).unwrap();
-        bytes.extend(f64_bytes(doc.theta().iter().copied()));
-        bytes.extend(f64_bytes([doc.log_likelihood()]));
-        for &t in doc.assignments() {
-            bytes.extend(t.to_le_bytes());
+    let bits = |fold_in: FoldIn| {
+        let mut bytes = Vec::new();
+        for (seed, text) in [
+            "pencil ruler eraser pencil glue",
+            "umpire stock pitcher bond today",
+            "fund market broker city people report stock",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let ids: Vec<u32> = text.split(' ').map(|w| vocab.get(w).unwrap().0).collect();
+            let config = FoldInConfig {
+                iterations: 25,
+                seed: seed as u64,
+            };
+            let doc = fold_in(&inference, &ids, &config).unwrap();
+            bytes.extend(f64_bytes(doc.theta().iter().copied()));
+            bytes.extend(f64_bytes([doc.log_likelihood()]));
+            for &t in doc.assignments() {
+                bytes.extend(t.to_le_bytes());
+            }
         }
-    }
-    assert_eq!(fnv1a64(&bytes), 13642884300135160171);
+        fnv1a64(&bytes)
+    };
+    assert_eq!(bits(Inference::fold_in_dense), 13642884300135160171);
+    assert_eq!(bits(Inference::fold_in), 11824405148925746799);
 }
 
 #[test]
@@ -182,8 +196,8 @@ fn fold_in_bytes(inference: &Inference, corpus: &Corpus) -> Vec<u8> {
 /// reports: no λ-adaptation runs at that boundary, so the counts and
 /// priors are the final ones, and both φ's come from one expression. A
 /// final model of every prior family, stored as its counts and priors,
-/// serves it too: the φ derived at load straight into the engine's
-/// word-major layout is the fitted φ, transposed, bit for bit.
+/// serves it too: the φ derived at load straight into the engine's table
+/// of baselines and exceptions is the fitted φ, bit for bit.
 #[test]
 fn final_checkpoint_serves_the_fitted_phi() {
     let (train, _, knowledge) = corpora();
