@@ -253,8 +253,9 @@ fn train(args: &[String]) {
         .and_then(|m| m.assemble(corpus.vocab_size()))
         .unwrap_or_else(|e| die(&e.to_string()));
 
-    let resume: Option<TrainCheckpoint> = resume_path.and_then(|path| {
-        if path == "auto" {
+    // The generation a resume continues from, which holds its checkpoint.
+    let resumed_from: Option<ModelArtifact> = resume_path.and_then(|path| {
+        let (path, artifact) = if path == "auto" {
             // Scan the generation family for the newest valid snapshot,
             // skipping (and reporting) torn or bit-flipped files.
             let recovery = store
@@ -268,29 +269,25 @@ fn train(args: &[String]) {
                 println!("resume auto: no valid generation found, starting fresh");
                 return None;
             };
-            let cp = recovered.artifact.checkpoint().unwrap_or_else(|| {
-                die(&format!(
-                    "{:?} carries no checkpoint section",
-                    recovered.path
-                ))
-            });
-            println!(
-                "resuming from {:?} at sweep {} (checkpoint digest {:016x})",
-                recovered.path,
-                cp.sweep,
-                cp.digest()
-            );
-            return Some(cp);
-        }
-        let artifact =
-            ModelArtifact::load(&path).unwrap_or_else(|e| die(&format!("loading {path:?}: {e}")));
+            (recovered.path, recovered.artifact)
+        } else {
+            let artifact = ModelArtifact::load(&path)
+                .unwrap_or_else(|e| die(&format!("loading {path:?}: {e}")));
+            (path.into(), artifact)
+        };
         let cp = artifact
             .checkpoint()
             .unwrap_or_else(|| die(&format!("{path:?} carries no checkpoint section")));
-        println!("resuming from {path:?} at sweep {}", cp.sweep);
-        Some(cp)
+        println!(
+            "resuming from {path:?} at sweep {} (checkpoint digest {:016x})",
+            cp.sweep,
+            cp.digest()
+        );
+        Some(artifact)
     });
-    if let Some(cp) = &resume {
+    let resume: Option<&TrainCheckpoint> =
+        resumed_from.as_ref().and_then(ModelArtifact::checkpoint);
+    if let Some(cp) = resume {
         require_boundaries(cp.sweep as usize);
     }
 
@@ -317,7 +314,7 @@ fn train(args: &[String]) {
     let fitted = model
         .fit_observed(
             &corpus,
-            resume.as_ref(),
+            resume,
             checkpoint_every,
             |cp| {
                 let artifact = ModelArtifact::from_checkpoint(

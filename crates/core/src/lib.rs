@@ -56,7 +56,9 @@ pub use inference::{FoldInConfig, Inference, InferredDocument};
 pub use lda::Lda;
 pub use model::{FittedModel, GibbsModel};
 pub use params::{ModelConfig, SmoothingMode, TraceConfig};
-pub use persist::{RawIntegrationLayout, RawIntegrationTable, RawPrior, TrainCheckpoint};
+pub use persist::{
+    CountCells, RawIntegrationLayout, RawIntegrationTable, RawPrior, TrainCheckpoint,
+};
 pub use sampler::{Backend, KernelKind};
 pub use source_lda::{SourceLda, Variant};
 

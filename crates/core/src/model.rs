@@ -5,7 +5,7 @@ use crate::counts::CountMatrices;
 use crate::error::CoreError;
 use crate::loglik;
 use crate::params::ModelConfig;
-use crate::persist::TrainCheckpoint;
+use crate::persist::{CountCells, TrainCheckpoint};
 use crate::prior::TopicPrior;
 use crate::sampler::{run_sweeps, SamplerRngs, SweepContext};
 use rand::Rng;
@@ -299,7 +299,8 @@ impl GibbsModel {
                 // The stored counts must be exactly the counts the corpus
                 // and assignments imply — a mismatch means the checkpoint
                 // belongs to a different corpus (or was corrupted).
-                if counts.snapshot_nw() != cp.nw || counts.snapshot_nt() != cp.nt {
+                let implied = CountCells::from_dense(self.vocab_size, t_count, counts.nw_values());
+                if implied != cp.counts {
                     return Err(CoreError::InvalidConfig(
                         "checkpoint counts disagree with its assignments on this corpus \
                          (checkpoint from a different corpus?)"
@@ -479,8 +480,11 @@ impl GibbsModel {
                             },
                         ),
                         z: z.clone(),
-                        nw: counts.snapshot_nw(),
-                        nt: counts.snapshot_nt(),
+                        counts: CountCells::from_dense(
+                            self.vocab_size,
+                            t_count,
+                            counts.nw_values(),
+                        ),
                         main_rng: rng_state(&rng),
                         shard_rngs: shard_rngs.iter().map(rng_state).collect(),
                         priors: priors.iter().map(TopicPrior::to_raw).collect(),
@@ -502,6 +506,9 @@ impl GibbsModel {
                 sweep_mark = Some(SpanTimer::start());
             }
         }
+        // The shard-local counts and kernel lists are done with; free them
+        // before φ and θ are allocated.
+        drop(sweep_state);
 
         if let Some(run_span) = run_span {
             let duration_secs = run_span.elapsed_secs();

@@ -17,13 +17,12 @@
 //! sweep boundary — assignments, counts, RNG streams, shard layout, the
 //! (possibly λ-adapted) priors — as plain values. Capture and resume go
 //! through [`crate::GibbsModel::fit_resumable`]; the byte encoding lives
-//! with the artifact codec in `srclda_serve`. A `.slda` file stores only
-//! what cannot be derived: `nw` as its non-zero cells ([`CountCells`]) and
-//! the priors, and for a generation the [`ChainState`]. Serving derives φ
-//! from the cells and priors ([`crate::Inference::from_counts`]); only a
-//! resume rebuilds the dense [`TrainCheckpoint`]
-//! ([`ChainState::to_checkpoint`]). [`TrainCheckpoint::phi`] is the
-//! topic-major oracle that derivation is tested against.
+//! with the artifact codec in `srclda_serve`. The counts are held the way
+//! a `.slda` file stores them, as `nw`'s non-zero cells ([`CountCells`]),
+//! so one checkpoint value goes from capture to disk to resume. Serving
+//! derives φ from the cells and priors ([`crate::Inference::from_counts`]);
+//! [`TrainCheckpoint::phi`] is the topic-major oracle that derivation is
+//! tested against.
 
 use crate::error::CoreError;
 use crate::prior::{IntegrationTable, TopicPrior};
@@ -231,13 +230,12 @@ impl TopicPrior {
 /// uninterrupted run of the same backend (pinned by
 /// `tests/shard_equivalence.rs`).
 ///
-/// The counts (`nw`/`nt`) are kept even though they are derivable from
-/// `z` and the corpus: on resume the counts are rebuilt from the
-/// assignments and compared against the kept ones, so a checkpoint whose
-/// pieces drifted apart (truncated, hand-edited, mismatched corpus) is
-/// rejected instead of silently continuing a corrupt chain. In memory
-/// `nw` is dense; a generation file stores its non-zero cells
-/// ([`Self::nw_cells`]) and no `nt`.
+/// The counts are kept even though they are derivable from `z` and the
+/// corpus: on resume the counts are rebuilt from the assignments and
+/// compared against the kept ones, so a checkpoint whose pieces drifted
+/// apart (truncated, hand-edited, mismatched corpus) is rejected instead
+/// of silently continuing a corrupt chain. They are held as `nw`'s
+/// non-zero cells, the form a generation file stores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainCheckpoint {
     /// Completed sweeps (resume continues at `sweep + 1`).
@@ -263,10 +261,9 @@ pub struct TrainCheckpoint {
     pub shards: u64,
     /// Per-token topic assignments, indexed `[doc][position]`.
     pub z: Vec<Vec<u32>>,
-    /// Word–topic counts `n_wt`, row-major by word (`V·T`).
-    pub nw: Vec<u32>,
-    /// Topic totals `n_t` (`T`).
-    pub nt: Vec<u32>,
+    /// Word–topic counts `n_wt` as their non-zero cells, with the topic
+    /// totals `n_t`. They fix `V` and `T`.
+    pub counts: CountCells,
     /// The run RNG state at the boundary.
     pub main_rng: [u64; 4],
     /// Per-shard RNG states (`S` entries; empty for non-sharded backends).
@@ -277,9 +274,14 @@ pub struct TrainCheckpoint {
 }
 
 impl TrainCheckpoint {
-    /// Topic count `T` implied by the checkpoint.
+    /// Topic count `T` of the checkpoint's counts.
     pub fn num_topics(&self) -> usize {
-        self.nt.len()
+        self.counts.num_topics()
+    }
+
+    /// Vocabulary size `V` of the checkpoint's counts.
+    pub fn vocab_size(&self) -> usize {
+        self.counts.vocab_size()
     }
 
     /// Shard count `S` (the low 56 bits of the packed `shards` word), or
@@ -295,25 +297,14 @@ impl TrainCheckpoint {
     /// Returns an error for an unknown kernel tag (a checkpoint written
     /// by a newer codec, or corruption in the high byte).
     pub fn kernel_kind(&self) -> crate::Result<KernelKind> {
-        kernel_of(self.shards)
-    }
-
-    /// Vocabulary size `V` implied by the checkpoint.
-    pub fn vocab_size(&self) -> usize {
-        if self.nt.is_empty() {
-            0
-        } else {
-            self.nw.len() / self.nt.len()
+        match self.shards >> KERNEL_TAG_SHIFT {
+            0 => Ok(KernelKind::Flat),
+            1 => Ok(KernelKind::Sparse),
+            2 => Ok(KernelKind::Dense),
+            tag => Err(CoreError::InvalidConfig(format!(
+                "checkpoint: unknown kernel tag {tag}"
+            ))),
         }
-    }
-
-    /// The non-zero cells of `nw` as `(w·T + t, n_wt)`, strictly
-    /// increasing by index — the form a generation file stores.
-    pub fn nw_cells(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        (0u64..)
-            .zip(&self.nw)
-            .filter(|&(_, &n)| n != 0)
-            .map(|(i, &n)| (i, n))
     }
 
     /// The value payload a generation stores, in bytes: every numeric
@@ -327,7 +318,7 @@ impl TrainCheckpoint {
             + 8 * 4 // main_rng
             + 8 * 4 * self.shard_rngs.len() as u64;
         let z: u64 = self.z.iter().map(|doc| 4 * doc.len() as u64).sum();
-        let cells = 12 * self.nw_cells().count() as u64;
+        let cells = 12 * self.counts.cells().len() as u64;
         let priors: u64 = self.priors.iter().map(RawPrior::payload_bytes).sum();
         fixed + z + cells + priors
     }
@@ -360,10 +351,19 @@ impl TrainCheckpoint {
                 eat_u64(&mut h, u64::from(t));
             }
         }
-        for &n in &self.nw {
+        // All V·T counts in index order, 0 between the cells.
+        let mut next = 0u64;
+        for &(index, n) in self.counts.cells() {
+            for _ in next..index {
+                eat_u64(&mut h, 0);
+            }
             eat_u64(&mut h, u64::from(n));
+            next = index + 1;
         }
-        for &n in &self.nt {
+        for _ in next..(self.vocab_size() * self.num_topics()) as u64 {
+            eat_u64(&mut h, 0);
+        }
+        for &n in self.counts.nt() {
             eat_u64(&mut h, u64::from(n));
         }
         for &word in &self.main_rng {
@@ -428,49 +428,34 @@ impl TrainCheckpoint {
         h
     }
 
-    /// The topic–word matrix φ at the checkpoint's counts (the code that
-    /// computes [`crate::FittedModel::phi`] at the end of a run). A loaded
-    /// generation derives its servable φ here, once, at decode.
+    /// The topic–word matrix φ at the checkpoint's counts, by the code
+    /// that computes [`crate::FittedModel::phi`] at the end of a run: the
+    /// oracle for the φ a generation serves.
     ///
     /// # Errors
-    /// Fails if the checkpoint's own dimensions disagree (priors vs `nt`,
-    /// `nw` not `V·T`-shaped) or a stored prior is inconsistent with the
-    /// checkpoint's vocabulary size.
+    /// Fails if there is not one prior per topic or a stored prior is
+    /// inconsistent with the checkpoint's vocabulary size.
     pub fn phi(&self) -> crate::Result<DenseMatrix<f64>> {
-        let v = self.vocab_size();
-        let t_count = self.num_topics();
-        // Guard the indexing below: this method is public and need not
-        // follow `validate`, so a malformed checkpoint must error here,
-        // not panic.
+        let (v, t_count) = (self.vocab_size(), self.num_topics());
         if self.priors.len() != t_count {
             return Err(CoreError::InvalidConfig(format!(
                 "checkpoint: {} priors for {t_count} topics",
                 self.priors.len()
             )));
         }
-        // vocab_size() floor-divides, so nw.len() != v·T exactly when nw
-        // is not T-aligned (a truncated or mispaired counts vector).
-        if self.nw.len() != v * t_count {
-            return Err(CoreError::InvalidConfig(format!(
-                "checkpoint: nw has {} entries, not a multiple of T={t_count}",
-                self.nw.len()
-            )));
-        }
-        // One live prior at a time: all of them at once is tens of MB at
-        // T = 2000, on top of the training state, at every checkpoint.
-        let mut failure = None;
-        let priors = self.priors.iter().map_while(|raw| {
-            let prior = TopicPrior::from_raw(raw.clone(), v);
-            prior.map_err(|e| failure = Some(e)).ok()
-        });
-        let nw = |w: usize, t: usize| self.nw[w * t_count + t];
-        let phi = crate::model::compute_phi(v, priors, nw, &self.nt);
-        failure.map_or(Ok(phi), Err)
+        let priors = self
+            .priors
+            .iter()
+            .map(|raw| TopicPrior::from_raw(raw.clone(), v))
+            .collect::<crate::Result<Vec<_>>>()?;
+        let nw = self.counts.to_dense();
+        let nw = |w: usize, t: usize| nw[w * t_count + t];
+        Ok(crate::model::compute_phi(v, &priors, nw, self.counts.nt()))
     }
 
-    /// Structural validation: dimensions agree with each other and with
-    /// the given corpus shape, topic ids are in range, and the stored
-    /// counts are exactly the counts implied by `z`.
+    /// Structural validation against a corpus of `doc_lens` tokens per
+    /// document, a `vocab_size`-word vocabulary and `t_count` topics:
+    /// the dimensions agree, then [`Self::check_chain`].
     ///
     /// # Errors
     /// Returns the first inconsistency found (a corrupt or mismatched
@@ -482,20 +467,15 @@ impl TrainCheckpoint {
         t_count: usize,
     ) -> crate::Result<()> {
         let fail = |msg: String| Err(CoreError::InvalidConfig(format!("checkpoint: {msg}")));
-        if self.nt.len() != t_count {
+        if (self.vocab_size(), self.num_topics()) != (vocab_size, t_count) {
             return fail(format!(
-                "{} topic totals for {t_count} topics",
-                self.nt.len()
+                "counts are {}×{} for V={vocab_size}, T={t_count}",
+                self.vocab_size(),
+                self.num_topics()
             ));
         }
         if self.priors.len() != t_count {
             return fail(format!("{} priors for {t_count} topics", self.priors.len()));
-        }
-        if self.nw.len() != vocab_size * t_count {
-            return fail(format!(
-                "nw has {} entries for V={vocab_size}, T={t_count}",
-                self.nw.len()
-            ));
         }
         if self.z.len() != doc_lens.len() {
             return fail(format!(
@@ -512,55 +492,47 @@ impl TrainCheckpoint {
                 ));
             }
         }
-        check_chain(&self.z, &self.nt, self.shards, self.shard_rngs.len())
+        self.check_chain()
     }
-}
 
-/// The kernel tag in the high byte of a packed `shards` word.
-fn kernel_of(shards: u64) -> crate::Result<KernelKind> {
-    match shards >> KERNEL_TAG_SHIFT {
-        0 => Ok(KernelKind::Flat),
-        1 => Ok(KernelKind::Sparse),
-        2 => Ok(KernelKind::Dense),
-        tag => Err(CoreError::InvalidConfig(format!(
-            "checkpoint: unknown kernel tag {tag}"
-        ))),
-    }
-}
-
-/// The checks a chain's state takes without its `nw`: every topic id in
-/// z is below `T = nt.len()`, the packed `shards` word has one RNG state
-/// per shard and a known kernel tag, and the topic totals `nt` are the
-/// ones z implies. The full `nw` check needs the token stream and happens
-/// at resume time (`GibbsModel::fit_resumable`), but the `nt` cross-check
-/// alone already catches truncation and doc/count mixups cheaply.
-fn check_chain(z: &[Vec<u32>], nt: &[u32], shards: u64, shard_rngs: usize) -> crate::Result<()> {
-    let fail = |msg: String| Err(CoreError::InvalidConfig(format!("checkpoint: {msg}")));
-    let t_count = nt.len();
-    let mut implied_nt = vec![0u64; t_count];
-    for (d, doc) in z.iter().enumerate() {
-        for &t in doc {
-            match implied_nt.get_mut(t as usize) {
-                Some(n) => *n += 1,
-                None => return fail(format!("document {d} assigns topic {t} of {t_count}")),
+    /// The checks that need no corpus: every topic id in z is below `T`,
+    /// the packed `shards` word has one RNG state per shard and a known
+    /// kernel tag, and the topic totals are the ones z implies. The full
+    /// `nw` check needs the token stream and happens at resume time
+    /// (`GibbsModel::fit_resumable`), but the `n_t` cross-check alone
+    /// already catches truncation and doc/count mixups cheaply.
+    ///
+    /// # Errors
+    /// Returns the first inconsistency found.
+    pub fn check_chain(&self) -> crate::Result<()> {
+        let fail = |msg: String| Err(CoreError::InvalidConfig(format!("checkpoint: {msg}")));
+        let t_count = self.num_topics();
+        let mut implied_nt = vec![0u64; t_count];
+        for (d, doc) in self.z.iter().enumerate() {
+            for &t in doc {
+                match implied_nt.get_mut(t as usize) {
+                    Some(n) => *n += 1,
+                    None => return fail(format!("document {d} assigns topic {t} of {t_count}")),
+                }
             }
         }
-    }
-    let shard_count = shards & SHARD_COUNT_MASK;
-    if shard_count != shard_rngs as u64 {
-        return fail(format!(
-            "{shard_rngs} shard RNG states for {shard_count} shards"
-        ));
-    }
-    kernel_of(shards)?;
-    for (t, (&stored, &implied)) in nt.iter().zip(&implied_nt).enumerate() {
-        if u64::from(stored) != implied {
+        let shard_rngs = self.shard_rngs.len();
+        if self.shard_count() != shard_rngs as u64 {
             return fail(format!(
-                "topic {t} total is {stored} but assignments imply {implied}"
+                "{shard_rngs} shard RNG states for {} shards",
+                self.shard_count()
             ));
         }
+        self.kernel_kind()?;
+        for (t, (&stored, &implied)) in self.counts.nt().iter().zip(&implied_nt).enumerate() {
+            if u64::from(stored) != implied {
+                return fail(format!(
+                    "topic {t} total is {stored} but assignments imply {implied}"
+                ));
+            }
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The word–topic counts `nw` as their non-zero cells `(w·T + t, n_wt)`,
@@ -624,8 +596,8 @@ impl CountCells {
 
     /// The non-zero cells of the dense `nw` of a `vocab_size`-word,
     /// `num_topics`-topic model, given as its `V·T` values row-major by
-    /// word. A topic total past u32::MAX wraps, which no count z implies
-    /// can match.
+    /// word; values past the `V·T`-th are not read. A topic total past
+    /// u32::MAX wraps, which no count z implies can match.
     pub fn from_dense(
         vocab_size: usize,
         num_topics: usize,
@@ -634,7 +606,8 @@ impl CountCells {
         let mut nt = vec![0u32; num_topics];
         let mut cells = Vec::new();
         let topics = num_topics as u64;
-        for (index, n) in (0u64..).zip(nw).filter(|&(_, n)| n != 0) {
+        let values = nw.into_iter().take(vocab_size.saturating_mul(num_topics));
+        for (index, n) in (0u64..).zip(values).filter(|&(_, n)| n != 0) {
             cells.push((index, n));
             if let Some(total) = index
                 .checked_rem(topics)
@@ -670,7 +643,8 @@ impl CountCells {
         &self.nt
     }
 
-    /// The dense `nw` (`V·T`, row-major by word).
+    /// The dense `nw` (`V·T`, row-major by word), for the topic-major
+    /// oracle [`TrainCheckpoint::phi`].
     pub fn to_dense(&self) -> Vec<u32> {
         let mut nw = vec![0u32; self.vocab_size * self.num_topics()];
         for &(index, n) in &self.cells {
@@ -726,83 +700,6 @@ impl CountCells {
         let phi =
             crate::model::compute_phi(self.vocab_size, [prior], |w, _| nw[w], &self.nt[t..=t]);
         phi.row(0).to_vec()
-    }
-}
-
-/// Where a chain stands at a sweep boundary and how it continues: a
-/// [`TrainCheckpoint`] less its counts, α and priors. A generation file
-/// stores it beside the [`CountCells`], and a resume puts the two back
-/// together ([`Self::to_checkpoint`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainState {
-    /// Completed sweeps.
-    pub sweep: u64,
-    /// The run seed.
-    pub seed: u64,
-    /// Packed shard layout and kernel tag (see [`TrainCheckpoint::shards`]).
-    pub shards: u64,
-    /// Per-token topic assignments, indexed `[doc][position]`.
-    pub z: Vec<Vec<u32>>,
-    /// The run RNG state at the boundary.
-    pub main_rng: [u64; 4],
-    /// Per-shard RNG states.
-    pub shard_rngs: Vec<[u64; 4]>,
-}
-
-impl ChainState {
-    /// The chain state of `cp` (a copy of its assignments).
-    pub fn of(cp: &TrainCheckpoint) -> Self {
-        Self {
-            sweep: cp.sweep,
-            seed: cp.seed,
-            shards: cp.shards,
-            z: cp.z.clone(),
-            main_rng: cp.main_rng,
-            shard_rngs: cp.shard_rngs.clone(),
-        }
-    }
-
-    /// Shard count `S`, or 0 for non-sharded backends.
-    pub fn shard_count(&self) -> u64 {
-        self.shards & SHARD_COUNT_MASK
-    }
-
-    /// The sweep kernel that produced the chain.
-    ///
-    /// # Errors
-    /// Returns an error for an unknown kernel tag.
-    pub fn kernel_kind(&self) -> crate::Result<KernelKind> {
-        kernel_of(self.shards)
-    }
-
-    /// The checks of [`TrainCheckpoint::validate`] that need no `nw`,
-    /// with the topic totals `nt` of the chain's counts.
-    ///
-    /// # Errors
-    /// Returns the first inconsistency found.
-    pub fn validate(&self, nt: &[u32]) -> crate::Result<()> {
-        check_chain(&self.z, nt, self.shards, self.shard_rngs.len())
-    }
-
-    /// The dense checkpoint of this chain with its α, counts and priors.
-    pub fn to_checkpoint(
-        &self,
-        alpha: f64,
-        counts: &CountCells,
-        priors: Vec<RawPrior>,
-    ) -> TrainCheckpoint {
-        TrainCheckpoint {
-            sweep: self.sweep,
-            seed: self.seed,
-            alpha,
-            shards: self.shards,
-            z: self.z.clone(),
-            nw: counts.to_dense(),
-            nt: counts.nt().to_vec(),
-            main_rng: self.main_rng,
-            shard_rngs: self.shard_rngs.clone(),
-            priors,
-        }
     }
 }
 
@@ -1079,8 +976,7 @@ mod tests {
             alpha: 0.5,
             shards: 0,
             z: vec![vec![0, 1], vec![1]],
-            nw: vec![1, 0, 0, 2],
-            nt: vec![1, 2],
+            counts: CountCells::from_dense(2, 2, [1, 0, 0, 2]),
             main_rng: [1, 2, 3, 4],
             shard_rngs: vec![],
             priors: vec![
@@ -1101,7 +997,8 @@ mod tests {
     #[test]
     fn payload_counts_nw_as_its_non_zero_cells() {
         let cp = toy_checkpoint();
-        assert_eq!(cp.nw_cells().collect::<Vec<_>>(), [(0, 1), (3, 2)]);
+        assert_eq!(cp.counts.cells(), [(0, 1), (3, 2)]);
+        assert_eq!(cp.counts.nt(), [1, 2]);
         // Scalars and RNG 64, z 3 × 4, two 12-byte cells, two β's; no nt.
         assert_eq!(cp.payload_bytes(), 64 + 12 + 24 + 16);
     }
@@ -1110,6 +1007,8 @@ mod tests {
     fn checkpoint_digest_is_stable_and_sensitive() {
         let cp = toy_checkpoint();
         assert_eq!(cp.digest(), cp.clone().digest(), "digest is a pure value");
+        // The bits of hashing the dense `nw` [1, 0, 0, 2], then `nt`.
+        assert_eq!(cp.digest(), 0xd231_c6bc_31e6_1243);
         // Any single-field perturbation must change the digest — the
         // digest stands in for field-by-field equality in recovery tests.
         let mut other = cp.clone();
@@ -1117,8 +1016,11 @@ mod tests {
         assert_ne!(cp.digest(), other.digest());
         let mut other = cp.clone();
         other.z[1][0] = 0;
-        other.nw = vec![2, 0, 0, 1];
-        other.nt = vec![2, 1];
+        other.counts = CountCells::from_dense(2, 2, [2, 0, 0, 1]);
+        assert_ne!(cp.digest(), other.digest());
+        // The same cell values at other indices.
+        let mut other = cp.clone();
+        other.counts = CountCells::from_dense(2, 2, [0, 1, 0, 2]);
         assert_ne!(cp.digest(), other.digest());
         let mut other = cp.clone();
         other.main_rng[3] ^= 1;
@@ -1137,9 +1039,11 @@ mod tests {
         let mut bad = good.clone();
         bad.priors.push(RawPrior::Symmetric { beta: 0.1 });
         assert!(bad.phi().is_err());
-        // nw not T-aligned: floor-divided vocab_size would mis-index.
+        // A prior over a vocabulary other than the counts'.
         let mut bad = good;
-        bad.nw.push(0);
+        bad.priors[1] = RawPrior::Fixed {
+            delta: vec![1.0; 3],
+        };
         assert!(bad.phi().is_err());
     }
 
@@ -1152,14 +1056,19 @@ mod tests {
         assert!(base.validate(&[2, 2], 2, 2).is_err());
         // Wrong topic count.
         assert!(base.validate(&[2, 1], 2, 3).is_err());
+        // A prior more than there are topics.
+        let mut bad = base.clone();
+        bad.priors.push(RawPrior::Symmetric { beta: 0.1 });
+        assert!(bad.validate(&[2, 1], 2, 2).is_err());
         // Out-of-range topic assignment.
         let mut bad = base.clone();
         bad.z[0][0] = 7;
         assert!(bad.validate(&[2, 1], 2, 2).is_err());
         // Topic totals inconsistent with assignments.
         let mut bad = base.clone();
-        bad.nt = vec![2, 1];
+        bad.counts = CountCells::from_dense(2, 2, [2, 0, 0, 1]);
         assert!(bad.validate(&[2, 1], 2, 2).is_err());
+        assert!(bad.check_chain().is_err());
         // Shard RNG count disagrees with shard count.
         let mut bad = base.clone();
         bad.shards = 2;
@@ -1169,9 +1078,9 @@ mod tests {
         bad.shards = 7 << 56;
         assert!(bad.validate(&[2, 1], 2, 2).is_err());
         assert!(bad.kernel_kind().is_err());
-        // nw sized for the wrong vocabulary.
+        // Counts sized for the wrong vocabulary.
         let mut bad = base;
-        bad.nw = vec![0; 6];
+        bad.counts = CountCells::from_dense(3, 2, [1, 0, 0, 2, 0, 0]);
         assert!(bad.validate(&[2, 1], 2, 2).is_err());
     }
 

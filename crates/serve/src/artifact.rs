@@ -38,15 +38,15 @@
 //! counts and priors straight into the engine's table of per-topic
 //! baselines and per-word exceptions ([`Inference::from_counts`]),
 //! bit-equal to the fitted φ. A generation
-//! ([`ModelArtifact::from_checkpoint`]) is sections 1 and 3–7: its priors
-//! section holds the checkpoint's current, possibly λ-adapted, priors, and
-//! its checkpoint section holds the sweep, the seed, the packed
-//! shards/kernel word, the RNG states and z ([`ChainState`]), then the
-//! cells. A model built from a φ ([`ModelArtifact::new`]) is sections
-//! 1–6. Decode rejects cells that are past `V·T`, out of order, repeated
-//! or zero, or whose topic totals overflow u32 or, in a generation,
-//! disagree with z. It builds no dense `nw`: only
-//! [`ModelArtifact::checkpoint`] does, for a resume.
+//! ([`ModelArtifact::from_checkpoint`]) is sections 1 and 3–7 and holds
+//! its [`TrainCheckpoint`]: the model section holds its α, the priors
+//! section its current, possibly λ-adapted, priors as it stores them, and
+//! the checkpoint section its sweep, seed, packed shards/kernel word, RNG
+//! states and z, then its cells. A model built from a φ
+//! ([`ModelArtifact::new`]) is sections 1–6. Decode rejects cells that
+//! are past `V·T`, out of order, repeated or zero, or whose topic totals
+//! overflow u32 or, in a generation, disagree with z. Nothing builds a
+//! dense `nw` but the decode of a v2 generation, which stored one.
 //!
 //! Version history: **v1** is sections 1–6. **v2** added the optional
 //! checkpoint section: a v2 generation is a whole servable artifact plus
@@ -66,12 +66,13 @@
 use crate::codec::{fnv1a64, Reader, Writer};
 use crate::error::ServeError;
 use srclda_core::persist::{
-    ChainState, CountCells, RawIntegrationLayout, RawIntegrationTable, RawPrior, TrainCheckpoint,
+    CountCells, RawIntegrationLayout, RawIntegrationTable, RawPrior, TrainCheckpoint,
 };
 use srclda_core::prior::TopicPrior;
 use srclda_core::{FittedModel, Inference};
 use srclda_corpus::{Tokenizer, Vocabulary};
 use srclda_math::DenseMatrix;
+use std::borrow::Cow;
 
 /// First eight bytes of every artifact.
 pub const MAGIC: [u8; 8] = *b"SLDAMODL";
@@ -126,12 +127,11 @@ enum Body {
     /// φ itself (`T × V`): a model built by [`ModelArtifact::new`] or a
     /// v1–v3 final model.
     Phi(DenseMatrix<f64>),
-    /// Sampler state: `nw`'s non-zero cells, and for a generation the
-    /// chain that continues from them.
-    Counts {
-        counts: CountCells,
-        chain: Option<ChainState>,
-    },
+    /// A v4 final model's sampler state: `nw`'s non-zero cells.
+    Counts(CountCells),
+    /// A generation: the whole checkpoint, its priors as the file stores
+    /// them.
+    Generation(TrainCheckpoint),
 }
 
 /// A self-contained, serializable trained model, or a checkpoint
@@ -142,7 +142,7 @@ pub struct ModelArtifact {
     alpha: f64,
     labels: Vec<Option<String>>,
     /// The live priors, built once; the priors section stores their
-    /// mirrors ([`TopicPrior::to_raw`]).
+    /// mirrors ([`TopicPrior::to_raw`]), or a generation's own.
     priors: Vec<TopicPrior>,
     vocab: Vocabulary,
     tokenizer: Tokenizer,
@@ -160,25 +160,6 @@ fn live(priors: Vec<RawPrior>, v: usize) -> Result<Vec<TopicPrior>, ServeError> 
                 .map_err(|e| ServeError::Corrupt(format!("prior {i} ({kind}) invalid: {e}")))
         })
         .collect()
-}
-
-/// The counts of `cp`, a checkpoint of a `t × v` model, as non-zero cells,
-/// checked against its dimensions and its topic totals.
-fn counts_of(cp: &TrainCheckpoint, t: usize, v: usize) -> Result<CountCells, ServeError> {
-    if cp.nt.len() != t || Some(cp.nw.len()) != v.checked_mul(t) {
-        return Err(ServeError::Corrupt(format!(
-            "checkpoint is {}×{} for a {t}×{v} model",
-            cp.num_topics(),
-            cp.vocab_size()
-        )));
-    }
-    let counts = CountCells::from_dense(v, t, cp.nw.iter().copied());
-    if counts.nt() != cp.nt.as_slice() {
-        return Err(ServeError::Corrupt(
-            "checkpoint topic totals disagree with its nw".into(),
-        ));
-    }
-    Ok(counts)
 }
 
 impl ModelArtifact {
@@ -207,22 +188,18 @@ impl ModelArtifact {
         Ok(artifact)
     }
 
-    /// The training checkpoint of a generation, rebuilt with its dense
-    /// `nw` for a resume (`None` for a final model).
-    pub fn checkpoint(&self) -> Option<TrainCheckpoint> {
+    /// The training checkpoint a generation holds (`None` for a final
+    /// model).
+    pub fn checkpoint(&self) -> Option<&TrainCheckpoint> {
         match &self.body {
-            Body::Counts {
-                counts,
-                chain: Some(chain),
-            } => Some(chain.to_checkpoint(self.alpha, counts, self.priors())),
+            Body::Generation(cp) => Some(cp),
             _ => None,
         }
     }
 
-    /// Build a checkpoint generation: the checkpoint's sampler state, with
-    /// α and the priors its own (possibly λ-adapted) training values. It
-    /// copies the counts' non-zero cells, z and the priors, and derives
-    /// no φ.
+    /// Build a checkpoint generation: a copy of the checkpoint, whose α
+    /// and (possibly λ-adapted) priors the generation serves with. It
+    /// derives no φ.
     ///
     /// # Errors
     /// Fails if the checkpoint is internally inconsistent or disagrees
@@ -233,17 +210,13 @@ impl ModelArtifact {
         vocab: &Vocabulary,
         tokenizer: &Tokenizer,
     ) -> Result<Self, ServeError> {
-        let counts = counts_of(checkpoint, labels.len(), vocab.len())?;
         let artifact = Self {
             alpha: checkpoint.alpha,
             labels,
             priors: live(checkpoint.priors.clone(), vocab.len())?,
             vocab: vocab.clone(),
             tokenizer: tokenizer.clone(),
-            body: Body::Counts {
-                counts,
-                chain: Some(ChainState::of(checkpoint)),
-            },
+            body: Body::Generation(checkpoint.clone()),
         };
         artifact.validate()?;
         Ok(artifact)
@@ -268,17 +241,15 @@ impl ModelArtifact {
             priors: fitted.priors().to_vec(),
             vocab: vocab.clone(),
             tokenizer: tokenizer.clone(),
-            body: Body::Counts {
-                counts: CountCells::from_dense(v, t, fitted.counts().nw_values()),
-                chain: None,
-            },
+            body: Body::Counts(CountCells::from_dense(v, t, fitted.counts().nw_values())),
         };
         artifact.validate()?;
         Ok(artifact)
     }
 
     /// `T` is the label count and `V` the vocabulary size; φ or the
-    /// counts, the priors and a generation's chain must agree with both.
+    /// counts and the priors must agree with both, and a generation's
+    /// chain with its counts.
     fn validate(&self) -> Result<(), ServeError> {
         let t = self.num_topics();
         let v = self.vocab_size();
@@ -312,7 +283,7 @@ impl ModelArtifact {
                     ));
                 }
             }
-            Body::Counts { counts, chain } => {
+            Body::Counts(counts) | Body::Generation(TrainCheckpoint { counts, .. }) => {
                 if counts.num_topics() != t || counts.vocab_size() != v {
                     return Err(ServeError::Corrupt(format!(
                         "counts are {}×{} for {t} labels and a {v}-word vocabulary",
@@ -320,12 +291,11 @@ impl ModelArtifact {
                         counts.vocab_size()
                     )));
                 }
-                if let Some(chain) = chain {
-                    chain
-                        .validate(counts.nt())
-                        .map_err(|e| ServeError::Corrupt(format!("checkpoint invalid: {e}")))?;
-                }
             }
+        }
+        if let Some(cp) = self.checkpoint() {
+            cp.check_chain()
+                .map_err(|e| ServeError::Corrupt(format!("checkpoint invalid: {e}")))?;
         }
         Ok(())
     }
@@ -345,7 +315,9 @@ impl ModelArtifact {
     pub fn phi(&self) -> Result<DenseMatrix<f64>, ServeError> {
         match &self.body {
             Body::Phi(phi) => Ok(phi.clone()),
-            Body::Counts { counts, .. } => counts.phi(&self.priors).map_err(Into::into),
+            Body::Counts(counts) | Body::Generation(TrainCheckpoint { counts, .. }) => {
+                counts.phi(&self.priors).map_err(Into::into)
+            }
         }
     }
 
@@ -366,7 +338,16 @@ impl ModelArtifact {
 
     /// Per-topic prior mirrors, as the priors section stores them.
     pub fn priors(&self) -> Vec<RawPrior> {
-        self.priors.iter().map(TopicPrior::to_raw).collect()
+        self.raw_priors().into_owned()
+    }
+
+    /// What the priors section stores: a generation's own priors, verbatim,
+    /// or the mirrors of the live ones.
+    fn raw_priors(&self) -> Cow<'_, [RawPrior]> {
+        match &self.body {
+            Body::Generation(cp) => Cow::Borrowed(&cp.priors),
+            _ => Cow::Owned(self.priors.iter().map(TopicPrior::to_raw).collect()),
+        }
     }
 
     /// The live priors (for workloads that resume training or need Eq. 3
@@ -396,7 +377,7 @@ impl ModelArtifact {
         let labels = self.labels.clone();
         match &self.body {
             Body::Phi(phi) => Inference::from_parts(phi, self.alpha, labels),
-            Body::Counts { counts, .. } => {
+            Body::Counts(counts) | Body::Generation(TrainCheckpoint { counts, .. }) => {
                 Inference::from_counts(&self.priors, counts, self.alpha, labels)
             }
         }
@@ -412,7 +393,9 @@ impl ModelArtifact {
         };
         let row = match &self.body {
             Body::Phi(phi) => phi.row(t).to_vec(),
-            Body::Counts { counts, .. } => counts.phi_row(t, prior),
+            Body::Counts(counts) | Body::Generation(TrainCheckpoint { counts, .. }) => {
+                counts.phi_row(t, prior)
+            }
         };
         srclda_math::simplex::top_n_indices(&row, n)
             .into_iter()
@@ -430,14 +413,10 @@ impl ModelArtifact {
             (SEC_MODEL, SEC_LABELS, SEC_PRIORS, SEC_VOCAB, SEC_TOKENIZER);
         let ids = match &self.body {
             Body::Phi(_) => [model, SEC_PHI, labels, priors, vocab, tokenizer],
-            Body::Counts { chain: None, .. } => {
-                [model, labels, priors, vocab, tokenizer, SEC_COUNTS]
-            }
-            Body::Counts { chain: Some(_), .. } => {
-                [model, labels, priors, vocab, tokenizer, SEC_CHECKPOINT]
-            }
+            Body::Counts(_) => [model, labels, priors, vocab, tokenizer, SEC_COUNTS],
+            Body::Generation(_) => [model, labels, priors, vocab, tokenizer, SEC_CHECKPOINT],
         };
-        let raw_priors = self.priors();
+        let raw_priors = self.raw_priors();
         let bound = self.encoded_len_bound(&raw_priors);
         let mut out = Writer::with_capacity(bound);
         out.bytes(&MAGIC);
@@ -508,17 +487,8 @@ impl ModelArtifact {
                 w.bool(remove_stopwords);
                 w.bool(keep_numbers);
             }
-            (
-                SEC_CHECKPOINT,
-                Body::Counts {
-                    counts,
-                    chain: Some(chain),
-                },
-            ) => {
-                encode_chain(w, chain);
-                encode_cells(w, counts);
-            }
-            (SEC_COUNTS, Body::Counts { counts, .. }) => encode_cells(w, counts),
+            (SEC_CHECKPOINT, Body::Generation(cp)) => encode_checkpoint(w, cp),
+            (SEC_COUNTS, Body::Counts(counts)) => encode_cells(w, counts),
             _ => {}
         }
     }
@@ -537,15 +507,14 @@ impl ModelArtifact {
         let priors: u64 = raw_priors.iter().map(|p| p.payload_bytes() + 64).sum();
         let body = match &self.body {
             Body::Phi(_) => 8 * self.num_topics() * self.vocab_size(),
-            Body::Counts { counts, chain } => {
-                // Nine u64 words of scalars, RNG state and counts, then per
-                // shard one RNG state and per document a length and its
-                // assignments.
-                let chain = chain.as_ref().map_or(0, |c| {
-                    let tokens: usize = c.z.iter().map(Vec::len).sum();
-                    8 * (9 + 4 * c.shard_rngs.len() + c.z.len()) + 4 * tokens
-                });
-                chain + 8 + 12 * counts.cells().len()
+            Body::Counts(counts) => 8 + 12 * counts.cells().len(),
+            Body::Generation(cp) => {
+                // Ten u64 words of scalars, RNG state and counts, then per
+                // shard one RNG state, per document a length and its
+                // assignments, and the cells.
+                let tokens: usize = cp.z.iter().map(Vec::len).sum();
+                let cells = cp.counts.cells().len();
+                8 * (10 + 4 * cp.shard_rngs.len() + cp.z.len()) + 4 * tokens + 12 * cells
             }
         };
         // Header, table, model, vocab count, tokenizer, trailer.
@@ -553,9 +522,10 @@ impl ModelArtifact {
     }
 
     /// Deserialize and fully validate an artifact. A v4 final model and a
-    /// v3 or v4 generation decode to sampler state and build no φ; v1–v3
-    /// final models decode their φ, and a v2 generation its checkpoint
-    /// section's sampler state.
+    /// generation decode to sampler state and build no φ; v1–v3 final
+    /// models decode their φ. A v3 or v4 generation's checkpoint is built
+    /// from its model, priors and checkpoint sections; a v2 generation's
+    /// from its checkpoint section, its dense `nw` turned into cells.
     ///
     /// # Errors
     /// Every way a file can be wrong maps to a distinct [`ServeError`]:
@@ -633,7 +603,7 @@ impl ModelArtifact {
         let body = match (section(SEC_CHECKPOINT)?, version) {
             (Some(bytes), 1 | 2) => {
                 let mut r = Reader::new(bytes, "checkpoint section");
-                let cp = decode_checkpoint_v2(&mut r)?;
+                let cp = decode_checkpoint_v2(&mut r, t, v)?;
                 r.expect_empty()?;
                 // A v2 generation stored α and the priors twice.
                 if cp.alpha.to_bits() != alpha.to_bits() || cp.priors != priors {
@@ -641,29 +611,19 @@ impl ModelArtifact {
                         "checkpoint alpha or priors disagree with the model's".into(),
                     ));
                 }
-                Body::Counts {
-                    counts: counts_of(&cp, t, v)?,
-                    chain: Some(ChainState::of(&cp)),
-                }
+                Body::Generation(cp)
             }
             (Some(bytes), _) => {
                 let mut r = Reader::new(bytes, "checkpoint section");
-                let chain = decode_chain(&mut r)?;
-                let counts = decode_cells(&mut r, t, v)?;
+                let cp = decode_checkpoint(&mut r, alpha, t, v, priors.clone())?;
                 r.expect_empty()?;
-                Body::Counts {
-                    counts,
-                    chain: Some(chain),
-                }
+                Body::Generation(cp)
             }
             (None, 4..) if section(SEC_COUNTS)?.is_some() => {
                 let mut r = Reader::new(payload(SEC_COUNTS, "counts")?, "counts section");
                 let counts = decode_cells(&mut r, t, v)?;
                 r.expect_empty()?;
-                Body::Counts {
-                    counts,
-                    chain: None,
-                }
+                Body::Counts(counts)
             }
             (None, _) => {
                 let name = if version < 4 { "phi" } else { "counts" };
@@ -751,15 +711,12 @@ impl ModelArtifact {
         }
         let kinds_str: Vec<String> = kinds.iter().map(|(k, n)| format!("{n}×{k}")).collect();
         out.push_str(&format!("priors: {}\n", kinds_str.join(", ")));
-        if let Body::Counts {
-            chain: Some(chain), ..
-        } = &self.body
-        {
+        if let Some(cp) = self.checkpoint() {
             out.push_str(&format!(
                 "checkpoint: sweep {} · seed {} · {} · resumable\n",
-                chain.sweep,
-                chain.seed,
-                match (chain.shard_count(), chain.kernel_kind()) {
+                cp.sweep,
+                cp.seed,
+                match (cp.shard_count(), cp.kernel_kind()) {
                     (0, Ok(k)) => format!("serial ({k:?} kernel)"),
                     (s, Ok(k)) => format!("{s} shards ({k:?} kernel)"),
                     (0, Err(_)) => "serial (unknown kernel)".to_string(),
@@ -771,26 +728,27 @@ impl ModelArtifact {
     }
 }
 
-/// Encode a generation's chain state: the sweep, the seed, the packed
-/// shards/kernel word, the RNG states and the assignments. α and the
-/// priors live in the model and priors sections, and the cells follow.
-fn encode_chain(w: &mut Writer, chain: &ChainState) {
-    w.u64(chain.sweep);
-    w.u64(chain.seed);
-    w.u64(chain.shards);
-    for &word in &chain.main_rng {
+/// Encode a generation's checkpoint section: the sweep, the seed, the
+/// packed shards/kernel word, the RNG states, the assignments and the
+/// cells. α and the priors live in the model and priors sections.
+fn encode_checkpoint(w: &mut Writer, cp: &TrainCheckpoint) {
+    w.u64(cp.sweep);
+    w.u64(cp.seed);
+    w.u64(cp.shards);
+    for &word in &cp.main_rng {
         w.u64(word);
     }
-    w.u64(chain.shard_rngs.len() as u64);
-    for state in &chain.shard_rngs {
+    w.u64(cp.shard_rngs.len() as u64);
+    for state in &cp.shard_rngs {
         for &word in state {
             w.u64(word);
         }
     }
-    w.u64(chain.z.len() as u64);
-    for doc in &chain.z {
+    w.u64(cp.z.len() as u64);
+    for doc in &cp.z {
         w.u32_slice(doc);
     }
+    encode_cells(w, &cp.counts);
 }
 
 /// Encode `nw` as its non-zero cells: a u64 count, then `(w·T + t: u64,
@@ -803,19 +761,30 @@ fn encode_cells(w: &mut Writer, counts: &CountCells) {
     }
 }
 
-/// Decode a v3 or v4 generation's chain state.
-fn decode_chain(r: &mut Reader<'_>) -> Result<ChainState, ServeError> {
+/// Decode a v3 or v4 generation's checkpoint section into the
+/// checkpoint of a `t × v` model with the model section's `alpha` and
+/// the priors section's `priors`.
+fn decode_checkpoint(
+    r: &mut Reader<'_>,
+    alpha: f64,
+    t: usize,
+    v: usize,
+    priors: Vec<RawPrior>,
+) -> Result<TrainCheckpoint, ServeError> {
     let sweep = r.u64()?;
     let seed = r.u64()?;
     let shards = r.u64()?;
     let (main_rng, shard_rngs, z) = decode_rngs_and_z(r)?;
-    Ok(ChainState {
+    Ok(TrainCheckpoint {
         sweep,
         seed,
+        alpha,
         shards,
         z,
+        counts: decode_cells(r, t, v)?,
         main_rng,
         shard_rngs,
+        priors,
     })
 }
 
@@ -853,9 +822,14 @@ fn decode_rngs_and_z(r: &mut Reader<'_>) -> Result<RngsAndZ, ServeError> {
     Ok((main_rng, shard_rngs, z))
 }
 
-/// Decode a v2 checkpoint section (read-only: this build writes v4):
-/// scalars, RNG states, assignments, the dense counts, then the priors.
-fn decode_checkpoint_v2(r: &mut Reader<'_>) -> Result<TrainCheckpoint, ServeError> {
+/// Decode a v2 checkpoint section of a `t × v` model (read-only: this
+/// build writes v4): scalars, RNG states, assignments, the dense counts,
+/// which become cells once their totals are checked, then the priors.
+fn decode_checkpoint_v2(
+    r: &mut Reader<'_>,
+    t: usize,
+    v: usize,
+) -> Result<TrainCheckpoint, ServeError> {
     let sweep = r.u64()?;
     let seed = r.u64()?;
     let alpha = r.f64()?;
@@ -863,6 +837,19 @@ fn decode_checkpoint_v2(r: &mut Reader<'_>) -> Result<TrainCheckpoint, ServeErro
     let (main_rng, shard_rngs, z) = decode_rngs_and_z(r)?;
     let nw = r.u32_vec()?;
     let nt = r.u32_vec()?;
+    if nt.len() != t || Some(nw.len()) != v.checked_mul(t) {
+        return Err(ServeError::Corrupt(format!(
+            "checkpoint counts are {} values and {} totals for a {t}×{v} model",
+            nw.len(),
+            nt.len()
+        )));
+    }
+    let counts = CountCells::from_dense(v, t, nw);
+    if counts.nt() != nt {
+        return Err(ServeError::Corrupt(
+            "checkpoint topic totals disagree with its nw".into(),
+        ));
+    }
     let prior_count = r.len(1)?;
     let priors: Vec<RawPrior> = (0..prior_count)
         .map(|_| decode_prior(r))
@@ -873,8 +860,7 @@ fn decode_checkpoint_v2(r: &mut Reader<'_>) -> Result<TrainCheckpoint, ServeErro
         alpha,
         shards,
         z,
-        nw,
-        nt,
+        counts,
         main_rng,
         shard_rngs,
         priors,
@@ -1249,11 +1235,9 @@ mod tests {
         // One doc per topic, one token each, token w = d % v, topic = d.
         let z: Vec<Vec<u32>> = (0..t).map(|d| vec![d as u32]).collect();
         let mut nw = vec![0u32; v * t];
-        let mut nt = vec![0u32; t];
         for (d, doc) in z.iter().enumerate() {
             for &topic in doc {
                 nw[(d % v) * t + topic as usize] += 1;
-                nt[topic as usize] += 1;
             }
         }
         TrainCheckpoint {
@@ -1262,8 +1246,7 @@ mod tests {
             alpha: 0.5,
             shards: 2,
             z,
-            nw,
-            nt,
+            counts: CountCells::from_dense(v, t, nw),
             main_rng: [9, 8, 7, 6],
             shard_rngs: vec![[1, 2, 3, 4], [5, 6, 7, 8]],
             priors: (0..t).map(|_| RawPrior::Symmetric { beta: 0.25 }).collect(),
@@ -1340,14 +1323,55 @@ mod tests {
         let v = artifact.vocab_size();
         // Wrong dimensions.
         assert!(generation(&artifact, &toy_checkpoint(t + 1, v)).is_err());
+        assert!(generation(&artifact, &toy_checkpoint(t, v + 1)).is_err());
         // Shard/RNG disagreement.
         let mut cp = toy_checkpoint(t, v);
         cp.shards = 5;
         assert!(generation(&artifact, &cp).is_err());
-        // Counts inconsistent with assignments.
+        // Counts whose totals disagree with the assignments.
         let mut cp = toy_checkpoint(t, v);
-        cp.nt[0] += 1;
+        let mut nw = cp.counts.to_dense();
+        nw[0] += 1;
+        cp.counts = CountCells::from_dense(v, t, nw);
         assert!(generation(&artifact, &cp).is_err());
+    }
+
+    #[test]
+    fn v2_checkpoint_counts_are_checked_as_they_become_cells() {
+        // The v2 checkpoint section of a 2-topic, 2-word model: one
+        // document, z = [0, 1], no priors.
+        let section = |nw: &[u32], nt: &[u32]| {
+            let mut w = Writer::new();
+            // Sweep, seed, α, shards, the main RNG, no shard RNGs, 1 doc.
+            for word in [12, 7, 0.5f64.to_bits(), 0, 1, 2, 3, 4, 0, 1] {
+                w.u64(word);
+            }
+            w.u32_slice(&[0, 1]);
+            w.u32_slice(nw);
+            w.u32_slice(nt);
+            w.u64(0); // priors
+            w.into_bytes()
+        };
+        let decode = |bytes: &[u8]| {
+            decode_checkpoint_v2(&mut Reader::new(bytes, "checkpoint section"), 2, 2)
+        };
+        let cp = decode(&section(&[1, 0, 0, 1], &[1, 1])).unwrap();
+        assert_eq!(cp.counts.cells(), [(0, 1), (3, 1)]);
+        assert_eq!(cp.counts.nt(), [1, 1]);
+        for (what, nw, nt) in [
+            (
+                "totals that disagree with nw",
+                &[1, 0, 0, 1][..],
+                &[2, 0][..],
+            ),
+            ("nw of another shape", &[1, 0, 0, 1, 0, 0][..], &[1, 1][..]),
+            ("totals of another shape", &[1, 0, 0, 1][..], &[1, 1, 0][..]),
+        ] {
+            assert!(
+                matches!(decode(&section(nw, nt)), Err(ServeError::Corrupt(_))),
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -1360,13 +1384,13 @@ mod tests {
             cp.alpha,
             "alpha comes from the checkpoint"
         );
-        assert_eq!(snapshot.checkpoint(), Some(cp.clone()));
+        assert_eq!(snapshot.checkpoint(), Some(&cp));
         // In memory and loaded, it serves the checkpoint's own φ:
         // normalized rows.
         assert!(snapshot.inference().is_ok());
         assert_eq!(snapshot.phi().unwrap(), cp.phi().unwrap());
         let back = ModelArtifact::from_bytes(&snapshot.to_bytes()).unwrap();
-        assert_eq!(back.checkpoint(), Some(cp.clone()));
+        assert_eq!(back.checkpoint(), Some(&cp));
         let phi = back.phi().unwrap();
         assert_eq!(phi.as_slice(), cp.phi().unwrap().as_slice());
         for t in 0..back.num_topics() {

@@ -6,7 +6,7 @@
 //! keep loading.
 
 use proptest::prelude::*;
-use srclda_core::persist::{RawPrior, TrainCheckpoint};
+use srclda_core::persist::{CountCells, RawPrior, TrainCheckpoint};
 use srclda_corpus::{Tokenizer, Vocabulary};
 use srclda_math::DenseMatrix;
 use srclda_serve::{ModelArtifact, ServeError, FORMAT_VERSION};
@@ -73,7 +73,7 @@ fn build_artifact(t: usize, v: usize, seed: u64) -> ModelArtifact {
 }
 
 /// An arbitrary *consistent* training checkpoint for a `t × v` model:
-/// random document lengths and assignments, with `nw`/`nt` derived from
+/// random document lengths and assignments, with the counts derived from
 /// them (the validator rejects anything else).
 fn build_checkpoint(t: usize, v: usize, seed: u64, alpha: f64) -> TrainCheckpoint {
     let mut state = seed | 1;
@@ -85,7 +85,6 @@ fn build_checkpoint(t: usize, v: usize, seed: u64, alpha: f64) -> TrainCheckpoin
     };
     let docs = (next() % 6 + 1) as usize;
     let mut nw = vec![0u32; v * t];
-    let mut nt = vec![0u32; t];
     let z: Vec<Vec<u32>> = (0..docs)
         .map(|_| {
             (0..(next() % 9) as usize)
@@ -93,7 +92,6 @@ fn build_checkpoint(t: usize, v: usize, seed: u64, alpha: f64) -> TrainCheckpoin
                     let w = (next() % v as u64) as usize;
                     let topic = (next() % t as u64) as u32;
                     nw[w * t + topic as usize] += 1;
-                    nt[topic as usize] += 1;
                     topic
                 })
                 .collect()
@@ -106,8 +104,7 @@ fn build_checkpoint(t: usize, v: usize, seed: u64, alpha: f64) -> TrainCheckpoin
         alpha,
         shards,
         z,
-        nw,
-        nt,
+        counts: CountCells::from_dense(v, t, nw),
         main_rng: [next(), next(), next(), next()],
         shard_rngs: (0..shards)
             .map(|_| [next(), next(), next(), next()])
@@ -184,7 +181,7 @@ proptest! {
         let artifact = generation(&artifact, &cp);
         let bytes = artifact.to_bytes();
         let back = ModelArtifact::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back.checkpoint(), Some(cp.clone()));
+        prop_assert_eq!(back.checkpoint(), Some(&cp));
         prop_assert_eq!(back.priors(), artifact.priors());
         prop_assert_eq!(back.phi().unwrap(), cp.phi().unwrap());
         prop_assert_eq!(bytes, back.to_bytes());
@@ -333,7 +330,7 @@ fn crafted_v3_generations_are_rejected() {
     let artifact = build_artifact(t, v, 0x5eed);
     let cp = build_checkpoint(t, v, 0xce11, artifact.alpha());
     let bytes = generation(&artifact, &cp).to_bytes();
-    let cells: Vec<(u64, u32)> = cp.nw_cells().collect();
+    let cells = cp.counts.cells().to_vec();
     assert!(cells.len() >= 2, "the edits below need two cells");
     assert_eq!(with_cells(&bytes, cells.len(), &cells), bytes);
     ModelArtifact::from_bytes(&bytes).unwrap();

@@ -209,7 +209,7 @@ fn corruption_falls_back_to_newest_valid_generation_and_chain_stays_bit_identica
         .unwrap()
         .digest();
     assert_eq!(cp.digest(), original);
-    assert_resumed_chain_matches_reference(&cp);
+    assert_resumed_chain_matches_reference(cp);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -234,7 +234,7 @@ fn crash_after_rename_recovers_the_committed_generation() {
     assert_eq!(recovered.generation, 8);
     assert_eq!(recovered.artifact.to_bytes(), generations[1].1);
     let cp = recovered.artifact.checkpoint().unwrap();
-    assert_resumed_chain_matches_reference(&cp);
+    assert_resumed_chain_matches_reference(cp);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

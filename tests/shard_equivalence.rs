@@ -28,7 +28,7 @@
 
 use proptest::prelude::*;
 use source_lda::core::generative::{DocLength, LambdaMode, SourceLdaGenerator};
-use source_lda::core::{GibbsModel, TrainCheckpoint};
+use source_lda::core::{CountCells, GibbsModel, TrainCheckpoint};
 use source_lda::prelude::*;
 
 /// A substantive synthetic world: 6 source topics + 3 unlabeled over a
@@ -385,13 +385,30 @@ fn resume_rejects_mismatched_state() {
         .fit_resumable(&tiny.build(), Some(&checkpoint), None, |_| Ok(()))
         .is_err());
 
-    // Tampered counts: caught by the counts-vs-assignments cross-check.
-    let mut tampered = checkpoint.clone();
-    tampered.nw[0] = tampered.nw[0].wrapping_add(1);
-    let (model5, corpus5) = model_and_corpus(backend, 18);
-    assert!(model5
-        .fit_resumable(&corpus5, Some(&tampered), None, |_| Ok(()))
-        .is_err());
+    // Tampered counts: one more token of a topic, caught by the topic
+    // totals; and one token of a topic moved to another word, whose totals
+    // still match z, caught by the counts-vs-assignments cross-check.
+    let (v, t) = (checkpoint.vocab_size(), checkpoint.num_topics());
+    let from = checkpoint.counts.cells()[0].0 as usize;
+    let tamper = |edit: &dyn Fn(&mut Vec<u32>)| {
+        let mut tampered = checkpoint.clone();
+        let mut nw = tampered.counts.to_dense();
+        edit(&mut nw);
+        tampered.counts = CountCells::from_dense(v, t, nw);
+        tampered
+    };
+    let added = tamper(&|nw| nw[0] = nw[0].wrapping_add(1));
+    let moved = tamper(&|nw| {
+        nw[from] -= 1;
+        nw[(from + t) % (v * t)] += 1;
+    });
+    assert_eq!(moved.counts.nt(), checkpoint.counts.nt());
+    for tampered in [added, moved] {
+        let (model5, corpus5) = model_and_corpus(backend, 18);
+        assert!(model5
+            .fit_resumable(&corpus5, Some(&tampered), None, |_| Ok(()))
+            .is_err());
+    }
 
     // A different configured seed: resuming would silently mislabel the
     // run (the chain continues from the checkpoint's streams regardless
@@ -495,13 +512,15 @@ proptest! {
                     }
                 }
                 assert_eq!(
-                    cp.nw, nw,
+                    cp.counts,
+                    CountCells::from_dense(v, t_count, nw),
                     "{kernel:?} S={shards} t={threads}: merged nw diverged from \
                      counts(z) at sweep {}",
                     cp.sweep
                 );
                 assert_eq!(
-                    cp.nt, nt,
+                    cp.counts.nt(),
+                    nt,
                     "{kernel:?} S={shards} t={threads}: merged nt diverged from \
                      counts(z) at sweep {}",
                     cp.sweep
