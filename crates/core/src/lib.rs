@@ -56,9 +56,7 @@ pub use inference::{FoldInConfig, Inference, InferredDocument};
 pub use lda::Lda;
 pub use model::{FittedModel, GibbsModel};
 pub use params::{ModelConfig, SmoothingMode, TraceConfig};
-pub use persist::{
-    CountCells, RawIntegrationLayout, RawIntegrationTable, RawPrior, TrainCheckpoint,
-};
+pub use persist::{CountCells, RawIntegrationTable, RawPrior, TrainCheckpoint};
 pub use sampler::{Backend, KernelKind};
 pub use source_lda::{SourceLda, Variant};
 

@@ -10,7 +10,10 @@
 //!
 //! Round-trip guarantee: `from_raw(to_raw(p), v)` reconstructs a prior whose
 //! [`TopicPrior::word_weight`] is bit-identical to the original's for every
-//! `(w, nw, nt)` — the f64 payloads are copied, never recomputed.
+//! `(w, nw, nt)` — the f64 payloads are copied, never recomputed. A
+//! λ-integration table has one mirror at every vocabulary size: its
+//! support's δ rows plus the one row every other word shares
+//! ([`RawIntegrationTable`]).
 //!
 //! [`TrainCheckpoint`] extends the same philosophy to *whole training
 //! runs*: everything a collapsed Gibbs chain needs to continue from a
@@ -54,28 +57,8 @@ pub(crate) fn pack_shards(kernel: KernelKind, shards: u64) -> u64 {
     (tag << KERNEL_TAG_SHIFT) | shards
 }
 
-/// Value-only mirror of a λ-integration table's δ rows, in one of two
-/// raw layouts; [`IntegrationTable::to_raw`] picks which.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RawIntegrationLayout {
-    /// Dense per-word table: `values[w*A + a]`, length `V·A`. It does not
-    /// record the support, so it decodes with every word on it.
-    Dense {
-        /// The `δ^{g(λₐ)}` grid, row-major by word.
-        values: Vec<f64>,
-    },
-    /// Sparse table: only support words stored.
-    Sparse {
-        /// Sorted word ids with non-zero source counts.
-        support: Vec<u32>,
-        /// The `δ^{g(λₐ)}` grid, row-major by support index.
-        values: Vec<f64>,
-        /// Shared row for zero-count words (length `A`).
-        zero_values: Vec<f64>,
-    },
-}
-
-/// Value-only mirror of [`IntegrationTable`].
+/// Value-only mirror of [`IntegrationTable`]: the δ rows of the support,
+/// and the one row every word off it shares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawIntegrationTable {
     /// Current quadrature weights `wₐ` (length `A`).
@@ -84,8 +67,31 @@ pub struct RawIntegrationTable {
     pub prior_log_weights: Vec<f64>,
     /// `Σ_w δ_w^{g(λₐ)}` per level (length `A`).
     pub sums: Vec<f64>,
-    /// The δ rows.
-    pub layout: RawIntegrationLayout,
+    /// Sorted word ids with non-zero source counts.
+    pub support: Vec<u32>,
+    /// The support's `δ^{g(λₐ)}` rows, row-major by support index.
+    pub values: Vec<f64>,
+    /// The shared row `ε^{g(λₐ)}` of every word off the support (length
+    /// `A`).
+    pub zero_values: Vec<f64>,
+}
+
+impl RawIntegrationTable {
+    /// The δ row of every word `0..vocab_size`, in word order: its support
+    /// row, or the shared row off the support. A malformed mirror (an
+    /// unsorted support, short `values`) yields wrong or short rows, never
+    /// a panic; `from_raw` rejects it.
+    fn word_rows(&self, vocab_size: usize) -> impl Iterator<Item = &[f64]> {
+        let a = self.zero_values.len();
+        let mut support = self.support.iter().enumerate().peekable();
+        (0..vocab_size).map(move |w| match support.next_if(|&(_, &s)| s as usize == w) {
+            Some((i, _)) => i
+                .checked_mul(a)
+                .and_then(|at| self.values.get(at..)?.get(..a))
+                .unwrap_or_default(),
+            None => &self.zero_values,
+        })
+    }
 }
 
 /// Value-only mirror of [`TopicPrior`].
@@ -136,15 +142,9 @@ impl RawPrior {
             RawPrior::Symmetric { .. } => 8,
             RawPrior::Fixed { delta } => 8 * delta.len() as u64,
             RawPrior::Integrated(t) => {
-                let layout = match &t.layout {
-                    RawIntegrationLayout::Dense { values } => 8 * values.len() as u64,
-                    RawIntegrationLayout::Sparse {
-                        support,
-                        values,
-                        zero_values,
-                    } => 4 * support.len() as u64 + 8 * (values.len() + zero_values.len()) as u64,
-                };
-                8 * (t.weights.len() + t.prior_log_weights.len() + t.sums.len()) as u64 + layout
+                let levels = t.weights.len() + t.prior_log_weights.len() + t.sums.len();
+                4 * t.support.len() as u64
+                    + 8 * (levels + t.values.len() + t.zero_values.len()) as u64
             }
             RawPrior::Frozen { phi } => 8 * phi.len() as u64,
             RawPrior::ConceptSet { support, .. } => 8 + 4 * support.len() as u64,
@@ -328,7 +328,9 @@ impl TrainCheckpoint {
     /// prior kinds with their f64 payload bits. Two checkpoints digest
     /// equal iff continuing them produces the same chain, so recovery
     /// tests can assert "resumed == uninterrupted" with one number
-    /// instead of a field-by-field diff.
+    /// instead of a field-by-field diff. A λ-integrated prior hashes each
+    /// word's δ row in word order, so which words its mirror stores as
+    /// support rows does not move the digest.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -389,26 +391,9 @@ impl TrainCheckpoint {
                             eat_u64(&mut h, v.to_bits());
                         }
                     }
-                    match &t.layout {
-                        RawIntegrationLayout::Dense { values } => {
-                            for &v in values {
-                                eat_u64(&mut h, v.to_bits());
-                            }
-                        }
-                        RawIntegrationLayout::Sparse {
-                            support,
-                            values,
-                            zero_values,
-                        } => {
-                            for &w in support {
-                                eat_u64(&mut h, u64::from(w));
-                            }
-                            for &v in values {
-                                eat_u64(&mut h, v.to_bits());
-                            }
-                            for &v in zero_values {
-                                eat_u64(&mut h, v.to_bits());
-                            }
+                    for row in t.word_rows(self.vocab_size()) {
+                        for &v in row {
+                            eat_u64(&mut h, v.to_bits());
                         }
                     }
                 }
@@ -772,13 +757,11 @@ mod tests {
         let g = SmoothingFunction::identity();
         let p = TopicPrior::integrated(&t, 0.01, &g, &q);
         let raw = p.to_raw();
-        assert!(matches!(
-            &raw,
-            RawPrior::Integrated(RawIntegrationTable {
-                layout: RawIntegrationLayout::Sparse { .. },
-                ..
-            })
-        ));
+        let RawPrior::Integrated(table) = &raw else {
+            panic!("an integrated prior writes an integrated mirror");
+        };
+        assert_eq!(table.support, [5, 7777]);
+        assert_eq!((table.values.len(), table.zero_values.len()), (2 * 4, 4));
         let back = TopicPrior::from_raw(raw, v).unwrap();
         for &w in &[5usize, 6, 7777, 0] {
             assert_eq!(p.word_weight(w, 1.0, 5.0), back.word_weight(w, 1.0, 5.0));
@@ -844,53 +827,42 @@ mod tests {
             weights: vec![0.5, 0.5],
             prior_log_weights: vec![0.0],
             sums: vec![1.0, 1.0],
-            layout: RawIntegrationLayout::Dense {
-                values: vec![1.0; 8],
-            },
+            support: vec![],
+            values: vec![],
+            zero_values: vec![1.0, 1.0],
         };
         assert!(TopicPrior::from_raw(RawPrior::Integrated(bad), 4).is_err());
-        // Integrated sparse: unsorted support breaks binary search.
+        // Integrated: unsorted support breaks binary search.
         let bad = RawIntegrationTable {
             weights: vec![1.0],
             prior_log_weights: vec![0.0],
             sums: vec![1.0],
-            layout: RawIntegrationLayout::Sparse {
-                support: vec![3, 1],
-                values: vec![1.0, 1.0],
-                zero_values: vec![0.1],
-            },
+            support: vec![3, 1],
+            values: vec![1.0, 1.0],
+            zero_values: vec![0.1],
         };
         assert!(TopicPrior::from_raw(RawPrior::Integrated(bad), 4).is_err());
-        // Integrated: values outside the ranges the weights stay finite and
-        // positive under, one case per check.
+        // Integrated: shapes and values outside the ranges the weights
+        // stay finite and positive under, one case per check.
         let good = || RawIntegrationTable {
             weights: vec![0.5, 0.5],
             prior_log_weights: vec![-0.7, -0.7],
             sums: vec![3.5, 3.0],
-            layout: RawIntegrationLayout::Sparse {
-                support: vec![1],
-                values: vec![2.0, 1.5],
-                zero_values: vec![0.5, 0.5],
-            },
+            support: vec![1],
+            values: vec![2.0, 1.5],
+            zero_values: vec![0.5, 0.5],
         };
         assert!(TopicPrior::from_raw(RawPrior::Integrated(good()), 4).is_ok());
         type Spoil = fn(&mut RawIntegrationTable);
-        let cases: [(&str, Spoil); 6] = [
-            ("NaN dense δ", |t| {
-                let mut values = vec![1.0; 8];
-                values[3] = f64::NAN;
-                t.layout = RawIntegrationLayout::Dense { values };
+        let cases: [(&str, Spoil); 9] = [
+            ("support word past V", |t| t.support[0] = 4),
+            ("short support rows", |t| {
+                t.values.pop();
             }),
-            ("negative sparse δ", |t| {
-                if let RawIntegrationLayout::Sparse { values, .. } = &mut t.layout {
-                    values[1] = -1.5;
-                }
-            }),
-            ("zero off-support value", |t| {
-                if let RawIntegrationLayout::Sparse { zero_values, .. } = &mut t.layout {
-                    zero_values[0] = 0.0;
-                }
-            }),
+            ("shared row of another length", |t| t.zero_values.push(0.5)),
+            ("NaN δ", |t| t.values[0] = f64::NAN),
+            ("negative δ", |t| t.values[1] = -1.5),
+            ("zero shared value", |t| t.zero_values[0] = 0.0),
             ("infinite level sum", |t| t.sums[1] = f64::INFINITY),
             ("negative quadrature weight", |t| t.weights[0] = -0.5),
             ("NaN prior log-weight", |t| {
@@ -907,8 +879,12 @@ mod tests {
         }
     }
 
+    /// At every vocabulary size, including the edges of the rule under
+    /// which older writers stored every word's row (V ≤ 4096, or a support
+    /// of half the words), the mirror is the support's rows plus the
+    /// shared row, and it decodes to a prior with the same weights.
     #[test]
-    fn raw_layout_choice_is_pinned_at_its_edges() {
+    fn raw_table_stores_its_support_at_every_vocab_size() {
         let g = SmoothingFunction::identity();
         let q = DiscretizedGaussian::unit_interval(0.7, 0.3, 5).unwrap();
         let zero_row: Vec<u64> = q
@@ -917,7 +893,7 @@ mod tests {
             .map(|&lam| 0.01f64.powf(g.eval(lam)).to_bits())
             .collect();
         let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (v, support, dense) in [(4096, 20, true), (4097, 20, false), (5000, 2500, true)] {
+        for (v, support) in [(4096, 20), (4097, 20), (5000, 2500)] {
             let stride = v / support;
             let mut counts = vec![0.0; v];
             for i in 0..support {
@@ -929,26 +905,10 @@ mod tests {
             let RawPrior::Integrated(table) = &raw else {
                 panic!("an integrated prior writes an integrated mirror");
             };
-            match &table.layout {
-                RawIntegrationLayout::Dense { values } => {
-                    assert!(dense, "V = {v}: wrote the dense raw layout");
-                    assert_eq!(values.len(), v * 5);
-                    for (w, row) in values.chunks_exact(5).enumerate() {
-                        if counts[w] == 0.0 {
-                            assert_eq!(bits(row), zero_row, "V = {v}: off-support row {w}");
-                        }
-                    }
-                }
-                RawIntegrationLayout::Sparse {
-                    support: words,
-                    zero_values,
-                    ..
-                } => {
-                    assert!(!dense, "V = {v}: wrote the sparse raw layout");
-                    assert_eq!(words.len(), support);
-                    assert_eq!(bits(zero_values), zero_row);
-                }
-            }
+            let words: Vec<u32> = (0..support).map(|i| (i * stride) as u32).collect();
+            assert_eq!(table.support, words, "V = {v}");
+            assert_eq!(table.values.len(), support * 5, "V = {v}");
+            assert_eq!(bits(&table.zero_values), zero_row, "V = {v}");
             let back = TopicPrior::from_raw(raw.clone(), v).unwrap();
             assert_eq!(
                 back.to_raw(),
@@ -1028,6 +988,77 @@ mod tests {
         let mut other = cp.clone();
         other.priors[1] = RawPrior::Symmetric { beta: 0.2 };
         assert_ne!(cp.digest(), other.digest());
+    }
+
+    /// The toy chain over V = 4 words, topic 1 λ-integrated over a source
+    /// whose support is words 1 and 3, its weights adapted once.
+    fn integrated_checkpoint() -> TrainCheckpoint {
+        let topic = SourceTopic::new("T", vec![0.0, 4.0, 0.0, 9.0]);
+        let q = DiscretizedGaussian::unit_interval(0.7, 0.3, 5).unwrap();
+        let g = SmoothingFunction::identity();
+        let mut prior = TopicPrior::integrated(&topic, 0.01, &g, &q);
+        prior.adapt_lambda(vec![(1usize, 2u32)], 2);
+        TrainCheckpoint {
+            counts: CountCells::from_dense(4, 2, [1, 0, 0, 2, 0, 0, 0, 0]),
+            priors: vec![RawPrior::Symmetric { beta: 0.1 }, prior.to_raw()],
+            ..toy_checkpoint()
+        }
+    }
+
+    #[test]
+    fn integrated_digest_is_pinned_whatever_the_stored_support() {
+        let cp = integrated_checkpoint();
+        cp.validate(&[2, 1], 4, 2).unwrap();
+        // The bits of hashing the four words' δ rows in word order, as a
+        // checkpoint that stored every word's row was digested.
+        assert_eq!(cp.digest(), 0xee4e_bb67_6e43_99e8);
+        let RawPrior::Integrated(table) = &cp.priors[1] else {
+            panic!("an integrated prior writes an integrated mirror");
+        };
+        assert_eq!(table.support, [1, 3]);
+        // The same rows with every word stored on the support.
+        let shared = &table.zero_values[..];
+        let row = |i: usize| &table.values[i * 5..(i + 1) * 5];
+        let full = RawIntegrationTable {
+            support: vec![0, 1, 2, 3],
+            values: [shared, row(0), shared, row(1)].concat(),
+            ..table.clone()
+        };
+        let mut stored_full = cp.clone();
+        stored_full.priors[1] = RawPrior::Integrated(full.clone());
+        assert_eq!(stored_full.digest(), cp.digest());
+        let fresh = TopicPrior::from_raw(cp.priors[1].clone(), 4).unwrap();
+        let twin = TopicPrior::from_raw(RawPrior::Integrated(full.clone()), 4).unwrap();
+        for w in 0..4 {
+            assert_eq!(
+                fresh.word_weight(w, 1.0, 3.0).to_bits(),
+                twin.word_weight(w, 1.0, 3.0).to_bits(),
+                "w = {w}"
+            );
+        }
+        // One δ value moved, on either side of the support, moves it.
+        for i in [0, 5] {
+            let mut other = stored_full.clone();
+            if let RawPrior::Integrated(t) = &mut other.priors[1] {
+                t.values[i] *= 2.0;
+            }
+            assert_ne!(other.digest(), cp.digest(), "value {i}");
+        }
+        // Malformed mirrors digest without panicking.
+        type Spoil = fn(&mut RawIntegrationTable);
+        let spoils: [Spoil; 4] = [
+            |t| t.support.push(9),
+            |t| t.support = vec![3, 1],
+            |t| t.values.truncate(3),
+            |t| t.zero_values.clear(),
+        ];
+        for spoil in spoils {
+            let mut bad = cp.clone();
+            let mut t = table.clone();
+            spoil(&mut t);
+            bad.priors[1] = RawPrior::Integrated(t);
+            bad.digest();
+        }
     }
 
     #[test]

@@ -29,27 +29,21 @@
 //! tests in the kernel module.
 
 use crate::error::CoreError;
-use crate::persist::{RawIntegrationLayout, RawIntegrationTable};
+use crate::persist::RawIntegrationTable;
 use srclda_knowledge::{SmoothingFunction, SourceTopic};
 use srclda_math::DiscretizedGaussian;
-
-/// The raw-layout rule of [`IntegrationTable::to_raw`]: a table is written
-/// in the dense raw layout (every word's row, `V·A` values) when the
-/// vocabulary has at most this many words or the support covers half of
-/// it, and in the sparse raw layout otherwise. Checkpoint digests hash the
-/// raw priors, so the rule is part of the file format.
-const DENSE_INTEGRATION_MAX_VOCAB: usize = 4096;
 
 /// The λ-integration table of one source topic: per quadrature level `a`,
 /// the powered hyperparameters `δ^{g(λₐ)}` and their sum.
 ///
 /// A word's δ row is `(n_w + ε)^{g(λₐ)}` on the topic's source support and
 /// the shared row `ε^{g(λₐ)}` off it, so the table stores the support's
-/// rows and the one off-support row. Nothing in it is sized by the
-/// vocabulary: the paper's `B = 10000` scaling benchmark would need
-/// `O(V·A·B)` floats otherwise. Readers that visit every word walk the
-/// sorted support with a cursor ([`Self::row_indices`]); readers of one
-/// word binary-search it ([`Self::row_index`]).
+/// rows and the one off-support row, in memory and in its mirror
+/// ([`Self::to_raw`]). Nothing in it is sized by the vocabulary: the
+/// paper's `B = 10000` scaling benchmark would need `O(V·A·B)` floats
+/// otherwise. Readers that visit every word walk the sorted support with
+/// a cursor ([`Self::row_indices`]); readers of one word binary-search it
+/// ([`Self::row_index`]).
 #[derive(Debug, Clone)]
 pub struct IntegrationTable {
     /// Current quadrature weights `wₐ` (initialized to the λ prior's
@@ -64,14 +58,11 @@ pub struct IntegrationTable {
     sums: Vec<f64>,
     /// Vocabulary size `V`.
     vocab_size: usize,
-    /// The support's word ids, strictly increasing. A table decoded from a
-    /// raw dense layout has every word on its support.
+    /// The support's word ids, strictly increasing.
     support: Vec<u32>,
     /// The δ rows, `A` values each: row `i < |support|` belongs to word
     /// `support[i]`, and row `|support|` is the shared off-support row
-    /// `ε^{g(λₐ)}`. No word reads that row when every word is on the
-    /// support; a table decoded from a raw dense layout, which does not
-    /// store `ε`, fills it with ones.
+    /// `ε^{g(λₐ)}`.
     rows: Vec<f64>,
     /// `ln Γ` of `sums` and of `rows` (the baselines of [`Self::adapt`]),
     /// built by the first adapt call: loading a model builds a table per
@@ -373,30 +364,18 @@ impl IntegrationTable {
         }
     }
 
-    /// Convert to the serializable mirror (see [`crate::persist`]). All f64
-    /// state is copied verbatim, so the round trip is bit-exact. The raw
-    /// layout follows [`DENSE_INTEGRATION_MAX_VOCAB`]'s rule; a dense one
-    /// repeats the off-support row for every word off the support.
+    /// Convert to the serializable mirror (see [`crate::persist`]): the
+    /// support, its rows and the shared row. All f64 state is copied
+    /// verbatim, so the round trip is bit-exact.
     pub fn to_raw(&self) -> RawIntegrationTable {
-        let n = self.support.len();
-        let layout = if self.vocab_size <= DENSE_INTEGRATION_MAX_VOCAB || 2 * n >= self.vocab_size {
-            let mut values = Vec::with_capacity(self.vocab_size * self.a);
-            for i in self.row_indices() {
-                values.extend_from_slice(self.row(i));
-            }
-            RawIntegrationLayout::Dense { values }
-        } else {
-            RawIntegrationLayout::Sparse {
-                support: self.support.clone(),
-                values: self.rows[..n * self.a].to_vec(),
-                zero_values: self.zero_row().to_vec(),
-            }
-        };
+        let (support_rows, zero_row) = self.rows.split_at(self.support.len() * self.a);
         RawIntegrationTable {
             weights: self.weights.clone(),
             prior_log_weights: self.prior_log_weights.clone(),
             sums: self.sums.clone(),
-            layout,
+            support: self.support.clone(),
+            values: support_rows.to_vec(),
+            zero_values: zero_row.to_vec(),
         }
     }
 
@@ -404,8 +383,7 @@ impl IntegrationTable {
     /// hot path relies on: lengths, a sorted in-range support, and values
     /// that keep every weight finite and positive — δ rows and level sums
     /// finite and positive, quadrature weights finite and non-negative,
-    /// prior log-weights finite. A raw dense layout does not record the
-    /// support, so every word joins it.
+    /// prior log-weights finite.
     ///
     /// # Errors
     /// Fails on any inconsistency (a corrupt or mismatched artifact).
@@ -433,55 +411,38 @@ impl IntegrationTable {
         if !positive(&raw.sums) {
             return Err(bad("a level sum is not finite and positive".into()));
         }
-        let (support, rows) = match raw.layout {
-            RawIntegrationLayout::Dense { mut values } => {
-                if values.len() != vocab_size * a {
-                    return Err(bad(format!(
-                        "dense table has {} values for V={vocab_size}, A={a}",
-                        values.len()
-                    )));
-                }
-                // The off-support row, which no word reads (see `rows`).
-                values.resize(values.len() + a, 1.0);
-                ((0..vocab_size).map(|w| w as u32).collect(), values)
-            }
-            RawIntegrationLayout::Sparse {
-                support,
-                mut values,
-                zero_values,
-            } => {
-                if values.len() != support.len() * a {
-                    return Err(bad(format!(
-                        "sparse table has {} values for {} support words, A={a}",
-                        values.len(),
-                        support.len()
-                    )));
-                }
-                if zero_values.len() != a {
-                    return Err(bad(format!(
-                        "{} zero-row values for A={a}",
-                        zero_values.len()
-                    )));
-                }
-                if !support.windows(2).all(|p| p[0] < p[1]) {
-                    return Err(bad("sparse support is not strictly increasing".into()));
-                }
-                if let Some(&w) = support.iter().find(|&&w| w as usize >= vocab_size) {
-                    return Err(bad(format!(
-                        "support word {w} outside vocabulary of size {vocab_size}"
-                    )));
-                }
-                values.extend_from_slice(&zero_values);
-                (support, values)
-            }
-        };
+        let RawIntegrationTable {
+            weights,
+            prior_log_weights,
+            sums,
+            support,
+            values: mut rows,
+            zero_values,
+        } = raw;
+        if rows.len() != support.len() * a || zero_values.len() != a {
+            return Err(bad(format!(
+                "{} support rows and a shared row of {} values for {} support words, A={a}",
+                rows.len(),
+                zero_values.len(),
+                support.len()
+            )));
+        }
+        if !support.windows(2).all(|p| p[0] < p[1]) {
+            return Err(bad("support is not strictly increasing".into()));
+        }
+        if let Some(&w) = support.last().filter(|&&w| w as usize >= vocab_size) {
+            return Err(bad(format!(
+                "support word {w} outside vocabulary of size {vocab_size}"
+            )));
+        }
+        rows.extend_from_slice(&zero_values);
         if !positive(&rows) {
             return Err(bad("a δ value is not finite and positive".into()));
         }
         Ok(Self::from_parts(
-            raw.weights,
-            raw.prior_log_weights,
-            raw.sums,
+            weights,
+            prior_log_weights,
+            sums,
             vocab_size,
             support,
             rows,
@@ -1003,8 +964,9 @@ mod tests {
 
     #[test]
     fn small_vocab_table_is_sized_by_its_support() {
-        // V = 4000 is below the raw dense threshold: the file still holds
-        // every word's row, the table only the support's and the shared one.
+        // V = 4000, under the 4096 words up to which older writers stored
+        // every word's row: the table and its mirror hold only the
+        // support's rows and the shared one.
         let (v, support, levels) = (4000, 20, 8);
         let mut counts = vec![0.0; v];
         for i in 0..support {
@@ -1043,10 +1005,15 @@ mod tests {
         ] {
             assert!(len <= bound, "a field holds {len} entries, over {bound}");
         }
-        match table.to_raw().layout {
-            RawIntegrationLayout::Dense { values } => assert_eq!(values.len(), v * levels),
-            RawIntegrationLayout::Sparse { .. } => panic!("V = {v} writes the dense raw layout"),
-        }
+        // The mirror: the support's rows with their ids, the shared row,
+        // and the weights, prior log-weights and sums.
+        let raw = crate::persist::RawPrior::Integrated(table.to_raw());
+        let raw_bound = (support + 1) * (8 * levels + 4) + 24 * levels;
+        assert!(
+            raw.payload_bytes() <= raw_bound as u64,
+            "the mirror is {} bytes, over {raw_bound}",
+            raw.payload_bytes()
+        );
     }
 
     #[test]

@@ -283,8 +283,7 @@ pub(crate) struct Combined {
     a: usize,
     /// `int_off[w*n_int + j]`: word `w` is off-support for the `j`-th
     /// λ-integrated topic, i.e. its δ row is the topic's zero row and the
-    /// cached `S2_zero` applies (never, for a table decoded from a raw
-    /// dense layout, whose support is every word).
+    /// cached `S2_zero` applies.
     int_off: Vec<bool>,
 }
 

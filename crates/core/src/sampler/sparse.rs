@@ -51,14 +51,12 @@
 //! it *is* the shared off-support row and the deviating words are exactly
 //! the source support.) Baselines are **min-valued by construction**, so
 //! `dev_w ≥ 0` always. They are derived from row values, never from which
-//! words a table keeps on its support: a table decoded from a raw dense
-//! layout has every word on its support, and its fresh twin keeps only the
-//! source support, yet both hold the same row values, so both build the
-//! same floors, deviating words and demotions, and a resumed chain routes
-//! every draw exactly like the uninterrupted one. A λ-integrated topic
-//! where most words deviate from the floor (pathological δ structure) is
-//! demoted to a **dense topic**: its full weight is evaluated in the q
-//! bucket for every token — correct, just not sub-linear for that topic.
+//! words a table stores on its support, so two tables that give every word
+//! the same δ row build the same floors, deviating words and demotions. A
+//! λ-integrated topic where most words deviate from the floor
+//! (pathological δ structure) is demoted to a **dense topic**: its full
+//! weight is evaluated in the q bucket for every token — correct, just not
+//! sub-linear for that topic.
 //!
 //! ## Equivalence contract: distribution-level, not bit-level
 //!
@@ -697,7 +695,7 @@ impl<'a> SparseKernel<'a> {
 mod tests {
     use super::super::kernel::Kernel;
     use super::*;
-    use crate::persist::{RawIntegrationLayout, RawIntegrationTable, RawPrior};
+    use crate::persist::{RawIntegrationTable, RawPrior};
     use crate::prior::TopicPrior;
     use proptest::prelude::*;
     use srclda_knowledge::{SmoothingFunction, SourceTopic};
@@ -741,11 +739,9 @@ mod tests {
             weights: quad.weights().to_vec(),
             prior_log_weights: vec![0.0; levels],
             sums,
-            layout: RawIntegrationLayout::Sparse {
-                support: (0..idx_u32(n)).collect(),
-                values,
-                zero_values,
-            },
+            support: (0..idx_u32(n)).collect(),
+            values,
+            zero_values,
         };
         TopicPrior::from_raw(RawPrior::Integrated(raw), v).unwrap()
     }
@@ -998,18 +994,34 @@ mod tests {
         );
     }
 
-    /// Regression: the bucket structure must survive a checkpoint
-    /// round-trip of the priors. A table decoded from a raw dense layout
-    /// has every word on its support, while its fresh twin keeps only the
-    /// source support, so a structure derived from support membership
-    /// would differ after resume and route draws onto a different chain
-    /// (caught by `tests/shard_equivalence.rs::resume_replays_bit_identically`).
-    /// Inputs: the mixed fixture at V = 6 (raw dense), and at V = 5000 a
-    /// 20-word support (raw sparse), a support of exactly half the words
-    /// (raw dense, sub-linear) and one of more than half (raw dense,
-    /// demoted). Deviation entries are compared by topic and by the δ row
-    /// they resolve to: a row index counts support positions, which differ
-    /// between the twins when every word joins the support.
+    /// `prior` decoded from a crafted mirror that stores every word's δ
+    /// row on the support, when it is λ-integrated; otherwise as it is.
+    fn full_support_twin(prior: &TopicPrior, v: usize) -> TopicPrior {
+        let raw = match (prior, prior.to_raw()) {
+            (TopicPrior::Integrated(table), RawPrior::Integrated(raw)) => {
+                RawPrior::Integrated(RawIntegrationTable {
+                    support: (0..idx_u32(v)).collect(),
+                    values: (0..v).flat_map(|w| table.delta_row(w).to_vec()).collect(),
+                    ..raw
+                })
+            }
+            (_, raw) => raw,
+        };
+        TopicPrior::from_raw(raw, v).unwrap()
+    }
+
+    /// Regression: the bucket structure derives from row values, not from
+    /// which words a table stores on its support, so it survives a
+    /// checkpoint round-trip of the priors, and a twin whose mirror stores
+    /// every word's row on the support builds it too. A structure derived
+    /// from support membership would differ after such a resume and route
+    /// draws onto a different chain (caught by
+    /// `tests/shard_equivalence.rs::resume_replays_bit_identically`).
+    /// Inputs: the mixed fixture at V = 6, and at V = 5000 a 20-word
+    /// support, a support of exactly half the words (sub-linear) and one
+    /// of more than half (demoted). Deviation entries are compared by
+    /// topic and by the δ row they resolve to: a row index counts support
+    /// positions, which differ between the twins.
     #[test]
     fn bucket_structure_survives_prior_round_trip() {
         type Resolved = Vec<Vec<(u32, Vec<u64>)>>;
@@ -1035,42 +1047,25 @@ mod tests {
             TopicPrior::integrated(&SourceTopic::new("T", counts), 0.01, &g, &quad)
         };
         let large = vec![topic(250, 20), topic(2, 2500), topic(1, 2600)];
-        let dense_raw: Vec<bool> = large
-            .iter()
-            .map(|p| {
-                matches!(
-                    p.to_raw(),
-                    RawPrior::Integrated(RawIntegrationTable {
-                        layout: RawIntegrationLayout::Dense { .. },
-                        ..
-                    })
-                )
-            })
-            .collect();
-        assert_eq!(dense_raw, [false, true, true]);
         for (priors, v, demoted) in [(fixture().1, 6, vec![]), (large, v, vec![2])] {
+            let a = SparseShape::build(&SweepTables::new(&priors), v);
+            assert_eq!(a.dense_topics, demoted);
             let round_tripped: Vec<TopicPrior> = priors
                 .iter()
                 .map(|p| TopicPrior::from_raw(p.to_raw(), v).unwrap())
                 .collect();
-            if let TopicPrior::Integrated(table) = &round_tripped[1] {
+            let full: Vec<TopicPrior> = priors.iter().map(|p| full_support_twin(p, v)).collect();
+            for (what, twins) in [("round trip", round_tripped), ("full support", full)] {
+                let b = SparseShape::build(&SweepTables::new(&twins), v);
                 assert_eq!(
-                    table.support().len(),
-                    v,
-                    "a raw dense table decodes onto every word"
+                    resolve(&a, &priors),
+                    resolve(&b, &twins),
+                    "deviation lists changed across the {what} (V = {v})"
                 );
+                assert_eq!(b.dense_topics, demoted, "{what}");
+                assert_eq!(a.base_param, b.base_param, "{what}");
+                assert_eq!(a.int_floor, b.int_floor, "{what}");
             }
-            let a = SparseShape::build(&SweepTables::new(&priors), v);
-            let b = SparseShape::build(&SweepTables::new(&round_tripped), v);
-            assert_eq!(
-                resolve(&a, &priors),
-                resolve(&b, &round_tripped),
-                "deviation lists changed across round-trip (V = {v})"
-            );
-            assert_eq!(a.dense_topics, demoted);
-            assert_eq!(b.dense_topics, demoted);
-            assert_eq!(a.base_param, b.base_param);
-            assert_eq!(a.int_floor, b.int_floor);
         }
     }
 

@@ -33,6 +33,11 @@
 //! count, then `(w·T + t: u64, n_wt: u32)` pairs strictly increasing by
 //! index, at most `V·T` of them.
 //!
+//! A λ-integrated prior ([`RawIntegrationTable`]) is written with layout
+//! tag 1: its support's word ids and δ rows, then the row every other word
+//! shares. Decode reads tag 0, every word's row, which older writers used
+//! up to 4096 words, into that form; nothing past decode knows it.
+//!
 //! A final model ([`ModelArtifact::from_fitted`]) is sections 1, 3–6 and
 //! 8, and stores no φ: [`ModelArtifact::inference`] derives it from the
 //! counts and priors straight into the engine's table of per-topic
@@ -53,10 +58,9 @@
 //! sampler state that also carries α, the dense `nw`, `nt` and a second
 //! copy of the priors. **v3** wrote generations as above and final models
 //! as sections 1–6. **v4** (this build) writes final models as sampler
-//! state, the counts section in φ's place; its generations differ from v3
-//! ones only in the version field. Files of every earlier version,
-//! generations included, still load; the committed fixtures under
-//! `tests/fixtures/` pin that.
+//! state, the counts section in φ's place; its generations keep the v3
+//! sections. Files of every earlier version, generations included, still
+//! load; the committed fixtures under `tests/fixtures/` pin that.
 //!
 //! Readers ignore unknown section ids (room for additive growth within a
 //! version); any change to an *existing* section's meaning requires
@@ -65,9 +69,7 @@
 
 use crate::codec::{fnv1a64, Reader, Writer};
 use crate::error::ServeError;
-use srclda_core::persist::{
-    CountCells, RawIntegrationLayout, RawIntegrationTable, RawPrior, TrainCheckpoint,
-};
+use srclda_core::persist::{CountCells, RawIntegrationTable, RawPrior, TrainCheckpoint};
 use srclda_core::prior::TopicPrior;
 use srclda_core::{FittedModel, Inference};
 use srclda_corpus::{Tokenizer, Vocabulary};
@@ -567,7 +569,7 @@ impl ModelArtifact {
 
         let mut priors_reader = Reader::new(payload(SEC_PRIORS, "priors")?, "priors section");
         let priors: Vec<RawPrior> = (0..t)
-            .map(|_| decode_prior(&mut priors_reader))
+            .map(|_| decode_prior(&mut priors_reader, v))
             .collect::<Result<_, ServeError>>()?;
         priors_reader.expect_empty()?;
 
@@ -852,7 +854,7 @@ fn decode_checkpoint_v2(
     }
     let prior_count = r.len(1)?;
     let priors: Vec<RawPrior> = (0..prior_count)
-        .map(|_| decode_prior(r))
+        .map(|_| decode_prior(r, v))
         .collect::<Result<_, ServeError>>()?;
     Ok(TrainCheckpoint {
         sweep,
@@ -903,22 +905,10 @@ fn encode_prior(w: &mut Writer, raw: &RawPrior) {
             w.f64_slice(&table.weights);
             w.f64_slice(&table.prior_log_weights);
             w.f64_slice(&table.sums);
-            match &table.layout {
-                RawIntegrationLayout::Dense { values } => {
-                    w.u8(0);
-                    w.f64_slice(values);
-                }
-                RawIntegrationLayout::Sparse {
-                    support,
-                    values,
-                    zero_values,
-                } => {
-                    w.u8(1);
-                    w.u32_slice(support);
-                    w.f64_slice(values);
-                    w.f64_slice(zero_values);
-                }
-            }
+            w.u8(1); // the support layout (0 is the legacy dense one)
+            w.u32_slice(&table.support);
+            w.f64_slice(&table.values);
+            w.f64_slice(&table.zero_values);
         }
         RawPrior::Frozen { phi } => {
             w.u8(3);
@@ -932,7 +922,8 @@ fn encode_prior(w: &mut Writer, raw: &RawPrior) {
     }
 }
 
-fn decode_prior(r: &mut Reader<'_>) -> Result<RawPrior, ServeError> {
+/// Decode one prior of a `v`-word model.
+fn decode_prior(r: &mut Reader<'_>, v: usize) -> Result<RawPrior, ServeError> {
     match r.u8()? {
         0 => Ok(RawPrior::Symmetric { beta: r.f64()? }),
         1 => Ok(RawPrior::Fixed {
@@ -942,15 +933,9 @@ fn decode_prior(r: &mut Reader<'_>) -> Result<RawPrior, ServeError> {
             let weights = r.f64_vec()?;
             let prior_log_weights = r.f64_vec()?;
             let sums = r.f64_vec()?;
-            let layout = match r.u8()? {
-                0 => RawIntegrationLayout::Dense {
-                    values: r.f64_vec()?,
-                },
-                1 => RawIntegrationLayout::Sparse {
-                    support: r.u32_vec()?,
-                    values: r.f64_vec()?,
-                    zero_values: r.f64_vec()?,
-                },
+            let (support, values, zero_values) = match r.u8()? {
+                0 => support_form(&r.f64_vec()?, weights.len(), v)?,
+                1 => (r.u32_vec()?, r.f64_vec()?, r.f64_vec()?),
                 tag => {
                     return Err(ServeError::Corrupt(format!(
                         "unknown integration layout tag {tag}"
@@ -961,7 +946,9 @@ fn decode_prior(r: &mut Reader<'_>) -> Result<RawPrior, ServeError> {
                 weights,
                 prior_log_weights,
                 sums,
-                layout,
+                support,
+                values,
+                zero_values,
             }))
         }
         3 => Ok(RawPrior::Frozen { phi: r.f64_vec()? }),
@@ -971,6 +958,40 @@ fn decode_prior(r: &mut Reader<'_>) -> Result<RawPrior, ServeError> {
         }),
         tag => Err(ServeError::Corrupt(format!("unknown prior tag {tag}"))),
     }
+}
+
+/// A λ-integration table's support, its δ rows and the shared row.
+type SupportRows = (Vec<u32>, Vec<f64>, Vec<f64>);
+
+/// A legacy dense δ payload (`v·a` values, every word's row in word order,
+/// as older writers stored tables over at most 4096 words) in the support
+/// form. The shared row is the element-wise minimum of the rows,
+/// `ε^{g(λₐ)}` for every table a source builds (`g` is clamped into
+/// [0, 1] and every support count is positive), and the support is the
+/// words whose row differs from it in any bit: every word, in a file where
+/// no row is that minimum.
+fn support_form(dense: &[f64], a: usize, v: usize) -> Result<SupportRows, ServeError> {
+    let sized = a > 0 && Some(dense.len()) == v.checked_mul(a);
+    let Some(words) = u32::try_from(v).ok().filter(|_| sized) else {
+        return Err(ServeError::Corrupt(format!(
+            "dense integration table has {} values for V={v}, A={a}",
+            dense.len()
+        )));
+    };
+    let mut floor = vec![f64::INFINITY; a];
+    for row in dense.chunks_exact(a) {
+        floor.iter_mut().zip(row).for_each(|(f, &x)| *f = f.min(x));
+    }
+    let off_floor = |row: &[f64]| {
+        row.iter()
+            .zip(&floor)
+            .any(|(x, f)| x.to_bits() != f.to_bits())
+    };
+    let (support, rows): (Vec<u32>, Vec<&[f64]>) = (0..words)
+        .zip(dense.chunks_exact(a))
+        .filter(|(_, row)| off_floor(row))
+        .unzip();
+    Ok((support, rows.concat(), floor))
 }
 
 /// The payload slice a section table entry points at. [`list_sections`]
@@ -1421,6 +1442,135 @@ mod tests {
         assert!(s.contains("tokenizer"));
     }
 
+    /// A priors-section entry holding `raw`'s levels and `dense` as a
+    /// legacy dense δ payload (layout tag 0).
+    fn dense_payload(raw: &RawIntegrationTable, dense: &[f64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(2);
+        w.f64_slice(&raw.weights);
+        w.f64_slice(&raw.prior_log_weights);
+        w.f64_slice(&raw.sums);
+        w.u8(0);
+        w.f64_slice(dense);
+        w.into_bytes()
+    }
+
+    /// Every word's δ row of `raw` over `v` words, in word order.
+    fn dense_rows(raw: &RawIntegrationTable, v: usize) -> Vec<f64> {
+        let a = raw.zero_values.len();
+        (0..v as u32)
+            .flat_map(|w| match raw.support.binary_search(&w) {
+                Ok(i) => raw.values[i * a..(i + 1) * a].to_vec(),
+                Err(_) => raw.zero_values.clone(),
+            })
+            .collect()
+    }
+
+    /// Decode one priors-section entry of a `v`-word model and revalidate
+    /// it, as [`ModelArtifact::from_bytes`] does.
+    fn decode_live(bytes: &[u8], v: usize) -> Result<(RawPrior, TopicPrior), ServeError> {
+        let mut r = Reader::new(bytes, "priors section");
+        let raw = decode_prior(&mut r, v)?;
+        r.expect_empty()?;
+        let live = live(vec![raw.clone()], v)?.pop().unwrap();
+        Ok((raw, live))
+    }
+
+    /// A λ-integrated prior over `v` words whose source counts `words`
+    /// words, `stride` apart.
+    fn integrated(v: usize, stride: usize, words: usize) -> TopicPrior {
+        let mut counts = vec![0.0; v];
+        for i in 0..words {
+            counts[i * stride] = (1 + i % 7) as f64;
+        }
+        let q = srclda_math::DiscretizedGaussian::unit_interval(0.7, 0.3, 5).unwrap();
+        let g = srclda_knowledge::SmoothingFunction::identity();
+        let topic = srclda_knowledge::SourceTopic::new("T", counts);
+        TopicPrior::integrated(&topic, 0.01, &g, &q)
+    }
+
+    /// A legacy dense payload of a table a source built decodes to exactly
+    /// the mirror the table writes, at V ≤ 4096 (where older writers
+    /// stored that payload) and above; a table whose support is every word
+    /// decodes to one that gives every word the same weight.
+    #[test]
+    fn legacy_dense_payloads_decode_to_the_support_form() {
+        let mut adapted = integrated(300, 7, 30);
+        adapted.adapt_lambda(vec![(0usize, 5u32), (7, 2)], 7);
+        for (v, prior) in [(300, adapted), (5000, integrated(5000, 250, 20))] {
+            let RawPrior::Integrated(raw) = prior.to_raw() else {
+                panic!("an integrated prior writes an integrated mirror");
+            };
+            let bytes = dense_payload(&raw, &dense_rows(&raw, v));
+            let (decoded, _) = decode_live(&bytes, v).unwrap();
+            assert_eq!(decoded, RawPrior::Integrated(raw), "V = {v}");
+        }
+        let v = 40;
+        let every_word = integrated(v, 1, v);
+        let RawPrior::Integrated(raw) = every_word.to_raw() else {
+            panic!("an integrated prior writes an integrated mirror");
+        };
+        assert_eq!(raw.support.len(), v);
+        let (_, decoded) = decode_live(&dense_payload(&raw, &dense_rows(&raw, v)), v).unwrap();
+        for w in 0..v {
+            for (nw, nt) in [(0.0, 0.0), (3.0, 40.0)] {
+                assert_eq!(
+                    decoded.word_weight(w, nw, nt).to_bits(),
+                    every_word.word_weight(w, nw, nt).to_bits(),
+                    "w = {w}"
+                );
+            }
+        }
+    }
+
+    /// Crafted legacy dense payloads are corrupt, never a panic: no levels,
+    /// a length that is not V·A, mismatched level counts, and a NaN or
+    /// zero row.
+    #[test]
+    fn crafted_dense_payloads_are_rejected() {
+        let (v, a) = (4, 2);
+        let raw = |levels: usize, log_levels: usize| RawIntegrationTable {
+            weights: vec![0.5; levels],
+            prior_log_weights: vec![-0.7; log_levels],
+            sums: vec![4.0; levels],
+            support: vec![],
+            values: vec![],
+            zero_values: vec![],
+        };
+        let spoiled = |i: usize, x: f64| {
+            let mut dense = vec![1.0; v * a];
+            dense[i] = x;
+            dense
+        };
+        assert!(decode_live(&dense_payload(&raw(a, a), &spoiled(0, 2.0)), v).is_ok());
+        let cases = [
+            ("no levels", raw(0, 0), vec![]),
+            ("short payload", raw(a, a), vec![1.0; v * a - 1]),
+            ("long payload", raw(a, a), vec![1.0; v * a + 1]),
+            ("level counts", raw(a, 1), vec![1.0; v * a]),
+            ("NaN δ", raw(a, a), spoiled(3, f64::NAN)),
+            ("NaN level", raw(a, a), {
+                let mut dense = vec![1.0; v * a];
+                dense.iter_mut().step_by(a).for_each(|x| *x = f64::NAN);
+                dense
+            }),
+            ("zero row", raw(a, a), {
+                let mut dense = vec![1.0; v * a];
+                dense[2..4].fill(0.0);
+                dense
+            }),
+        ];
+        for (what, table, dense) in cases {
+            assert!(
+                matches!(
+                    decode_live(&dense_payload(&table, &dense), v),
+                    Err(ServeError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn mismatched_vocab_rejected_at_construction() {
         let (artifact, fitted) = trained();
@@ -1433,14 +1583,14 @@ mod tests {
         // reach φ, so only prior validation keeps it out.
         let with_delta = |delta: f64| {
             let v = artifact.vocab_size();
-            let mut values = vec![1.0; v * 2];
-            values[1] = delta;
             let mut priors = artifact.priors();
             priors[0] = RawPrior::Integrated(RawIntegrationTable {
                 weights: vec![0.5, 0.5],
                 prior_log_weights: vec![0.5f64.ln(); 2],
                 sums: vec![v as f64; 2],
-                layout: RawIntegrationLayout::Dense { values },
+                support: vec![0],
+                values: vec![1.0, delta],
+                zero_values: vec![1.0; 2],
             });
             ModelArtifact::new(
                 artifact.alpha(),

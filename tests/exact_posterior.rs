@@ -20,7 +20,7 @@
 //! kernel alone is the kernel's. Unlike a comparison between the two
 //! kernels, this catches a wrong conditional that both could share.
 
-use source_lda::core::persist::{CountCells, RawIntegrationLayout, RawIntegrationTable, RawPrior};
+use source_lda::core::persist::{CountCells, RawIntegrationTable, RawPrior};
 use source_lda::core::prior::TopicPrior;
 use source_lda::math::special::ln_gamma;
 use source_lda::prelude::*;
@@ -190,11 +190,9 @@ fn dipping_support_prior(v: usize, levels: usize) -> TopicPrior {
         weights: vec![1.0 / levels as f64; levels],
         prior_log_weights: vec![0.0; levels],
         sums,
-        layout: RawIntegrationLayout::Sparse {
-            support: (0..n as u32).collect(),
-            values,
-            zero_values,
-        },
+        support: (0..n as u32).collect(),
+        values,
+        zero_values,
     };
     TopicPrior::from_raw(RawPrior::Integrated(raw), v).unwrap()
 }

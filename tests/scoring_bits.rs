@@ -125,9 +125,8 @@ fn perplexity_bits_are_pinned() {
 }
 
 /// The scoring corpus with filler words appended until the vocabulary
-/// passes 4096 words, and its knowledge source: a λ-integrated prior over
-/// it writes the sparse raw layout, where the scoring corpus's writes the
-/// dense one.
+/// passes 4096 words, the size up to which older writers stored every
+/// word's δ row, and its knowledge source.
 fn wide_corpus() -> (Corpus, KnowledgeSource) {
     let (train, _, _) = corpora();
     let mut b = CorpusBuilder::new().tokenizer(Tokenizer::permissive());
@@ -152,24 +151,27 @@ fn wide_corpus() -> (Corpus, KnowledgeSource) {
     (wide, knowledge)
 }
 
-/// Whether every λ-integrated prior of `artifact` wrote the sparse raw
-/// layout (`Some(true)`), every one the dense (`Some(false)`), or it has
-/// none.
-fn integrated_layout_is_sparse(artifact: &ModelArtifact) -> Option<bool> {
-    use source_lda::core::persist::{RawIntegrationLayout, RawPrior};
-    let sparse: Vec<bool> = artifact
+/// The largest priors section a λ-integrated fit over `knowledge` may
+/// write: per source topic of an s-word support, its rows with their word
+/// ids, the shared row, and the weights, prior log-weights and sums,
+/// (s + 1)·(8A + 4) + 24A bytes; and per topic, source or not, 64 bytes of
+/// tags and length prefixes.
+fn priors_section_bound(fitted: &FittedModel, knowledge: &KnowledgeSource) -> u64 {
+    use source_lda::core::prior::TopicPrior;
+    let a = fitted
         .priors()
         .iter()
-        .filter_map(|p| match p {
-            RawPrior::Integrated(t) => {
-                Some(matches!(t.layout, RawIntegrationLayout::Sparse { .. }))
-            }
+        .find_map(|p| match p {
+            TopicPrior::Integrated(table) => Some(table.levels()),
             _ => None,
         })
-        .collect();
-    let first = *sparse.first()?;
-    assert!(sparse.iter().all(|&s| s == first));
-    Some(first)
+        .unwrap();
+    let sources: usize = knowledge
+        .topics()
+        .iter()
+        .map(|topic| (topic.support().len() + 1) * (8 * a + 4) + 24 * a)
+        .sum();
+    (sources + 64 * fitted.num_topics()) as u64
 }
 
 /// θ, assignment and log-likelihood bits of folding the first documents
@@ -246,9 +248,10 @@ fn final_checkpoint_serves_the_fitted_phi() {
 
     let (wide, wide_knowledge) = wide_corpus();
     assert!(wide.vocab_size() > 4096);
-    let full = |corpus: &Corpus, knowledge: KnowledgeSource| {
-        SourceLda::builder()
-            .knowledge_source(knowledge)
+    // A λ-integrated fit, with the bound on its priors section.
+    let full = |corpus: &Corpus, knowledge: &KnowledgeSource| {
+        let fitted = SourceLda::builder()
+            .knowledge_source(knowledge.clone())
             .variant(Variant::Full)
             .unlabeled_topics(2)
             .adaptive_lambda(4)
@@ -257,9 +260,13 @@ fn final_checkpoint_serves_the_fitted_phi() {
             .build()
             .unwrap()
             .fit(corpus)
-            .unwrap()
+            .unwrap();
+        let bound = priors_section_bound(&fitted, knowledge);
+        (fitted, Some(bound))
     };
-    let families: [(&str, FittedModel, &Corpus, Option<bool>); 6] = [
+    let (small_full, small_bound) = full(&train, &knowledge);
+    let (wide_full, wide_bound) = full(&wide, &wide_knowledge);
+    let families: [(&str, FittedModel, &Corpus, Option<u64>); 6] = [
         (
             "LDA (symmetric)",
             Lda::builder()
@@ -289,18 +296,8 @@ fn final_checkpoint_serves_the_fitted_phi() {
             &train,
             None,
         ),
-        (
-            "Full, V ≤ 4096",
-            full(&train, knowledge.clone()),
-            &train,
-            Some(false),
-        ),
-        (
-            "Full, V > 4096",
-            full(&wide, wide_knowledge),
-            &wide,
-            Some(true),
-        ),
+        ("Full, V ≤ 4096", small_full, &train, small_bound),
+        ("Full, V > 4096", wide_full, &wide, wide_bound),
         (
             "EDA (frozen)",
             Eda::builder()
@@ -329,23 +326,23 @@ fn final_checkpoint_serves_the_fitted_phi() {
             None,
         ),
     ];
-    for (what, fitted, corpus, sparse) in families {
+    for (what, fitted, corpus, priors_bound) in families {
         let bytes =
             ModelArtifact::from_fitted(&fitted, corpus.vocabulary(), &Tokenizer::permissive())
                 .unwrap()
                 .to_bytes();
-        let names: Vec<&str> = source_lda::serve::list_sections(&bytes)
-            .unwrap()
-            .iter()
-            .map(|s| s.name())
-            .collect();
+        let sections = source_lda::serve::list_sections(&bytes).unwrap();
+        let names: Vec<&str> = sections.iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
             ["model", "labels", "priors", "vocab", "tokenizer", "counts"],
             "{what}"
         );
+        if let Some(bound) = priors_bound {
+            let priors = sections[2].length;
+            assert!(priors <= bound, "{what}: priors section {priors} > {bound}");
+        }
         let artifact = ModelArtifact::from_bytes(&bytes).unwrap();
-        assert_eq!(integrated_layout_is_sparse(&artifact), sparse, "{what}");
         assert_eq!(
             f64_bytes(artifact.phi().unwrap().as_slice().iter().copied()),
             f64_bytes(fitted.phi().as_slice().iter().copied()),
