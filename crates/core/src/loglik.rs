@@ -104,22 +104,17 @@ pub fn joint_word_log_likelihood_counted(
 mod tests {
     use super::*;
 
-    fn make_counts(
-        assign: &[(usize, usize, usize)],
-        v: usize,
-        t: usize,
-        lens: &[u32],
-    ) -> CountMatrices {
-        let c = CountMatrices::new(v, t, lens);
-        for &(w, d, topic) in assign {
-            c.increment(w, d, topic);
+    fn make_counts(assign: &[(usize, usize)], v: usize, t: usize) -> CountMatrices {
+        let c = CountMatrices::new(v, t);
+        for &(w, topic) in assign {
+            c.increment(w, topic);
         }
         c
     }
 
     #[test]
     fn empty_counts_give_zero() {
-        let counts = CountMatrices::new(3, 2, &[0]);
+        let counts = CountMatrices::new(3, 2);
         let priors = vec![
             TopicPrior::symmetric(0.5, 3).unwrap(),
             TopicPrior::symmetric(0.5, 3).unwrap(),
@@ -134,8 +129,8 @@ mod tests {
             TopicPrior::symmetric(0.1, 2).unwrap(),
             TopicPrior::symmetric(0.1, 2).unwrap(),
         ];
-        let concentrated = make_counts(&[(0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)], 2, 2, &[4]);
-        let scattered = make_counts(&[(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)], 2, 2, &[4]);
+        let concentrated = make_counts(&[(0, 0), (0, 0), (1, 1), (1, 1)], 2, 2);
+        let scattered = make_counts(&[(0, 0), (0, 1), (1, 0), (1, 1)], 2, 2);
         let lc = joint_word_log_likelihood(&concentrated, &priors);
         let ls = joint_word_log_likelihood(&scattered, &priors);
         assert!(lc > ls, "concentrated {lc} should beat scattered {ls}");
@@ -150,8 +145,8 @@ mod tests {
             TopicPrior::fixed_from_source(&topic, 0.01),
             TopicPrior::symmetric(0.1, 2).unwrap(),
         ];
-        let aligned = make_counts(&[(0, 0, 0), (0, 0, 0), (1, 0, 1)], 2, 2, &[3]);
-        let misaligned = make_counts(&[(1, 0, 0), (1, 0, 0), (0, 0, 1)], 2, 2, &[3]);
+        let aligned = make_counts(&[(0, 0), (0, 0), (1, 1)], 2, 2);
+        let misaligned = make_counts(&[(1, 0), (1, 0), (0, 1)], 2, 2);
         let la = joint_word_log_likelihood(priors_counts(&aligned), &priors);
         let lm = joint_word_log_likelihood(priors_counts(&misaligned), &priors);
         assert!(la > lm, "{la} vs {lm}");
@@ -166,8 +161,8 @@ mod tests {
     fn frozen_prior_uses_multinomial_term() {
         let topic = srclda_knowledge::SourceTopic::new("T", vec![9.0, 1.0]);
         let priors = vec![TopicPrior::frozen_from_source(&topic, 0.01)];
-        let good = make_counts(&[(0, 0, 0), (0, 0, 0)], 2, 1, &[2]);
-        let bad = make_counts(&[(1, 0, 0), (1, 0, 0)], 2, 1, &[2]);
+        let good = make_counts(&[(0, 0), (0, 0)], 2, 1);
+        let bad = make_counts(&[(1, 0), (1, 0)], 2, 1);
         let lg = joint_word_log_likelihood(&good, &priors);
         let lb = joint_word_log_likelihood(&bad, &priors);
         assert!(lg > lb);
@@ -181,7 +176,7 @@ mod tests {
         // hid behind a silent `max(1e-300)`.
         let topic = srclda_knowledge::SourceTopic::new("T", vec![5.0, 0.0]);
         let priors = vec![TopicPrior::frozen_from_source(&topic, 0.0)];
-        let counts = make_counts(&[(0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)], 2, 1, &[4]);
+        let counts = make_counts(&[(0, 0), (1, 0), (1, 0), (1, 0)], 2, 1);
         let report = joint_word_log_likelihood_counted(&counts, &priors);
         assert!(report.value.is_finite(), "clamp must keep the value finite");
         assert_eq!(
@@ -192,7 +187,7 @@ mod tests {
         assert_eq!(report.value, joint_word_log_likelihood(&counts, &priors));
 
         // A healthy state reports zero clamped tokens.
-        let healthy = make_counts(&[(0, 0, 0), (0, 0, 0)], 2, 1, &[2]);
+        let healthy = make_counts(&[(0, 0), (0, 0)], 2, 1);
         let clean = joint_word_log_likelihood_counted(&healthy, &priors);
         assert_eq!(clean.clamped_tokens, 0);
     }

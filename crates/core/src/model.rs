@@ -1,7 +1,7 @@
 //! The shared Gibbs engine: [`GibbsModel`] (a configured model ready to
 //! fit) and [`FittedModel`] (the posterior estimates).
 
-use crate::counts::CountMatrices;
+use crate::counts::{doc_frequencies, CountMatrices};
 use crate::error::CoreError;
 use crate::loglik;
 use crate::params::ModelConfig;
@@ -182,7 +182,7 @@ impl GibbsModel {
             .map(|d| d.tokens().iter().map(|w| w.0).collect())
             .collect();
         let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-        let counts = CountMatrices::new(self.vocab_size, t_count, &doc_lens);
+        let counts = CountMatrices::new(self.vocab_size, t_count);
         let backend = self.config.backend;
         let total_iters = self.config.iterations;
 
@@ -200,12 +200,11 @@ impl GibbsModel {
                 // (Algorithm 1).
                 z = tokens
                     .iter()
-                    .enumerate()
-                    .map(|(d, doc)| {
+                    .map(|doc| {
                         doc.iter()
                             .map(|&w| {
                                 let t = rng.gen_range(0..t_count);
-                                counts.increment(w as usize, d, t);
+                                counts.increment(w as usize, t);
                                 t as u32
                             })
                             .collect()
@@ -291,9 +290,9 @@ impl GibbsModel {
                     )));
                 }
                 z = cp.z.clone();
-                for (d, doc) in tokens.iter().enumerate() {
-                    for (j, &w) in doc.iter().enumerate() {
-                        counts.increment(w as usize, d, z[d][j] as usize);
+                for (doc, zs) in tokens.iter().zip(&z) {
+                    for (&w, &t) in doc.iter().zip(zs) {
+                        counts.increment(w as usize, t as usize);
                     }
                 }
                 // The stored counts must be exactly the counts the corpus
@@ -529,7 +528,7 @@ impl GibbsModel {
 
         let (v, nt) = (counts.vocab_size(), counts.snapshot_nt());
         let phi = compute_phi(v, &priors, |w, t| counts.nw(w, t), &nt);
-        let theta = compute_theta(&counts, self.config.alpha);
+        let theta = compute_theta(&z, t_count, self.config.alpha);
         Ok(FittedModel {
             phi,
             theta,
@@ -570,16 +569,19 @@ pub(crate) fn compute_phi<P: Borrow<TopicPrior>>(
     phi
 }
 
-/// Document–topic distributions (Eq. 1): `θ_td = (n_dt + α) / (n_d + Tα)`.
-pub(crate) fn compute_theta(counts: &CountMatrices, alpha: f64) -> DenseMatrix<f64> {
-    let d_count = counts.num_docs();
-    let t_count = counts.num_topics();
-    let mut theta = DenseMatrix::zeros(d_count, t_count);
-    for d in 0..d_count {
-        let denom = counts.doc_len(d) as f64 + t_count as f64 * alpha;
-        let row = theta.row_mut(d);
-        for (t, cell) in row.iter_mut().enumerate() {
-            *cell = (counts.nd(d, t) as f64 + alpha) / denom;
+/// Document–topic distributions (Eq. 1): `θ_td = (n_dt + α) / (n_d + Tα)`,
+/// with each document's `n_dt` counted from its assignments `z` into one
+/// reused row.
+fn compute_theta(z: &[Vec<u32>], t_count: usize, alpha: f64) -> DenseMatrix<f64> {
+    let mut theta = DenseMatrix::zeros(z.len(), t_count);
+    let mut nd = vec![0u32; t_count];
+    for (d, zs) in z.iter().enumerate() {
+        for &t in zs {
+            nd[t as usize] += 1;
+        }
+        let denom = zs.len() as f64 + t_count as f64 * alpha;
+        for (cell, n) in theta.row_mut(d).iter_mut().zip(&mut nd) {
+            *cell = (std::mem::take(n) as f64 + alpha) / denom;
         }
     }
     theta
@@ -686,16 +688,12 @@ impl FittedModel {
         &self.snapshots
     }
 
-    /// Number of documents in which topic `t` received at least
-    /// `min_tokens` assignments.
-    pub fn topic_doc_frequency(&self, t: usize, min_tokens: u32) -> usize {
-        self.counts.topic_doc_frequency(t, min_tokens)
-    }
-
-    /// Document frequencies of all topics in one pass over the counts (see
-    /// [`CountMatrices::topic_doc_frequencies`]).
+    /// Document frequencies of every topic: `out[t]` counts the documents
+    /// in which topic `t` received at least `min_tokens` assignments (0
+    /// counts as 1) — the signal of the superset topic reduction
+    /// (§III.C.3), counted from the assignments in one pass.
     pub fn topic_doc_frequencies(&self, min_tokens: u32) -> Vec<usize> {
-        self.counts.topic_doc_frequencies(min_tokens)
+        doc_frequencies(&self.assignments, self.num_topics(), min_tokens)
     }
 }
 

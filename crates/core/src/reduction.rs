@@ -78,8 +78,6 @@ pub fn reduce(fitted: &FittedModel, policy: ReductionPolicy) -> crate::Result<Re
             ..
         } => (min_docs, min_tokens),
     };
-    // One batched pass over the count matrices: the per-topic query re-scans
-    // all of `nd` for every topic (O(D·T²) across the filter).
     let doc_freq = fitted.topic_doc_frequencies(min_tokens);
     let kept: Vec<usize> = (0..fitted.num_topics())
         .filter(|&t| doc_freq[t] >= min_docs.max(1))

@@ -31,38 +31,16 @@ use crate::counts::CountMatrices;
 use crate::prior::TopicPrior;
 use std::ops::Range;
 
-/// Partition `priors` into at most `shards` contiguous topic ranges with a
-/// near-equal number of λ-integrated topics each (the unit of real work).
-/// A pure function of the prior kinds and `shards` — never of thread count
-/// or machine.
+/// Partition `priors` into `shards` contiguous topic ranges with a
+/// near-equal number of λ-integrated topics each (the unit of real work),
+/// by the same rule that balances the document shards' tokens. A pure
+/// function of the prior kinds and `shards` — never of thread count or
+/// machine.
+///
+/// # Panics
+/// Panics if `shards` is 0.
 pub fn partition_topics(priors: &[TopicPrior], shards: usize) -> Vec<Range<usize>> {
-    assert!(shards > 0, "need at least one shard");
-    let t_count = priors.len();
-    // cumulative[t] = integrated topics in [0, t).
-    let mut cumulative = Vec::with_capacity(t_count + 1);
-    let mut acc = 0u64;
-    cumulative.push(0u64);
-    for prior in priors {
-        acc += u64::from(prior.is_integrated());
-        cumulative.push(acc);
-    }
-    let total = acc;
-    let boundary = |i: usize| -> usize {
-        let target = total * i as u64 / shards as u64;
-        cumulative.partition_point(|&c| c < target)
-    };
-    let mut ranges = Vec::with_capacity(shards);
-    let mut lo = 0usize;
-    for i in 1..=shards {
-        let hi = if i == shards {
-            t_count
-        } else {
-            boundary(i).max(lo).min(t_count)
-        };
-        ranges.push(lo..hi);
-        lo = hi;
-    }
-    ranges
+    super::partition_by_weight(priors.iter().map(|p| u64::from(p.is_integrated())), shards)
 }
 
 /// Adapt one contiguous slice of priors (topics `range`, already split off
@@ -141,11 +119,11 @@ mod tests {
     }
 
     fn filled_counts(v: usize, t_count: usize) -> CountMatrices {
-        let counts = CountMatrices::new(v, t_count, &[64]);
+        let counts = CountMatrices::new(v, t_count);
         for w in 0..v {
             for t in 0..t_count {
                 for _ in 0..((w * 7 + t * 3) % 4) {
-                    counts.increment_serial(w, 0, t);
+                    counts.increment(w, t);
                 }
             }
         }

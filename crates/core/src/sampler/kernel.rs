@@ -1,9 +1,9 @@
 //! The optimized serial Gibbs hot path ([`KernelKind::Flat`]): flat prior
-//! tables, cached denominator reciprocals, direct λ-row loads, sparse
-//! document-topic bookkeeping, and non-atomic count updates. One `Kernel`
-//! sweeps either the global counts in place (`Backend::Serial`, any
-//! `S = 1`) or one shard's local copy; its `Combined` table is built once
-//! per fit, shared by every shard of a run, and lent to each sweep.
+//! tables, cached denominator reciprocals, direct λ-row loads and sparse
+//! document-topic bookkeeping. One `Kernel` sweeps either the global counts
+//! in place (`Backend::Serial`, any `S = 1`) or one shard's local copy; its
+//! `Combined` table is built once per fit, shared by every shard of a run,
+//! and lent to each sweep.
 //!
 //! [`KernelKind::Flat`]: super::KernelKind::Flat
 //!
@@ -49,24 +49,17 @@
 //!
 //! ## Sparse document-topic iteration
 //!
-//! The document factor `(n_dt + α)` is kept in a dense per-topic `fact`
-//! array that holds exactly `α` for every topic absent from the current
-//! document (bit-equal to `0.0 + α`) and `n_dt as f64 + α` for the few
-//! present ones. Entering a document initializes only its own topics (an
-//! `O(n_d)` walk of its assignments — the α-only tail is one bulk reset,
-//! not `T` per-topic recomputations); each token move patches the two
-//! affected entries; leaving resets the touched entries. The weight pass
-//! therefore multiplies by a plain `f64` load instead of an atomic `n_dt`
-//! load plus convert-and-add per topic.
-//!
-//! ## Non-atomic fast path
-//!
-//! The serial kernel owns the counts exclusively, so it uses
-//! [`CountMatrices::increment_serial`]/[`decrement_serial`]
-//! (relaxed load + store, plain `mov`s) instead of the `lock`-prefixed
-//! read-modify-writes the parallel barrier path requires.
-//!
-//! [`decrement_serial`]: CountMatrices::decrement_serial
+//! The kernel holds the current document's `n_dt` (`nd_doc`), counted
+//! from its assignments on entry (an `O(n_d)` walk) and moved with each
+//! token; no other structure keeps these counts. The document factor
+//! `(n_dt + α)` is kept in a dense per-topic `fact` array that holds
+//! exactly `α` for every topic absent from the current document (bit-equal
+//! to `0.0 + α`) and `n_dt as f64 + α` for the few present ones. Entering a
+//! document initializes only its own topics (the α-only tail is one bulk
+//! reset, not `T` per-topic recomputations); each token move patches the
+//! two affected entries; leaving resets the touched entries. The weight
+//! pass therefore multiplies by a plain `f64` load instead of a
+//! convert-and-add of `n_dt` per topic.
 
 use super::{idx_u32, SweepContext};
 use crate::counts::CountMatrices;
@@ -373,8 +366,8 @@ pub(crate) struct Kernel<'a> {
     /// `n_dt as f64 + α` for the current document's topics; exactly `α`
     /// everywhere else.
     fact: Vec<f64>,
-    /// The current document's `n_dt` mirror (kept in lock-step with the
-    /// count matrices; avoids atomic loads in the weight pass).
+    /// The current document's `n_dt`: counted from its assignments on
+    /// entry, moved with each token, zeroed on exit.
     nd_doc: Vec<u32>,
     /// Topics of the current document (indices into `fact`/`nd_doc` to
     /// reset on document exit; may hold duplicates after mid-document
@@ -417,7 +410,7 @@ impl<'a> Kernel<'a> {
             for (j, &word) in doc_tokens.iter().enumerate() {
                 let w = word as usize;
                 let old = z[d][j] as usize;
-                counts.decrement_serial(w, d, old);
+                counts.decrement(w, old);
                 self.nd_doc[old] -= 1;
                 self.fact[old] = self.nd_doc[old] as f64 + self.alpha;
                 self.recip
@@ -454,7 +447,7 @@ impl<'a> Kernel<'a> {
                     rng.gen_range(0..t_count)
                 };
                 z[d][j] = idx_u32(new);
-                counts.increment_serial(w, d, new);
+                counts.increment(w, new);
                 if self.nd_doc[new] == 0 {
                     self.active.push(idx_u32(new));
                 }
@@ -677,10 +670,10 @@ mod tests {
             let priors = mixed_priors(v, &counts, &bag, levels);
             let tables = SweepTables::new(&priors);
             let comb = Combined::build(&tables, v).expect("within budget");
-            let matrices = CountMatrices::new(v, priors.len(), &[32]);
+            let matrices = CountMatrices::new(v, priors.len());
             for (t, &n) in nw_fills.iter().enumerate() {
                 for _ in 0..n {
-                    matrices.increment_serial(t % v, 0, t);
+                    matrices.increment(t % v, t);
                 }
             }
             let cache = RecipCache::new(&tables, &matrices);
@@ -717,14 +710,14 @@ mod tests {
             let bag: Vec<u32> = bag.into_iter().filter(|&b| (b as usize) < v).collect();
             let priors = mixed_priors(v, &counts, &bag, levels);
             let tables = SweepTables::new(&priors);
-            let matrices = CountMatrices::new(v, priors.len(), &[0]);
+            let matrices = CountMatrices::new(v, priors.len());
             let mut cache = RecipCache::new(&tables, &matrices);
             for (step, (&w_pick, &n)) in move_words.iter().zip(&move_sizes).enumerate() {
                 // Assign `n` more tokens of one word to one topic, then
                 // refresh that topic's cached reciprocals.
                 let t = step % priors.len();
                 for _ in 0..n {
-                    matrices.increment_serial(w_pick % v, 0, t);
+                    matrices.increment(w_pick % v, t);
                 }
                 cache.refresh(&tables, t, matrices.nt(t));
                 for w in 0..v {
@@ -793,17 +786,15 @@ mod tests {
         let combined = Combined::build(&SweepTables::new(&priors), 6).expect("within budget");
         // `None` sweeps the dense reference, `Some(table)` the kernel.
         let run = |kernel: Option<Option<&Combined>>| -> Vec<Vec<u32>> {
-            let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-            let counts = CountMatrices::new(6, priors.len(), &doc_lens);
+            let counts = CountMatrices::new(6, priors.len());
             let mut rng = rng_from_seed(2024);
             let mut z: Vec<Vec<u32>> = tokens
                 .iter()
-                .enumerate()
-                .map(|(d, doc)| {
+                .map(|doc| {
                     doc.iter()
                         .map(|&w| {
                             let t = rng.gen_range(0..priors.len());
-                            counts.increment(w as usize, d, t);
+                            counts.increment(w as usize, t);
                             t as u32
                         })
                         .collect()
@@ -822,9 +813,9 @@ mod tests {
                     assert!(counts.check_invariants());
                 }
             } else {
-                let mut buf = vec![0.0; priors.len()];
                 for _ in 0..40 {
-                    super::super::serial::sweep(&ctx, &mut z, &mut rng, &mut buf);
+                    super::super::serial::sweep(&ctx, &mut z, &mut rng);
+                    assert!(counts.check_invariants());
                 }
             }
             z
@@ -848,13 +839,13 @@ mod tests {
                 TopicPrior::concept_set(&[], 0.5, 2).unwrap(),
                 TopicPrior::concept_set(&[], 0.5, 2).unwrap(),
             ];
-            let counts = CountMatrices::new(2, 2, &[3]);
+            let counts = CountMatrices::new(2, 2);
             let mut rng = rng_from_seed(5);
             let mut z: Vec<Vec<u32>> = vec![tokens[0]
                 .iter()
                 .map(|&w| {
                     let t = rng.gen_range(0..2);
-                    counts.increment(w as usize, 0, t);
+                    counts.increment(w as usize, t);
                     t as u32
                 })
                 .collect()];
@@ -870,9 +861,8 @@ mod tests {
                     k.sweep(&ctx, &mut z, &mut rng);
                 }
             } else {
-                let mut buf = vec![0.0; 2];
                 for _ in 0..6 {
-                    super::super::serial::sweep(&ctx, &mut z, &mut rng, &mut buf);
+                    super::super::serial::sweep(&ctx, &mut z, &mut rng);
                 }
             }
             z

@@ -38,6 +38,7 @@ use crate::counts::CountMatrices;
 use crate::error::CoreError;
 use crate::prior::TopicPrior;
 use srclda_math::SldaRng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which **sweep kernel** computes the per-token topic distribution and
@@ -115,10 +116,9 @@ impl KernelKind {
 pub enum Backend {
     /// Single-threaded sampling (Algorithm 1) through the optimized hot
     /// path: flat prior tables, cached reciprocals, sparse document-topic
-    /// bookkeeping, non-atomic counts (see [`kernel`]). The library
-    /// default; the same chain as `ShardedDocs { kernel: Flat, shards: 1,
-    /// .. }`, whose checkpoints differ only in layout (one shard stream
-    /// instead of none).
+    /// bookkeeping (see [`kernel`]). The library default; the same chain
+    /// as `ShardedDocs { kernel: Flat, shards: 1, .. }`, whose checkpoints
+    /// differ only in layout (one shard stream instead of none).
     Serial,
     /// Algorithm 2: Blelloch prefix-sums scan over the probability vector,
     /// parallelized over `threads` workers with per-level barriers.
@@ -219,12 +219,51 @@ pub(crate) fn idx_u32(x: usize) -> u32 {
     x as u32 // lint:allow(narrowing-cast): debug-asserted above; callers pass indices bounded by u32-sized T/V/doc-len
 }
 
+/// Split items of the given `weights` into `parts` contiguous ranges of
+/// near-equal total weight: the boundary before range `i` is the first
+/// item whose cumulative weight before it reaches `total·i/parts`, clamped
+/// so the ranges tile in order. A pure function of the weights and
+/// `parts` — never of thread count or machine. Ranges are empty wherever
+/// the integer targets collapse (possibly at the front), e.g. when `parts`
+/// exceeds the items or the total weight.
+///
+/// # Panics
+/// Panics if `parts` is 0.
+pub(crate) fn partition_by_weight(
+    weights: impl IntoIterator<Item = u64>,
+    parts: usize,
+) -> Vec<Range<usize>> {
+    assert!(parts > 0, "need at least one shard");
+    // cumulative[i] = total weight of items [0, i).
+    let cumulative: Vec<u64> = std::iter::once(0)
+        .chain(weights.into_iter().scan(0u64, |acc, w| {
+            *acc += w;
+            Some(*acc)
+        }))
+        .collect();
+    let n = cumulative.len() - 1;
+    let total = cumulative[n];
+    let mut ranges = Vec::with_capacity(parts);
+    let mut lo = 0usize;
+    for i in 1..=parts {
+        let hi = if i == parts {
+            n
+        } else {
+            let target = total * i as u64 / parts as u64;
+            cumulative.partition_point(|&c| c < target).max(lo).min(n)
+        };
+        ranges.push(lo..hi);
+        lo = hi;
+    }
+    ranges
+}
+
 /// Debug-build cross-check of the sampler's core bookkeeping invariant:
-/// the count matrices `nd`/`nw`/`nt` must be exactly the histograms of
-/// the current assignment vector `z`. Every backend calls this at sweep
-/// boundaries; a drifted counter here means a broken
-/// increment/decrement pairing or a bad shard merge, which would
-/// otherwise surface only as silently wrong posteriors.
+/// the counts `nw`/`nt` must be exactly the histograms of the current
+/// assignment vector `z`. Every backend calls this at sweep boundaries; a
+/// drifted counter here means a broken increment/decrement pairing or a
+/// bad shard merge, which would otherwise surface only as silently wrong
+/// posteriors.
 #[inline]
 pub(crate) fn debug_assert_counts(ctx: &SweepContext<'_>, z: &[Vec<u32>], backend: &str) {
     debug_assert!(
@@ -233,18 +272,17 @@ pub(crate) fn debug_assert_counts(ctx: &SweepContext<'_>, z: &[Vec<u32>], backen
     );
 }
 
-/// Recompute `nd`/`nw`/`nt` from `(tokens, z)` and compare against the
-/// live matrices. O(N + (D+V+1)·T); only debug builds evaluate it.
+/// Recompute `nw`/`nt` from `(tokens, z)` and compare against the live
+/// matrices. O(N + (V+1)·T); only debug builds evaluate it.
 fn counts_match_assignments(ctx: &SweepContext<'_>, z: &[Vec<u32>]) -> bool {
     let counts = ctx.counts;
-    let (v, t_count, d_count) = (counts.vocab_size(), counts.num_topics(), counts.num_docs());
-    if z.len() != d_count {
+    let (v, t_count) = (counts.vocab_size(), counts.num_topics());
+    if z.len() != ctx.tokens.len() {
         return false;
     }
     let mut nw = vec![0u32; v * t_count];
-    let mut nd = vec![0u32; d_count * t_count];
     let mut nt = vec![0u32; t_count];
-    for (d, (doc, zs)) in ctx.tokens.iter().zip(z).enumerate() {
+    for (doc, zs) in ctx.tokens.iter().zip(z) {
         if doc.len() != zs.len() {
             return false;
         }
@@ -254,20 +292,19 @@ fn counts_match_assignments(ctx: &SweepContext<'_>, z: &[Vec<u32>]) -> bool {
                 return false;
             }
             nw[w * t_count + t] += 1;
-            nd[d * t_count + t] += 1;
             nt[t] += 1;
         }
     }
     (0..t_count).all(|t| nt[t] == counts.nt(t))
         && (0..v).all(|w| (0..t_count).all(|t| nw[w * t_count + t] == counts.nw(w, t)))
-        && (0..d_count).all(|d| (0..t_count).all(|t| nd[d * t_count + t] == counts.nd(d, t)))
 }
 
 /// Everything a sweep needs, borrowed from the fitting engine.
 pub(crate) struct SweepContext<'a> {
     /// Per-document word ids.
     pub tokens: &'a [Vec<u32>],
-    /// Count matrices (shared, atomic).
+    /// The word–topic counts the sweep moves: the global counts in place,
+    /// or a shard's own copy.
     pub counts: &'a CountMatrices,
     /// Per-topic priors.
     pub priors: &'a [TopicPrior],
@@ -342,7 +379,7 @@ impl KernelState {
                 None
             }
             Self::Dense => {
-                serial::sweep(ctx, z, rng, &mut vec![0.0; ctx.num_topics()]);
+                serial::sweep(ctx, z, rng);
                 None
             }
             Self::Sparse(state) => {

@@ -16,10 +16,12 @@
 //!
 //! All participants execute the same deterministic token loop in lockstep.
 //! Worker 0 (the caller's thread) is the **leader**: it owns the RNG and the
-//! assignment vector, performs the decrement/increment bookkeeping, draws
+//! assignment vector, performs the decrement/increment bookkeeping (of the
+//! word–topic counts and of the current document's `n_dt` row), draws
 //! exactly one uniform per token, and runs the trace callback between
-//! sweeps. Counts are shared through the relaxed atomics of
-//! [`CountMatrices`](crate::counts::CountMatrices); ordering between phases
+//! sweeps. Counts are shared through relaxed atomics — the word–topic
+//! [`CountMatrices`](crate::counts::CountMatrices) and the document row in
+//! `Shared` — which only the leader writes; ordering between phases
 //! comes from the [`SpinBarrier`].
 
 use super::{debug_assert_counts, idx_u32, SweepContext};
@@ -27,7 +29,7 @@ use crate::sync::{SharedF64Buffer, SharedF64Cell, SharedUsizeCell, SpinBarrier};
 use rand::Rng;
 use srclda_math::SldaRng;
 use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Which parallel algorithm to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +49,11 @@ struct Shared<'a, 'b> {
     /// `TopicPrior::word_weight`, so parallel and serial chains stay in
     /// lock-step.
     ctx: &'a SweepContext<'b>,
+    /// The current document's `n_dt`, which only the leader writes: on
+    /// document entry, at each move and on exit, always before the next
+    /// token's B1, whose release/acquire pair publishes the row to the
+    /// workers; they read it between B1 and B2.
+    nd: Vec<AtomicU32>,
     algo: Algo,
     iterations: usize,
     threads: usize,
@@ -84,6 +91,7 @@ impl<'a, 'b> Shared<'a, 'b> {
             .collect();
         Self {
             ctx,
+            nd: (0..t_count).map(|_| AtomicU32::new(0)).collect(),
             algo,
             iterations,
             threads,
@@ -140,10 +148,8 @@ pub(crate) fn run<F: FnMut(usize)>(
 /// Non-leader participants: compute phases only.
 fn worker_loop(p: usize, sh: &Shared<'_, '_>) {
     for _iter in 0..sh.iterations {
-        for (d, doc_tokens) in sh.ctx.tokens.iter().enumerate() {
-            for &word in doc_tokens.iter() {
-                token_compute_phases(p, sh, d, word as usize);
-            }
+        for &word in sh.ctx.tokens.iter().flatten() {
+            token_compute_phases(p, sh, word as usize);
         }
     }
 }
@@ -156,14 +162,22 @@ fn leader_loop<F: FnMut(usize)>(
     on_sweep: &mut F,
 ) {
     for iter in 1..=sh.iterations {
-        for (d, doc_tokens) in sh.ctx.tokens.iter().enumerate() {
-            for (j, &word) in doc_tokens.iter().enumerate() {
+        for (doc_tokens, z_doc) in sh.ctx.tokens.iter().zip(z.iter_mut()) {
+            for &t in z_doc.iter() {
+                sh.nd[t as usize].fetch_add(1, Ordering::Relaxed);
+            }
+            for (&word, zt) in doc_tokens.iter().zip(z_doc.iter_mut()) {
                 let w = word as usize;
-                let old = z[d][j] as usize;
-                sh.ctx.counts.decrement(w, d, old);
-                let new = token_leader_phases(sh, d, w, rng);
-                z[d][j] = idx_u32(new);
-                sh.ctx.counts.increment(w, d, new);
+                let old = *zt as usize;
+                sh.ctx.counts.decrement(w, old);
+                sh.nd[old].fetch_sub(1, Ordering::Relaxed);
+                let new = token_leader_phases(sh, w, rng);
+                *zt = idx_u32(new);
+                sh.ctx.counts.increment(w, new);
+                sh.nd[new].fetch_add(1, Ordering::Relaxed);
+            }
+            for &t in z_doc.iter() {
+                sh.nd[t as usize].store(0, Ordering::Relaxed);
             }
         }
         debug_assert_counts(sh.ctx, z, "parallel scan");
@@ -174,9 +188,9 @@ fn leader_loop<F: FnMut(usize)>(
 /// The compute phases every participant runs, with the leader's extra work
 /// factored into [`token_leader_phases`]. The barrier sequence here must
 /// mirror the leader's exactly.
-fn token_compute_phases(p: usize, sh: &Shared<'_, '_>, d: usize, w: usize) {
+fn token_compute_phases(p: usize, sh: &Shared<'_, '_>, w: usize) {
     sh.barrier.wait(); // B1: counts reflect the removed token.
-    phase_weights(p, sh, d, w);
+    phase_weights(p, sh, w);
     sh.barrier.wait(); // B2: weights / chunk sums visible.
     match sh.algo {
         Algo::Simple => {
@@ -192,9 +206,9 @@ fn token_compute_phases(p: usize, sh: &Shared<'_, '_>, d: usize, w: usize) {
 
 /// Leader-side counterpart of [`token_compute_phases`]: same barriers, plus
 /// offset publication and the final draw. Returns the sampled topic.
-fn token_leader_phases(sh: &Shared<'_, '_>, d: usize, w: usize, rng: &mut SldaRng) -> usize {
+fn token_leader_phases(sh: &Shared<'_, '_>, w: usize, rng: &mut SldaRng) -> usize {
     sh.barrier.wait(); // B1
-    phase_weights(0, sh, d, w);
+    phase_weights(0, sh, w);
     sh.barrier.wait(); // B2
     match sh.algo {
         Algo::Simple => {
@@ -239,11 +253,11 @@ fn publish_draw(sh: &Shared<'_, '_>, total: f64, rng: &mut SldaRng) {
 
 /// Weight computation phase. Simple: chunk-local inclusive scan plus chunk
 /// total. PrefixSums: raw weights into both buffers (padding zeroed).
-fn phase_weights(p: usize, sh: &Shared<'_, '_>, d: usize, w: usize) {
+fn phase_weights(p: usize, sh: &Shared<'_, '_>, w: usize) {
     let counts = sh.ctx.counts;
     let alpha = sh.ctx.alpha;
     let nw_row = counts.nw_row(w);
-    let nd_row = counts.nd_row(d);
+    let nd = &sh.nd;
     let nt = counts.nt_all();
     let range = sh.ranges[p].clone();
     match sh.algo {
@@ -254,7 +268,7 @@ fn phase_weights(p: usize, sh: &Shared<'_, '_>, d: usize, w: usize) {
                     w,
                     nw_row[t].load(Ordering::Relaxed) as f64,
                     nt[t].load(Ordering::Relaxed) as f64,
-                ) * (nd_row[t].load(Ordering::Relaxed) as f64 + alpha);
+                ) * (nd[t].load(Ordering::Relaxed) as f64 + alpha);
                 acc += weight;
                 sh.prob.set(t, acc);
             }
@@ -267,7 +281,7 @@ fn phase_weights(p: usize, sh: &Shared<'_, '_>, d: usize, w: usize) {
                         w,
                         nw_row[t].load(Ordering::Relaxed) as f64,
                         nt[t].load(Ordering::Relaxed) as f64,
-                    ) * (nd_row[t].load(Ordering::Relaxed) as f64 + alpha)
+                    ) * (nd[t].load(Ordering::Relaxed) as f64 + alpha)
                 } else {
                     0.0
                 };
@@ -362,18 +376,16 @@ mod tests {
 
     fn run_backend(algo: Option<Algo>, threads: usize, iterations: usize) -> Vec<Vec<u32>> {
         let (tokens, priors) = fixture();
-        let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-        let counts = CountMatrices::new(6, priors.len(), &doc_lens);
+        let counts = CountMatrices::new(6, priors.len());
         let mut rng = rng_from_seed(99);
         // Identical random initialization across backends.
         let mut z: Vec<Vec<u32>> = tokens
             .iter()
-            .enumerate()
-            .map(|(d, doc)| {
+            .map(|doc| {
                 doc.iter()
                     .map(|&w| {
                         let t = rng.gen_range(0..priors.len());
-                        counts.increment(w as usize, d, t);
+                        counts.increment(w as usize, t);
                         t as u32
                     })
                     .collect()
@@ -387,9 +399,8 @@ mod tests {
         };
         match algo {
             None => {
-                let mut buf = vec![0.0; priors.len()];
                 for _ in 0..iterations {
-                    super::super::serial::sweep(&ctx, &mut z, &mut rng, &mut buf);
+                    super::super::serial::sweep(&ctx, &mut z, &mut rng);
                 }
             }
             Some(a) => {
@@ -435,16 +446,14 @@ mod tests {
     #[test]
     fn sweep_callback_fires_once_per_iteration() {
         let (tokens, priors) = fixture();
-        let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-        let counts = CountMatrices::new(6, priors.len(), &doc_lens);
+        let counts = CountMatrices::new(6, priors.len());
         let mut rng = rng_from_seed(1);
         let mut z: Vec<Vec<u32>> = tokens
             .iter()
-            .enumerate()
-            .map(|(d, doc)| {
+            .map(|doc| {
                 doc.iter()
                     .map(|&w| {
-                        counts.increment(w as usize, d, 0);
+                        counts.increment(w as usize, 0);
                         0u32
                     })
                     .collect()

@@ -7,7 +7,9 @@
 //! Per token: decrement the counts for the current assignment, accumulate
 //! the unnormalized topic probabilities `p_t` (Eq. 2 for symmetric/fixed
 //! topics, Eq. 3 for λ-integrated topics) as a running inclusive prefix sum,
-//! draw one uniform, binary-search the prefix, and re-increment.
+//! draw one uniform, binary-search the prefix, and re-increment. The
+//! current document's `n_dt` lives in one `T`-long row, counted from its
+//! assignments on entry and zeroed on exit.
 //!
 //! The document-length denominator `n_d + Kα` of the topic prior is constant
 //! across topics for a fixed token and therefore dropped (it cancels in the
@@ -25,22 +27,21 @@ use srclda_math::SldaRng;
 use std::sync::atomic::Ordering;
 
 /// One full sweep over every token of every document.
-pub(crate) fn sweep(
-    ctx: &SweepContext<'_>,
-    z: &mut [Vec<u32>],
-    rng: &mut SldaRng,
-    buf: &mut [f64],
-) {
+pub(crate) fn sweep(ctx: &SweepContext<'_>, z: &mut [Vec<u32>], rng: &mut SldaRng) {
     let t_count = ctx.num_topics();
-    debug_assert_eq!(buf.len(), t_count);
     let alpha = ctx.alpha;
     let nt = ctx.counts.nt_all();
-    for (d, doc_tokens) in ctx.tokens.iter().enumerate() {
-        let nd_row = ctx.counts.nd_row(d);
-        for (j, &word) in doc_tokens.iter().enumerate() {
+    let mut buf = vec![0.0; t_count];
+    let mut nd = vec![0u32; t_count];
+    for (doc_tokens, z_doc) in ctx.tokens.iter().zip(z.iter_mut()) {
+        for &t in z_doc.iter() {
+            nd[t as usize] += 1;
+        }
+        for (&word, zt) in doc_tokens.iter().zip(z_doc.iter_mut()) {
             let w = word as usize;
-            let old = z[d][j] as usize;
-            ctx.counts.decrement(w, d, old);
+            let old = *zt as usize;
+            ctx.counts.decrement(w, old);
+            nd[old] -= 1;
             let nw_row = ctx.counts.nw_row(w);
             let mut acc = 0.0;
             for t in 0..t_count {
@@ -48,21 +49,25 @@ pub(crate) fn sweep(
                     w,
                     nw_row[t].load(Ordering::Relaxed) as f64,
                     nt[t].load(Ordering::Relaxed) as f64,
-                ) * (nd_row[t].load(Ordering::Relaxed) as f64 + alpha);
+                ) * (nd[t] as f64 + alpha);
                 acc += weight;
                 buf[t] = acc;
             }
             let new = if acc > 0.0 && acc.is_finite() {
                 let u = rng.gen::<f64>() * acc;
-                binary_search_cumulative(buf, u)
+                binary_search_cumulative(&buf, u)
             } else {
                 // Every topic has zero weight (possible under CTM when the
                 // word is outside all concept bags): fall back to a uniform
                 // topic so the chain stays well defined.
                 rng.gen_range(0..t_count)
             };
-            z[d][j] = idx_u32(new);
-            ctx.counts.increment(w, d, new);
+            *zt = idx_u32(new);
+            ctx.counts.increment(w, new);
+            nd[new] += 1;
+        }
+        for &t in z_doc.iter() {
+            nd[t as usize] = 0;
         }
     }
 }
@@ -79,7 +84,7 @@ mod tests {
     fn fixture() -> (Vec<Vec<u32>>, CountMatrices, Vec<TopicPrior>) {
         // vocab: 0 = pencil, 1 = ruler, 2 = baseball, 3 = umpire
         let tokens = vec![vec![0, 0, 3], vec![1, 1, 2]];
-        let counts = CountMatrices::new(4, 2, &[3, 3]);
+        let counts = CountMatrices::new(4, 2);
         let school = srclda_knowledge::SourceTopic::new("School", vec![10.0, 10.0, 0.0, 0.0]);
         let sports = srclda_knowledge::SourceTopic::new("Sports", vec![0.0, 0.0, 10.0, 10.0]);
         let priors = vec![
@@ -96,12 +101,11 @@ mod tests {
     ) -> Vec<Vec<u32>> {
         tokens
             .iter()
-            .enumerate()
-            .map(|(d, doc)| {
+            .map(|doc| {
                 doc.iter()
                     .map(|&w| {
                         let t = rng.gen_range(0..counts.num_topics()) as u32;
-                        counts.increment(w as usize, d, t as usize);
+                        counts.increment(w as usize, t as usize);
                         t
                     })
                     .collect()
@@ -120,9 +124,8 @@ mod tests {
             priors: &priors,
             alpha: 0.5,
         };
-        let mut buf = vec![0.0; 2];
         for _ in 0..20 {
-            sweep(&ctx, &mut z, &mut rng, &mut buf);
+            sweep(&ctx, &mut z, &mut rng);
             assert!(counts.check_invariants());
         }
     }
@@ -138,9 +141,8 @@ mod tests {
             priors: &priors,
             alpha: 0.1,
         };
-        let mut buf = vec![0.0; 2];
         for _ in 0..100 {
-            sweep(&ctx, &mut z, &mut rng, &mut buf);
+            sweep(&ctx, &mut z, &mut rng);
         }
         // pencil/ruler tokens → topic 0; baseball/umpire → topic 1.
         assert_eq!(z[0][0], 0, "pencil should map to School");
@@ -162,9 +164,8 @@ mod tests {
                 priors: &priors,
                 alpha: 0.5,
             };
-            let mut buf = vec![0.0; 2];
             for _ in 0..10 {
-                sweep(&ctx, &mut z, &mut rng, &mut buf);
+                sweep(&ctx, &mut z, &mut rng);
             }
             z
         };
@@ -175,7 +176,7 @@ mod tests {
     fn zero_weight_fallback_keeps_chain_alive() {
         // Concept priors covering neither word 0 nor 1 at all.
         let tokens = vec![vec![0, 1]];
-        let counts = CountMatrices::new(2, 2, &[2]);
+        let counts = CountMatrices::new(2, 2);
         let priors = vec![
             TopicPrior::concept_set(&[], 0.5, 2).unwrap(),
             TopicPrior::concept_set(&[], 0.5, 2).unwrap(),
@@ -188,9 +189,8 @@ mod tests {
             priors: &priors,
             alpha: 0.5,
         };
-        let mut buf = vec![0.0; 2];
         for _ in 0..5 {
-            sweep(&ctx, &mut z, &mut rng, &mut buf);
+            sweep(&ctx, &mut z, &mut rng);
             assert!(counts.check_invariants());
         }
     }

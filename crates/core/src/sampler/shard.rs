@@ -22,17 +22,17 @@
 //!   itself — so with `S = 1` nothing is spawned;
 //! * each shard sweeps through **any sweep kernel**
 //!   (`KernelState` — the flat serial kernel, the dense reference, or
-//!   the sub-linear sparse bucket kernel) over a shard-local
-//!   [`CountMatrices`]: `n_dt` rows for its own documents (documents are
-//!   disjoint, so these are exact), plus a local copy of `n_wt`/`n_t`,
-//!   copied from the global counts once per fit (and again on resume),
-//!   that equals the global counts at every sweep boundary and is updated
-//!   in place as the shard moves its own tokens;
+//!   the sub-linear sparse bucket kernel) over a shard-local copy of
+//!   `n_wt`/`n_t` ([`CountMatrices::copy`]), copied from the global counts
+//!   once per fit (and again on resume), that equals the global counts at
+//!   every sweep boundary and is updated in place as the shard moves its
+//!   own tokens. A document's `n_dt` lives in the kernel sweeping it
+//!   (documents are disjoint, so it is exact);
 //! * at the sweep boundary the merge **replays** each shard's moves into
 //!   the global counts **in shard order**: every token whose topic
 //!   changed (its sweep-start topic, kept in a per-shard buffer, against
-//!   its new one) leaves its old `n_wt`/`n_dt`/`n_t` cells for its new
-//!   ones. Counts are integers, so the merged state is exactly the counts
+//!   its new one) leaves its old `n_wt`/`n_t` cells for its new ones.
+//!   Counts are integers, so the merged state is exactly the counts
 //!   implied by the post-sweep assignments;
 //! * then every shard copies the merged value of each `n_wt` cell another
 //!   shard moved, and `n_t` whole, keeping its kernel state (the sparse
@@ -63,49 +63,21 @@
 //! weights: each sweep's kernel derives its reciprocals (and the sparse
 //! kernel its baselines) at its start, so adaptation needs no hook here.
 
-use super::{debug_assert_counts, KernelKind, KernelState, SweepContext, SweepStats};
+use super::{
+    debug_assert_counts, partition_by_weight, KernelKind, KernelState, SweepContext, SweepStats,
+};
 use crate::counts::CountMatrices;
 use srclda_math::SldaRng;
 use std::ops::Range;
 
-/// Partition `doc_lens`-shaped documents into `shards` contiguous ranges
-/// with near-equal token mass: the boundary before shard `i` is the first
-/// document whose cumulative token count reaches `i/S` of the total. A
-/// pure function of the corpus shape and `S` — never of thread count or
-/// machine — so the shard layout (and therefore the chain) is reproducible
-/// anywhere. Some shards may be empty when `S` exceeds the document (or
-/// token) count; integer-division boundaries place those empties wherever
-/// the cumulative token targets collapse (possibly at the *front*), which
-/// is harmless — an empty shard sweeps nothing and draws nothing.
+/// Partition the documents into `shards` contiguous ranges with
+/// near-equal token mass, by [`partition_by_weight`] over the document
+/// lengths: a pure function of the corpus shape and `S`, so the shard
+/// layout (and therefore the chain) is reproducible anywhere. An empty
+/// shard (when `S` exceeds the document or token count) is harmless: it
+/// sweeps nothing and draws nothing.
 pub(crate) fn partition_docs(tokens: &[Vec<u32>], shards: usize) -> Vec<Range<usize>> {
-    assert!(shards > 0, "need at least one shard");
-    let d_count = tokens.len();
-    let total: u64 = tokens.iter().map(|d| d.len() as u64).sum();
-    // cumulative[d] = tokens in documents [0, d).
-    let mut cumulative = Vec::with_capacity(d_count + 1);
-    let mut acc = 0u64;
-    cumulative.push(0u64);
-    for doc in tokens {
-        acc += doc.len() as u64;
-        cumulative.push(acc);
-    }
-    let boundary = |i: usize| -> usize {
-        let target = total * i as u64 / shards as u64;
-        // First document index whose cumulative-before reaches the target.
-        cumulative.partition_point(|&c| c < target)
-    };
-    let mut ranges = Vec::with_capacity(shards);
-    let mut lo = 0usize;
-    for i in 1..=shards {
-        let hi = if i == shards {
-            d_count
-        } else {
-            boundary(i).max(lo).min(d_count)
-        };
-        ranges.push(lo..hi);
-        lo = hi;
-    }
-    ranges
+    partition_by_weight(tokens.iter().map(|d| d.len() as u64), shards)
 }
 
 /// One token's move in a sharded sweep: `(word, old topic, new topic)`.
@@ -116,10 +88,9 @@ type Move = (u32, u32, u32);
 pub(crate) struct ShardWorkspace {
     /// Global document range this shard owns.
     range: Range<usize>,
-    /// Local counts: exact `n_dt` rows for the shard's documents, plus a
-    /// working copy of `n_wt`/`n_t` that equals the global counts at
-    /// every sweep boundary and moves with the shard's own tokens during
-    /// a sweep.
+    /// Local counts: a working copy of `n_wt`/`n_t` that equals the global
+    /// counts at every sweep boundary and moves with the shard's own
+    /// tokens during a sweep.
     local: CountMatrices,
     /// The shard kernel's state, in step with `local`; a sparse state
     /// shares the run's count-free [`super::sparse::SparseShape`].
@@ -140,8 +111,8 @@ impl ShardWorkspace {
             z_start = rest;
             for ((&w, &new), &old) in ctx.tokens[d].iter().zip(&z[d]).zip(doc_start) {
                 if old != new {
-                    ctx.counts.decrement_serial(w as usize, d, old as usize);
-                    ctx.counts.increment_serial(w as usize, d, new as usize);
+                    ctx.counts.decrement(w as usize, old as usize);
+                    ctx.counts.increment(w as usize, new as usize);
                     moves.push((w, old, new));
                 }
             }
@@ -187,7 +158,7 @@ impl ShardState {
             .into_iter()
             .zip(vec![first; shards])
             .map(|(range, kernel)| ShardWorkspace {
-                local: ctx.counts.shard_copy(range.clone()),
+                local: ctx.counts.copy(),
                 z_start: Vec::new(),
                 range,
                 kernel,
@@ -434,12 +405,11 @@ mod tests {
     ) -> Vec<Vec<u32>> {
         tokens
             .iter()
-            .enumerate()
-            .map(|(d, doc)| {
+            .map(|doc| {
                 doc.iter()
                     .map(|&w| {
                         let t = rng.gen_range(0..t_count);
-                        counts.increment(w as usize, d, t);
+                        counts.increment(w as usize, t);
                         t as u32
                     })
                     .collect()
@@ -468,8 +438,7 @@ mod tests {
         sweeps: usize,
     ) -> (Chain, u64) {
         let tokens = toy_tokens();
-        let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-        let counts = CountMatrices::new(4, priors.len(), &doc_lens);
+        let counts = CountMatrices::new(4, priors.len());
         let mut rng = rng_from_seed(404);
         let mut z = init(&tokens, &counts, &mut rng, priors.len());
         // Stream split mirroring the fitting loop: shards 1..S spawned in
@@ -567,8 +536,7 @@ mod tests {
     fn single_shard_matches_serial_kernel_chain() {
         let tokens = toy_tokens();
         let priors = priors();
-        let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-        let counts = CountMatrices::new(4, priors.len(), &doc_lens);
+        let counts = CountMatrices::new(4, priors.len());
         let mut rng = rng_from_seed(404);
         let mut z = init(&tokens, &counts, &mut rng, priors.len());
         let ctx = SweepContext {
@@ -596,8 +564,7 @@ mod tests {
         // long-lived sparse kernel draws.
         let tokens = toy_tokens();
         let priors = priors();
-        let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-        let counts = CountMatrices::new(4, priors.len(), &doc_lens);
+        let counts = CountMatrices::new(4, priors.len());
         let mut rng = rng_from_seed(404);
         let mut z = init(&tokens, &counts, &mut rng, priors.len());
         let ctx = SweepContext {

@@ -299,6 +299,8 @@ pub(crate) struct SparseKernel<'a> {
     r: f64,
     /// `n_dt as f64 + α` per topic (α everywhere outside the current doc).
     fact: Vec<f64>,
+    /// The current document's `n_dt`: counted from its assignments on
+    /// entry, moved with each token, zeroed on exit.
     nd_doc: Vec<u32>,
     /// Unique topics of the current document (uniqueness via `in_active`,
     /// so the doc-bucket walk never double-counts).
@@ -544,7 +546,7 @@ impl<'a> SparseKernel<'a> {
                 let w = word as usize;
                 let old = z[d][j] as usize;
                 self.unplug(old);
-                counts.decrement_serial(w, d, old);
+                counts.decrement(w, old);
                 self.nd_doc[old] -= 1;
                 self.fact[old] = self.nd_doc[old] as f64 + self.alpha;
                 if counts.nw(w, old) == 0 {
@@ -573,7 +575,7 @@ impl<'a> SparseKernel<'a> {
                 z[d][j] = idx_u32(new);
 
                 self.unplug(new);
-                counts.increment_serial(w, d, new);
+                counts.increment(w, new);
                 if counts.nw(w, new) == 1 {
                     self.state.nz_insert(w, new);
                 }
@@ -754,17 +756,25 @@ mod tests {
     ) -> Vec<Vec<u32>> {
         tokens
             .iter()
-            .enumerate()
-            .map(|(d, doc)| {
+            .map(|doc| {
                 doc.iter()
                     .map(|&w| {
                         let t = rng.gen_range(0..counts.num_topics());
-                        counts.increment(w as usize, d, t);
+                        counts.increment(w as usize, t);
                         t as u32
                     })
                     .collect()
             })
             .collect()
+    }
+
+    /// One document's `n_dt`, counted from its assignments.
+    fn doc_topic_counts(z_doc: &[u32], t_count: usize) -> Vec<u32> {
+        let mut nd = vec![0; t_count];
+        for &t in z_doc {
+            nd[t as usize] += 1;
+        }
+        nd
     }
 
     proptest! {
@@ -791,10 +801,10 @@ mod tests {
             let mut priors = mixed_priors(v, &counts_vec, &bag, levels);
             priors.push(dipping_support_prior(v, levels));
             let tokens = vec![doc];
-            let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-            let matrices = CountMatrices::new(v, priors.len(), &doc_lens);
+            let matrices = CountMatrices::new(v, priors.len());
             let mut rng = rng_from_seed(seed);
             let z = random_state(&tokens, &matrices, &mut rng);
+            let nd = doc_topic_counts(&z[0], priors.len());
             let ctx = SweepContext {
                 tokens: &tokens,
                 counts: &matrices,
@@ -816,7 +826,7 @@ mod tests {
                         w,
                         matrices.nw(w, t) as f64,
                         matrices.nt(t) as f64,
-                    ) * (matrices.nd(0, t) as f64 + alpha);
+                    ) * (nd[t] as f64 + alpha);
                 }
                 let tol = 1e-9 * dense_mass.abs().max(1e-12);
                 prop_assert!(
@@ -856,10 +866,10 @@ mod tests {
             let priors: Vec<TopicPrior> = (0..3).map(|_| make(kind_pick)).collect();
             let doc: Vec<u32> = doc_words.into_iter().map(|w| w % v as u32).collect();
             let tokens = vec![doc];
-            let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-            let matrices = CountMatrices::new(v, priors.len(), &doc_lens);
+            let matrices = CountMatrices::new(v, priors.len());
             let mut rng = rng_from_seed(seed);
             let z = random_state(&tokens, &matrices, &mut rng);
+            let nd = doc_topic_counts(&z[0], priors.len());
             let ctx = SweepContext {
                 tokens: &tokens,
                 counts: &matrices,
@@ -878,7 +888,7 @@ mod tests {
                         w,
                         matrices.nw(w, t) as f64,
                         matrices.nt(t) as f64,
-                    ) * (matrices.nd(0, t) as f64 + alpha);
+                    ) * (nd[t] as f64 + alpha);
                 }
                 let tol = 1e-9 * dense_mass.abs().max(1e-12);
                 prop_assert!(
@@ -905,8 +915,7 @@ mod tests {
                 .iter()
                 .map(|&n| (0..n).map(|_| rng.gen_range(0..v) as u32).collect())
                 .collect();
-            let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-            let matrices = CountMatrices::new(v, priors.len(), &doc_lens);
+            let matrices = CountMatrices::new(v, priors.len());
             let mut z = random_state(&tokens, &matrices, &mut rng);
             let ctx = SweepContext {
                 tokens: &tokens,
@@ -957,8 +966,7 @@ mod tests {
     fn sparse_chain_is_deterministic_and_reuse_transparent() {
         let run = |split: bool| -> Vec<Vec<u32>> {
             let (tokens, priors) = fixture();
-            let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-            let counts = CountMatrices::new(6, priors.len(), &doc_lens);
+            let counts = CountMatrices::new(6, priors.len());
             let mut rng = rng_from_seed(77);
             let mut z = random_state(&tokens, &counts, &mut rng);
             let ctx = SweepContext {
@@ -1078,7 +1086,7 @@ mod tests {
             TopicPrior::concept_set(&[], 0.5, 2).unwrap(),
             TopicPrior::concept_set(&[], 0.5, 2).unwrap(),
         ];
-        let counts = CountMatrices::new(2, 2, &[3]);
+        let counts = CountMatrices::new(2, 2);
         let mut rng = rng_from_seed(5);
         let mut z = random_state(&tokens, &counts, &mut rng);
         let ctx = SweepContext {
@@ -1108,7 +1116,7 @@ mod tests {
             TopicPrior::fixed_from_source(&school, 0.01),
             TopicPrior::fixed_from_source(&sports, 0.01),
         ];
-        let counts = CountMatrices::new(4, 2, &[3, 3]);
+        let counts = CountMatrices::new(4, 2);
         let mut rng = rng_from_seed(7);
         let mut z = random_state(&tokens, &counts, &mut rng);
         let ctx = SweepContext {
@@ -1136,8 +1144,7 @@ mod tests {
     fn long_run_topic_occupancy_tracks_the_serial_kernel() {
         let occupancy = |sparse: bool| -> Vec<f64> {
             let (tokens, priors) = fixture();
-            let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-            let counts = CountMatrices::new(6, priors.len(), &doc_lens);
+            let counts = CountMatrices::new(6, priors.len());
             let mut rng = rng_from_seed(11);
             let mut z = random_state(&tokens, &counts, &mut rng);
             let ctx = SweepContext {

@@ -40,8 +40,10 @@ pub fn rng_from_state(state: [u64; 4]) -> SldaRng {
     SmallRng::from_state(state)
 }
 
-/// One round of the SplitMix64 output function.
-fn splitmix64(mut z: u64) -> u64 {
+/// One round of the SplitMix64 output function (the constants of the
+/// reference implementation): a fixed, seedable 64-bit mix, deterministic
+/// everywhere.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

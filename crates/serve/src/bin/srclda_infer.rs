@@ -11,6 +11,7 @@ use srclda_core::prelude::*;
 use srclda_corpus::{CorpusBuilder, Tokenizer};
 use srclda_knowledge::KnowledgeSourceBuilder;
 use srclda_serve::{list_sections, EngineOptions, InferenceEngine, ModelArtifact};
+use std::io::{self, Write};
 
 const USAGE: &str = "\
 usage: srclda-infer <command> [options]
@@ -56,17 +57,27 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
-    if wants_help(&args) {
-        println!("{USAGE}");
-        return;
-    }
-    let result = match args[0].as_str() {
-        "save" => cmd_save(&args[1..]),
-        "inspect" => cmd_inspect(&args[1..]),
-        "infer" => cmd_infer(&args[1..]),
-        other => usage_error(&format!("unknown command {other:?}")),
+    // Every command writes its output through this one handle, so a
+    // failed write (a reader that closed the pipe) is an error, not a
+    // panic.
+    let mut out = io::stdout().lock();
+    let result = if wants_help(&args) {
+        writeln!(out, "{USAGE}").map_err(Into::into)
+    } else {
+        match args[0].as_str() {
+            "save" => cmd_save(&args[1..], &mut out),
+            "inspect" => cmd_inspect(&args[1..], &mut out),
+            "infer" => cmd_infer(&args[1..], &mut out),
+            other => usage_error(&format!("unknown command {other:?}")),
+        }
     };
-    if let Err(e) = result {
+    if let Err(e) = result.and_then(|()| Ok(out.flush()?)) {
+        // A reader that stopped early (`srclda-infer … | head -1`) has all
+        // the output it wants: stop quietly.
+        let closed = e.downcast_ref::<io::Error>();
+        if closed.is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) {
+            return;
+        }
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -199,7 +210,7 @@ fn non_empty_lines(path: &str) -> Result<Vec<String>, Box<dyn std::error::Error>
         .collect())
 }
 
-fn cmd_save(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_save(args: &[String], out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     validate_args(
         args,
         &[
@@ -273,15 +284,16 @@ fn cmd_save(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let artifact = ModelArtifact::from_fitted(&fitted, corpus.vocabulary(), &tokenizer)?;
     artifact.save(out_path)?;
     let size = std::fs::metadata(out_path)?.len();
-    println!(
+    writeln!(
+        out,
         "wrote {out_path}: {size} bytes, {} topics × {} words",
         artifact.num_topics(),
         artifact.vocab_size()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_inspect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_inspect(args: &[String], out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     validate_args(args, &["--top"], 1)?;
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return usage_error("inspect requires an artifact path");
@@ -291,37 +303,40 @@ fn cmd_inspect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let sections = list_sections(&bytes)?;
     // list_sections validated magic + version, so the field is readable.
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    println!(
+    writeln!(
+        out,
         "{path}: {} bytes, format v{version}, checksum ok",
         bytes.len()
-    );
-    println!("sections:");
+    )?;
+    writeln!(out, "sections:")?;
     for s in &sections {
-        println!(
+        writeln!(
+            out,
             "  id {:>2} {:<10} offset {:>8}  {:>10} bytes",
             s.id,
             s.name(),
             s.offset,
             s.length
-        );
+        )?;
     }
     let artifact = ModelArtifact::from_bytes(&bytes)?;
-    print!("{}", artifact.summary());
+    write!(out, "{}", artifact.summary())?;
     if top > 0 {
-        println!("topics:");
+        writeln!(out, "topics:")?;
         for t in 0..artifact.num_topics() {
-            println!(
+            writeln!(
+                out,
                 "  {:>4} {:<24} {}",
                 t,
                 artifact.labels()[t].as_deref().unwrap_or("(unlabeled)"),
                 artifact.top_words(t, top).join(" ")
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_infer(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_infer(args: &[String], out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     validate_args(
         args,
         &[
@@ -385,13 +400,14 @@ fn cmd_infer(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 )
             })
             .collect();
-        println!(
+        writeln!(
+            out,
             "{name}: tokens={} oov={} perplexity={:.2} top: {}",
             score.num_tokens(),
             score.oov_tokens(),
             score.perplexity(),
             tops.join(" ")
-        );
+        )?;
     }
     let stats = engine.cache_stats();
     // Tokens/sec alongside docs/sec so serving throughput is directly

@@ -85,16 +85,6 @@ pub struct FaultPlan {
     inner: Option<Arc<PlanInner>>,
 }
 
-/// SplitMix64: the offset-derivation hash for seeded plans (also the
-/// retry client's jitter source). Matches the constants of the reference
-/// implementation; deterministic everywhere.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl FaultPlan {
     /// The no-fault plan (what every production caller passes).
     pub fn none() -> Self {
@@ -170,7 +160,7 @@ impl FaultPlan {
                     let at = if total_len == 0 {
                         0
                     } else {
-                        splitmix64(plan.seed) % total_len
+                        srclda_math::rng::splitmix64(plan.seed) % total_len
                     };
                     plan.at.store(at, Ordering::Relaxed);
                 }

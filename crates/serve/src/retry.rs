@@ -56,7 +56,7 @@ impl RetryPolicy {
             .base_delay
             .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
             .min(self.max_delay);
-        let jitter_bits = crate::durable::splitmix64(self.jitter_seed ^ u64::from(attempt));
+        let jitter_bits = srclda_math::rng::splitmix64(self.jitter_seed ^ u64::from(attempt));
         let factor = 0.5 + 0.5 * (jitter_bits as f64 / u64::MAX as f64);
         exp.mul_f64(factor)
     }

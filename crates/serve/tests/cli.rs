@@ -102,6 +102,41 @@ fn infer_text_value_may_look_like_a_flag() {
     assert!(stdout.contains("tokens=0"), "stdout: {stdout}");
 }
 
+/// A reader that stops early (`srclda-infer … | head -1`) closes the pipe:
+/// the CLI stops quietly with exit 0 instead of panicking on its next
+/// write. 2,000 scored lines (about 169 KB) are more than a pipe holds, so
+/// the writer is still writing when the read end closes.
+#[test]
+fn infer_stops_quietly_when_stdout_closes() {
+    let dir = std::env::temp_dir().join(format!("srclda-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let batch = dir.join("batch.txt");
+    std::fs::write(&batch, "pencil ruler eraser\n".repeat(2000)).expect("batch file");
+    let mut child = Command::new(INFER_BIN)
+        .args([
+            "infer",
+            FIXTURE,
+            "--batch",
+            batch.to_str().expect("utf-8 path"),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary launches");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("first line");
+    // The reader (and with it the pipe's read end) is dropped here.
+    let out = child.wait_with_output().expect("child exits");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("doc-0: tokens="), "first line: {first}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
 #[test]
 fn served_rejects_unknown_flags_and_missing_models_with_exit_2() {
     for args in [

@@ -589,11 +589,11 @@ fn lambda_adaptation_is_bit_identical_for_one_vs_n_shards() {
         .unwrap();
 
     let filled_counts = || {
-        let counts = CountMatrices::new(vocab.len(), model.num_topics(), &[512]);
+        let counts = CountMatrices::new(vocab.len(), model.num_topics());
         for w in 0..vocab.len() {
             for t in 0..model.num_topics() {
                 for _ in 0..((w * 13 + t * 5) % 3) {
-                    counts.increment(w, 0, t);
+                    counts.increment(w, t);
                 }
             }
         }
@@ -709,13 +709,31 @@ fn model_digest(fitted: &FittedModel) -> u64 {
     source_lda::serve::codec::fnv1a64(&bytes)
 }
 
-/// Absolute chain pins: the final-model digest ([`model_digest`]) and the
-/// sweep-6/12/18 [`TrainCheckpoint::digest`] of every cell of the backend
-/// matrix. The relative tests above would pass a refactor that moved every
-/// chain the same way; these would not. Flat and Dense share a model digest
-/// at each S (bit-identical arithmetic), and every S = 1 cell shares its
-/// kernel family's single-thread chain; the checkpoint digests differ per
-/// cell because they also hash the kernel tag, shard layout and RNG words.
+/// FNV-1a digest of what a fitted model derives from its assignments: the
+/// θ bits as `u64` LE, then `topic_doc_frequencies(m)` for `m` in `0..4`,
+/// each count as `u64` LE. [`model_digest`] hashes z and φ only, so this
+/// is what pins θ and the superset reduction's document frequencies.
+fn theta_digest(fitted: &FittedModel) -> u64 {
+    let mut bytes = Vec::new();
+    for &x in fitted.theta().as_slice() {
+        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+    for min_tokens in 0..4 {
+        for f in fitted.topic_doc_frequencies(min_tokens) {
+            bytes.extend_from_slice(&(f as u64).to_le_bytes());
+        }
+    }
+    source_lda::serve::codec::fnv1a64(&bytes)
+}
+
+/// Absolute chain pins: the final-model digest ([`model_digest`]), the θ
+/// and document-frequency digest ([`theta_digest`]) and the sweep-6/12/18
+/// [`TrainCheckpoint::digest`] of every cell of the backend matrix. The
+/// relative tests above would pass a refactor that moved every chain the
+/// same way; these would not. Flat and Dense share a model digest at each
+/// S (bit-identical arithmetic), and every S = 1 cell shares its kernel
+/// family's single-thread chain; the checkpoint digests differ per cell
+/// because they also hash the kernel tag, shard layout and RNG words.
 #[test]
 fn golden_chain_digests() {
     let sharded = |kernel, shards| Backend::ShardedDocs {
@@ -723,16 +741,16 @@ fn golden_chain_digests() {
         shards,
         threads: 2,
     };
-    const DENSE_S1: u64 = 0x140b_215a_1162_dae1;
-    const SPARSE_S1: u64 = 0xeac8_968c_a518_cf8a;
-    const DENSE_S3: u64 = 0xcaa8_5897_a1ae_8145;
-    const SPARSE_S3: u64 = 0x4649_37bb_4fbc_ed3a;
+    const DENSE_S1: (u64, u64) = (0x140b_215a_1162_dae1, 0xd5f8_7cdb_f685_c99f);
+    const SPARSE_S1: (u64, u64) = (0xeac8_968c_a518_cf8a, 0x7128_62a8_a603_58ce);
+    const DENSE_S3: (u64, u64) = (0xcaa8_5897_a1ae_8145, 0xef5e_7110_66bf_b9bf);
+    const SPARSE_S3: (u64, u64) = (0x4649_37bb_4fbc_ed3a, 0x4964_3669_f569_0427);
     const PAPER_CPS: [u64; 3] = [
         0xea68_2707_5aec_4d4a,
         0x190c_75aa_e670_1f30,
         0x0a4c_33e5_6d1f_993c,
     ];
-    let cells: [(Backend, u64, [u64; 3]); 9] = [
+    let cells: [(Backend, (u64, u64), [u64; 3]); 9] = [
         (
             Backend::Serial,
             DENSE_S1,
@@ -799,7 +817,7 @@ fn golden_chain_digests() {
             ],
         ),
     ];
-    for (backend, model_pin, checkpoint_pins) in cells {
+    for (backend, (model_pin, theta_pin), checkpoint_pins) in cells {
         let (model, corpus) = model_and_corpus(backend, 18);
         let mut checkpoints = Vec::new();
         let fitted = model
@@ -812,6 +830,11 @@ fn golden_chain_digests() {
             model_digest(&fitted),
             model_pin,
             "{backend:?}: final model digest moved"
+        );
+        assert_eq!(
+            theta_digest(&fitted),
+            theta_pin,
+            "{backend:?}: θ / document-frequency digest moved"
         );
         assert_eq!(
             checkpoints, checkpoint_pins,
