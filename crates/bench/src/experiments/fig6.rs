@@ -61,9 +61,10 @@ fn mean_topic_js(
 ) -> f64 {
     // Fitted topic order matches the knowledge source order for all three
     // models here (no unlabeled topics), which matches the truth order.
+    let phi = fitted.phi();
     let mut acc = 0.0;
     for t in 0..knowledge.len() {
-        acc += js_divergence(fitted.phi_row(t), truth_phi.row(t)).unwrap_or(f64::NAN);
+        acc += js_divergence(phi.row(t), truth_phi.row(t)).unwrap_or(f64::NAN);
     }
     acc / knowledge.len() as f64
 }

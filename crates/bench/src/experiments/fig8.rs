@@ -84,7 +84,7 @@ fn score(
         // Generated φ/θ are finite by construction, so the NaN-input
         // errors cannot fire here; surface them loudly if that ever
         // changes rather than scoring garbage.
-        TopicMapping::by_phi_js(fitted.phi(), &setup.generated.truth.phi)
+        TopicMapping::by_phi_js(&fitted.phi(), &setup.generated.truth.phi)
             .expect("generated phi matrices are finite")
     } else {
         TopicMapping::by_label(fitted.labels(), &setup.generated.truth.labels)
@@ -94,7 +94,7 @@ fn score(
         fitted.assignments(),
         &mapping,
     );
-    let js = theta_js_total(fitted.theta(), &setup.generated.truth.theta, &mapping)
+    let js = theta_js_total(&fitted.theta(), &setup.generated.truth.theta, &mapping)
         .expect("generated theta matrices are finite");
     Outcome {
         name,

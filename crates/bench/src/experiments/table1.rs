@@ -110,7 +110,8 @@ pub fn run(scale: Scale) -> String {
     // IR-LDA score matrix: used to find, for each display label, the LDA
     // topic that *best* matches it (the forced-assignment argmax rarely
     // lands on a specific label among 80 candidates).
-    let ir_phi_rows = ir.fitted.phi().to_rows();
+    let (src_phi, ir_phi, ctm_phi) = (src.phi(), ir.fitted.phi(), ctm.phi());
+    let ir_phi_rows = ir_phi.to_rows();
     let ir_scores = TfIdfCosineLabeler
         .score_matrix(&ir_phi_rows, &LabelingContext::new(&data.knowledge, corpus));
 
@@ -126,19 +127,19 @@ pub fn run(scale: Scale) -> String {
             .labels()
             .iter()
             .position(|l| l.as_deref() == Some(*label))
-            .map(|t| top_words(corpus, src.phi_row(t), n));
+            .map(|t| top_words(corpus, src_phi.row(t), n));
         let ir_row = (0..ir_scores.len())
             .max_by(|&a, &b| {
                 ir_scores[a][source_index]
                     .partial_cmp(&ir_scores[b][source_index])
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-            .map(|t| top_words(corpus, ir.fitted.phi_row(t), n));
+            .map(|t| top_words(corpus, ir_phi.row(t), n));
         let ctm_row = ctm
             .labels()
             .iter()
             .position(|l| l.as_deref() == Some(*label))
-            .map(|t| top_words(corpus, ctm.phi_row(t), n));
+            .map(|t| top_words(corpus, ctm_phi.row(t), n));
         let blank = vec!["-".to_string(); n];
         let src_row = src_row.unwrap_or_else(|| blank.clone());
         let ir_row = ir_row.unwrap_or_else(|| blank.clone());

@@ -3,9 +3,10 @@
 //!
 //! The document–topic counts `n_dt` are not kept here. The kernel sweeping
 //! a document counts that document's topics from its assignments on entry
-//! and moves them with each token, and θ and the document frequencies
-//! ([`doc_frequencies`]) are counted from the assignments at the end of a
-//! fit.
+//! and moves them with each token; θ (on request) and the document
+//! frequencies (`doc_frequencies`) are counted from the final
+//! assignments. A fit ends by turning `nw` into its non-zero cells
+//! ([`crate::CountCells`]), the form the fitted model keeps.
 //!
 //! Storage is `AtomicU32` with relaxed ordering so the paper's parallel
 //! samplers can read counts from worker threads while the leader thread
@@ -108,8 +109,7 @@ impl CountMatrices {
         })
     }
 
-    /// Snapshot the `nw` matrix into plain integers (held-out perplexity
-    /// freezes training counts).
+    /// Snapshot the `nw` matrix into plain integers.
     pub fn snapshot_nw(&self) -> Vec<u32> {
         self.nw_values().collect()
     }

@@ -17,9 +17,10 @@
 //! a topic share one weight (every word off a source topic's support that
 //! has no count in it), so a word has a handful of exceptions, not `T`
 //! cells: at T = 2000 the table is ≈0.6 MB where a dense φ is 74 MB. It is
-//! built from a topic-major φ ([`Inference::from_parts`],
-//! [`Inference::from_fitted`]) or straight from sampler state
-//! ([`Inference::from_counts`]), and neither path allocates anything `V·T`.
+//! built from a topic-major φ ([`Inference::from_parts`]) or straight from
+//! sampler state ([`Inference::from_counts`]; a fit builds its table this
+//! way, and [`Inference::from_fitted`] clones it), and neither path
+//! allocates anything `V·T`.
 //! Exceptions are decided on φ's values, never on which words a prior keeps
 //! on its support, so two priors with the same values build the same table.
 //!
@@ -191,23 +192,29 @@ impl PhiTable {
     }
 
     /// The table of φ at the counts `counts` under `priors` (Eq. 1 /
-    /// Eq. 4), holding exactly the values the fitted φ holds for the same
-    /// counts and priors, in two passes over [`CountRows`]. The first adds
-    /// each topic's weights in word order, as
+    /// Eq. 4), holding exactly the values a dense φ derived from the same
+    /// counts and priors holds, in two walks over [`CountRows`]. The first
+    /// adds each topic's weights in word order, as
     /// [`DenseMatrix::normalize_rows`] does, and takes each topic's
     /// smallest weight; dividing by a positive sum is monotone, so that
     /// weight over the sum is the baseline. The second divides and keeps
     /// the values other than the baseline: two distinct weights can divide
-    /// to one value, so only the divided values are compared. A topic
-    /// whose weights do not sum to a positive number is uniform, as
-    /// `normalize_rows` makes it, and has no exceptions. `priors` must be
-    /// `counts`' `T` priors over its `V` words.
+    /// to one value, so only the divided values are compared. A word's
+    /// candidates are the topics whose words each have their own weight,
+    /// those whose shared zero-count weight divides to something other
+    /// than their baseline, and the word's support topics and count cells;
+    /// every other topic holds its shared weight there, which divides to
+    /// its baseline. The second walk visits only the candidates, or scans
+    /// each whole row when the first two groups are at least half the
+    /// topics. A topic whose weights do not sum to a positive number is
+    /// uniform, as `normalize_rows` makes it, and has no exceptions.
+    /// `priors` must be `counts`' `T` priors over its `V` words.
     pub(crate) fn from_counts(priors: &[TopicPrior], counts: &CountCells) -> Self {
         let rows = CountRows::new(priors, counts);
         let t_count = counts.num_topics();
         let mut sums = vec![0.0f64; t_count];
         let mut smallest = vec![f64::INFINITY; t_count];
-        rows.for_each(|row| {
+        rows.walk(|row, _| {
             for ((sum, low), &x) in sums.iter_mut().zip(smallest.iter_mut()).zip(row) {
                 *sum += x;
                 if x < *low {
@@ -221,20 +228,54 @@ impl PhiTable {
             .zip(&smallest)
             .map(|(&sum, &low)| if sum > 0.0 { low / sum } else { uniform })
             .collect();
+        let exception = |t: usize, x: f64| divided(x, smallest[t], sums[t], baseline[t]);
+        let everywhere: Vec<usize> = (0..t_count)
+            .filter(|&t| match rows.shared[t] {
+                Some(x) => exception(t, x).is_some(),
+                None => true,
+            })
+            .collect();
+        // When at least half the topics are candidates at every word, one
+        // scan of the whole row costs less than merging the candidates.
+        let scan_all = 2 * everywhere.len() >= t_count;
         let mut starts = Vec::with_capacity(counts.vocab_size() + 1);
         starts.push(0);
         let (mut topics, mut values) = (Vec::new(), Vec::new());
-        rows.for_each(|row| {
-            let terms = row.iter().zip(&smallest).zip(&sums).zip(&baseline);
-            for (t, (((&x, &low), &sum), &b)) in terms.enumerate() {
-                // A weight equal to the smallest divides to the baseline.
-                if x.to_bits() != low.to_bits() && sum > 0.0 {
-                    let x = x / sum;
-                    if x.to_bits() != b.to_bits() {
+        let mut set = Vec::new();
+        rows.walk(|row, own| {
+            if scan_all {
+                let terms = row.iter().zip(&smallest).zip(&sums).zip(&baseline);
+                for (t, (((&x, &low), &sum), &b)) in terms.enumerate() {
+                    if let Some(x) = divided(x, low, sum, b) {
                         topics.push(t as u32);
                         values.push(x);
                     }
                 }
+            } else {
+                let mut emit = |t: usize| {
+                    if let Some(x) = exception(t, row[t]) {
+                        topics.push(t as u32);
+                        values.push(x);
+                    }
+                };
+                set.clear();
+                set.extend(own);
+                // Each group comes ascending; only mixing the two needs a sort.
+                if !set.is_sorted_by(|a, b| a < b) {
+                    set.sort_unstable();
+                    set.dedup();
+                }
+                // `everywhere` and the word's own topics, merged ascending.
+                let mut own = set.iter().peekable();
+                for &t in &everywhere {
+                    while let Some(&u) = own.next_if(|&&u| u <= t) {
+                        if u < t {
+                            emit(u);
+                        }
+                    }
+                    emit(t);
+                }
+                own.for_each(|&u| emit(u));
             }
             starts.push(topics.len());
         });
@@ -276,6 +317,19 @@ impl PhiTable {
         }
     }
 
+    /// Row `t` of the topic-major φ: the baseline, with every exception
+    /// of topic `t` written over it.
+    pub(crate) fn topic_row(&self, t: usize) -> Vec<f64> {
+        let mut row = vec![self.baseline[t]; self.vocab_size()];
+        for (w, x) in row.iter_mut().enumerate() {
+            let (topics, values) = self.exceptions(w);
+            if let Ok(i) = topics.binary_search(&(t as u32)) {
+                *x = values[i];
+            }
+        }
+        row
+    }
+
     /// φ topic-major (`T × V`), written out in full.
     pub(crate) fn to_topic_major(&self) -> DenseMatrix<f64> {
         let mut phi = DenseMatrix::zeros(self.num_topics(), self.vocab_size());
@@ -292,22 +346,35 @@ impl PhiTable {
     }
 }
 
+/// `φ_tw` from a topic's weight `x` at a word, its smallest weight `low`
+/// and its weight sum, when that is not the topic's `baseline`. A weight
+/// equal to the smallest divides to the baseline, and a topic whose
+/// weights do not sum to a positive number is uniform.
+#[inline]
+fn divided(x: f64, low: f64, sum: f64, baseline: f64) -> Option<f64> {
+    let divides = x.to_bits() != low.to_bits() && sum > 0.0;
+    divides
+        .then(|| x / sum)
+        .filter(|x| x.to_bits() != baseline.to_bits())
+}
+
 /// The unnormalized φ rows of a model stored as counts, one word at a
 /// time: row `w` holds every topic's weight of `w` at its count, from each
-/// topic's [`TopicTerms`], taken once. The row starts from every topic's
-/// shared zero-count weight, then takes the topics whose words each have
-/// their own weight, the λ-integrated topics that have `w` on their
-/// support, and the non-zero cells of `w`, which one cursor walks in index
-/// order.
+/// topic's [`TopicTerms`], taken once. A topic's entry is its shared
+/// zero-count weight unless the topic's words each have their own weight,
+/// `w` is on the topic's λ-integration support, or `w` has a count cell
+/// in it; one cursor walks the cells in index order.
 struct CountRows<'p> {
     counts: &'p CountCells,
     terms: Vec<TopicTerms<'p>>,
-    /// Each topic's shared zero-count weight (0 where it has none).
-    template: Vec<f64>,
-    /// The topics with no shared zero-count weight.
+    /// Each topic's shared zero-count weight, `None` where its words each
+    /// have their own.
+    shared: Vec<Option<f64>>,
+    /// The topics with no shared zero-count weight, ascending.
     own_words: Vec<usize>,
     /// The support words of every topic, grouped by word: the (topic, δ
-    /// row index) pairs of word `w` are `own_rows[starts[w]..starts[w + 1]]`.
+    /// row index) pairs of word `w` are `own_rows[starts[w]..starts[w + 1]]`,
+    /// ascending by topic.
     starts: Vec<usize>,
     own_rows: Vec<(usize, usize)>,
 }
@@ -321,7 +388,6 @@ impl<'p> CountRows<'p> {
             .map(|(prior, &nt)| TopicTerms::new(prior, f64::from(nt)))
             .collect();
         let shared: Vec<Option<f64>> = terms.iter().map(TopicTerms::shared_zero_weight).collect();
-        let template = shared.iter().map(|s| s.unwrap_or(0.0)).collect();
         let own_words = (0..shared.len()).filter(|&t| shared[t].is_none()).collect();
         let mut starts = vec![0usize; v + 1];
         for term in &terms {
@@ -343,7 +409,7 @@ impl<'p> CountRows<'p> {
         Self {
             counts,
             terms,
-            template,
+            shared,
             own_words,
             starts,
             own_rows,
@@ -351,28 +417,42 @@ impl<'p> CountRows<'p> {
     }
 
     /// Call `f` on the row of every word, in word order, through one
-    /// reused row of length `T`.
-    fn for_each(&self, mut f: impl FnMut(&[f64])) {
-        let t_wide = self.template.len() as u64;
-        let mut row = self.template.clone();
+    /// reused row of length `T`, with the topics the word's support rows
+    /// and count cells set (each group ascending). The row keeps the
+    /// shared weights at the other topics, except at the topics with no
+    /// shared weight, which every word sets; so only the entries a word
+    /// sets are written and put back.
+    fn walk(&self, mut f: impl FnMut(&[f64], &mut dyn Iterator<Item = usize>)) {
+        let t_wide = self.shared.len() as u64;
+        let mut row: Vec<f64> = self.shared.iter().map(|s| s.unwrap_or(0.0)).collect();
         let mut cells = self.counts.cells();
         for w in 0..self.counts.vocab_size() {
-            row.copy_from_slice(&self.template);
+            let base = w as u64 * t_wide;
+            let here = cells.iter().take_while(|c| c.0 < base + t_wide).count();
+            let (word_cells, rest) = cells.split_at(here);
+            cells = rest;
+            let support = &self.own_rows[self.starts[w]..self.starts[w + 1]];
+            let cell_topic = |&(index, _): &(u64, u32)| (index - base) as usize;
             for &t in &self.own_words {
                 row[t] = self.terms[t].weight(w, 0.0);
             }
-            for &(t, i) in &self.own_rows[self.starts[w]..self.starts[w + 1]] {
+            for &(t, i) in support {
                 row[t] = self.terms[t].weight_at(w, i, 0.0);
             }
-            let end = (w as u64 + 1) * t_wide;
-            let here = cells.iter().take_while(|&&(index, _)| index < end).count();
-            let (word_cells, rest) = cells.split_at(here);
-            for &(index, n) in word_cells {
-                let t = (index % t_wide) as usize;
-                row[t] = self.terms[t].weight(w, f64::from(n));
+            for cell in word_cells {
+                let t = cell_topic(cell);
+                row[t] = self.terms[t].weight(w, f64::from(cell.1));
             }
-            cells = rest;
-            f(&row);
+            let set = || {
+                support
+                    .iter()
+                    .map(|&(t, _)| t)
+                    .chain(word_cells.iter().map(cell_topic))
+            };
+            f(&row, &mut set());
+            for t in set() {
+                row[t] = self.shared[t].unwrap_or(0.0);
+            }
         }
     }
 }
@@ -554,10 +634,11 @@ impl Inference {
         ))
     }
 
-    /// Snapshot a fitted model's φ/α/labels for serving.
+    /// Snapshot a fitted model's φ/α/labels for serving: a clone of the
+    /// model's table, with nothing `V·T` built.
     pub fn from_fitted(fitted: &FittedModel) -> Self {
         Self::new(
-            PhiTable::from_topic_major(fitted.phi()),
+            fitted.phi_table().clone(),
             fitted.alpha(),
             fitted.labels().to_vec(),
         )
@@ -872,7 +953,7 @@ mod tests {
         let (corpus, fitted) = train();
         let a = Inference::from_fitted(&fitted);
         let b =
-            Inference::from_parts(fitted.phi(), fitted.alpha(), fitted.labels().to_vec()).unwrap();
+            Inference::from_parts(&fitted.phi(), fitted.alpha(), fitted.labels().to_vec()).unwrap();
         let doc = ids(&corpus, &["pet", "fund", "cat", "cat"]);
         let cfg = FoldInConfig {
             iterations: 40,
@@ -922,8 +1003,8 @@ mod tests {
         let (_, fitted) = train();
         let mut inf = Inference::from_fitted(&fitted);
         assert_eq!(inf.labels().len(), 2);
-        inf =
-            Inference::from_parts(fitted.phi(), inf.alpha(), vec![Some("A".into()), None]).unwrap();
+        inf = Inference::from_parts(&fitted.phi(), inf.alpha(), vec![Some("A".into()), None])
+            .unwrap();
         assert_eq!(inf.label(0), Some("A"));
         assert_eq!(inf.label(1), None);
     }
@@ -937,14 +1018,123 @@ mod tests {
         let inf = Inference::from_fitted(&fitted);
         assert_eq!(inf.vocab_size(), fitted.vocab_size());
         assert_eq!(inf.num_topics(), fitted.num_topics());
+        let phi = fitted.phi();
         let mut row = vec![0.0; inf.num_topics()];
         for w in 0..inf.vocab_size() {
             inf.phi.row_into(w, &mut row);
             for (t, x) in row.iter().enumerate() {
-                assert_eq!(x.to_bits(), fitted.phi()[(t, w)].to_bits());
+                assert_eq!(x.to_bits(), phi[(t, w)].to_bits());
             }
         }
-        assert_eq!(&inf.phi.to_topic_major(), fitted.phi());
+        assert_eq!(inf.phi.to_topic_major(), phi);
+    }
+
+    /// The dense derivation [`PhiTable::from_counts`] replaced, kept as
+    /// its oracle: each topic's row of [`TopicPrior::word_weight`] values
+    /// at the counts, normalized by [`DenseMatrix::normalize_rows`].
+    fn compute_phi(priors: &[TopicPrior], counts: &CountCells) -> DenseMatrix<f64> {
+        let (v, t_count) = (counts.vocab_size(), counts.num_topics());
+        let nw = counts.to_dense();
+        let mut phi = DenseMatrix::zeros(t_count, v);
+        for (t, (prior, &nt)) in priors.iter().zip(counts.nt()).enumerate() {
+            let nw = |w: usize| f64::from(nw[w * t_count + t]);
+            prior.weight_row(phi.row_mut(t), nw, f64::from(nt));
+        }
+        phi.normalize_rows();
+        phi
+    }
+
+    /// A λ-integrated prior over `v` words whose support, words 0–2, sits
+    /// below its shared off-support row at every level: its smallest
+    /// weight is a support word's, so every off-support word without a
+    /// count is an exception.
+    fn dipping_prior(v: usize) -> TopicPrior {
+        use crate::persist::{RawIntegrationTable, RawPrior};
+        let raw = RawIntegrationTable {
+            weights: vec![0.25, 0.75],
+            prior_log_weights: vec![0.0; 2],
+            sums: vec![0.6 + (v - 3) as f64 * 0.9, 0.3 + (v - 3) as f64 * 0.5],
+            support: vec![0, 1, 2],
+            values: vec![0.2, 0.1, 0.2, 0.1, 0.2, 0.1],
+            zero_values: vec![0.9, 0.5],
+        };
+        TopicPrior::from_raw(RawPrior::Integrated(raw), v).unwrap()
+    }
+
+    /// The table built from counts holds the dense oracle's φ bit for bit,
+    /// and the table built from that φ, for every prior family: at counts
+    /// that leave topics and words empty, a topic with every word counted,
+    /// a topic whose weights sum to zero (uniform), and one whose shared
+    /// weight is above its smallest. The mixed list checks most topics at
+    /// every word (a whole-row scan); with the per-word kinds swapped for
+    /// shared-weight ones, only a few are (a merge of each word's
+    /// candidates).
+    #[test]
+    fn table_from_counts_matches_the_dense_oracle() {
+        use srclda_knowledge::{SmoothingFunction, SourceTopic};
+        use srclda_math::DiscretizedGaussian;
+        let v = 9;
+        let source = SourceTopic::new("S", vec![3.0, 0.0, 1.0, 0.0, 0.0, 5.0, 0.0, 0.0, 2.0]);
+        let quad = DiscretizedGaussian::unit_interval(0.6, 0.25, 3).unwrap();
+        let g = SmoothingFunction::identity();
+        let integrated = || TopicPrior::integrated(&source, 0.01, &g, &quad);
+        let symmetric = |beta| TopicPrior::symmetric(beta, v).unwrap();
+        let mixed = vec![
+            symmetric(0.2),
+            TopicPrior::fixed_from_source(&source, 0.01),
+            integrated(),
+            TopicPrior::frozen_from_source(&source, 0.01),
+            TopicPrior::concept_set(&[1, 4, 5], 0.5, v).unwrap(),
+            TopicPrior::concept_set(&[], 0.5, v).unwrap(),
+            dipping_prior(v),
+            symmetric(0.3),
+            integrated(),
+        ];
+        let shared = vec![
+            symmetric(0.2),
+            integrated(),
+            integrated(),
+            symmetric(0.4),
+            integrated(),
+            symmetric(0.5),
+            dipping_prior(v),
+            symmetric(0.3),
+            integrated(),
+        ];
+        for priors in [mixed, shared] {
+            let t_count = priors.len();
+            let mut nw = vec![0u32; v * t_count];
+            for w in 0..v {
+                // Topic 7 counts every word; topic 8 and word 3 stay empty.
+                nw[w * t_count + 7] = 1 + (w % 2) as u32;
+                for t in 0..7 {
+                    if w != 3 && (w * 5 + t * 3) % 4 == 0 {
+                        nw[w * t_count + t] = 1 + ((w + t) % 3) as u32;
+                    }
+                }
+            }
+            let counts = CountCells::from_dense(v, t_count, nw);
+            let want = compute_phi(&priors, &counts);
+            let table = PhiTable::from_counts(&priors, &counts);
+            assert_eq!(table.to_topic_major(), want);
+            for t in 0..t_count {
+                let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&table.topic_row(t)), bits(want.row(t)), "topic {t}");
+            }
+            let from_phi = PhiTable::from_topic_major(&want);
+            let bits = |t: &PhiTable| {
+                let f = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let lists = (t.starts.clone(), t.topics.clone());
+                (f(&t.baseline), lists, f(&t.values))
+            };
+            assert_eq!(bits(&table), bits(&from_phi));
+            // The shared weight of topic 6 is above its smallest, and the
+            // mixed list's empty concept set is uniform.
+            assert!((3..v).all(|w| table.exceptions(w).0.contains(&6)));
+            if let TopicPrior::ConceptSet { .. } = priors[5] {
+                assert_eq!(table.baseline[5], 1.0 / v as f64);
+            }
+        }
     }
 
     /// Exceptions follow values: a topic dipping below its common weight

@@ -34,7 +34,7 @@ pub struct WordLogLikelihood {
     /// `ln P(w | z)` with clamped frozen-topic terms.
     pub value: f64,
     /// Number of tokens (counted with multiplicity) whose word probability
-    /// was below [`CLAMP_FLOOR`] under their assigned frozen topic.
+    /// was below `CLAMP_FLOOR` under their assigned frozen topic.
     pub clamped_tokens: u64,
 }
 

@@ -1,8 +1,10 @@
 //! The shared Gibbs engine: [`GibbsModel`] (a configured model ready to
-//! fit) and [`FittedModel`] (the posterior estimates).
+//! fit) and [`FittedModel`] (the sampler's final state, from which the
+//! posterior estimates are derived).
 
 use crate::counts::{doc_frequencies, CountMatrices};
 use crate::error::CoreError;
+use crate::inference::PhiTable;
 use crate::loglik;
 use crate::params::ModelConfig;
 use crate::persist::{CountCells, TrainCheckpoint};
@@ -12,7 +14,6 @@ use rand::Rng;
 use srclda_corpus::Corpus;
 use srclda_math::{rng_from_seed, rng_from_state, rng_state, spawn_rng, DenseMatrix, SldaRng};
 use srclda_obs::{NoopObserver, SpanTimer, TrainEvent, TrainObserver};
-use std::borrow::Borrow;
 
 /// A fully-specified topic model: one prior per topic, optional labels, and
 /// the run configuration. Construct via the model builders ([`crate::Lda`],
@@ -103,11 +104,17 @@ impl GibbsModel {
     ///   fit.
     ///
     /// Bit-identity covers the *sampler state* — assignments, counts,
-    /// priors, φ/θ. Recorded traces ([`crate::params::TraceConfig`]) are
-    /// **not** part of
-    /// a checkpoint: a resumed run's `loglik_trace`/`snapshots` cover only
-    /// the sweeps it ran itself (entries before the resume point live in
-    /// the interrupted run's output).
+    /// priors, and so φ/θ. Recorded traces ([`crate::params::TraceConfig`])
+    /// are **not** part of a checkpoint: a resumed run's
+    /// `loglik_trace`/`snapshots` cover only the sweeps it ran itself
+    /// (entries before the resume point live in the interrupted run's
+    /// output).
+    ///
+    /// The fit ends with its sampler state: the returned [`FittedModel`]
+    /// holds the counts as their non-zero cells and φ as the serving
+    /// engine's table, built by one pass over the counts plus one over
+    /// each word's candidate topics. Dense φ and θ are built only when
+    /// [`FittedModel::phi`] or [`FittedModel::theta`] is called.
     ///
     /// # Errors
     /// Everything [`Self::fit`] rejects, plus: a checkpoint that is
@@ -182,7 +189,8 @@ impl GibbsModel {
             .map(|d| d.tokens().iter().map(|w| w.0).collect())
             .collect();
         let doc_lens: Vec<u32> = tokens.iter().map(|d| d.len() as u32).collect();
-        let counts = CountMatrices::new(self.vocab_size, t_count);
+        let v = self.vocab_size;
+        let counts = CountMatrices::new(v, t_count);
         let backend = self.config.backend;
         let total_iters = self.config.iterations;
 
@@ -400,8 +408,8 @@ impl GibbsModel {
                         }
                     }
                     if trace.phi_snapshots.contains(&iter) {
-                        let (v, nt) = (counts.vocab_size(), counts.snapshot_nt());
-                        let phi = compute_phi(v, priors_ref, |w, t| counts.nw(w, t), &nt);
+                        let cells = CountCells::from_dense(v, t_count, counts.nw_values());
+                        let phi = PhiTable::from_counts(priors_ref, &cells).to_topic_major();
                         snapshots.push((iter, phi));
                     }
                     if let Some(secs) = sweep_secs {
@@ -505,8 +513,7 @@ impl GibbsModel {
                 sweep_mark = Some(SpanTimer::start());
             }
         }
-        // The shard-local counts and kernel lists are done with; free them
-        // before φ and θ are allocated.
+        // The shard-local counts and kernel lists are done with.
         drop(sweep_state);
 
         if let Some(run_span) = run_span {
@@ -526,16 +533,16 @@ impl GibbsModel {
             });
         }
 
-        let (v, nt) = (counts.vocab_size(), counts.snapshot_nt());
-        let phi = compute_phi(v, &priors, |w, t| counts.nw(w, t), &nt);
-        let theta = compute_theta(&z, t_count, self.config.alpha);
+        // The model keeps the counts as their non-zero cells; the dense
+        // matrix goes before φ's table is built from the cells.
+        let cells = CountCells::from_dense(v, t_count, counts.nw_values());
+        drop(counts);
         Ok(FittedModel {
-            phi,
-            theta,
+            phi: PhiTable::from_counts(&priors, &cells),
+            counts: cells,
             assignments: z,
             labels: self.labels.clone(),
             priors,
-            counts,
             alpha: self.config.alpha,
             loglik_trace,
             loglik_clamped_tokens,
@@ -544,59 +551,33 @@ impl GibbsModel {
     }
 }
 
-/// Topic–word distributions at the counts `nw(w, t)` and `nt[t]`: each
-/// prior's [`TopicPrior::word_weight`] (Eq. 1 for fixed priors, Eq. 4 for
-/// λ-integrated ones), one row at a time through
-/// [`TopicPrior::weight_row`]. The fitted φ and
-/// [`crate::TrainCheckpoint::phi`] both come from here. `priors` yields
-/// the topics in order, one at a time.
-pub(crate) fn compute_phi<P: Borrow<TopicPrior>>(
-    v: usize,
-    priors: impl IntoIterator<Item = P>,
-    nw: impl Fn(usize, usize) -> u32,
-    nt: &[u32],
-) -> DenseMatrix<f64> {
-    let mut phi = DenseMatrix::zeros(nt.len(), v);
-    for ((t, prior), &nt) in priors.into_iter().enumerate().zip(nt) {
-        let row = phi.row_mut(t);
-        prior
-            .borrow()
-            .weight_row(row, |w| nw(w, t) as f64, nt as f64);
+/// One document's θ (Eq. 1), `θ_td = (n_dt + α) / (n_d + Tα)`, into
+/// `row` (length `T`), its `n_dt` counted there from the assignments `zs`.
+fn theta_into(zs: &[u32], alpha: f64, row: &mut [f64]) {
+    row.fill(0.0);
+    for &t in zs {
+        row[t as usize] += 1.0;
     }
-    // The expressions already normalize analytically; renormalize to absorb
-    // floating-point drift (and the CTM's support-restricted rows).
-    phi.normalize_rows();
-    phi
+    let denom = zs.len() as f64 + row.len() as f64 * alpha;
+    for cell in row {
+        *cell = (*cell + alpha) / denom;
+    }
 }
 
-/// Document–topic distributions (Eq. 1): `θ_td = (n_dt + α) / (n_d + Tα)`,
-/// with each document's `n_dt` counted from its assignments `z` into one
-/// reused row.
-fn compute_theta(z: &[Vec<u32>], t_count: usize, alpha: f64) -> DenseMatrix<f64> {
-    let mut theta = DenseMatrix::zeros(z.len(), t_count);
-    let mut nd = vec![0u32; t_count];
-    for (d, zs) in z.iter().enumerate() {
-        for &t in zs {
-            nd[t as usize] += 1;
-        }
-        let denom = zs.len() as f64 + t_count as f64 * alpha;
-        for (cell, n) in theta.row_mut(d).iter_mut().zip(&mut nd) {
-            *cell = (std::mem::take(n) as f64 + alpha) / denom;
-        }
-    }
-    theta
-}
-
-/// The result of a Gibbs run: posterior point estimates, assignments,
-/// labels, and recorded traces.
+/// The result of a Gibbs run: the sampler's final state — assignments,
+/// the word–topic counts as their non-zero cells, the (λ-adapted) priors
+/// and α — with the labels, the recorded traces, and φ as the serving
+/// engine's table of per-topic baselines and per-word exceptions (see
+/// [`crate::inference`]). Eq. 1 and Eq. 4 define φ and θ as functions of
+/// the final counts, so the dense matrices are built on request, each call
+/// anew: nothing `V·T` or `D·T` is kept.
 #[derive(Debug)]
 pub struct FittedModel {
-    phi: DenseMatrix<f64>,
-    theta: DenseMatrix<f64>,
+    phi: PhiTable,
     assignments: Vec<Vec<u32>>,
     labels: Vec<Option<String>>,
     priors: Vec<TopicPrior>,
-    counts: CountMatrices,
+    counts: CountCells,
     alpha: f64,
     loglik_trace: Vec<(usize, f64)>,
     loglik_clamped_tokens: u64,
@@ -606,32 +587,49 @@ pub struct FittedModel {
 impl FittedModel {
     /// Number of topics `T`.
     pub fn num_topics(&self) -> usize {
-        self.phi.rows()
+        self.counts.num_topics()
     }
 
     /// Vocabulary size `V`.
     pub fn vocab_size(&self) -> usize {
-        self.phi.cols()
+        self.counts.vocab_size()
     }
 
-    /// Topic–word matrix φ (`T × V`, rows normalized).
-    pub fn phi(&self) -> &DenseMatrix<f64> {
+    /// Topic–word matrix φ (`T × V`, rows normalized), written out from
+    /// the model's table: `O(V·T)` time and memory per call, so a caller
+    /// that reads several topics calls it once.
+    pub fn phi(&self) -> DenseMatrix<f64> {
+        self.phi.to_topic_major()
+    }
+
+    /// One topic's word distribution, row `t` of [`Self::phi`]: `O(V)`
+    /// per call.
+    pub fn phi_row(&self, t: usize) -> Vec<f64> {
+        self.phi.topic_row(t)
+    }
+
+    /// φ as the serving engine's table ([`crate::Inference::from_fitted`]
+    /// clones it).
+    pub(crate) fn phi_table(&self) -> &PhiTable {
         &self.phi
     }
 
-    /// One topic's word distribution.
-    pub fn phi_row(&self, t: usize) -> &[f64] {
-        self.phi.row(t)
+    /// Document–topic matrix θ (`D × T`, rows normalized), counted from
+    /// the assignments: `O(N + D·T)` per call.
+    pub fn theta(&self) -> DenseMatrix<f64> {
+        let mut theta = DenseMatrix::zeros(self.assignments.len(), self.num_topics());
+        for (d, zs) in self.assignments.iter().enumerate() {
+            theta_into(zs, self.alpha, theta.row_mut(d));
+        }
+        theta
     }
 
-    /// Document–topic matrix θ (`D × T`, rows normalized).
-    pub fn theta(&self) -> &DenseMatrix<f64> {
-        &self.theta
-    }
-
-    /// One document's topic distribution.
-    pub fn theta_row(&self, d: usize) -> &[f64] {
-        self.theta.row(d)
+    /// One document's topic distribution, row `d` of [`Self::theta`]:
+    /// `O(n_d + T)` per call.
+    pub fn theta_row(&self, d: usize) -> Vec<f64> {
+        let mut row = vec![0.0; self.num_topics()];
+        theta_into(&self.assignments[d], self.alpha, &mut row);
+        row
     }
 
     /// Final per-token topic assignments, indexed `[doc][position]`.
@@ -654,8 +652,9 @@ impl FittedModel {
         &self.priors
     }
 
-    /// The final count matrices (frozen training counts for perplexity).
-    pub fn counts(&self) -> &CountMatrices {
+    /// The final word–topic counts as their non-zero cells, with the
+    /// topic totals (the frozen training counts of held-out perplexity).
+    pub fn counts(&self) -> &CountCells {
         &self.counts
     }
 
@@ -666,7 +665,7 @@ impl FittedModel {
 
     /// Indices of the `n` most probable words of topic `t`, descending.
     pub fn top_words(&self, t: usize, n: usize) -> Vec<usize> {
-        srclda_math::simplex::top_n_indices(self.phi.row(t), n)
+        srclda_math::simplex::top_n_indices(&self.phi_row(t), n)
     }
 
     /// Recorded `(iteration, log-likelihood)` pairs.
@@ -742,8 +741,20 @@ mod tests {
         for d in 0..c.num_docs() {
             let sum: f64 = fitted.theta_row(d).iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "theta row {d} sums to {sum}");
+            assert_eq!(fitted.theta_row(d), fitted.theta().row(d));
         }
-        assert!(fitted.counts().check_invariants());
+        // The counts are the histogram of the final assignments.
+        let (v, t_count) = (c.vocab_size(), fitted.num_topics());
+        let mut nw = vec![0u32; v * t_count];
+        for (doc, zs) in c.docs().iter().zip(fitted.assignments()) {
+            for (w, &t) in doc.tokens().iter().zip(zs) {
+                nw[w.index() * t_count + t as usize] += 1;
+            }
+        }
+        assert_eq!(fitted.counts(), &CountCells::from_dense(v, t_count, nw));
+        for t in 0..t_count {
+            assert_eq!(fitted.phi_row(t), fitted.phi().row(t));
+        }
     }
 
     #[test]

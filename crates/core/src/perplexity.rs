@@ -85,8 +85,8 @@ pub fn gibbs_perplexity_counted(
     let t_count = fitted.num_topics();
     let alpha = fitted.alpha();
     // Frozen training counts (the un-tilded n's in the held-out equations).
-    let frozen_nw = fitted.counts().snapshot_nw();
-    let frozen_nt = fitted.counts().snapshot_nt();
+    let frozen_nw = fitted.counts().to_dense();
+    let frozen_nt = fitted.counts().nt();
     let priors = fitted.priors();
 
     let tokens: Vec<Vec<u32>> = test

@@ -413,29 +413,20 @@ impl TrainCheckpoint {
         h
     }
 
-    /// The topic–word matrix φ at the checkpoint's counts, by the code
-    /// that computes [`crate::FittedModel::phi`] at the end of a run: the
-    /// oracle for the φ a generation serves.
+    /// The topic–word matrix φ at the checkpoint's counts under its
+    /// priors ([`CountCells::phi`]): the φ a generation serves, and the φ
+    /// [`crate::FittedModel::phi`] gives at the same counts and priors.
     ///
     /// # Errors
     /// Fails if there is not one prior per topic or a stored prior is
     /// inconsistent with the checkpoint's vocabulary size.
     pub fn phi(&self) -> crate::Result<DenseMatrix<f64>> {
-        let (v, t_count) = (self.vocab_size(), self.num_topics());
-        if self.priors.len() != t_count {
-            return Err(CoreError::InvalidConfig(format!(
-                "checkpoint: {} priors for {t_count} topics",
-                self.priors.len()
-            )));
-        }
         let priors = self
             .priors
             .iter()
-            .map(|raw| TopicPrior::from_raw(raw.clone(), v))
+            .map(|raw| TopicPrior::from_raw(raw.clone(), self.vocab_size()))
             .collect::<crate::Result<Vec<_>>>()?;
-        let nw = self.counts.to_dense();
-        let nw = |w: usize, t: usize| nw[w * t_count + t];
-        Ok(crate::model::compute_phi(v, &priors, nw, self.counts.nt()))
+        self.counts.phi(&priors)
     }
 
     /// Structural validation against a corpus of `doc_lens` tokens per
@@ -628,8 +619,7 @@ impl CountCells {
         &self.nt
     }
 
-    /// The dense `nw` (`V·T`, row-major by word), for the topic-major
-    /// oracle [`TrainCheckpoint::phi`].
+    /// The dense `nw` (`V·T`, row-major by word).
     pub fn to_dense(&self) -> Vec<u32> {
         let mut nw = vec![0u32; self.vocab_size * self.num_topics()];
         for &(index, n) in &self.cells {
@@ -672,19 +662,20 @@ impl CountCells {
         Ok(crate::inference::PhiTable::from_counts(priors, self).to_topic_major())
     }
 
-    /// Row `t` of [`Self::phi`] under topic `t`'s `prior`, derived alone.
+    /// Row `t` of [`Self::phi`] under topic `t`'s `prior`, derived alone:
+    /// the table of topic `t`'s cells, one topic wide.
     ///
     /// # Panics
     /// Panics if `t` is not below `T`.
     pub fn phi_row(&self, t: usize, prior: &TopicPrior) -> Vec<f64> {
         let topics = self.num_topics() as u64;
-        let mut nw = vec![0u32; self.vocab_size];
-        for &(index, n) in self.cells.iter().filter(|c| c.0 % topics == t as u64) {
-            nw[(index / topics) as usize] = n;
-        }
-        let phi =
-            crate::model::compute_phi(self.vocab_size, [prior], |w, _| nw[w], &self.nt[t..=t]);
-        phi.row(0).to_vec()
+        let cells = self.cells.iter().filter(|c| c.0 % topics == t as u64);
+        let topic = Self {
+            vocab_size: self.vocab_size,
+            cells: cells.map(|&(index, n)| (index / topics, n)).collect(),
+            nt: vec![self.nt[t]],
+        };
+        crate::inference::PhiTable::from_counts(std::slice::from_ref(prior), &topic).topic_row(0)
     }
 }
 

@@ -42,8 +42,8 @@ use srclda_math::DiscretizedGaussian;
 /// ([`Self::to_raw`]). Nothing in it is sized by the vocabulary: the
 /// paper's `B = 10000` scaling benchmark would need `O(V·A·B)` floats
 /// otherwise. Readers that visit every word walk the sorted support with
-/// a cursor ([`Self::row_indices`]); readers of one word binary-search it
-/// ([`Self::row_index`]).
+/// a cursor (`row_indices`); readers of one word binary-search it
+/// (`row_index`).
 #[derive(Debug, Clone)]
 pub struct IntegrationTable {
     /// Current quadrature weights `wₐ` (initialized to the λ prior's
@@ -297,7 +297,7 @@ impl IntegrationTable {
     }
 
     /// Start the weights one-hot at the highest-λ level — the paper's
-    /// "ideal situation [where] λ will be as close to 1 for most knowledge
+    /// "ideal situation \[where\] λ will be as close to 1 for most knowledge
     /// based latent topics, with the flexibility to deviate as required by
     /// the data". Pair with [`IntegrationTable::adapt`]: topics anchor to
     /// their articles first, then relax individually.
@@ -622,7 +622,9 @@ impl TopicPrior {
     }
 
     /// One φ row: `row[w] = `[`Self::word_weight`]`(w, nw(w), nt)` for
-    /// every word, bit for bit, from the [`TopicTerms`] at `nt`.
+    /// every word, bit for bit, from the [`TopicTerms`] at `nt`: the test
+    /// oracle's rows for the engine's table of φ.
+    #[cfg(test)]
     pub(crate) fn weight_row(&self, row: &mut [f64], nw: impl Fn(usize) -> f64, nt: f64) {
         let terms = TopicTerms::new(self, nt);
         match self {
@@ -712,10 +714,10 @@ impl TopicPrior {
 /// The per-topic half of [`TopicPrior::word_weight`] at one `nt`, taken
 /// once so that each word pays only its per-word half: a ratio prior's
 /// reciprocal `1/(nt + c)`, or a λ-integrated prior's `S1` and the `S2` of
-/// each of its δ rows. φ is built from these terms one topic at a time
-/// ([`TopicPrior::weight_row`]) or one word at a time across all topics
-/// (the engine's table, [`crate::Inference::from_counts`]), bit for bit
-/// the same.
+/// each of its δ rows. φ is built from these terms one word at a time
+/// across all topics (the engine's table,
+/// [`crate::Inference::from_counts`]); the tests' dense oracle builds it
+/// one topic at a time, bit for bit the same.
 pub(crate) struct TopicTerms<'p> {
     prior: &'p TopicPrior,
     /// Ratio kinds: `1/(nt + c)`. λ-integrated: `S1 = Σ wₐrₐ`.

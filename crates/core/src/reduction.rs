@@ -90,11 +90,11 @@ pub fn reduce(fitted: &FittedModel, policy: ReductionPolicy) -> crate::Result<Re
 
     match policy {
         ReductionPolicy::DocFrequency { .. } => {
-            let v = fitted.vocab_size();
-            let mut phi = DenseMatrix::zeros(kept.len(), v);
+            let full = fitted.phi();
+            let mut phi = DenseMatrix::zeros(kept.len(), full.cols());
             let mut labels = Vec::with_capacity(kept.len());
             for (i, &t) in kept.iter().enumerate() {
-                phi.row_mut(i).copy_from_slice(fitted.phi_row(t));
+                phi.row_mut(i).copy_from_slice(full.row(t));
                 labels.push(fitted.label(t).map(String::from));
             }
             let cluster_of = (0..kept.len()).collect();
@@ -117,7 +117,8 @@ pub fn reduce(fitted: &FittedModel, policy: ReductionPolicy) -> crate::Result<Re
                     },
                 );
             }
-            let rows: Vec<Vec<f64>> = kept.iter().map(|&t| fitted.phi_row(t).to_vec()).collect();
+            let full = fitted.phi();
+            let rows: Vec<Vec<f64>> = kept.iter().map(|&t| full.row(t).to_vec()).collect();
             let mut rng = rng_from_seed(seed);
             let result = KMeans::new(k).fit(&rows, &mut rng)?;
             let v = fitted.vocab_size();
@@ -130,7 +131,7 @@ pub fn reduce(fitted: &FittedModel, policy: ReductionPolicy) -> crate::Result<Re
             let mut best_mass = vec![0u64; k];
             for (i, &t) in kept.iter().enumerate() {
                 let c = result.assignments[i];
-                let mass = fitted.counts().nt(t) as u64;
+                let mass = u64::from(fitted.counts().nt()[t]);
                 if mass >= best_mass[c] {
                     best_mass[c] = mass;
                     if let Some(l) = fitted.label(t) {

@@ -1,27 +1,29 @@
 //! Topic-sharded λ-adaptation.
 //!
 //! The adaptive-λ step re-weights every λ-integrated prior's quadrature
-//! levels from its own topic's current counts column (griddy Gibbs over
-//! the discretized λ levels — `IntegrationTable::adapt`). Each topic reads
-//! only `n_{·t}` and writes only its own table, so topics are embarrassingly
-//! parallel, and the per-topic cost — an O(V) non-zero scan plus an
-//! O(A · k_t) level re-weighting — is *serial* in the fitting loop today.
-//! With the sub-linear [`sparse`](super::sparse) kernel dropping sweep cost
-//! to O(k_d + k_w) per token, the serial O(T·V) adaptation becomes the
-//! bottleneck at large T; this module shards it by topic the way
-//! [`shard`](super::shard) shards documents.
+//! levels from its own topic's current counts (griddy Gibbs over the
+//! discretized λ levels — `IntegrationTable::adapt`). Each topic reads
+//! only `n_{·t}` and writes only its own table, so topics are
+//! embarrassingly parallel. A shard of topics gathers its topics' non-zero
+//! cells in one row-major pass over its slice of every word's count row,
+//! bucketing them by topic in word order; each topic then pays
+//! O(A · k_t) for its `k_t` non-zero cells. With the sub-linear
+//! [`sparse`](super::sparse) kernel dropping sweep cost to O(k_d + k_w)
+//! per token, that pass is the adaptation's O(V·T) part; this module
+//! shards it by topic the way [`shard`](super::shard) shards documents.
 //!
 //! ## Determinism contract (mirrors document sharding)
 //!
 //! The result is **bit-identical** for any shard count and any thread
 //! count, by construction rather than by partition care: each topic's
-//! adaptation is a pure function of `(its prior, its counts column)`, no
-//! adaptation reads another topic's prior, and no RNG is involved. The
-//! shard partition therefore only schedules work — unlike the document
-//! shards, it cannot move a bit even in principle. Sharding is still
-//! contiguous-by-topic ([`partition_topics`] balances the number of
-//! λ-integrated topics per shard, since non-integrated topics are skipped
-//! in O(1)) so each worker touches a contiguous prior slice.
+//! adaptation is a pure function of `(its prior, its counts column)`, fed
+//! in increasing word order, no adaptation reads another topic's prior,
+//! and no RNG is involved. The shard partition therefore only schedules
+//! work — unlike the document shards, it cannot move a bit even in
+//! principle. Sharding is still contiguous-by-topic ([`partition_topics`]
+//! balances the number of λ-integrated topics per shard, since
+//! non-integrated topics are skipped in O(1)) so each worker touches a
+//! contiguous prior slice.
 //!
 //! `tests/shard_equivalence.rs` pins the contract end to end: adapted
 //! priors (and the chains that continue from them) bit-identical for 1 vs
@@ -30,6 +32,7 @@
 use crate::counts::CountMatrices;
 use crate::prior::TopicPrior;
 use std::ops::Range;
+use std::sync::atomic::Ordering;
 
 /// Partition `priors` into `shards` contiguous topic ranges with a
 /// near-equal number of λ-integrated topics each (the unit of real work),
@@ -43,21 +46,26 @@ pub fn partition_topics(priors: &[TopicPrior], shards: usize) -> Vec<Range<usize
     super::partition_by_weight(priors.iter().map(|p| u64::from(p.is_integrated())), shards)
 }
 
-/// Adapt one contiguous slice of priors (topics `range`, already split off
-/// so the slice indexes from zero) against the global counts.
+/// Adapt one contiguous slice of priors (topics `base..base + len`,
+/// already split off so the slice indexes from zero) against the global
+/// counts. One row-major pass over the slice's columns buckets each
+/// λ-integrated topic's non-zero cells in word order.
 fn adapt_slice(priors: &mut [TopicPrior], base: usize, counts: &CountMatrices) {
-    let v = counts.vocab_size();
-    for (i, prior) in priors.iter_mut().enumerate() {
-        if !prior.is_integrated() {
-            continue;
+    let integrated: Vec<bool> = priors.iter().map(TopicPrior::is_integrated).collect();
+    let mut cells: Vec<Vec<(usize, u32)>> = vec![Vec::new(); priors.len()];
+    for w in 0..counts.vocab_size() {
+        let row = &counts.nw_row(w)[base..base + priors.len()];
+        for (i, cell) in row.iter().enumerate() {
+            let n = cell.load(Ordering::Relaxed);
+            if n > 0 && integrated[i] {
+                cells[i].push((w, n));
+            }
         }
-        let t = base + i;
-        let nt = counts.nt(t);
-        let nonzero = (0..v).filter_map(|w| {
-            let n = counts.nw(w, t);
-            (n > 0).then_some((w, n))
-        });
-        prior.adapt_lambda(nonzero, nt);
+    }
+    for (i, (prior, cells)) in priors.iter_mut().zip(cells).enumerate() {
+        if integrated[i] {
+            prior.adapt_lambda(cells, counts.nt(base + i));
+        }
     }
 }
 
@@ -128,6 +136,72 @@ mod tests {
             }
         }
         counts
+    }
+
+    /// The per-topic column scan the row-major pass replaced: the oracle
+    /// for [`adapt_integrated_priors`].
+    fn adapt_by_columns(priors: &mut [TopicPrior], counts: &CountMatrices) {
+        for (t, prior) in priors.iter_mut().enumerate() {
+            if prior.is_integrated() {
+                let nonzero = (0..counts.vocab_size()).filter_map(|w| {
+                    let n = counts.nw(w, t);
+                    (n > 0).then_some((w, n))
+                });
+                prior.adapt_lambda(nonzero, counts.nt(t));
+            }
+        }
+    }
+
+    /// Every prior kind, integrated topics among them.
+    fn mixed_priors(v: usize) -> Vec<TopicPrior> {
+        let source = SourceTopic::new("S", (0..v).map(|w| (w % 3) as f64).collect());
+        let mut priors = priors_fixture(v, 7, 2);
+        priors.insert(2, TopicPrior::fixed_from_source(&source, 0.01));
+        priors.insert(5, TopicPrior::frozen_from_source(&source, 0.01));
+        priors.push(TopicPrior::concept_set(&[1, 4, 9], 0.5, v).unwrap());
+        priors
+    }
+
+    /// The row-major pass adapts every prior to the bits of the column
+    /// scan, for sparse counts with empty topics and empty words, at 1–4
+    /// threads.
+    #[test]
+    fn row_major_pass_matches_the_column_scan() {
+        let v = 40;
+        let t_count = mixed_priors(v).len();
+        let counts = CountMatrices::new(v, t_count);
+        for k in 0..90 {
+            let (w, t) = ((k * 13 + 5) % v, (k * 7 + k / 11) % t_count);
+            // Words ≡ 0 (mod 4) and topics ≡ 1 (mod 3) stay empty.
+            if w % 4 != 0 && t % 3 != 1 {
+                for _ in 0..=k % 3 {
+                    counts.increment(w, t);
+                }
+            }
+        }
+        let mut reference = mixed_priors(v);
+        adapt_by_columns(&mut reference, &counts);
+        let untouched = mixed_priors(v);
+        let is_int = |t: usize| reference[t].is_integrated();
+        assert!(
+            (0..t_count).any(|t| is_int(t) && counts.nt(t) == 0),
+            "an empty integrated topic"
+        );
+        assert!(
+            (0..t_count).any(|t| is_int(t) && reference[t].to_raw() != untouched[t].to_raw()),
+            "adaptation moved a weight"
+        );
+        for threads in 1..=4 {
+            let mut priors = mixed_priors(v);
+            adapt_integrated_priors(&mut priors, &counts, threads);
+            for (t, (a, b)) in priors.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    format!("{:?}", a.to_raw()),
+                    format!("{:?}", b.to_raw()),
+                    "topic {t} at {threads} threads"
+                );
+            }
+        }
     }
 
     /// Shard boundaries balance integrated topics and cover every topic

@@ -7,7 +7,7 @@
 //!
 //! [`KernelKind::Flat`]: super::KernelKind::Flat
 //!
-//! The dense reference sweep ([`super::serial::sweep`],
+//! The dense reference sweep (`serial::sweep`,
 //! [`KernelKind::Dense`](super::KernelKind::Dense)) evaluates
 //! `TopicPrior::word_weight(w, n_wt, n_t) · (n_dt + α)` per (token, topic):
 //! an enum match into heap-scattered prior payloads, a fresh reciprocal per
@@ -19,19 +19,19 @@
 //!
 //! ## The flat sweep tables
 //!
-//! [`SweepTables`] flattens `&[TopicPrior]` into parallel per-topic arrays:
+//! `SweepTables` flattens `&[TopicPrior]` into parallel per-topic arrays:
 //! a one-byte kind tag, the numerator addend (β), the denominator addend
 //! (`Vβ` / `Σδ` / `|W_c|β`), a per-word row slice (δ for `Fixed`, φ for
 //! `Frozen`), a concept mask, and a view of each λ-integration table. The
 //! per-(token, topic) enum dispatch becomes a tag branch over flat arrays.
-//! λ-integrated topics read their δ rows from the word-major [`Combined`]
+//! λ-integrated topics read their δ rows from the word-major `Combined`
 //! copy, or binary-search the table's support on its fallback; an
 //! off-support word, whose row is the topic's shared off-support row,
 //! needs no row at all, because that row's `S2` is cached per topic.
 //!
 //! ## The reciprocal-cache invariant
 //!
-//! [`RecipCache`] holds, for every topic `t`, exactly
+//! `RecipCache` holds, for every topic `t`, exactly
 //! `recip[t] = 1.0 / (n_t + denom_add[t])` evaluated at the **current**
 //! topic total `n_t` — and for every λ-integrated topic the per-level
 //! products `qr[a] = w_a · (1.0 / (n_t + Σδ_a))`. Because a token move

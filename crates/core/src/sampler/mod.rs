@@ -16,9 +16,9 @@
 //!
 //! ## Sweep-state lifecycle
 //!
-//! [`run_sweeps`] builds the sweep driver's [`shard::ShardState`] on a
+//! `run_sweeps` builds the sweep driver's `ShardState` ([`shard`]) on a
 //! fit's first chunk, and the fit loop keeps it and lends it to every later
-//! chunk. It holds one [`KernelState`] in place, or one clone per shard
+//! chunk. It holds one `KernelState` in place, or one clone per shard
 //! next to the shard's own copy of the counts, which every sweep's merge
 //! brings back to the global counts. A kernel state keeps only the tables
 //! that depend on the priors' shape and the sparse kernel's non-zero
@@ -403,9 +403,18 @@ impl KernelState {
         local.copy_nt_from(global);
         for (w, t) in cells {
             let (before, after) = local.copy_nw_cell_from(global, w, t);
-            if let Self::Sparse(state) = self {
-                state.track(w, t, before, after);
-            }
+            self.track(w, t, before, after);
+        }
+    }
+
+    /// Keep the state in step with an `n_wt` cell of the counts it sweeps
+    /// that something other than its own sweep moved from `before` to
+    /// `after`: a refresh, or the merge replaying another shard's move
+    /// into the global counts shard 0 sweeps.
+    #[inline]
+    pub(crate) fn track(&mut self, w: usize, t: usize, before: u32, after: u32) {
+        if let Self::Sparse(state) = self {
+            state.track(w, t, before, after);
         }
     }
 

@@ -4,12 +4,12 @@
 //! topic axis while preserving the exact sampling distribution of the serial
 //! sampler (they only reorganize the prefix-sum computation):
 //!
-//! * **Algorithm 3 — Simple Parallel Sampling** ([`Algo::Simple`]): each of
+//! * **Algorithm 3 — Simple Parallel Sampling** (`Algo::Simple`): each of
 //!   `P` workers computes the weights for a contiguous topic block and
 //!   scans it locally; the leader accumulates block totals into offsets;
 //!   workers add their offsets in parallel ("the remaining necessary
 //!   items"); the leader binary-searches the now-global prefix vector.
-//! * **Algorithm 2 — Prefix Sums Sampling** ([`Algo::PrefixSums`]): the full
+//! * **Algorithm 2 — Prefix Sums Sampling** (`Algo::PrefixSums`): the full
 //!   Blelloch work-efficient scan (up-sweep, down-sweep, inclusive shift)
 //!   over a power-of-two-padded probability buffer, with every level split
 //!   across workers and fenced by a barrier.

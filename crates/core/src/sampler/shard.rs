@@ -16,39 +16,44 @@
 //! alone**:
 //!
 //! * documents are partitioned into `S` contiguous, token-balanced ranges
-//!   — a pure function of the corpus and `S` ([`partition_docs`]);
+//!   — a pure function of the corpus and `S` (`partition_docs`);
 //! * each shard owns a private RNG stream: shards `1..S` are spawned from
 //!   the run RNG in shard order, and shard `0` *continues* the run stream
 //!   itself — so with `S = 1` nothing is spawned;
-//! * each shard sweeps through **any sweep kernel**
-//!   (`KernelState` — the flat serial kernel, the dense reference, or
-//!   the sub-linear sparse bucket kernel) over a shard-local copy of
-//!   `n_wt`/`n_t` ([`CountMatrices::copy`]), copied from the global counts
-//!   once per fit (and again on resume), that equals the global counts at
-//!   every sweep boundary and is updated in place as the shard moves its
-//!   own tokens. A document's `n_dt` lives in the kernel sweeping it
-//!   (documents are disjoint, so it is exact);
-//! * at the sweep boundary the merge **replays** each shard's moves into
-//!   the global counts **in shard order**: every token whose topic
-//!   changed (its sweep-start topic, kept in a per-shard buffer, against
-//!   its new one) leaves its old `n_wt`/`n_t` cells for its new ones.
-//!   Counts are integers, so the merged state is exactly the counts
-//!   implied by the post-sweep assignments;
-//! * then every shard copies the merged value of each `n_wt` cell another
-//!   shard moved, and `n_t` whole, keeping its kernel state (the sparse
-//!   non-zero lists) in step. Its own moves are already in its copy, so
-//!   afterwards the copy equals the global counts again.
+//! * each shard sweeps through **any sweep kernel** (`KernelState` — the
+//!   flat serial kernel, the dense reference, or the sub-linear sparse
+//!   bucket kernel). Shard 0 sweeps the global `n_wt`/`n_t` in place;
+//!   shards `1..S` sweep their own copies ([`CountMatrices::copy`]), made
+//!   once per fit (and again on resume), which equal the global counts at
+//!   every sweep boundary and move with the shard's own tokens. No other
+//!   shard touches the global counts during a sweep, so shard 0 sees the
+//!   sweep-start state plus its own moves, as every shard does. A
+//!   document's `n_dt` lives in the kernel sweeping it (documents are
+//!   disjoint, so it is exact);
+//! * at the sweep boundary the merge lists each shard's moves in shard
+//!   order: every token whose topic changed (its sweep-start topic, kept
+//!   in a per-shard buffer, against its new one). Shard 0's moves are
+//!   already in the global counts. The merge **replays** those of shards
+//!   `1..S` into them in shard order, each token leaving its old
+//!   `n_wt`/`n_t` cells for its new ones, and keeps shard 0's kernel state
+//!   (the sparse non-zero lists) in step cell by cell. Counts are
+//!   integers, so the merged state is exactly the counts implied by the
+//!   post-sweep assignments;
+//! * then every shard `1..S` copies the merged value of each `n_wt` cell
+//!   another shard moved, and `n_t` whole, keeping its kernel state in
+//!   step. Its own moves are already in its copy, so afterwards the copy
+//!   equals the global counts again.
 //!
-//! Every per-sweep phase costs O(tokens + moves); only
-//! [`ShardState::build`] touches every count cell.
+//! Every per-sweep phase costs O(tokens + moves). Building the state
+//! copies the counts `S − 1` times, once per fit; no other step of the
+//! driver touches every count cell.
 //!
-//! With `S = 1` the lone shard's start-plus-own-moves view *is* the
-//! global state, so the driver skips the copy and the merge and
-//! sweeps the global counts in place (`ShardState::InPlace`). The same
-//! in-place path serves [`Backend::Serial`](super::Backend::Serial) (the
-//! flat kernel on the run stream) and a paper algorithm whose pool clamps
-//! to one thread; it reports bucket tallies as a plain sweep stat and no
-//! shard timings.
+//! With `S = 1` the lone shard is shard 0 and has nothing to merge, so
+//! the driver sweeps the global counts in place (`ShardState::InPlace`).
+//! The same in-place path serves [`Backend::Serial`](super::Backend::Serial)
+//! (the flat kernel on the run stream) and a paper algorithm whose pool
+//! clamps to one thread; it reports bucket tallies as a plain sweep stat
+//! and no shard timings.
 //!
 //! Worker threads only *schedule* shard sweeps and refreshes: each
 //! shard's sweep is a pure function of (sweep-start counts, its
@@ -58,7 +63,7 @@
 //! callback) runs on the merged global state between sweeps and only
 //! reads the counts.
 //!
-//! The driver's state ([`ShardState`]) is built once per fit and lent to
+//! The driver's state (`ShardState`) is built once per fit and lent to
 //! every sweep. It holds nothing that depends on the λ-adapted quadrature
 //! weights: each sweep's kernel derives its reciprocals (and the sparse
 //! kernel its baselines) at its start, so adaptation needs no hook here.
@@ -83,17 +88,19 @@ pub(crate) fn partition_docs(tokens: &[Vec<u32>], shards: usize) -> Vec<Range<us
 /// One token's move in a sharded sweep: `(word, old topic, new topic)`.
 type Move = (u32, u32, u32);
 
-/// One shard of an `S > 1` run: its documents, its local counts, and its
-/// kernel's state.
+/// One shard of an `S > 1` run: its documents, the counts it sweeps, and
+/// its kernel's state.
 pub(crate) struct ShardWorkspace {
     /// Global document range this shard owns.
     range: Range<usize>,
-    /// Local counts: a working copy of `n_wt`/`n_t` that equals the global
-    /// counts at every sweep boundary and moves with the shard's own
-    /// tokens during a sweep.
-    local: CountMatrices,
-    /// The shard kernel's state, in step with `local`; a sparse state
-    /// shares the run's count-free [`super::sparse::SparseShape`].
+    /// Shards `1..S`: a working copy of `n_wt`/`n_t` that equals the
+    /// global counts at every sweep boundary and moves with the shard's
+    /// own tokens during a sweep. Shard 0 has none: it sweeps the global
+    /// counts.
+    local: Option<CountMatrices>,
+    /// The shard kernel's state, in step with the counts the shard
+    /// sweeps; a sparse state shares the run's count-free
+    /// [`super::sparse::SparseShape`].
     kernel: KernelState,
     /// The shard's assignments at sweep start, in token order: the other
     /// half of the diff the merge replays.
@@ -101,37 +108,37 @@ pub(crate) struct ShardWorkspace {
 }
 
 impl ShardWorkspace {
-    /// Replay this shard's sweep into the global counts: every token whose
-    /// topic changed leaves its sweep-start topic for its new one. Appends
-    /// the moves to `moves`.
-    fn replay(&self, ctx: &SweepContext<'_>, z: &[Vec<u32>], moves: &mut Vec<Move>) {
+    /// Append this shard's moves in the sweep just run to `moves`: every
+    /// token whose topic changed, as (word, sweep-start topic, new topic).
+    fn moves(&self, tokens: &[Vec<u32>], z: &[Vec<u32>], moves: &mut Vec<Move>) {
         let mut z_start = &self.z_start[..];
         for d in self.range.clone() {
             let (doc_start, rest) = z_start.split_at(z[d].len());
             z_start = rest;
-            for ((&w, &new), &old) in ctx.tokens[d].iter().zip(&z[d]).zip(doc_start) {
+            for ((&w, &new), &old) in tokens[d].iter().zip(&z[d]).zip(doc_start) {
                 if old != new {
-                    ctx.counts.decrement(w as usize, old as usize);
-                    ctx.counts.increment(w as usize, new as usize);
                     moves.push((w, old, new));
                 }
             }
         }
     }
 
-    /// Whether the local word/topic counts equal `global` and the kernel
-    /// state matches them: the invariant every merge refresh restores.
-    /// O(V·T); for debug assertions and tests.
+    /// Whether the counts this shard sweeps equal `global` and the kernel
+    /// state matches them: the invariant every merge restores. O(V·T); for
+    /// debug assertions and tests.
     fn in_step_with(&self, global: &CountMatrices) -> bool {
-        self.local.word_topic_counts_eq(global) && self.kernel.in_step_with(&self.local)
+        self.local
+            .as_ref()
+            .is_none_or(|local| local.word_topic_counts_eq(global))
+            && self.kernel.in_step_with(global)
     }
 }
 
 /// The sweep driver's state, built once per fit and lent to every sweep
 /// (the fitting loop owns it across chunk calls): the partition is a
-/// function of the (fixed) corpus and `S`; each shard's local counts and
-/// kernel state equal the global counts at every sweep boundary; and the
-/// kernel states keep only tables that λ adaptation never changes (see
+/// function of the (fixed) corpus and `S`; each shard's counts and kernel
+/// state equal the global counts at every sweep boundary; and the kernel
+/// states keep only tables that λ adaptation never changes (see
 /// [`KernelState`]).
 pub(crate) enum ShardState {
     /// `S = 1`: one kernel state over the global counts.
@@ -146,9 +153,9 @@ pub(crate) enum ShardState {
 
 impl ShardState {
     /// The state for `shards` shards of `kernel`: one kernel state in
-    /// place, or one clone per shard over a copy of the global counts.
-    /// This is the only pass over every count cell; sweeps then touch
-    /// only the cells their tokens moved.
+    /// place, or one clone per shard, with a copy of the global counts for
+    /// each shard but the first. These copies are the only pass over every
+    /// count cell; sweeps then touch only the cells their tokens moved.
     pub(crate) fn build(ctx: &SweepContext<'_>, shards: usize, kernel: KernelKind) -> Self {
         let first = KernelState::new(kernel, ctx);
         if shards == 1 {
@@ -157,8 +164,9 @@ impl ShardState {
         let workspaces = partition_docs(ctx.tokens, shards)
             .into_iter()
             .zip(vec![first; shards])
-            .map(|(range, kernel)| ShardWorkspace {
-                local: ctx.counts.copy(),
+            .enumerate()
+            .map(|(s, (range, kernel))| ShardWorkspace {
+                local: (s > 0).then(|| ctx.counts.copy()),
                 z_start: Vec::new(),
                 range,
                 kernel,
@@ -205,12 +213,14 @@ impl ShardState {
     }
 }
 
-/// Run `job` on every item of `jobs` over `workers` threads, the calling
-/// thread among them. The strided split keeps token-balanced shards
-/// balanced across workers; it never changes a result, because each job
-/// touches only its own shard.
+/// Run `job` on every item of `jobs` over at most `workers` threads, the
+/// calling thread among them. The strided split keeps token-balanced
+/// shards balanced across workers; it never changes a result, because
+/// each job touches only its own shard.
 fn run_on_workers<J: Send>(jobs: Vec<J>, workers: usize, job: impl Fn(J) + Sync) {
-    let mut groups: Vec<Vec<J>> = (0..workers.max(1)).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<J>> = (0..workers.clamp(1, jobs.len().max(1)))
+        .map(|_| Vec::new())
+        .collect();
     let n = groups.len();
     for (i, item) in jobs.into_iter().enumerate() {
         groups[i % n].push(item);
@@ -227,11 +237,11 @@ fn run_on_workers<J: Send>(jobs: Vec<J>, workers: usize, job: impl Fn(J) + Sync)
     .expect("shard worker panicked");
 }
 
-/// One `S > 1` sweep. Every shard sweeps its documents over its local
-/// counts; the merge then replays each shard's moves into the global
-/// counts in shard order, and every shard copies the cells the other
-/// shards moved. Each phase costs O(tokens or moves), never O(V·T).
-/// Returns the sweep's shard timings and merged bucket tallies.
+/// One `S > 1` sweep. Every shard sweeps its documents, shard 0 over the
+/// global counts and the others over their copies; then [`merge`] brings
+/// every shard back to the merged counts. Each phase costs O(tokens or
+/// moves), never O(V·T). Returns the sweep's shard timings and merged
+/// bucket tallies.
 fn sharded_sweep(
     ctx: &SweepContext<'_>,
     z: &mut [Vec<u32>],
@@ -265,7 +275,7 @@ fn sharded_sweep(
         ws.z_start.extend(z_shard.iter().flatten());
         let local_ctx = SweepContext {
             tokens: &ctx.tokens[ws.range.clone()],
-            counts: &ws.local,
+            counts: ws.local.as_ref().unwrap_or(ctx.counts),
             priors: ctx.priors,
             alpha: ctx.alpha,
         };
@@ -273,42 +283,7 @@ fn sharded_sweep(
         let buckets = ws.kernel.sweep(&local_ctx, z_shard, rng);
         *slot = (span.elapsed_secs(), buckets);
     });
-
-    // Replay the shards' moves into the global counts, in shard order.
-    let merge_span = srclda_obs::SpanTimer::start();
-    moves.clear();
-    let mut own_moves = Vec::with_capacity(shards);
-    for ws in workspaces.iter() {
-        let start = moves.len();
-        ws.replay(ctx, z, moves);
-        own_moves.push(start..moves.len());
-    }
-    let merge_secs = merge_span.elapsed_secs();
-    // The merge is the sharded backend's sweep boundary: globals must
-    // again be the exact histogram of z.
-    debug_assert_counts(ctx, z, "sharded merge");
-
-    // Each shard already holds its own moves; copy the cells the others
-    // moved, where the merged value can differ from the local one.
-    let mut refresh_secs = vec![0.0; shards];
-    let moves = &moves[..];
-    let jobs: Vec<_> = workspaces
-        .iter_mut()
-        .zip(own_moves)
-        .zip(refresh_secs.iter_mut())
-        .collect();
-    run_on_workers(jobs, workers, |((ws, own), secs)| {
-        let span = srclda_obs::SpanTimer::start();
-        let others = moves[..own.start].iter().chain(&moves[own.end..]);
-        let cells = others
-            .flat_map(|&(w, old, new)| [(w as usize, old as usize), (w as usize, new as usize)]);
-        ws.kernel.refresh(&ws.local, ctx.counts, cells);
-        *secs = span.elapsed_secs();
-    });
-    debug_assert!(
-        workspaces.iter().all(|ws| ws.in_step_with(ctx.counts)),
-        "sharded refresh: a shard's local counts or lists drifted from the global counts"
-    );
+    let (merge_secs, refresh_secs) = merge(ctx, z, workspaces, moves, workers);
 
     // Fold the per-shard bucket tallies into one sweep-level total
     // (Some iff the shard kernel is sparse).
@@ -327,6 +302,72 @@ fn sharded_sweep(
         moved: moves.len() as u64,
         buckets,
     }
+}
+
+/// The sweep boundary of an `S > 1` sweep. Lists every shard's moves in
+/// shard order into `moves`, replays those of shards `1..S` into the
+/// global counts (shard 0's are already there) while shard 0's kernel
+/// state tracks each cell they change, then has every shard `1..S` copy
+/// the cells the other shards moved. Returns the merge's seconds and each
+/// shard's refresh seconds (0 for shard 0, which has nothing to refresh).
+fn merge(
+    ctx: &SweepContext<'_>,
+    z: &[Vec<u32>],
+    workspaces: &mut [ShardWorkspace],
+    moves: &mut Vec<Move>,
+    workers: usize,
+) -> (f64, Vec<f64>) {
+    let merge_span = srclda_obs::SpanTimer::start();
+    moves.clear();
+    let mut own_moves = Vec::with_capacity(workspaces.len());
+    let Some((first, others)) = workspaces.split_first_mut() else {
+        return (0.0, Vec::new());
+    };
+    first.moves(ctx.tokens, z, moves);
+    own_moves.push(0..moves.len());
+    let counts = ctx.counts;
+    for ws in others.iter() {
+        let start = moves.len();
+        ws.moves(ctx.tokens, z, moves);
+        for &(w, old, new) in &moves[start..] {
+            let (w, old, new) = (w as usize, old as usize, new as usize);
+            let n = counts.nw(w, old);
+            counts.decrement(w, old);
+            first.kernel.track(w, old, n, n.wrapping_sub(1));
+            let n = counts.nw(w, new);
+            counts.increment(w, new);
+            first.kernel.track(w, new, n, n + 1);
+        }
+        own_moves.push(start..moves.len());
+    }
+    let merge_secs = merge_span.elapsed_secs();
+    // The merge is the sharded backend's sweep boundary: globals must
+    // again be the exact histogram of z.
+    debug_assert_counts(ctx, z, "sharded merge");
+
+    // Each shard already holds its own moves; copy the cells the others
+    // moved, where the merged value can differ from the local one.
+    let mut refresh_secs = vec![0.0; workspaces.len()];
+    let moves = &moves[..];
+    let jobs: Vec<_> = workspaces
+        .iter_mut()
+        .zip(own_moves)
+        .zip(refresh_secs.iter_mut())
+        .filter_map(|((ws, own), secs)| Some((ws.local.as_ref()?, &mut ws.kernel, own, secs)))
+        .collect();
+    run_on_workers(jobs, workers, |(local, kernel, own, secs)| {
+        let span = srclda_obs::SpanTimer::start();
+        let others = moves[..own.start].iter().chain(&moves[own.end..]);
+        let cells = others
+            .flat_map(|&(w, old, new)| [(w as usize, old as usize), (w as usize, new as usize)]);
+        kernel.refresh(local, counts, cells);
+        *secs = span.elapsed_secs();
+    });
+    debug_assert!(
+        workspaces.iter().all(|ws| ws.in_step_with(counts)),
+        "sharded merge: a shard's counts or lists drifted from the global counts"
+    );
+    (merge_secs, refresh_secs)
 }
 
 #[cfg(test)]
@@ -512,6 +553,95 @@ mod tests {
                         "{kernel:?} S={shards} diverged at {threads} threads"
                     );
                 }
+            }
+        }
+    }
+
+    /// Shard 0 sweeps the global counts, so an `S`-shard state holds
+    /// `S − 1` copies of them. In a scripted sweep shard 0 moves a token
+    /// of its own, and shard 1 empties and then refills a cell on shard
+    /// 0's non-zero lists; the merge must leave every shard in step with
+    /// the merged counts, and later sweeps must keep them there.
+    #[test]
+    fn shard_zero_tracks_a_cell_another_shard_empties_and_refills() {
+        /// Move one token of word `w` from `old` to `new` in the counts
+        /// shard `ws` sweeps, keeping its lists in step as its kernel
+        /// would.
+        fn script(
+            ws: &mut ShardWorkspace,
+            global: &CountMatrices,
+            w: usize,
+            old: usize,
+            new: usize,
+        ) {
+            let counts = ws.local.as_ref().unwrap_or(global);
+            let n = counts.nw(w, old);
+            counts.decrement(w, old);
+            ws.kernel.track(w, old, n, n - 1);
+            let n = counts.nw(w, new);
+            counts.increment(w, new);
+            ws.kernel.track(w, new, n, n + 1);
+        }
+        for shards in [2, 3] {
+            // One two-token document per shard. Shard 1's document holds
+            // the only tokens of word 0, one on each topic.
+            let tokens: Vec<Vec<u32>> = (0..shards)
+                .map(|s| if s == 1 { vec![0, 0] } else { vec![1, 2] })
+                .collect();
+            let priors = vec![TopicPrior::symmetric(0.1, 3).unwrap(); 2];
+            let counts = CountMatrices::new(3, 2);
+            let mut z = vec![vec![0u32, 1]; shards];
+            for (doc, zs) in tokens.iter().zip(&z) {
+                for (&w, &t) in doc.iter().zip(zs) {
+                    counts.increment(w as usize, t as usize);
+                }
+            }
+            let ctx = SweepContext {
+                tokens: &tokens,
+                counts: &counts,
+                priors: &priors,
+                alpha: 0.5,
+            };
+            let mut state = ShardState::build(&ctx, shards, KernelKind::Sparse);
+            let ShardState::Sharded { workspaces, moves } = &mut state else {
+                panic!("S = {shards} must be sharded");
+            };
+            let copies = workspaces.iter().filter(|ws| ws.local.is_some()).count();
+            assert_eq!(copies, shards - 1, "S = {shards}");
+            assert!(
+                workspaces[0].local.is_none(),
+                "shard 0 sweeps the global counts"
+            );
+            for (ws, zs) in workspaces.iter_mut().zip(&z) {
+                assert_eq!(ws.range.len(), 1, "one document per shard");
+                ws.z_start = zs.clone();
+            }
+            // Shard 0: word 1 moves 0 → 1, in the global counts.
+            script(&mut workspaces[0], &counts, 1, 0, 1);
+            z[0][0] = 1;
+            // Shard 1: word 0 swaps topics, so replaying it empties the
+            // global (0, 0) cell and then refills it.
+            script(&mut workspaces[1], &counts, 0, 0, 1);
+            script(&mut workspaces[1], &counts, 0, 1, 0);
+            z[1] = vec![1, 0];
+            let (_, refresh_secs) = merge(&ctx, &z, workspaces, moves, 2);
+            assert_eq!(moves, &[(1, 0, 1), (0, 0, 1), (0, 1, 0)]);
+            assert_eq!(refresh_secs.len(), shards);
+            assert_eq!(refresh_secs[0], 0.0, "shard 0 refreshes nothing");
+            assert!(super::super::counts_match_assignments(&ctx, &z));
+            assert_eq!((counts.nw(0, 0), counts.nw(0, 1)), (1, 1));
+            for (s, ws) in workspaces.iter().enumerate() {
+                assert!(ws.in_step_with(&counts), "S = {shards}: shard {s}");
+            }
+            // Real sweeps keep every shard in step from here.
+            let mut rng = rng_from_seed(9);
+            let mut shard_rngs: Vec<SldaRng> = (0..shards).map(|_| spawn_rng(&mut rng)).collect();
+            for _ in 0..4 {
+                state.sweep(&ctx, &mut z, &mut shard_rngs, 2);
+                let ShardState::Sharded { workspaces, .. } = &state else {
+                    unreachable!()
+                };
+                assert!(workspaces.iter().all(|ws| ws.in_step_with(&counts)));
             }
         }
     }

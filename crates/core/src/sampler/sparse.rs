@@ -46,7 +46,7 @@
 //! | ConceptSet | 0                   | concept bag      | `r_t` in-set, else 0 |
 //!
 //! (`r_t` and `S1` are the serial kernel's cached reciprocals —
-//! [`RecipCache`] is shared verbatim; `floor_t` is the per-level
+//! `RecipCache` is shared verbatim; `floor_t` is the per-level
 //! element-wise minimum over every word's δ row, so in the normal regime
 //! it *is* the shared off-support row and the deviating words are exactly
 //! the source support.) Baselines are **min-valued by construction**, so
@@ -168,23 +168,34 @@ impl SparseShape {
                             }
                         }
                     }
-                    let row_deviates: Vec<bool> = (0..=off)
-                        .map(|r| table.row(r).iter().zip(&floor).any(|(&x, &f)| x != f))
+                    let deviates =
+                        |r: usize| table.row(r).iter().zip(&floor).any(|(&x, &f)| x != f);
+                    // The support words that deviate, then the off-support
+                    // words counted in one step: they all read row `off`.
+                    let mut deviating: Vec<(usize, usize)> = (0..off)
+                        .filter(|&r| deviates(r))
+                        .map(|r| (table.support()[r] as usize, r))
                         .collect();
+                    let off_words = if deviates(off) { v - off } else { 0 };
                     // In the healthy regime the floor is the shared
                     // off-support row and only the support deviates. If
                     // most words deviate (pathological δ structure), the
                     // exc walk would cost O(V) per token — demote the
                     // topic to per-token dense evaluation instead.
-                    let deviating: Vec<(usize, usize)> = table
-                        .row_indices()
-                        .enumerate()
-                        .filter(|&(_, r)| row_deviates[r])
-                        .collect();
-                    if deviating.len() * 2 > v {
+                    if (deviating.len() + off_words) * 2 > v {
                         shape.dense_topics.push(idx_u32(t));
                         shape.dense_flag[t] = true;
                     } else {
+                        if off_words > 0 {
+                            // A deviating shared row with at most V/2
+                            // readers: the support covers ≥ V/2 words, so
+                            // walking every word stays support-sized.
+                            deviating = table
+                                .row_indices()
+                                .enumerate()
+                                .filter(|&(_, r)| deviates(r))
+                                .collect();
+                        }
                         for &(w, r) in &deviating {
                             shape.exc[w].push((idx_u32(t), idx_u32(r)));
                         }
@@ -719,13 +730,12 @@ mod tests {
     }
 
     /// A λ-integrated prior decoded from a crafted raw sparse table over
-    /// `v ≥ 5` words. Its support is the first `⌈v/2⌉ + 1` words; word 0's
+    /// `v` words whose support is the first `2 ≤ n ≤ v` words. Word 0's
     /// row sits above the floor, and the other support rows dip below the
-    /// off-support row at the last level. So every off-support word
-    /// deviates from the floor, yet only `⌊v/2⌋` words deviate and the
-    /// topic is not demoted.
-    fn dipping_support_prior(v: usize, levels: usize) -> TopicPrior {
-        let n = v - v / 2 + 1;
+    /// off-support row at the last level, so every off-support word
+    /// deviates from the floor. At `n = ⌈v/2⌉ + 1` (and `v ≥ 5`) only
+    /// `⌊v/2⌋` words deviate and the topic is not demoted.
+    fn dipping_support_prior(v: usize, n: usize, levels: usize) -> TopicPrior {
         let mut zero_values = vec![0.3; levels];
         zero_values[levels - 1] = 0.9;
         let mut values = vec![0.3; n * levels];
@@ -799,7 +809,7 @@ mod tests {
             let bag: Vec<u32> = bag.into_iter().filter(|&b| (b as usize) < v).collect();
             let doc: Vec<u32> = doc_words.into_iter().map(|w| w % v as u32).collect();
             let mut priors = mixed_priors(v, &counts_vec, &bag, levels);
-            priors.push(dipping_support_prior(v, levels));
+            priors.push(dipping_support_prior(v, v - v / 2 + 1, levels));
             let tokens = vec![doc];
             let matrices = CountMatrices::new(v, priors.len());
             let mut rng = rng_from_seed(seed);
@@ -1016,6 +1026,71 @@ mod tests {
             (_, raw) => raw,
         };
         TopicPrior::from_raw(raw, v).unwrap()
+    }
+
+    /// The V-word walk that [`SparseShape::build`] replaced, for one
+    /// λ-integrated topic: `None` if the topic is demoted, else its
+    /// deviating `(word, δ row)` pairs in word order.
+    fn deviating_by_word_walk(prior: &TopicPrior, v: usize) -> Option<Vec<(usize, usize)>> {
+        let TopicPrior::Integrated(table) = prior else {
+            panic!("a λ-integrated prior");
+        };
+        let off = table.support().len();
+        let mut rows = (0..off).chain((off < v).then_some(off));
+        let mut floor = table.row(rows.next()?).to_vec();
+        for r in rows {
+            for (f, &x) in floor.iter_mut().zip(table.row(r)) {
+                if x < *f {
+                    *f = x;
+                }
+            }
+        }
+        let row_deviates: Vec<bool> = (0..=off)
+            .map(|r| table.row(r).iter().zip(&floor).any(|(&x, &f)| x != f))
+            .collect();
+        let deviating: Vec<(usize, usize)> = table
+            .row_indices()
+            .enumerate()
+            .filter(|&(_, r)| row_deviates[r])
+            .collect();
+        (deviating.len() * 2 <= v).then_some(deviating)
+    }
+
+    /// The support walk builds the word walk's deviation lists and
+    /// demotions in its three regimes: a healthy topic whose support alone
+    /// deviates, a topic demoted because its shared off-support row
+    /// deviates, and a deviating shared row under a support of ≥ V/2 words.
+    #[test]
+    fn support_walk_matches_the_word_walk() {
+        let v = 12;
+        let quad = DiscretizedGaussian::unit_interval(0.6, 0.25, 4).unwrap();
+        let g = SmoothingFunction::identity();
+        let mut source = vec![0.0; v];
+        for (w, c) in [(1, 4.0), (6, 1.0), (10, 2.0)] {
+            source[w] = c;
+        }
+        let healthy = TopicPrior::integrated(&SourceTopic::new("H", source), 0.01, &g, &quad);
+        let priors = vec![
+            healthy,
+            TopicPrior::symmetric(0.1, v).unwrap(),
+            dipping_support_prior(v, 3, 4),
+            dipping_support_prior(v, v - v / 2 + 1, 4),
+        ];
+        let shape = SparseShape::build(&SweepTables::new(&priors), v);
+        let mut regimes = Vec::new();
+        for (t, prior) in priors.iter().enumerate().filter(|(_, p)| p.is_integrated()) {
+            let want = deviating_by_word_walk(prior, v);
+            let listed: Vec<(usize, usize)> = (0..v)
+                .flat_map(|w| {
+                    let entries = shape.exc[w].iter().filter(|e| e.0 as usize == t);
+                    entries.map(move |&(_, r)| (w, r as usize))
+                })
+                .collect();
+            assert_eq!(shape.dense_flag[t], want.is_none(), "topic {t}");
+            assert_eq!(listed, want.clone().unwrap_or_default(), "topic {t}");
+            regimes.push(want.map(|d| d.len()));
+        }
+        assert_eq!(regimes, [Some(3), None, Some(v / 2)]);
     }
 
     /// Regression: the bucket structure derives from row values, not from

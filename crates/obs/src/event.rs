@@ -54,7 +54,8 @@ pub struct ShardTimings {
     /// Seconds spent replaying the shards' moves into the global counts.
     pub merge_secs: f64,
     /// Seconds each shard spent bringing its local counts back to the
-    /// merged global counts, indexed by shard.
+    /// merged global counts, indexed by shard. Shard 0 sweeps the global
+    /// counts and reads 0.
     pub refresh_secs: Vec<f64>,
     /// Tokens whose topic changed in the sweep.
     pub moved: u64,

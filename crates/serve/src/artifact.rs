@@ -236,14 +236,13 @@ impl ModelArtifact {
         vocab: &Vocabulary,
         tokenizer: &Tokenizer,
     ) -> Result<Self, ServeError> {
-        let (t, v) = (fitted.num_topics(), fitted.vocab_size());
         let artifact = Self {
             alpha: fitted.alpha(),
             labels: fitted.labels().to_vec(),
             priors: fitted.priors().to_vec(),
             vocab: vocab.clone(),
             tokenizer: tokenizer.clone(),
-            body: Body::Counts(CountCells::from_dense(v, t, fitted.counts().nw_values())),
+            body: Body::Counts(fitted.counts().clone()),
         };
         artifact.validate()?;
         Ok(artifact)

@@ -65,25 +65,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|&i| data.knowledge.topic(i).label())
         .collect();
     println!("\ntop-5 words per category:");
+    let (src_phi, ir_phi) = (src.phi(), ir.fitted.phi());
     for label in &active_labels {
         let src_tops = src
             .labels()
             .iter()
             .position(|l| l.as_deref() == Some(*label))
-            .map(|t| top5(corpus, src.phi_row(t)))
+            .map(|t| top5(corpus, src_phi.row(t)))
             .unwrap_or_default();
         let ir_tops = ir
             .labels
             .iter()
             .find(|a| a.label == *label)
-            .map(|a| top5(corpus, ir.fitted.phi_row(a.topic)))
+            .map(|a| top5(corpus, ir_phi.row(a.topic)))
             .unwrap_or_else(|| "(no LDA topic mapped here)".into());
         println!("  {label}\n    SRC-LDA: {src_tops}\n    IR-LDA : {ir_tops}");
     }
 
     // How much do the labelings agree with the generative truth?
     let ctx = LabelingContext::new(&data.knowledge, corpus);
-    let js_labels = JsDivergenceLabeler.label(&src.phi().to_rows(), &ctx);
+    let js_labels = JsDivergenceLabeler.label(&src_phi.to_rows(), &ctx);
     let consistent = src
         .labels()
         .iter()

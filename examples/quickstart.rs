@@ -66,9 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Topic-word distributions conform to the articles.
     println!("\nper-topic top words:");
+    let phi = fitted.phi();
     for t in 0..fitted.num_topics() {
-        let tops: Vec<&str> = fitted
-            .top_words(t, 3)
+        let tops: Vec<&str> = source_lda::math::simplex::top_n_indices(phi.row(t), 3)
             .into_iter()
             .map(|w| corpus.vocabulary().word(WordId::new(w)))
             .collect();

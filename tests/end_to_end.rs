@@ -43,7 +43,7 @@ fn world() -> World {
 
 fn accuracy_of(fitted: &FittedModel, w: &World, by_phi: bool) -> f64 {
     let mapping = if by_phi {
-        TopicMapping::by_phi_js(fitted.phi(), &w.generated.truth.phi)
+        TopicMapping::by_phi_js(&fitted.phi(), &w.generated.truth.phi)
             .expect("generated phi matrices are finite")
     } else {
         TopicMapping::by_label(fitted.labels(), &w.generated.truth.labels)
@@ -124,8 +124,9 @@ fn fitted_outputs_are_valid_distributions() {
         .fit(&w.generated.corpus)
         .unwrap();
     assert_eq!(fitted.num_topics(), 12);
+    let phi = fitted.phi();
     for t in 0..fitted.num_topics() {
-        let row = fitted.phi_row(t);
+        let row = phi.row(t);
         let sum: f64 = row.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "phi row {t} sums to {sum}");
         assert!(row.iter().all(|&p| p >= 0.0));

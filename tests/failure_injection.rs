@@ -2,8 +2,22 @@
 //! and hostile configurations must produce errors or graceful degradation —
 //! never panics or poisoned state.
 
+use source_lda::core::CountCells;
 use source_lda::knowledge::{KnowledgeSource, KnowledgeSourceBuilder, SourceTopic};
 use source_lda::prelude::*;
+
+/// Whether the fitted counts are the histogram of the final assignments
+/// over `c`'s tokens.
+fn counts_match_assignments(c: &Corpus, fitted: &FittedModel) -> bool {
+    let t_count = fitted.num_topics();
+    let mut nw = vec![0u32; c.vocab_size() * t_count];
+    for (doc, zs) in c.docs().iter().zip(fitted.assignments()) {
+        for (w, &t) in doc.tokens().iter().zip(zs) {
+            nw[w.index() * t_count + t as usize] += 1;
+        }
+    }
+    fitted.counts() == &CountCells::from_dense(c.vocab_size(), t_count, nw)
+}
 
 fn tiny_corpus() -> Corpus {
     let mut b = CorpusBuilder::new().tokenizer(Tokenizer::permissive());
@@ -30,7 +44,7 @@ fn knowledge_source_with_no_corpus_overlap_still_fits() {
         .unwrap()
         .fit(&c)
         .unwrap();
-    assert!(fitted.counts().check_invariants());
+    assert!(counts_match_assignments(&c, &fitted));
     for t in 0..2 {
         let sum: f64 = fitted.phi_row(t).iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -55,7 +69,7 @@ fn empty_article_behaves_as_flat_topic() {
         .unwrap()
         .fit(&c)
         .unwrap();
-    assert!(fitted.counts().check_invariants());
+    assert!(counts_match_assignments(&c, &fitted));
 }
 
 #[test]
@@ -73,7 +87,7 @@ fn single_token_documents_are_fine() {
         .unwrap()
         .fit(&c)
         .unwrap();
-    assert!(fitted.counts().check_invariants());
+    assert!(counts_match_assignments(&c, &fitted));
 }
 
 #[test]
@@ -87,10 +101,11 @@ fn more_topics_than_tokens_is_legal() {
         .unwrap()
         .fit(&c)
         .unwrap();
-    assert!(fitted.counts().check_invariants());
+    assert!(counts_match_assignments(&c, &fitted));
     // Most topics end up empty; their φ rows are still distributions.
+    let phi = fitted.phi();
     for t in 0..50 {
-        let sum: f64 = fitted.phi_row(t).iter().sum();
+        let sum: f64 = phi.row(t).iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 }
@@ -113,7 +128,7 @@ fn ctm_with_fully_disjoint_bags_falls_back_gracefully() {
         .fit(&c)
         .unwrap();
     // Every token hit the uniform fallback; counts stay consistent.
-    assert!(fitted.counts().check_invariants());
+    assert!(counts_match_assignments(&c, &fitted));
 }
 
 #[test]

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use source_lda::core::generative::{DocLength, LambdaMode, SourceLdaGenerator};
+use source_lda::core::CountCells;
 use source_lda::corpus::Vocabulary;
 use source_lda::knowledge::{KnowledgeSource, SourceTopic};
 use source_lda::prelude::*;
@@ -98,7 +99,16 @@ proptest! {
             .unwrap()
             .fit(&generated.corpus)
             .unwrap();
-        prop_assert!(fitted.counts().check_invariants());
+        // The counts are the histogram of the final assignments.
+        let t_count = fitted.num_topics();
+        let mut nw = vec![0u32; generated.corpus.vocab_size() * t_count];
+        for (doc, zs) in generated.corpus.docs().iter().zip(fitted.assignments()) {
+            for (w, &t) in doc.tokens().iter().zip(zs) {
+                nw[w.index() * t_count + t as usize] += 1;
+            }
+        }
+        let histogram = CountCells::from_dense(generated.corpus.vocab_size(), t_count, nw);
+        prop_assert_eq!(fitted.counts(), &histogram);
         // Every assignment indexes a real topic.
         for doc in fitted.assignments() {
             for &z in doc {

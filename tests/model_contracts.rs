@@ -71,8 +71,9 @@ fn eda_phi_is_immutable() {
         .unwrap()
         .fit(&c)
         .unwrap();
+    let phi = fitted.phi();
     for (t, want) in expected.iter().enumerate() {
-        for (a, b) in fitted.phi_row(t).iter().zip(want) {
+        for (a, b) in phi.row(t).iter().zip(want) {
             assert!((a - b).abs() < 1e-9, "EDA φ moved: {a} vs {b}");
         }
     }
@@ -94,14 +95,15 @@ fn ctm_respects_concept_support() {
         .fit(&c)
         .unwrap();
     // φ of the Natural Gas concept (topic 1) is zero on finance words.
+    let phi = fitted.phi();
     for w in ["stock", "market", "fund", "bond"] {
         let id = c.vocabulary().get(w).unwrap().index();
-        assert_eq!(fitted.phi_row(1)[id], 0.0, "{w} leaked into Natural Gas");
+        assert_eq!(phi[(1, id)], 0.0, "{w} leaked into Natural Gas");
     }
     // And vice versa.
     for w in ["gas", "pipeline", "energy", "rig"] {
         let id = c.vocabulary().get(w).unwrap().index();
-        assert_eq!(fitted.phi_row(2)[id], 0.0, "{w} leaked into Stock Market");
+        assert_eq!(phi[(2, id)], 0.0, "{w} leaked into Stock Market");
     }
 }
 
@@ -120,8 +122,9 @@ fn bijective_phi_conforms_to_heavy_priors() {
         .unwrap()
         .fit(&c)
         .unwrap();
+    let phi = fitted.phi();
     for (t, src) in source_dists.iter().enumerate() {
-        let js = source_lda::math::js_divergence(fitted.phi_row(t), src).unwrap();
+        let js = source_lda::math::js_divergence(phi.row(t), src).unwrap();
         assert!(
             js < 0.08,
             "bijective φ should hug the source distribution; topic {t} JS = {js:.4}"
